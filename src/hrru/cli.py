@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration or validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,24 +32,15 @@ from . import __version__
 from . import montecarlo as mc
 from .multi_urn import CommonFactors, UrnSpec, UrnSystem
 from .urn_core import (
-    AbsorbingRandomWalk,
+    DRAW_POLICIES,
+    REINFORCEMENT_POLICIES,
     ConfigError,
-    ConstantOne,
-    ConstantReinforcement,
-    DeterministicSchedule,
-    DiscreteDraw,
-    DiscreteReinforcement,
-    IidUniform,
     IntegerDistribution,
     ParameterError,
-    UniformReinforcement,
     UrnConfig,
 )
 
 KINDS = ("simulate", "clt", "coverage", "limit-law", "mtest", "hitting")
-
-DRAW_POLICIES = ("constant-one", "schedule", "iid-uniform", "discrete", "absorbing-walk")
-REINF_POLICIES = ("constant", "uniform-range", "discrete")
 
 WORKERS_ENV = "HRRU_WORKERS"
 
@@ -132,96 +124,56 @@ class _Collector:
         return v
 
 
-def _parse_int_list(col: _Collector, obj: dict, path: str, key: str) -> tuple[int, ...] | None:
+def _parse_list(col: _Collector, obj: dict, path: str, key: str, kind: type) -> tuple | None:
+    """A nonempty list of ``kind`` (int, or float accepting ints) as a tuple."""
+    what = "integers" if kind is int else "numbers"
     if key not in obj:
         col.add(f"{path}.{key}", "required field is missing")
         return None
     v = obj[key]
     if not isinstance(v, list) or not v:
-        col.add(f"{path}.{key}", f"must be a nonempty list of integers, got {v!r}")
+        col.add(f"{path}.{key}", f"must be a nonempty list of {what}, got {v!r}")
         return None
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in v):
-        col.add(f"{path}.{key}", f"must contain only integers, got {v!r}")
+    if any(isinstance(x, bool) or not isinstance(x, (int, kind)) for x in v):
+        col.add(f"{path}.{key}", f"must contain only {what}, got {v!r}")
         return None
-    return tuple(v)
+    return tuple(kind(x) for x in v)
 
 
-def _parse_prob_list(col: _Collector, obj: dict, path: str, key: str) -> tuple[float, ...] | None:
-    if key not in obj:
-        col.add(f"{path}.{key}", "required field is missing")
-        return None
-    v = obj[key]
-    if not isinstance(v, list) or not v:
-        col.add(f"{path}.{key}", f"must be a nonempty list of numbers, got {v!r}")
-        return None
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v):
-        col.add(f"{path}.{key}", f"must contain only numbers, got {v!r}")
-        return None
-    return tuple(float(x) for x in v)
+# How each dataclass field type of a policy, factor law or urn spec is read.
+_FIELD_PARSERS = {
+    "str": lambda col, obj, path, key: col.expect_str(obj, path, key),
+    "int": lambda col, obj, path, key: col.expect_int(obj, path, key),
+    "tuple[int, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, int),
+    "tuple[float, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, float),
+}
 
 
-def _parse_draw(col: _Collector, obj, path: str):
-    if not isinstance(obj, dict):
-        col.add(path, f"must be an object, got {obj!r}")
-        return None
-    name = col.expect_str(obj, path, "policy", choices=None)
-    if name is None:
-        return None
-    if name not in DRAW_POLICIES:
-        col.add(f"{path}.policy", f"unknown draw policy {name!r}; supported: {DRAW_POLICIES}")
+def _parse_fields(col: _Collector, cls, obj: dict, path: str):
+    """``cls`` built from its dataclass fields; its constructor checks ranges."""
+    kwargs = {
+        f.name: _FIELD_PARSERS[f.type](col, obj, path, f.name) for f in dataclasses.fields(cls)
+    }
+    if None in kwargs.values():
         return None
     try:
-        if name == "constant-one":
-            return ConstantOne()
-        if name == "schedule":
-            values = _parse_int_list(col, obj, path, "values")
-            return DeterministicSchedule(values) if values else None
-        if name == "iid-uniform":
-            high = col.expect_int(obj, path, "high", minimum=1)
-            return IidUniform(high) if high is not None else None
-        if name == "discrete":
-            values = _parse_int_list(col, obj, path, "values")
-            probs = _parse_prob_list(col, obj, path, "probs")
-            return DiscreteDraw(values, probs) if values and probs else None
-        start = col.expect_int(obj, path, "start", minimum=1)
-        high = col.expect_int(obj, path, "high", minimum=2)
-        if start is None or high is None:
-            return None
-        return AbsorbingRandomWalk(start, high)
+        return cls(**kwargs)
     except ParameterError as exc:
         col.add(path, str(exc))
         return None
 
 
-def _parse_reinforce(col: _Collector, obj, path: str):
+def _parse_policy(col: _Collector, obj, path: str, menu: dict, what: str):
     if not isinstance(obj, dict):
         col.add(path, f"must be an object, got {obj!r}")
         return None
     name = col.expect_str(obj, path, "policy")
     if name is None:
         return None
-    if name not in REINF_POLICIES:
-        col.add(
-            f"{path}.policy",
-            f"unknown reinforcement policy {name!r}; supported: {REINF_POLICIES}",
-        )
+    if name not in menu:
+        col.add(f"{path}.policy", f"unknown {what} policy {name!r}; supported: {tuple(menu)}")
         return None
-    try:
-        if name == "constant":
-            value = col.expect_int(obj, path, "value", minimum=1)
-            return ConstantReinforcement(value) if value is not None else None
-        if name == "uniform-range":
-            low = col.expect_int(obj, path, "low", minimum=1)
-            high = col.expect_int(obj, path, "high", minimum=1)
-            if low is None or high is None:
-                return None
-            return UniformReinforcement(low, high)
-        values = _parse_int_list(col, obj, path, "values")
-        probs = _parse_prob_list(col, obj, path, "probs")
-        return DiscreteReinforcement(values, probs) if values and probs else None
-    except ParameterError as exc:
-        col.add(path, str(exc))
-        return None
+    return _parse_fields(col, menu[name], obj, path)
 
 
 def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
@@ -231,14 +183,16 @@ def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
     a = col.expect_int(obj, path, "a", minimum=1)
     b = col.expect_int(obj, path, "b", minimum=1)
     label = col.expect_str(obj, path, "label", required=False, default="u0")
-    draw = _parse_draw(col, obj.get("draw"), f"{path}.draw") if "draw" in obj else None
-    if "draw" not in obj:
+    draw = reinforce = None
+    if "draw" in obj:
+        draw = _parse_policy(col, obj["draw"], f"{path}.draw", DRAW_POLICIES, "draw")
+    else:
         col.add(f"{path}.draw", "required field is missing")
-    reinforce = (
-        _parse_reinforce(col, obj.get("reinforce"), f"{path}.reinforce")
-        if "reinforce" in obj else None
-    )
-    if "reinforce" not in obj:
+    if "reinforce" in obj:
+        reinforce = _parse_policy(
+            col, obj["reinforce"], f"{path}.reinforce", REINFORCEMENT_POLICIES, "reinforcement"
+        )
+    else:
         col.add(f"{path}.reinforce", "required field is missing")
     if None in (a, b, draw, reinforce):
         return None
@@ -254,15 +208,7 @@ def _parse_factor_dist(col: _Collector, obj, path: str) -> IntegerDistribution |
     if not isinstance(obj, dict):
         col.add(path, f"must be an object, got {obj!r}")
         return None
-    values = _parse_int_list(col, obj, path, "values")
-    probs = _parse_prob_list(col, obj, path, "probs")
-    if not values or not probs:
-        return None
-    try:
-        return IntegerDistribution(values, probs)
-    except ParameterError as exc:
-        col.add(path, str(exc))
-        return None
+    return _parse_fields(col, IntegerDistribution, obj, path)
 
 
 def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
@@ -277,33 +223,23 @@ def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
             col.add(path, f"must be an object, got {item!r}")
             ok = False
             continue
-        label = col.expect_str(item, path, "label")
-        a = col.expect_int(item, path, "a", minimum=1)
-        b = col.expect_int(item, path, "b", minimum=1)
-        h = col.expect_int(item, path, "draw_base", minimum=1)
-        r = col.expect_int(item, path, "reinforce_base", minimum=1)
-        if None in (label, a, b, h, r):
-            ok = False
-            continue
-        specs.append(UrnSpec(label=label, a=a, b=b, draw_base=h, reinforce_base=r))
-    factors = CommonFactors()
+        spec = _parse_fields(col, UrnSpec, item, path)
+        ok = ok and spec is not None
+        specs.append(spec)
+    factors = {}
     if factors_obj is not None:
         if not isinstance(factors_obj, dict):
             col.add("factors", f"must be an object, got {factors_obj!r}")
             ok = False
         else:
-            fd = fr = None
-            if "draw" in factors_obj:
-                fd = _parse_factor_dist(col, factors_obj["draw"], "factors.draw")
-                ok = ok and fd is not None
-            if "reinforce" in factors_obj:
-                fr = _parse_factor_dist(col, factors_obj["reinforce"], "factors.reinforce")
-                ok = ok and fr is not None
-            factors = CommonFactors(draw=fd, reinforce=fr)
+            for name in ("draw", "reinforce"):
+                if name in factors_obj:
+                    factors[name] = _parse_factor_dist(col, factors_obj[name], f"factors.{name}")
+                    ok = ok and factors[name] is not None
     if not ok:
         return None
     try:
-        return UrnSystem(urns=tuple(specs), factors=factors)
+        return UrnSystem(urns=tuple(specs), factors=CommonFactors(**factors))
     except ConfigError as exc:
         for p in exc.problems:
             col.add("urns", p)
@@ -460,29 +396,17 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
 # Serialization back to the JSON form (the config echo).
 
 
-def _draw_to_json(policy) -> dict:
-    if isinstance(policy, ConstantOne):
-        return {"policy": "constant-one"}
-    if isinstance(policy, DeterministicSchedule):
-        return {"policy": "schedule", "values": list(policy.values)}
-    if isinstance(policy, IidUniform):
-        return {"policy": "iid-uniform", "high": policy.high}
-    if isinstance(policy, DiscreteDraw):
-        return {"policy": "discrete", "values": list(policy.values),
-                "probs": list(policy.probs)}
-    if isinstance(policy, AbsorbingRandomWalk):
-        return {"policy": "absorbing-walk", "start": policy.start, "high": policy.high}
-    raise ParameterError(f"policy {type(policy).__name__} has no JSON form")
+def _fields_to_json(obj) -> dict:
+    return {
+        f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+        for f in dataclasses.fields(obj)
+    }
 
 
-def _reinf_to_json(policy) -> dict:
-    if isinstance(policy, ConstantReinforcement):
-        return {"policy": "constant", "value": policy.value}
-    if isinstance(policy, UniformReinforcement):
-        return {"policy": "uniform-range", "low": policy.low, "high": policy.high}
-    if isinstance(policy, DiscreteReinforcement):
-        return {"policy": "discrete", "values": list(policy.values),
-                "probs": list(policy.probs)}
+def _policy_to_json(policy, menu: dict) -> dict:
+    for name, cls in menu.items():
+        if type(policy) is cls:
+            return {"policy": name, **_fields_to_json(policy)}
     raise ParameterError(f"policy {type(policy).__name__} has no JSON form")
 
 
@@ -499,8 +423,8 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     if cfg.urn is not None:
         out["urn"] = {
             "a": cfg.urn.a, "b": cfg.urn.b, "label": cfg.urn.label,
-            "draw": _draw_to_json(cfg.urn.draw),
-            "reinforce": _reinf_to_json(cfg.urn.reinforce),
+            "draw": _policy_to_json(cfg.urn.draw, DRAW_POLICIES),
+            "reinforce": _policy_to_json(cfg.urn.reinforce, REINFORCEMENT_POLICIES),
         }
     if cfg.system is not None:
         out["urns"] = [
@@ -508,13 +432,12 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
              "draw_base": u.draw_base, "reinforce_base": u.reinforce_base}
             for u in cfg.system.urns
         ]
-        factors = {}
-        if cfg.system.factors.draw is not None:
-            d = cfg.system.factors.draw
-            factors["draw"] = {"values": list(d.values), "probs": list(d.probs)}
-        if cfg.system.factors.reinforce is not None:
-            d = cfg.system.factors.reinforce
-            factors["reinforce"] = {"values": list(d.values), "probs": list(d.probs)}
+        factors = {
+            name: _fields_to_json(d)
+            for name, d in (("draw", cfg.system.factors.draw),
+                            ("reinforce", cfg.system.factors.reinforce))
+            if d is not None
+        }
         if factors:
             out["factors"] = factors
     plan: dict = {"reps": cfg.reps, "n": cfg.n, "seed": cfg.seed,
@@ -548,11 +471,27 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
     lines = [sep.join(header)]
     for i in range(rows):
         lines.append(sep.join(_fmt(c[i]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_report(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    def dump(fh):
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+    _write_atomic(path, dump)
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Run ``write`` on a temp file beside ``path``, then rename it over
+    ``path``: readers see the old file or the whole new one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _report_skeleton(cfg: ExperimentConfig) -> dict:
@@ -654,8 +593,8 @@ def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
             "level": cov.level,
             "n": cov.n,
             "proxy_horizon": cov.proxy_horizon,
-            "from_Zn": _coverage_to_dict(cov.from_zn),
-            "from_Mn": _coverage_to_dict(cov.from_mn),
+            "from_Zn": dataclasses.asdict(cov.from_zn),
+            "from_Mn": dataclasses.asdict(cov.from_mn),
         }
     else:
         res = mc.linear_combination_coverage(
@@ -667,19 +606,9 @@ def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
             "proxy_horizon": plan.proxy_horizon,
             "basis": cfg.basis,
             "coeffs": cfg.coeffs,
-            "combination": _coverage_to_dict(res),
+            "combination": dataclasses.asdict(res),
         }
     return report
-
-
-def _coverage_to_dict(r: mc.CoverageResult) -> dict:
-    return {
-        "basis": r.basis,
-        "hits": r.hits,
-        "reps": r.reps,
-        "coverage": r.coverage,
-        "std_error": r.std_error,
-    }
 
 
 def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
@@ -694,16 +623,7 @@ def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
         cfg.table_format,
     )
     report = _report_skeleton(cfg)
-    report["results"] = {
-        "horizon": rep.horizon,
-        "reps": rep.reps,
-        "s_over_n_max_abs_err": rep.s_over_n_max_abs_err,
-        "s_over_n_max_rel_err": rep.s_over_n_max_rel_err,
-        "max_ecdf_jump": rep.max_ecdf_jump,
-        "boundary_fraction": rep.boundary_fraction,
-        "beta_params": list(rep.beta_params) if rep.beta_params else None,
-        "beta_ks": rep.beta_ks,
-    }
+    report["results"] = dataclasses.asdict(rep)
     return report
 
 
@@ -712,15 +632,7 @@ def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     records = mc.replicate(plan, workers)
     res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
     report = _report_skeleton(cfg)
-    report["results"] = {
-        "target": res.target,
-        "reference": list(res.reference),
-        "level": res.level,
-        "rejections": res.rejections,
-        "applicable": res.applicable,
-        "reps": res.reps,
-        "frequency": res.frequency,
-    }
+    report["results"] = {**dataclasses.asdict(res), "frequency": res.frequency}
     return report
 
 
@@ -731,13 +643,7 @@ def _run_hitting(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     expected = mc.walk_absorption_probability(cfg.walk_start, cfg.walk_high)
     report = _report_skeleton(cfg)
     report["results"] = {
-        "start": est.start,
-        "high": est.high,
-        "reps": est.reps,
-        "absorbed_low": est.absorbed_low,
-        "absorbed_high": est.absorbed_high,
-        "cap_hits": est.cap_hits,
-        "estimate": est.estimate,
+        **dataclasses.asdict(est),
         "expected": expected,
         "abs_error": abs(est.estimate - expected),
     }
@@ -755,7 +661,11 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> Path:
-    """Execute a validated config; returns the report path."""
+    """Execute a validated config; returns the report path.
+
+    Every file is replaced whole, and ``report.json`` last, so a run
+    that fails part-way leaves the previous report in place.
+    """
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -767,16 +677,16 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> Path:
     return report_path
 
 
-def _resolve_workers(flag_value: int | None) -> int:
+def _resolve_workers(flag_value: int | None) -> int | None:
+    """--workers, else $HRRU_WORKERS, else 1; None unless an integer >= 1."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+        workers = flag_value
+    else:
         try:
-            return max(1, int(env))
+            workers = int(os.environ.get(WORKERS_ENV) or 1)
         except ValueError:
-            print(f"warning: ignoring non-integer {WORKERS_ENV}={env!r}", file=sys.stderr)
-    return 1
+            return None
+    return workers if workers >= 1 else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -817,8 +727,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     workers = _resolve_workers(args.workers)
-    if workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
+    if workers is None:
+        print(f"error: --workers and ${WORKERS_ENV} must be integers >= 1", file=sys.stderr)
         return 2
     try:
         report_path = run(cfg, workers=workers)

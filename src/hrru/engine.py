@@ -8,10 +8,18 @@ own (master_seed, rep) pair, the results are bit-identical to running
 each replication alone, and therefore independent of chunk sizes,
 worker counts, and execution order.
 
+A single urn and a multi-urn system take the same path: both are a
+list of one-urn slots (``config.lockstep``), each naming the streams
+its policies read, plus the shared extraction stride.  Each policy
+emits through its own ``emit_vec``, once per distinct (policy, stream)
+pair and step, so a shared factor is drawn once for all urns.
+
 Floating-point accumulations across steps (mean of X/N, mean of 1/N)
-use Kahan compensation, elementwise, in a fixed step order; the
-scalar fallback below performs the identical operations in the
-identical order, so both paths agree bit-for-bit.  Tests pin that.
+use Kahan compensation, elementwise, in a fixed step order.
+``trajectory_snapshot`` performs the same operations on one scalar
+trajectory, so it reproduces a lane bit for bit: ``run_chunk`` uses it
+for ``CustomRule`` configs, which have no vector form, and the tests
+use it as their reference.
 
 All ball counts stay in int64; configuration validation bounds the
 worst-case total (a + b + steps * draw_bound * reinf_bound) below
@@ -26,22 +34,7 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import (
-    AbsorbingRandomWalk,
-    ConstantOne,
-    ConstantReinforcement,
-    CustomRule,
-    DeterministicSchedule,
-    DiscreteDraw,
-    DiscreteReinforcement,
-    IidUniform,
-    IntegerDistribution,
-    ParameterError,
-    UniformReinforcement,
-    UrnConfig,
-    UrnState,
-    step as urn_step,
-)
+from .urn_core import CustomRule, ParameterError, Trajectory, UrnConfig, run_trajectory
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -54,13 +47,6 @@ SNAPSHOT_FIELDS = (
 )
 
 
-def engine_supported(config: UrnConfig | UrnSystem) -> bool:
-    """Whether the vector path can run this configuration."""
-    if isinstance(config, UrnSystem):
-        return True
-    return not isinstance(config.draw, CustomRule)
-
-
 def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
     if isinstance(config, UrnSystem):
         k = config.k
@@ -71,145 +57,11 @@ def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
     )
 
 
-# Per-policy vector emitters.  Each declares whether it consumes a
-# uniform row and at what counter offset, and emits the step's values
-# given that row.  Emitters may hold per-lane state (the walk).
-
-
-class _VecConstantDraw:
-    needs_row = False
-    row_offset = 0
-
-    def __init__(self, policy: ConstantOne | DeterministicSchedule):
-        if isinstance(policy, ConstantOne):
-            self._values = (1,)
-        else:
-            self._values = policy.values
-
-    def emit(self, t: int, u: np.ndarray | None):
-        vals = self._values
-        return vals[t] if t < len(vals) else vals[-1]
-
-
-class _VecIidUniformDraw:
-    needs_row = True
-    row_offset = 0
-
-    def __init__(self, policy: IidUniform):
-        self._high = policy.high
-
-    def emit(self, t: int, u: np.ndarray | None):
-        h = self._high
-        if h == 1:
-            return 1
-        scaled = (u * h).astype(np.int64)
-        np.minimum(scaled, h - 1, out=scaled)
-        scaled += 1
-        return scaled
-
-
-class _VecDiscreteDraw:
-    needs_row = True
-    row_offset = 0
-
-    def __init__(self, values: tuple[int, ...], probs: tuple[float, ...]):
-        dist = IntegerDistribution(values, probs)
-        self._cdf = np.asarray(dist.cdf_steps(), dtype=np.float64)
-        self._values = np.asarray(values, dtype=np.int64)
-
-    def emit(self, t: int, u: np.ndarray | None):
-        idx = np.searchsorted(self._cdf, u, side="right")
-        np.minimum(idx, len(self._values) - 1, out=idx)
-        return self._values[idx]
-
-
-class _VecWalkDraw:
-    needs_row = True
-    row_offset = -1  # step t reads counter t - 1; the t = 0 row is unused
-
-    def __init__(self, policy: AbsorbingRandomWalk, lanes: int):
-        self._high = policy.high
-        self._start = policy.start
-        self._w = np.full(lanes, policy.start, dtype=np.int64)
-
-    def emit(self, t: int, u: np.ndarray | None):
-        if t == 0:
-            return self._w.copy()
-        w = self._w
-        inside = (w > 1) & (w < self._high)
-        delta = np.where(u < 0.5, 1, -1)
-        np.add(w, delta, out=w, where=inside)
-        return w.copy()
-
-
-class _VecConstantReinf:
-    needs_row = False
-    row_offset = 0
-
-    def __init__(self, policy: ConstantReinforcement):
-        self._value = policy.value
-
-    def emit(self, t: int, u: np.ndarray | None):
-        return self._value
-
-
-class _VecUniformReinf:
-    needs_row = True
-    row_offset = 0
-
-    def __init__(self, policy: UniformReinforcement):
-        self._low = policy.low
-        self._span = policy.high - policy.low + 1
-
-    def emit(self, t: int, u: np.ndarray | None):
-        span = self._span
-        if span == 1:
-            return self._low
-        scaled = (u * span).astype(np.int64)
-        np.minimum(scaled, span - 1, out=scaled)
-        scaled += self._low
-        return scaled
-
-
-def _vec_draw(policy, lanes: int):
-    if isinstance(policy, (ConstantOne, DeterministicSchedule)):
-        return _VecConstantDraw(policy)
-    if isinstance(policy, IidUniform):
-        return _VecIidUniformDraw(policy)
-    if isinstance(policy, DiscreteDraw):
-        return _VecDiscreteDraw(policy.values, policy.probs)
-    if isinstance(policy, AbsorbingRandomWalk):
-        return _VecWalkDraw(policy, lanes)
-    raise ParameterError(f"no vector emitter for draw policy {type(policy).__name__}")
-
-
-def _vec_reinf(policy):
-    if isinstance(policy, ConstantReinforcement):
-        return _VecConstantReinf(policy)
-    if isinstance(policy, UniformReinforcement):
-        return _VecUniformReinf(policy)
-    if isinstance(policy, DiscreteReinforcement):
-        return _VecDiscreteDraw(policy.values, policy.probs)
-    raise ParameterError(f"no vector emitter for reinforcement {type(policy).__name__}")
-
-
-class _VecFactor:
-    needs_row = True
-    row_offset = 0
-
-    def __init__(self, dist: IntegerDistribution):
-        self._inner = _VecDiscreteDraw(dist.values, dist.probs)
-
-    def emit(self, t: int, u: np.ndarray | None):
-        return self._inner.emit(t, u)
-
-
 @dataclass
 class _UrnLane:
     """One urn's vector state and accumulators inside a chunk."""
 
     label: str
-    stride: int
     H: np.ndarray
     S: np.ndarray
     sum_r: np.ndarray
@@ -222,8 +74,8 @@ class _UrnLane:
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> None:
-    # Classic compensated add, elementwise; the scalar fallback mirrors
-    # these four operations exactly.
+    # Classic compensated add, elementwise; _kahan_sum performs these
+    # four operations in the same order on scalars.
     y = x - comp
     t = total + y
     np.subtract(t, total, out=comp)
@@ -244,14 +96,34 @@ def _snapshot(lane: _UrnLane, horizon: int) -> dict[str, np.ndarray]:
     }
 
 
-def _normalize(config: UrnConfig | UrnSystem):
-    """(urn descriptors, factor specs, stride, labels) for either kind."""
-    if isinstance(config, UrnSystem):
-        urns = [
-            (u.label, u.a, u.b, u.draw_base, u.reinforce_base) for u in config.urns
-        ]
-        return urns, config.factors, config.draw_stride
-    return None, None, config.draw.bound
+def _kahan_sum(xs) -> float:
+    total = comp = 0.0
+    for x in xs:
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def trajectory_snapshot(traj: Trajectory, horizon: int) -> dict[str, float]:
+    """One lane's snapshot at ``horizon``, reduced from a scalar trajectory.
+
+    Integer sums, and Kahan sums of X/N and 1/N in step order: the
+    vector path's reduction, so the two agree bit for bit.
+    """
+    h = horizon
+    n, x, r = traj.N[:h].tolist(), traj.X[:h].tolist(), traj.R[:h].tolist()
+    h_balls, s_balls = int(traj.H[h - 1]), int(traj.S[h - 1])
+    return {
+        "z": h_balls / s_balls,
+        "m_emp": _kahan_sum(xi / ni for xi, ni in zip(x, n)) / h,
+        "s_over_n": s_balls / h,
+        "reinf_mean": sum(r) / h,
+        "reinf_sqmean": sum(ri * ri for ri in r) / h,
+        "draw_mean": sum(n) / h,
+        "draw_recipmean": _kahan_sum(1.0 / ni for ni in n) / h,
+    }
 
 
 def run_chunk(
@@ -264,8 +136,8 @@ def run_chunk(
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
     Returns {label: [snapshot dict per horizon]}; horizons must be
-    strictly increasing.  Dispatches to the scalar fallback for
-    configurations the vector path cannot run.
+    strictly increasing.  ``CustomRule`` configs run one replication
+    at a time through ``run_trajectory``.
     """
     if rep_hi <= rep_lo:
         raise ParameterError(f"empty replication range [{rep_lo}, {rep_hi})")
@@ -277,126 +149,90 @@ def run_chunk(
         raise ParameterError(
             "worst-case ball count exceeds 2**62; shrink steps or bounds"
         )
-    if not engine_supported(config):
-        return _run_chunk_scalar(config, master_seed, rep_lo, rep_hi, horizons)
-    return _run_chunk_vector(config, master_seed, rep_lo, rep_hi, horizons)
+    if isinstance(getattr(config, "draw", None), CustomRule):
+        trajs = (
+            run_trajectory(config, horizons[-1], master_seed, rep)
+            for rep in range(rep_lo, rep_hi)
+        )
+        snaps = [[trajectory_snapshot(traj, h) for h in horizons] for traj in trajs]
+        return {config.label: [
+            {f: np.array([s[hi][f] for s in snaps]) for f in SNAPSHOT_FIELDS}
+            for hi in range(len(horizons))
+        ]}
 
-
-def _run_chunk_vector(config, master_seed, rep_lo, rep_hi, horizons):
     lanes = rep_hi - rep_lo
-    reps = np.arange(rep_lo, rep_hi, dtype=np.uint64)
-    rkeys = rng.rep_keys_vec(master_seed, reps)
+    rkeys = rng.rep_keys_vec(master_seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
+    slots, stride = config.lockstep
 
-    is_system = isinstance(config, UrnSystem)
-    if is_system:
-        system: UrnSystem = config
-        specs = list(system.urns)
-        stride = system.draw_stride
-        f = system.factors
-    else:
-        cfg: UrnConfig = config
-        stride = cfg.draw.bound
-        f = None
+    # The fused uniform matrix: one row per stream value read per step,
+    # at counter c0 + m * t, each row evaluated once however many
+    # emissions read it.
+    rows: list[tuple[tuple[str, ...], int, int]] = []
 
-    # Assemble the fused uniform matrix: one row per consumed stream
-    # value per step.  Row counters are affine in t: c(t) = c0 + m*t.
-    row_keys: list[np.ndarray] = []
-    row_c0: list[int] = []
-    row_m: list[int] = []
+    def row(stream: tuple[str, ...], c0: int, m: int) -> int:
+        if (stream, c0, m) not in rows:
+            rows.append((stream, c0, m))
+        return rows.index((stream, c0, m))
 
-    def add_row(keys: np.ndarray, c0: int, m: int) -> int:
-        row_keys.append(keys)
-        row_c0.append(c0)
-        row_m.append(m)
-        return len(row_keys) - 1
+    def emission(emitted: list, policy, stream: tuple[str, ...]) -> int:
+        # One emission per distinct (policy, stream) pair and step.
+        for i, (p, s, _) in enumerate(emitted):
+            if p == policy and s == stream:
+                return i
+        lag = policy.stream_lag
+        emitted.append((policy, stream, None if lag is None else row(stream, -lag, 1)))
+        return len(emitted) - 1
 
-    factor_draw_emitter = factor_reinf_emitter = None
-    factor_draw_row = factor_reinf_row = None
-    urn_entries = []
-    if is_system:
-        if f.draw is not None:
-            factor_draw_emitter = _VecFactor(f.draw)
-            factor_draw_row = add_row(_purpose_keys(rkeys, rng.FACTOR_DRAW), 0, 1)
-        if f.reinforce is not None:
-            factor_reinf_emitter = _VecFactor(f.reinforce)
-            factor_reinf_row = add_row(_purpose_keys(rkeys, rng.FACTOR_REINFORCE), 0, 1)
-        for spec in specs:
-            ex_keys = _urn_keys(rkeys, spec.label, rng.EXTRACT)
-            ex_rows = [add_row(ex_keys, j, stride) for j in range(stride)]
-            urn_entries.append(
-                (spec.label, spec.a, spec.b, spec.draw_base, spec.reinforce_base, ex_rows)
-            )
-    else:
-        draw_emitter = _vec_draw(cfg.draw, lanes)
-        reinf_emitter = _vec_reinf(cfg.reinforce)
-        draw_row = (
-            add_row(_urn_keys(rkeys, cfg.label, rng.DRAW), draw_emitter.row_offset, 1)
-            if draw_emitter.needs_row else None
+    draws: list = []
+    reinfs: list = []
+    urns = []
+    for slot in slots:
+        c = slot.config
+        ex_stream = ("urn", c.label, rng.EXTRACT)
+        lane = _UrnLane(
+            label=c.label,
+            H=np.full(lanes, c.a, dtype=np.int64),
+            S=np.full(lanes, c.a + c.b, dtype=np.int64),
+            sum_r=np.zeros(lanes, dtype=np.int64),
+            sum_rr=np.zeros(lanes, dtype=np.int64),
+            sum_n=np.zeros(lanes, dtype=np.int64),
+            msum=np.zeros(lanes, dtype=np.float64),
+            mcomp=np.zeros(lanes, dtype=np.float64),
+            etasum=np.zeros(lanes, dtype=np.float64),
+            etacomp=np.zeros(lanes, dtype=np.float64),
         )
-        reinf_row = (
-            add_row(_urn_keys(rkeys, cfg.label, rng.REINFORCE), 0, 1)
-            if reinf_emitter.needs_row else None
-        )
-        ex_keys = _urn_keys(rkeys, cfg.label, rng.EXTRACT)
-        ex_rows = [add_row(ex_keys, j, stride) for j in range(stride)]
-        urn_entries.append((cfg.label, cfg.a, cfg.b, None, None, ex_rows))
+        urns.append((
+            lane,
+            emission(draws, c.draw, slot.draw_stream),
+            emission(reinfs, c.reinforce, slot.reinforce_stream),
+            [row(ex_stream, j, stride) for j in range(stride)],
+        ))
 
-    key_matrix = np.stack(row_keys) if row_keys else np.zeros((0, lanes), dtype=np.uint64)
+    keys = {stream: rng.derive_keys_each(rkeys, *stream) for stream, _, _ in rows}
+    key_matrix = np.stack([keys[stream] for stream, _, _ in rows])
     golden = rng.GOLDEN
     # c(t) = c0 + m t, so the additive stream offset (c(t) + 1) * GOLDEN
     # = off0 + t * slope with the constants below (mod 2**64).
-    off0 = np.array([((c + 1) * golden) & rng.MASK64 for c in row_c0], dtype=np.uint64)
-    slope = np.array([(m * golden) & rng.MASK64 for m in row_m], dtype=np.uint64)
+    off0 = np.array([((c + 1) * golden) & rng.MASK64 for _, c, _ in rows], dtype=np.uint64)
+    slope = np.array([(m * golden) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
 
-    urn_lanes: list[_UrnLane] = []
-    for label, a, b, _, _, _ in urn_entries:
-        urn_lanes.append(
-            _UrnLane(
-                label=label, stride=stride,
-                H=np.full(lanes, a, dtype=np.int64),
-                S=np.full(lanes, a + b, dtype=np.int64),
-                sum_r=np.zeros(lanes, dtype=np.int64),
-                sum_rr=np.zeros(lanes, dtype=np.int64),
-                sum_n=np.zeros(lanes, dtype=np.int64),
-                msum=np.zeros(lanes, dtype=np.float64),
-                mcomp=np.zeros(lanes, dtype=np.float64),
-                etasum=np.zeros(lanes, dtype=np.float64),
-                etacomp=np.zeros(lanes, dtype=np.float64),
-            )
-        )
-
-    out: dict[str, list[dict[str, np.ndarray]]] = {
-        lane.label: [] for lane in urn_lanes
-    }
+    out: dict[str, list[dict[str, np.ndarray]]] = {lane.label: [] for lane, *_ in urns}
+    n_now: list = [None] * len(draws)
     next_h = 0
     total = horizons[-1]
     for t in range(total):
         t_u = np.uint64(t)
         states = key_matrix + (off0 + t_u * slope)[:, None]
         units = rng.units_from_states_vec(states)
+        n_now = [
+            p.emit_vec(t, None if r is None else units[r], prev)
+            for (p, _, r), prev in zip(draws, n_now)
+        ]
+        r_now = [p.emit_vec(t, None if r is None else units[r]) for p, _, r in reinfs]
 
-        if is_system:
-            f_draw = (
-                factor_draw_emitter.emit(t, units[factor_draw_row])
-                if factor_draw_emitter is not None else 0
-            )
-            f_reinf = (
-                factor_reinf_emitter.emit(t, units[factor_reinf_row])
-                if factor_reinf_emitter is not None else 0
-            )
-
-        for lane, entry in zip(urn_lanes, urn_entries):
-            label, a, b, draw_base, reinf_base, ex_rows = entry
-            if is_system:
-                n_draw = draw_base + f_draw
-                r = reinf_base + f_reinf
-            else:
-                n_draw = draw_emitter.emit(
-                    t, units[draw_row] if draw_row is not None else None
-                )
-                r = reinf_emitter.emit(
-                    t, units[reinf_row] if reinf_row is not None else None
-                )
+        for lane, di, ri, ex_rows in urns:
+            n_draw = n_now[di]
+            r = r_now[ri]
 
             # Without-replacement Bernoulli chain across all lanes.
             h_rem = lane.H.copy()
@@ -428,134 +264,15 @@ def _run_chunk_vector(config, master_seed, rep_lo, rep_hi, horizons):
             lane.sum_rr += r * r
             lane.sum_n += n_draw
             _kahan_add(lane.msum, lane.mcomp, x / n_draw)
-            _kahan_add(lane.etasum, lane.etacomp, _recip(n_draw, lanes))
+            _kahan_add(lane.etasum, lane.etacomp, 1.0 / n_draw)
 
         if t + 1 == horizons[next_h]:
-            for lane in urn_lanes:
+            for lane, *_ in urns:
                 out[lane.label].append(_snapshot(lane, t + 1))
             next_h += 1
             if next_h == len(horizons):
                 break
     return out
-
-
-def _recip(n_draw, lanes: int):
-    if isinstance(n_draw, int):
-        return np.full(lanes, 1.0 / n_draw)
-    return 1.0 / n_draw
-
-
-def _purpose_keys(rkeys: np.ndarray, purpose: str) -> np.ndarray:
-    return rng.derive_keys_each(rkeys, purpose)
-
-
-def _urn_keys(rkeys: np.ndarray, label: str, purpose: str) -> np.ndarray:
-    return rng.derive_keys_each(rkeys, "urn", label, purpose)
-
-
-def _run_chunk_scalar(config, master_seed, rep_lo, rep_hi, horizons):
-    """Pure-Python mirror of the vector path, one lane at a time.
-
-    Uses the policy objects and stream views directly, with the same
-    Kahan accumulation order as the vector path, so the two paths
-    produce bit-identical snapshots.
-    """
-    is_system = isinstance(config, UrnSystem)
-    labels = config.labels if is_system else (config.label,)
-    results: dict[str, list[dict[str, list[float]]]] = {
-        lab: [dict((f, []) for f in SNAPSHOT_FIELDS) for _ in horizons] for lab in labels
-    }
-    for rep in range(rep_lo, rep_hi):
-        if is_system:
-            per_urn = _scalar_system_rep(config, master_seed, rep, horizons)
-        else:
-            per_urn = _scalar_single_rep(config, master_seed, rep, horizons)
-        for lab in labels:
-            for hi, snap in enumerate(per_urn[lab]):
-                for fname in SNAPSHOT_FIELDS:
-                    results[lab][hi][fname].append(snap[fname])
-    return {
-        lab: [
-            {f: np.asarray(vals[f], dtype=np.float64) for f in SNAPSHOT_FIELDS}
-            for vals in results[lab]
-        ]
-        for lab in labels
-    }
-
-
-class _ScalarAcc:
-    __slots__ = ("sum_r", "sum_rr", "sum_n", "msum", "mcomp", "etasum", "etacomp")
-
-    def __init__(self):
-        self.sum_r = 0
-        self.sum_rr = 0
-        self.sum_n = 0
-        self.msum = 0.0
-        self.mcomp = 0.0
-        self.etasum = 0.0
-        self.etacomp = 0.0
-
-    def kahan_m(self, x: float) -> None:
-        y = x - self.mcomp
-        t = self.msum + y
-        self.mcomp = (t - self.msum) - y
-        self.msum = t
-
-    def kahan_eta(self, x: float) -> None:
-        y = x - self.etacomp
-        t = self.etasum + y
-        self.etacomp = (t - self.etasum) - y
-        self.etasum = t
-
-    def absorb(self, n_draw: int, x: int, r: int) -> None:
-        self.sum_r += r
-        self.sum_rr += r * r
-        self.sum_n += n_draw
-        self.kahan_m(x / n_draw)
-        self.kahan_eta(1.0 / n_draw)
-
-    def snapshot(self, h_balls: int, s_balls: int, horizon: int) -> dict[str, float]:
-        return {
-            "z": h_balls / s_balls,
-            "m_emp": self.msum / horizon,
-            "s_over_n": s_balls / horizon,
-            "reinf_mean": self.sum_r / horizon,
-            "reinf_sqmean": self.sum_rr / horizon,
-            "draw_mean": self.sum_n / horizon,
-            "draw_recipmean": self.etasum / horizon,
-        }
-
-
-def _scalar_single_rep(cfg: UrnConfig, master_seed: int, rep: int, horizons):
-    streams = rng.UrnStreams.create(master_seed, rep, cfg.label)
-    state = UrnState.initial(cfg.a, cfg.b)
-    acc = _ScalarAcc()
-    n_history: list[int] = []
-    snaps = []
-    for t in range(horizons[-1]):
-        state, rec = urn_step(state, cfg.draw, cfg.reinforce, streams, n_history)
-        n_history.append(rec.N)
-        acc.absorb(rec.N, rec.X, rec.R)
-        if t + 1 in horizons:
-            snaps.append(acc.snapshot(state.H, state.S, t + 1))
-    return {cfg.label: snaps}
-
-
-def _scalar_system_rep(system: UrnSystem, master_seed: int, rep: int, horizons):
-    from .multi_urn import SystemState, system_step
-
-    streams = rng.SystemStreams.create(master_seed, rep, system.labels)
-    state = SystemState.initial(system)
-    accs = {lab: _ScalarAcc() for lab in system.labels}
-    snaps = {lab: [] for lab in system.labels}
-    for t in range(horizons[-1]):
-        state, records, _ = system_step(system, state, streams)
-        for lab, ust in zip(system.labels, state.states):
-            rec = records[lab]
-            accs[lab].absorb(rec.N, rec.X, rec.R)
-            if t + 1 in horizons:
-                snaps[lab].append(accs[lab].snapshot(ust.H, ust.S, t + 1))
-    return snaps
 
 
 def sample_hypergeometric_batch(

@@ -23,6 +23,7 @@ distortion within the acceptance tolerances.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -33,10 +34,12 @@ from .estimators import normal_cdf, normal_quantile, variance_terms
 from .multi_urn import UrnSystem
 from .urn_core import (
     ConstantReinforcement,
+    CustomRule,
     DiscreteReinforcement,
     ParameterError,
     UniformReinforcement,
     UrnConfig,
+    walk_move,
 )
 
 DEFAULT_PROXY_FACTOR = 50
@@ -80,10 +83,6 @@ class ReplicationPlan:
         if isinstance(self.config, UrnSystem):
             return self.config.labels
         return (self.config.label,)
-
-    @property
-    def is_system(self) -> bool:
-        return isinstance(self.config, UrnSystem)
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,11 @@ def _run_one_chunk(args):
 def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
-    ``workers`` > 1 distributes fixed chunks over processes; the
-    per-rep values are identical in every case because each rep's
-    streams depend only on (master_seed, rep index).
+    ``workers`` > 1 distributes fixed chunks over at most
+    ``min(workers, chunks, os.cpu_count())`` processes; the per-rep
+    values are identical in every case because each rep's streams
+    depend only on (master_seed, rep index).  ``CustomRule`` plans run
+    in this process, since their rules need not be picklable.
     """
     horizons = (plan.n, plan.proxy_horizon)
     bounds = _chunk_bounds(plan.reps, plan.chunk_size)
@@ -176,7 +177,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     nworkers = 1 if workers is None else int(workers)
     if nworkers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    if nworkers == 1 or len(tasks) == 1 or not engine.engine_supported(plan.config):
+    nworkers = min(nworkers, len(tasks), os.cpu_count() or 1)
+    if nworkers == 1 or isinstance(getattr(plan.config, "draw", None), CustomRule):
         chunk_results = [_run_one_chunk(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
@@ -617,8 +619,9 @@ def hitting_probability_check(
 ) -> HittingEstimate:
     """Empirical frequency of the walk absorbing at the lower barrier.
 
-    Runs ``reps`` independent walks from the draw-size policy's law,
-    each on its own replication stream, and counts terminal states.
+    Runs ``reps`` independent walks by the draw-size policy's rule
+    (``walk_move``), each on its own replication stream, and counts
+    terminal states.
     Walks still unabsorbed after ``step_cap`` steps are reported in
     ``cap_hits`` (absorption is almost sure, so the cap is a guard,
     not a tuning knob).
@@ -631,14 +634,8 @@ def hitting_probability_check(
     keys = rng.derive_keys_each(rkeys, "walk")
     w = np.full(reps, start, dtype=np.int64)
     t = 1
-    while t <= step_cap:
-        inside = (w > 1) & (w < high)
-        remaining = int(np.count_nonzero(inside))
-        if remaining == 0:
-            break
-        u = rng.units_vec(keys, t - 1)
-        delta = np.where(u < 0.5, 1, -1)
-        np.add(w, delta, out=w, where=inside)
+    while t <= step_cap and np.any((w > 1) & (w < high)):
+        w = walk_move(w, rng.units_vec(keys, t - 1), high)
         t += 1
     low = int(np.count_nonzero(w == 1))
     hi = int(np.count_nonzero(w == high))

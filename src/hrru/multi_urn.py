@@ -13,16 +13,21 @@ independent hypergeometric laws on independent sub-streams.  Factor
 supports are bounded integers, so the validity of every reachable
 draw (1 <= N <= k <= a + b) is provable at configuration time.
 
-Degenerate factors (absent, or a point mass at 0) reduce each urn to
-an independent single urn, bit-for-bit: per-urn streams are keyed by
-label and purpose alone, so adding or removing an urn never perturbs
-another urn's draws.
+A system urn is exactly a single urn (``UrnSystem.lockstep``): its
+draw and reinforcement policies are the factor laws shifted by its
+base constants (a constant where a factor is absent), and they read
+the shared factor streams instead of the urn's own.  Every urn steps
+with the one urn rule of ``urn_core.advance`` at the system's shared
+extraction stride.  Per-urn extraction streams are keyed by label and
+purpose alone, so adding or removing an urn never perturbs another
+urn's draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,22 +43,21 @@ from .estimators import (
     plugin_estimates,
     variance_estimates,
 )
-from .rng import Stream, SystemStreams
+from .rng import FACTOR_DRAW, FACTOR_REINFORCE, SystemStreams, UrnStreams
 from .urn_core import (
-    CAPACITY_LIMIT,
     ConfigError,
     ConstantReinforcement,
     DeterministicSchedule,
     DiscreteDraw,
     DiscreteReinforcement,
     IntegerDistribution,
-    ModelViolationError,
     ParameterError,
     StepRecord,
     Trajectory,
     UrnConfig,
+    UrnSlot,
     UrnState,
-    sample_hypergeometric,
+    advance,
 )
 
 
@@ -143,10 +147,7 @@ class UrnSystem:
                     f"urn {u.label!r}: factor can push reinforcement to "
                     f"{u.reinforce_base + f.reinforce_low} < 1; r(u) + min F'' >= 1 is required"
                 )
-        k = max(
-            max(u.draw_base + f.draw_high for u in self.urns),
-            max(u.reinforce_base + f.reinforce_high for u in self.urns),
-        )
+        k = self.k
         for u in self.urns:
             if k > u.a + u.b:
                 problems.append(
@@ -180,6 +181,36 @@ class UrnSystem:
                 return u
         raise ParameterError(f"no urn labeled {label!r}; labels are {self.labels}")
 
+    @cached_property
+    def lockstep(self) -> tuple[tuple[UrnSlot, ...], int]:
+        """Every urn as the single urn it is, on the shared factor streams,
+        plus the shared extraction stride."""
+        slots = tuple(
+            UrnSlot(_urn_config_for(u, self.factors), (FACTOR_DRAW,), (FACTOR_REINFORCE,))
+            for u in self.urns
+        )
+        return slots, self.draw_stride
+
+
+def _urn_config_for(spec: UrnSpec, f: CommonFactors) -> UrnConfig:
+    # The urn's marginal laws, also its echoed config: shared factors
+    # shift the support but keep draws i.i.d. across steps.
+    if f.draw is None:
+        draw = DeterministicSchedule((spec.draw_base,))
+    else:
+        draw = DiscreteDraw(
+            tuple(spec.draw_base + v for v in f.draw.values), f.draw.probs
+        )
+    if f.reinforce is None:
+        reinforce = ConstantReinforcement(spec.reinforce_base)
+    else:
+        reinforce = DiscreteReinforcement(
+            tuple(spec.reinforce_base + v for v in f.reinforce.values), f.reinforce.probs
+        )
+    return UrnConfig(
+        a=spec.a, b=spec.b, draw=draw, reinforce=reinforce, label=spec.label,
+    )
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -196,12 +227,6 @@ class SystemState:
         )
 
 
-def _factor_draw(dist: IntegerDistribution | None, stream: Stream, t: int) -> int:
-    if dist is None:
-        return 0
-    return dist.sample(stream.unit_at(t))
-
-
 def system_step(
     system: UrnSystem,
     state: SystemState,
@@ -209,36 +234,27 @@ def system_step(
 ) -> tuple[SystemState, dict[str, StepRecord], tuple[int, int]]:
     """Advance every urn by one step under one shared factor draw.
 
-    Order is fixed: factors first, then urns in declaration order.
-    Returns the new state, the per-label step records, and the drawn
-    (F', F'') pair.
+    Urns step in declaration order, each by the single-urn rule of its
+    slot in ``system.lockstep``, reading the factor streams for its
+    draw size and reinforcement.  Returns the new state, the per-label
+    step records, and the drawn (F', F'') pair.
     """
-    t = state.t
-    f_draw = _factor_draw(system.factors.draw, streams.factor_draw, t)
-    f_reinf = _factor_draw(system.factors.reinforce, streams.factor_reinforce, t)
-    stride = system.draw_stride
+    slots, stride = system.lockstep
     new_states = []
     records: dict[str, StepRecord] = {}
-    for spec, ust in zip(system.urns, state.states):
-        n_draw = spec.draw_base + f_draw
-        if not (1 <= n_draw <= ust.S):
-            raise ModelViolationError(
-                f"urn {spec.label!r}: draw size {n_draw} at step {t} is outside [1, {ust.S}]"
-            )
-        ex = streams.urns[spec.label].extract.view(t * stride)
-        hits = sample_hypergeometric(ex, n_draw, ust.S, ust.H)
-        r = spec.reinforce_base + f_reinf
-        h_after = ust.H + r * hits
-        s_after = ust.S + r * n_draw
-        if s_after > CAPACITY_LIMIT:
-            raise OverflowError(
-                f"urn {spec.label!r}: ball count {s_after} exceeds the supported capacity 2**62"
-            )
-        new_states.append(UrnState(a=ust.a, b=ust.b, n=t + 1, H=h_after, S=s_after))
-        records[spec.label] = StepRecord(
-            t=t, N=n_draw, X=hits, R=r, H_after=h_after, S_after=s_after
+    for slot, ust in zip(slots, state.states):
+        cfg = slot.config
+        reads = UrnStreams(
+            draw=streams.factor_draw,
+            extract=streams.urns[cfg.label].extract,
+            reinforce=streams.factor_reinforce,
         )
-    return SystemState(states=tuple(new_states), t=t + 1), records, (f_draw, f_reinf)
+        ust, records[cfg.label] = advance(ust, cfg.draw, cfg.reinforce, reads, stride)
+        new_states.append(ust)
+    spec = system.urns[0]
+    first = records[spec.label]
+    factors = (first.N - spec.draw_base, first.R - spec.reinforce_base)
+    return SystemState(states=tuple(new_states), t=state.t + 1), records, factors
 
 
 @dataclass(frozen=True)
@@ -264,27 +280,6 @@ class SystemTrajectory:
         return self.urns[label]
 
 
-def _urn_config_for(spec: UrnSpec, system: UrnSystem) -> UrnConfig:
-    # Echoed per-urn config states the urn's marginal laws: shared
-    # factors shift the support but keep draws i.i.d. across steps.
-    f = system.factors
-    if f.draw is None:
-        draw = DeterministicSchedule((spec.draw_base,))
-    else:
-        draw = DiscreteDraw(
-            tuple(spec.draw_base + v for v in f.draw.values), f.draw.probs
-        )
-    if f.reinforce is None:
-        reinforce = ConstantReinforcement(spec.reinforce_base)
-    else:
-        reinforce = DiscreteReinforcement(
-            tuple(spec.reinforce_base + v for v in f.reinforce.values), f.reinforce.probs
-        )
-    return UrnConfig(
-        a=spec.a, b=spec.b, draw=draw, reinforce=reinforce, label=spec.label,
-    )
-
-
 def run_system(
     system: UrnSystem,
     steps: int,
@@ -296,43 +291,26 @@ def run_system(
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     streams = SystemStreams.create(master_seed, rep, system.labels)
     state = SystemState.initial(system)
-    labels = system.labels
-    cols = {
-        lab: {name: np.empty(steps, dtype=np.int64) for name in ("N", "X", "R", "H", "S")}
-        for lab in labels
-    }
-    zs = {lab: np.empty(steps, dtype=np.float64) for lab in labels}
-    ms = {lab: np.empty(steps, dtype=np.float64) for lab in labels}
-    xsums = {lab: 0.0 for lab in labels}
-    fd = np.empty(steps, dtype=np.int64)
-    fr = np.empty(steps, dtype=np.int64)
+    ints = {lab: np.empty((5, steps), dtype=np.int64) for lab in system.labels}  # N X R H S
+    floats = {lab: np.empty((2, steps), dtype=np.float64) for lab in system.labels}  # Z M
+    xsums = dict.fromkeys(system.labels, 0.0)
+    factors = np.empty((2, steps), dtype=np.int64)
     for t in range(steps):
-        state, records, (f1, f2) = system_step(system, state, streams)
-        fd[t] = f1
-        fr[t] = f2
-        for lab in labels:
-            rec = records[lab]
-            c = cols[lab]
-            c["N"][t] = rec.N
-            c["X"][t] = rec.X
-            c["R"][t] = rec.R
-            c["H"][t] = rec.H_after
-            c["S"][t] = rec.S_after
-            zs[lab][t] = rec.H_after / rec.S_after
+        state, records, factors[:, t] = system_step(system, state, streams)
+        for lab, rec in records.items():
+            ints[lab][:, t] = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after)
             xsums[lab] += rec.X / rec.N
-            ms[lab][t] = xsums[lab] / (t + 1)
+            floats[lab][:, t] = (rec.H_after / rec.S_after, xsums[lab] / (t + 1))
     urns = {}
-    for spec in system.urns:
-        lab = spec.label
-        c = cols[lab]
+    for slot in system.lockstep[0]:
+        lab = slot.config.label
+        (n, x, r, h, s), (z, m) = ints[lab], floats[lab]
         urns[lab] = Trajectory(
-            config=_urn_config_for(spec, system), seed=master_seed,
-            N=c["N"], X=c["X"], R=c["R"], H=c["H"], S=c["S"],
-            Z=zs[lab], M=ms[lab],
+            config=slot.config, seed=master_seed, N=n, X=x, R=r, H=h, S=s, Z=z, M=m,
         )
     return SystemTrajectory(
         system=system, seed=master_seed, urns=urns,
-        factor_draw=fd, factor_reinforce=fr,
+        factor_draw=factors[0], factor_reinforce=factors[1],
     )
 
 

@@ -19,12 +19,12 @@ pure function of its streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import DEFAULT_LABEL, Stream, UrnStreams
+from .rng import DEFAULT_LABEL, DRAW, REINFORCE, Stream, UrnStreams
 
 # Ball counts are carried in int64 arrays by the batch engine; keep a
 # margin below 2**63 so intermediate products cannot wrap there.
@@ -72,6 +72,8 @@ class IntegerDistribution:
             problems.append(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
         if problems:
             raise ParameterError("; ".join(problems))
+        object.__setattr__(self, "_cdf", np.asarray(self.cdf_steps(), dtype=np.float64))
+        object.__setattr__(self, "_support", np.asarray(self.values, dtype=np.int64))
 
     @property
     def low(self) -> int:
@@ -95,6 +97,12 @@ class IntegerDistribution:
                 return v
         return self.values[-1]
 
+    def sample_vec(self, u: np.ndarray) -> np.ndarray:
+        """``sample`` elementwise: the first value whose CDF step exceeds u."""
+        idx = np.searchsorted(self._cdf, u, side="right")
+        np.minimum(idx, len(self.values) - 1, out=idx)
+        return self._support[idx]
+
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
@@ -102,11 +110,42 @@ class IntegerDistribution:
 # Draw-size policies.  Each declares a hard bound (the extraction
 # stream reserves that many counters per step) and whether its draws
 # are i.i.d., which downstream variance estimates rely on.
+#
+# Every policy states its rule once, in ``emit_vec(t, u, n_prev)``: ``u``
+# is the step's uniform from the policy's stream (a float, or one per
+# lane) and ``n_prev`` the previous draw size (an int or one per lane).
+# ``stream_lag`` says which counter that uniform sits at: step ``t``
+# reads counter ``t - stream_lag``, and ``None`` means no stream is
+# read.  ``emit`` is the scalar form that reads the stream itself.
+
+
+def _scaled(u, span: int):
+    """floor(u * span) capped at span - 1, for one uniform or an array.
+
+    The cap guards the u == 1 - ulp edge so emissions stay in range.
+    """
+    if isinstance(u, float):
+        return min(int(u * span), span - 1)
+    scaled = (u * span).astype(np.int64)
+    np.minimum(scaled, span - 1, out=scaled)
+    return scaled
+
+
+def walk_move(prev, u, high: int):
+    """One move of the fair +/-1 walk absorbed at 1 and at ``high``.
+
+    Up when ``u < 0.5``, down otherwise, and no move once absorbed;
+    elementwise when ``prev`` and ``u`` are arrays.
+    """
+    inside = (prev > 1) & (prev < high)
+    return prev + inside * (2 * (u < 0.5) - 1)
 
 
 @dataclass(frozen=True)
 class ConstantOne:
     """Classic single-ball draws."""
+
+    stream_lag = None
 
     @property
     def bound(self) -> int:
@@ -119,12 +158,16 @@ class ConstantOne:
     def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
         return 1
 
+    def emit_vec(self, t: int, u, n_prev) -> int:
+        return 1
+
 
 @dataclass(frozen=True)
 class DeterministicSchedule:
     """Fixed schedule of draw sizes; the last entry repeats forever."""
 
     values: tuple[int, ...]
+    stream_lag = None
 
     def __post_init__(self):
         if not self.values:
@@ -142,6 +185,9 @@ class DeterministicSchedule:
         return len(set(self.values)) == 1
 
     def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
+        return self.emit_vec(t, None, None)
+
+    def emit_vec(self, t: int, u, n_prev) -> int:
         return self.values[t] if t < len(self.values) else self.values[-1]
 
 
@@ -150,6 +196,7 @@ class IidUniform:
     """Draw sizes uniform on {1, ..., high}, independent across steps."""
 
     high: int
+    stream_lag = 0
 
     def __post_init__(self):
         if not isinstance(self.high, int) or self.high < 1:
@@ -164,9 +211,10 @@ class IidUniform:
         return True
 
     def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        u = stream.unit_at(t)
-        # min() guards the u == 1 - ulp edge so emission stays <= high.
-        return 1 + min(int(u * self.high), self.high - 1)
+        return self.emit_vec(t, stream.unit_at(t), None)
+
+    def emit_vec(self, t: int, u, n_prev):
+        return 1 + _scaled(u, self.high)
 
 
 @dataclass(frozen=True)
@@ -175,6 +223,7 @@ class DiscreteDraw:
 
     values: tuple[int, ...]
     probs: tuple[float, ...]
+    stream_lag = 0
 
     def __post_init__(self):
         dist = IntegerDistribution(self.values, self.probs)
@@ -193,6 +242,9 @@ class DiscreteDraw:
     def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
         return self._dist.sample(stream.unit_at(t))
 
+    def emit_vec(self, t: int, u: np.ndarray, n_prev) -> np.ndarray:
+        return self._dist.sample_vec(u)
+
 
 @dataclass(frozen=True)
 class AbsorbingRandomWalk:
@@ -207,6 +259,7 @@ class AbsorbingRandomWalk:
 
     start: int
     high: int
+    stream_lag = 1
 
     def __post_init__(self):
         problems = []
@@ -234,13 +287,11 @@ class AbsorbingRandomWalk:
             # Standalone replay: rebuild the walk from its own stream.
             prev = self.start
             for j in range(1, t):
-                prev = self._advance(prev, stream.unit_at(j - 1))
-        return self._advance(prev, stream.unit_at(t - 1))
+                prev = walk_move(prev, stream.unit_at(j - 1), self.high)
+        return self.emit_vec(t, stream.unit_at(t - 1), prev)
 
-    def _advance(self, prev: int, u: float) -> int:
-        if prev <= 1 or prev >= self.high:
-            return prev
-        return prev + 1 if u < 0.5 else prev - 1
+    def emit_vec(self, t: int, u, n_prev):
+        return self.start if t == 0 else walk_move(n_prev, u, self.high)
 
 
 @dataclass(frozen=True)
@@ -250,11 +301,13 @@ class CustomRule:
     The rule is called as ``rule(t, s_prev, n_history)`` and must
     return an integer in [1, bound]; emissions outside that range are
     a contract violation and raise.  The rule sees no randomness, so
-    custom schedules stay reproducible.
+    custom schedules stay reproducible.  It has no vector form: the
+    batch engine runs such configs one replication at a time.
     """
 
     rule: Callable[[int, int, Sequence[int]], int]
     bound: int
+    stream_lag = None
 
     def __post_init__(self):
         if not isinstance(self.bound, int) or self.bound < 1:
@@ -280,12 +333,14 @@ DrawSizePolicy = (
 
 
 # Reinforcement policies.  Every emission must be an integer >= 1 so
-# the urn grows and proportions stay well defined.
+# the urn grows and proportions stay well defined.  ``emit_vec(t, u)``
+# and ``stream_lag`` work as for draw sizes, with no history.
 
 
 @dataclass(frozen=True)
 class ConstantReinforcement:
     value: int
+    stream_lag = None
 
     def __post_init__(self):
         if not isinstance(self.value, int) or self.value < 1:
@@ -298,6 +353,9 @@ class ConstantReinforcement:
     def emit(self, t: int, stream: Stream) -> int:
         return self.value
 
+    def emit_vec(self, t: int, u) -> int:
+        return self.value
+
     def mean(self) -> float:
         return float(self.value)
 
@@ -308,6 +366,7 @@ class UniformReinforcement:
 
     low: int
     high: int
+    stream_lag = 0
 
     def __post_init__(self):
         problems = []
@@ -323,9 +382,10 @@ class UniformReinforcement:
         return self.high
 
     def emit(self, t: int, stream: Stream) -> int:
-        u = stream.unit_at(t)
-        span = self.high - self.low + 1
-        return self.low + min(int(u * span), span - 1)
+        return self.emit_vec(t, stream.unit_at(t))
+
+    def emit_vec(self, t: int, u):
+        return self.low + _scaled(u, self.high - self.low + 1)
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
@@ -337,6 +397,7 @@ class DiscreteReinforcement:
 
     values: tuple[int, ...]
     probs: tuple[float, ...]
+    stream_lag = 0
 
     def __post_init__(self):
         dist = IntegerDistribution(self.values, self.probs)
@@ -351,11 +412,29 @@ class DiscreteReinforcement:
     def emit(self, t: int, stream: Stream) -> int:
         return self._dist.sample(stream.unit_at(t))
 
+    def emit_vec(self, t: int, u: np.ndarray) -> np.ndarray:
+        return self._dist.sample_vec(u)
+
     def mean(self) -> float:
         return self._dist.mean()
 
 
 ReinforcementPolicy = ConstantReinforcement | UniformReinforcement | DiscreteReinforcement
+
+# The policies a JSON config can name, by JSON name.  A policy's JSON
+# fields are its dataclass fields, in declaration order.
+DRAW_POLICIES = {
+    "constant-one": ConstantOne,
+    "schedule": DeterministicSchedule,
+    "iid-uniform": IidUniform,
+    "discrete": DiscreteDraw,
+    "absorbing-walk": AbsorbingRandomWalk,
+}
+REINFORCEMENT_POLICIES = {
+    "constant": ConstantReinforcement,
+    "uniform-range": UniformReinforcement,
+    "discrete": DiscreteReinforcement,
+}
 
 
 @dataclass(frozen=True)
@@ -438,19 +517,36 @@ def step(
     policies; stateless policies ignore it, and history-dependent ones
     can replay their own stream when it is not supplied.
     """
-    t = state.n
     k = draw_policy.bound
     if k > state.a + state.b:
         raise ParameterError(
             f"draw-size bound {k} exceeds initial ball count {state.a + state.b}; "
             f"the bound must satisfy k <= a + b"
         )
+    return advance(state, draw_policy, reinf_policy, streams, k, n_history)
+
+
+def advance(
+    state: UrnState,
+    draw_policy: DrawSizePolicy,
+    reinf_policy: ReinforcementPolicy,
+    streams: UrnStreams,
+    stride: int,
+    n_history: Sequence[int] = (),
+) -> tuple[UrnState, StepRecord]:
+    """The urn rule for one step, with ``stride`` extraction counters per step.
+
+    Emit N_t, draw X_t without replacement, emit R_t, reinforce.  A
+    single urn's stride is its draw bound (``step``); urns stepped in
+    lockstep share the largest bound among them (``multi_urn``).
+    """
+    t = state.n
     n_draw = draw_policy.emit(t, state.S, n_history, streams.draw)
     if not (1 <= n_draw <= state.S):
         raise ModelViolationError(
             f"draw size {n_draw} at step {t} is outside [1, {state.S}]"
         )
-    hits = sample_hypergeometric(streams.extract.view(t * k), n_draw, state.S, state.H)
+    hits = sample_hypergeometric(streams.extract.view(t * stride), n_draw, state.S, state.H)
     r = reinf_policy.emit(t, streams.reinforce)
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
@@ -503,6 +599,29 @@ class UrnConfig:
             )
         if problems:
             raise ConfigError(problems)
+
+    @property
+    def lockstep(self) -> tuple[tuple["UrnSlot", ...], int]:
+        """This urn as a lockstep run of one: its own streams, stride k."""
+        own = ("urn", self.label)
+        return (UrnSlot(self, (*own, DRAW), (*own, REINFORCE)),), self.draw.bound
+
+
+@dataclass(frozen=True)
+class UrnSlot:
+    """One urn of a lockstep run: a one-urn config and the streams it reads.
+
+    A stream is named by its key parts below the replication key (see
+    ``rng``): a single urn's policies read its own ``("urn", label,
+    "draw")`` and ``("urn", label, "reinforce")``; a system urn's read
+    the shared ``("factor-draw",)`` and ``("factor-reinforce",)``.
+    Extraction always reads the urn's own ``("urn", label, "extract")``,
+    at the run's shared stride.
+    """
+
+    config: UrnConfig
+    draw_stream: tuple[str, ...]
+    reinforce_stream: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -581,8 +700,9 @@ def run_trajectory(
     m_arr = np.empty(steps, dtype=np.float64)
     n_history: list[int] = []
     xsum = 0.0
+    stride = config.draw.bound  # UrnConfig has checked it against a + b
     for t in range(steps):
-        state, rec = step(state, config.draw, config.reinforce, streams, n_history)
+        state, rec = advance(state, config.draw, config.reinforce, streams, stride, n_history)
         n_history.append(rec.N)
         n_arr[t] = rec.N
         x_arr[t] = rec.X

@@ -261,6 +261,33 @@ def test_exit_code_2_on_bad_workers(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "two", "1.5"])
+def test_exit_code_2_on_bad_workers_env(tmp_path, monkeypatch, value):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(MINIMAL_SIM))
+    monkeypatch.setenv("HRRU_WORKERS", value)
+    rc = main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_failed_report_leaves_previous_report(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL_SIM, outputs={"dir": str(tmp_path / "out")})))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    before = (tmp_path / "out" / "report.json").read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise RuntimeError("injected serialisation failure")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "99"]) == 3
+    assert (tmp_path / "out" / "report.json").read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["report.json", "trajectory.tsv"]
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as ei:
         build_parser().parse_args([])

@@ -1,0 +1,69 @@
+"""No dead code: every module-level import is used, every private
+module-level function or class is referenced somewhere.
+
+Static, stdlib ``ast`` only.  The package ``__init__`` is exempt from
+the import check: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hrru"
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def unused_imports() -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = _tree(path)
+            used = _referenced(tree)
+            found += [f"{path.stem}.{n}" for n in _imported(tree) if n not in used]
+    return found
+
+
+def unreferenced_private_defs() -> list[str]:
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    used = set().union(*(_referenced(_tree(p)) for p in files))
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _tree(path).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and node.name not in used
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_unused_module_imports():
+    assert unused_imports() == []
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_defs() == []

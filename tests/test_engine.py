@@ -1,9 +1,12 @@
-"""Batch engine: the vector path must equal the scalar path bit for bit.
+"""Batch engine: every lane must equal its replication run alone.
 
-Every policy combination that the vector path claims to support gets
-compared against the one-lane-at-a-time fallback, which itself drives
-the ordinary stepping code.  Equality here is exact equality of every
-snapshot field, which is what makes chunking and multiprocessing safe.
+The reference is the readable scalar path: ``run_trajectory`` (or
+``run_system``) for one replication at a time, reduced by
+``trajectory_snapshot``, which performs the engine's Kahan accumulation
+in the same order.  Every policy combination and system shape is
+compared field by field for exact equality, which is what makes
+chunking and multiprocessing safe.  The golden pins in test_golden.py
+catch changes that would move both paths together.
 """
 
 import numpy as np
@@ -12,14 +15,12 @@ import pytest
 from hrru import rng
 from hrru.engine import (
     SNAPSHOT_FIELDS,
-    _run_chunk_scalar,
-    _run_chunk_vector,
-    engine_supported,
     run_chunk,
     sample_hypergeometric_batch,
+    trajectory_snapshot,
     worst_case_total,
 )
-from hrru.multi_urn import CommonFactors, UrnSpec, UrnSystem
+from hrru.multi_urn import CommonFactors, UrnSpec, UrnSystem, run_system
 from hrru.urn_core import (
     AbsorbingRandomWalk,
     ConstantOne,
@@ -33,21 +34,29 @@ from hrru.urn_core import (
     ParameterError,
     UniformReinforcement,
     UrnConfig,
+    run_trajectory,
     sample_hypergeometric,
 )
 
 UNIFORM3 = IntegerDistribution((0, 1, 2), (1 / 3, 1 / 3, 1 / 3))
 
 
+def _trajectories(config, seed, rep, steps):
+    if isinstance(config, UrnSystem):
+        return run_system(config, steps, seed, rep).urns
+    return {config.label: run_trajectory(config, steps, seed, rep)}
+
+
 def assert_paths_agree(config, seed=0, lo=0, hi=7, horizons=(13, 37)):
-    vec = _run_chunk_vector(config, seed, lo, hi, horizons)
-    sca = _run_chunk_scalar(config, seed, lo, hi, horizons)
-    assert set(vec) == set(sca)
-    for label in vec:
-        assert len(vec[label]) == len(horizons)
-        for hidx in range(len(horizons)):
+    got = run_chunk(config, seed, lo, hi, horizons)
+    alone = [_trajectories(config, seed, rep, horizons[-1]) for rep in range(lo, hi)]
+    assert set(got) == set(alone[0])
+    for label in got:
+        assert len(got[label]) == len(horizons)
+        for hidx, h in enumerate(horizons):
+            want = [trajectory_snapshot(trajs[label], h) for trajs in alone]
             for f in SNAPSHOT_FIELDS:
-                a, b = vec[label][hidx][f], sca[label][hidx][f]
+                a, b = got[label][hidx][f], np.array([w[f] for w in want])
                 assert np.array_equal(a, b), (label, hidx, f, a, b)
 
 
@@ -57,6 +66,7 @@ DRAW_POLICIES = [
     IidUniform(4),
     DiscreteDraw((1, 3), (0.3, 0.7)),
     AbsorbingRandomWalk(start=3, high=5),
+    CustomRule(lambda t, s_prev, hist: 1 + (t * 7 + s_prev) % 3, bound=3),
 ]
 
 REINF_POLICIES = [
@@ -133,7 +143,6 @@ def test_custom_rule_falls_back_to_scalar():
         draw=CustomRule(lambda t, s_prev, hist: 1 + (t % 3), bound=3),
         reinforce=ConstantReinforcement(1),
     )
-    assert not engine_supported(cfg)
     out = run_chunk(cfg, 0, 0, 3, (9,))
     # deterministic rule: mean draw = mean of 1,2,3 cycles
     assert np.allclose(out["u0"][0]["draw_mean"], 2.0)

@@ -88,6 +88,40 @@ def test_worker_count_does_not_change_results():
         )
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    _RecordingPool.sizes = []
+    plan = _plan(chunk_size=8)  # 5 chunks
+    base = mc.replicate(plan, workers=1)
+    for workers in (10**6, 4, 2):
+        assert mc.replicate(plan, workers=workers).single.at_n.z.tolist() == \
+            base.single.at_n.z.tolist()
+    # one chunk, or one usable worker, never starts a pool
+    mc.replicate(_plan(chunk_size=100), workers=8)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
+    mc.replicate(plan, workers=8)
+    assert _RecordingPool.sizes == [3, 3, 2]
+
+
 def test_different_seeds_give_fresh_but_comparable_samples():
     a = mc.replicate(_plan(seed=1, reps=300, n=50, n_proxy=500))
     b = mc.replicate(_plan(seed=2, reps=300, n=50, n_proxy=500))
