@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -554,27 +553,20 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
 def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
-    zn = mc.clt_check_zn(plan, records)
     mn = mc.clt_check_mn(plan, records)
+    stats = mn.stats
     u = records.single
-    v, w, uu = u.at_n.variances()
-    n = plan.n
-    rootn = math.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_prop = rootn * (u.at_n.z - u.at_proxy.z) / np.sqrt(v)
-        t_gap = rootn * (u.at_n.m_emp - u.at_n.z) / np.sqrt(uu)
-        t_mean = rootn * (u.at_n.m_emp - u.at_proxy.z) / np.sqrt(w)
     write_table(
         out_dir / f"samples.{cfg.table_format}",
         ["rep", "z_n", "m_emp", "z_proxy", "v_n", "w_n", "u_n",
          "t_prop", "t_gap", "t_mean"],
         [np.arange(plan.reps), u.at_n.z, u.at_n.m_emp, u.at_proxy.z,
-         v, w, uu, t_prop, t_gap, t_mean],
+         stats.v, stats.w, stats.u, stats.t_prop, stats.t_gap, stats.t_mean],
         cfg.table_format,
     )
     report = _report_skeleton(cfg)
     report["results"] = {
-        "proportion": _diag_to_dict(zn),
+        "proportion": _diag_to_dict(mn.proportion),
         "gap": _diag_to_dict(mn.gap),
         "mean": _diag_to_dict(mn.mean),
         "corr_gap_proportion": mn.corr_gap_proportion,

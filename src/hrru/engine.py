@@ -14,6 +14,16 @@ its policies read, plus the shared extraction stride.  Each policy
 emits through its own ``emit_vec``, once per distinct (policy, stream)
 pair and step, so a shared factor is drawn once for all urns.
 
+The urns are stacked on axis 0: ball counts, sums and the Bernoulli
+chain are ``(urns, lanes)`` arrays, and one step is one pass over all
+urns.  An emission read by every urn broadcasts; otherwise each urn's
+emission is copied into its row.  Each step finalizes one fused
+``(rows, lanes)`` matrix of uniforms, whose extraction rows are laid
+out ball by ball so that ball ``j`` of every urn is one ``(urns,
+lanes)`` view.  A chunk allocates its workspace (states, uniforms,
+chain, sums and Kahan buffers) once, and the step's array operations
+write into it; snapshots are fresh arrays, never views of it.
+
 Floating-point accumulations across steps (mean of X/N, mean of 1/N)
 use Kahan compensation, elementwise, in a fixed step order.
 ``trajectory_snapshot`` performs the same operations on one scalar
@@ -27,8 +37,6 @@ worst-case total (a + b + steps * draw_bound * reinf_bound) below
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,43 +65,66 @@ def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
     )
 
 
-@dataclass
-class _UrnLane:
-    """One urn's vector state and accumulators inside a chunk."""
-
-    label: str
-    H: np.ndarray
-    S: np.ndarray
-    sum_r: np.ndarray
-    sum_rr: np.ndarray
-    sum_n: np.ndarray
-    msum: np.ndarray
-    mcomp: np.ndarray
-    etasum: np.ndarray
-    etacomp: np.ndarray
-
-
-def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> None:
-    # Classic compensated add, elementwise; _kahan_sum performs these
-    # four operations in the same order on scalars.
-    y = x - comp
-    t = total + y
+def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
+               scratch: np.ndarray) -> None:
+    # Classic compensated add, elementwise and in place: x is consumed
+    # and scratch is overwritten.  _kahan_sum performs these four
+    # operations in the same order on scalars.
+    y = np.subtract(x, comp, out=x)
+    t = np.add(total, y, out=scratch)
     np.subtract(t, total, out=comp)
     np.subtract(comp, y, out=comp)
-    total[...] = t
+    np.copyto(total, t)
 
 
-def _snapshot(lane: _UrnLane, horizon: int) -> dict[str, np.ndarray]:
-    h = horizon
-    return {
-        "z": lane.H / lane.S,
-        "m_emp": lane.msum / h,
-        "s_over_n": lane.S / h,
-        "reinf_mean": lane.sum_r / h,
-        "reinf_sqmean": lane.sum_rr / h,
-        "draw_mean": lane.sum_n / h,
-        "draw_recipmean": lane.etasum / h,
-    }
+class _Chain:
+    """The without-replacement Bernoulli chain over a block of lanes.
+
+    ``draw`` decides ball ``j`` of every lane with one uniform: the
+    ball is marked when ``units[j] < h_rem / s_rem`` in float64, with
+    ``h_rem`` the marked balls left and ``s_rem = S - j`` the balls
+    left.  A lane whose draw size is at most ``j`` ignores ball ``j``;
+    its ``S - j`` stays positive since no draw exceeds the initial
+    ball count.  The buffers are allocated once, for every draw.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.h_rem = np.empty(shape, dtype=np.int64)
+        self.s_rem = np.empty(shape, dtype=np.int64)
+        self.ratio = np.empty(shape, dtype=np.float64)
+        self.take = np.empty(shape, dtype=bool)
+        self.active = np.empty(shape, dtype=bool)
+        self.x = np.empty(shape, dtype=np.int64)
+
+    def draw(self, units, H: np.ndarray, S: np.ndarray, n) -> np.ndarray:
+        """Marked balls among ``n`` drawn from ``S`` holding ``H``, into ``self.x``.
+
+        ``units`` yields ball ``j``'s uniforms in turn, and is read no
+        further than the largest draw; ``n`` (every entry >= 1) is an
+        int or an array broadcasting to ``H``.
+        """
+        h_rem, s_rem, ratio, take = self.h_rem, self.s_rem, self.ratio, self.take
+        balls = iter(units)
+        np.less(next(balls), np.divide(H, S, out=ratio), out=take)
+        np.subtract(H, take, out=h_rem)
+        per_lane = isinstance(n, np.ndarray)
+        for j, u in zip(range(1, int(n.max()) if per_lane else n), balls):
+            np.subtract(S, j, out=s_rem)
+            np.less(u, np.divide(h_rem, s_rem, out=ratio), out=take)
+            if per_lane:
+                take &= np.greater(n, j, out=self.active)
+            h_rem -= take
+        return np.subtract(H, h_rem, out=self.x)
+
+
+def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
+    # The step's emissions laid out for the stacked urns: one emission
+    # read by every urn broadcasts; otherwise each urn's fills its row.
+    if rows is None:
+        return values[index[0]]
+    for u, i in enumerate(index):
+        rows[u] = values[i]
+    return rows
 
 
 def _kahan_sum(xs) -> float:
@@ -163,112 +194,97 @@ def run_chunk(
     lanes = rep_hi - rep_lo
     rkeys = rng.rep_keys_vec(master_seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
     slots, stride = config.lockstep
+    urns = [slot.config for slot in slots]
 
     # The fused uniform matrix: one row per stream value read per step,
     # at counter c0 + m * t, each row evaluated once however many
-    # emissions read it.
+    # emissions read it.  Emission rows come first, then the extraction
+    # rows ball by ball: row ex0 + j * len(urns) + u is ball j of urn u.
     rows: list[tuple[tuple[str, ...], int, int]] = []
-
-    def row(stream: tuple[str, ...], c0: int, m: int) -> int:
-        if (stream, c0, m) not in rows:
-            rows.append((stream, c0, m))
-        return rows.index((stream, c0, m))
 
     def emission(emitted: list, policy, stream: tuple[str, ...]) -> int:
         # One emission per distinct (policy, stream) pair and step.
         for i, (p, s, _) in enumerate(emitted):
             if p == policy and s == stream:
                 return i
-        lag = policy.stream_lag
-        emitted.append((policy, stream, None if lag is None else row(stream, -lag, 1)))
+        r = None
+        if policy.stream_lag is not None:
+            key = (stream, -policy.stream_lag, 1)
+            if key not in rows:
+                rows.append(key)
+            r = rows.index(key)
+        emitted.append((policy, stream, r))
         return len(emitted) - 1
 
     draws: list = []
     reinfs: list = []
-    urns = []
-    for slot in slots:
-        c = slot.config
-        ex_stream = ("urn", c.label, rng.EXTRACT)
-        lane = _UrnLane(
-            label=c.label,
-            H=np.full(lanes, c.a, dtype=np.int64),
-            S=np.full(lanes, c.a + c.b, dtype=np.int64),
-            sum_r=np.zeros(lanes, dtype=np.int64),
-            sum_rr=np.zeros(lanes, dtype=np.int64),
-            sum_n=np.zeros(lanes, dtype=np.int64),
-            msum=np.zeros(lanes, dtype=np.float64),
-            mcomp=np.zeros(lanes, dtype=np.float64),
-            etasum=np.zeros(lanes, dtype=np.float64),
-            etacomp=np.zeros(lanes, dtype=np.float64),
-        )
-        urns.append((
-            lane,
-            emission(draws, c.draw, slot.draw_stream),
-            emission(reinfs, c.reinforce, slot.reinforce_stream),
-            [row(ex_stream, j, stride) for j in range(stride)],
-        ))
+    draw_of = [emission(draws, c.draw, slot.draw_stream) for c, slot in zip(urns, slots)]
+    reinf_of = [emission(reinfs, c.reinforce, slot.reinforce_stream)
+                for c, slot in zip(urns, slots)]
+    ex0 = len(rows)
+    rows += [(("urn", c.label, rng.EXTRACT), j, stride) for j in range(stride) for c in urns]
 
-    keys = {stream: rng.derive_keys_each(rkeys, *stream) for stream, _, _ in rows}
-    key_matrix = np.stack([keys[stream] for stream, _, _ in rows])
+    keys = {stream: rng.derive_keys_each(rkeys, *stream)
+            for stream in dict.fromkeys(stream for stream, _, _ in rows)}
     golden = rng.GOLDEN
     # c(t) = c0 + m t, so the additive stream offset (c(t) + 1) * GOLDEN
-    # = off0 + t * slope with the constants below (mod 2**64).
+    # = off0 + t * slope (mod 2**64): off0 goes into the keys once here.
     off0 = np.array([((c + 1) * golden) & rng.MASK64 for _, c, _ in rows], dtype=np.uint64)
     slope = np.array([(m * golden) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
+    key_matrix = np.stack([keys[stream] for stream, _, _ in rows])
+    key_matrix += off0[:, None]
 
-    out: dict[str, list[dict[str, np.ndarray]]] = {lane.label: [] for lane, *_ in urns}
+    # The chunk's workspace; a step writes into it and allocates no
+    # lane-sized array of its own.  Urns are stacked on axis 0.
+    shape = (len(urns), lanes)
+    states = np.empty_like(key_matrix)
+    units = np.empty(key_matrix.shape, dtype=np.float64)
+    balls = units[ex0:].reshape(stride, *shape)
+    step_off = np.empty_like(slope)
+    chain = _Chain(shape)
+    H = np.repeat(np.array([[c.a] for c in urns], dtype=np.int64), lanes, axis=1)
+    S = np.repeat(np.array([[c.a + c.b] for c in urns], dtype=np.int64), lanes, axis=1)
+    counts = np.zeros((3, *shape), dtype=np.int64)     # sums of R, R^2, N
+    sums = np.zeros((2, *shape), dtype=np.float64)     # Kahan sums of X/N, 1/N
+    comps = np.zeros_like(sums)
+    terms = np.empty_like(sums)
+    spare = np.empty_like(sums)
+    grow = np.empty(shape, dtype=np.int64)
+    n_rows = np.empty(shape, dtype=np.int64) if len(set(draw_of)) > 1 else None
+    r_rows = np.empty(shape, dtype=np.int64) if len(set(reinf_of)) > 1 else None
+
+    out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
     next_h = 0
     total = horizons[-1]
     for t in range(total):
-        t_u = np.uint64(t)
-        states = key_matrix + (off0 + t_u * slope)[:, None]
-        units = rng.units_from_states_vec(states)
+        np.multiply(slope, np.uint64(t), out=step_off)
+        np.add(key_matrix, step_off[:, None], out=states)
+        rng.units_from_states_vec(states, out=units)
         n_now = [
             p.emit_vec(t, None if r is None else units[r], prev)
             for (p, _, r), prev in zip(draws, n_now)
         ]
         r_now = [p.emit_vec(t, None if r is None else units[r]) for p, _, r in reinfs]
+        n = _per_urn(n_now, draw_of, n_rows)
+        r = _per_urn(r_now, reinf_of, r_rows)
 
-        for lane, di, ri, ex_rows in urns:
-            n_draw = n_now[di]
-            r = r_now[ri]
-
-            # Without-replacement Bernoulli chain across all lanes.
-            h_rem = lane.H.copy()
-            s_rem = lane.S.copy()
-            x = np.zeros(lanes, dtype=np.int64)
-            scalar_n = isinstance(n_draw, int)
-            for j in range(stride):
-                if scalar_n:
-                    if j >= n_draw:
-                        break
-                    active = None
-                else:
-                    active = j < n_draw
-                    if not active.any():
-                        break
-                take = units[ex_rows[j]] < (h_rem / s_rem)
-                if active is not None:
-                    take &= active
-                x += take
-                h_rem -= take
-                if active is None:
-                    s_rem -= 1
-                else:
-                    s_rem -= active
-
-            lane.H += r * x
-            lane.S += r * n_draw
-            lane.sum_r += r
-            lane.sum_rr += r * r
-            lane.sum_n += n_draw
-            _kahan_add(lane.msum, lane.mcomp, x / n_draw)
-            _kahan_add(lane.etasum, lane.etacomp, 1.0 / n_draw)
+        x = chain.draw(balls, H, S, n)
+        H += np.multiply(r, x, out=grow)
+        S += np.multiply(r, n, out=grow)
+        counts[0] += r
+        counts[1] += np.multiply(r, r, out=grow)
+        counts[2] += n
+        np.divide(x, n, out=terms[0])
+        np.divide(1.0, n, out=terms[1])
+        _kahan_add(sums, comps, terms, spare)
 
         if t + 1 == horizons[next_h]:
-            for lane, *_ in urns:
-                out[lane.label].append(_snapshot(lane, t + 1))
+            h = t + 1
+            fields = (H / S, sums[0] / h, S / h, counts[0] / h, counts[1] / h,
+                      counts[2] / h, sums[1] / h)
+            for u, c in enumerate(urns):
+                out[c.label].append(dict(zip(SNAPSHOT_FIELDS, (f[u] for f in fields))))
             next_h += 1
             if next_h == len(horizons):
                 break
@@ -289,15 +305,11 @@ def sample_hypergeometric_batch(
         raise ParameterError(f"marked count must satisfy 0 <= H <= {total}, got {marked}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
-    base = np.arange(count, dtype=np.uint64) * np.uint64(n_draw)
     keys = np.full(count, key & rng.MASK64, dtype=np.uint64)
-    h_rem = np.full(count, marked, dtype=np.int64)
-    s_rem = np.full(count, total, dtype=np.int64)
-    x = np.zeros(count, dtype=np.int64)
-    for i in range(n_draw):
-        u = rng.units_vec(keys, base + np.uint64(i))
-        take = u < (h_rem / s_rem)
-        x += take
-        h_rem -= take
-        s_rem -= 1
-    return x
+    base = np.arange(count, dtype=np.uint64) * np.uint64(n_draw)
+    return _Chain((count,)).draw(
+        (rng.units_vec(keys, base + np.uint64(i)) for i in range(n_draw)),
+        np.full(count, marked, dtype=np.int64),
+        np.full(count, total, dtype=np.int64),
+        n_draw,
+    )

@@ -235,34 +235,37 @@ def _single_label(records: RepRecords) -> str:
     return labels[0]
 
 
-def clt_check_zn(
-    plan: ReplicationPlan,
-    records: RepRecords | None = None,
-    workers: int | None = None,
-    coverage_level: float = 0.95,
-) -> CltDiagnostics:
-    """Normal-law check for the scaled proportion error at horizon n."""
-    if records is None:
-        records = replicate(plan, workers)
-    label = _single_label(records)
-    u = records.urns[label]
-    v, _, _ = u.at_n.variances()
-    n = plan.n
-    gap = u.at_n.z - u.at_proxy.z
-    included = v > 0.0
-    t_prop = math.sqrt(n) * gap[included] / np.sqrt(v[included])
-    zq = normal_quantile(0.5 + coverage_level / 2.0)
-    hits = np.abs(gap) <= zq * np.sqrt(v / n)
-    return CltDiagnostics(
-        kind="proportion",
-        samples=t_prop,
-        ks_distance=_ks_vs_normal(t_prop),
-        coverage=float(np.count_nonzero(hits)) / plan.reps,
-        coverage_level=coverage_level,
-        excluded=int(plan.reps - np.count_nonzero(included)),
-        reps=plan.reps,
-        aux=_proxy_aux(records, label),
-    )
+@dataclass(frozen=True)
+class CltStatistics:
+    """Every rep's plug-in variances and standardized statistics at n.
+
+    The ``t_*`` arrays hold every rep, with nan or inf where the
+    variance estimate is not positive; ``inc_*`` mark the reps whose
+    estimate is positive, the only ones the diagnostics use.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    t_prop: np.ndarray
+    t_gap: np.ndarray
+    t_mean: np.ndarray
+    inc_v: np.ndarray
+    inc_w: np.ndarray
+    inc_u: np.ndarray
+
+
+def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
+    """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
+    u = records.urns[_single_label(records)]
+    v, w, uu = u.at_n.variances()
+    rootn = math.sqrt(plan.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_prop = rootn * (u.at_n.z - u.at_proxy.z) / np.sqrt(v)
+        t_gap = rootn * (u.at_n.m_emp - u.at_n.z) / np.sqrt(uu)
+        t_mean = rootn * (u.at_n.m_emp - u.at_proxy.z) / np.sqrt(w)
+    return CltStatistics(v=v, w=w, u=uu, t_prop=t_prop, t_gap=t_gap, t_mean=t_mean,
+                         inc_v=v > 0.0, inc_w=w > 0.0, inc_u=uu > 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,6 +277,7 @@ class MeanCltDiagnostics:
     mean: CltDiagnostics       # sqrt(n)(M_n - Z_proxy)/sqrt(W_n)
     corr_gap_proportion: float | None
     median_abs_gap: float      # median of sqrt(n)|M_n - Z_n|, all reps
+    stats: CltStatistics       # every rep's variances and statistics
 
 
 def clt_check_mn(
@@ -292,9 +296,10 @@ def clt_check_mn(
     """
     if records is None:
         records = replicate(plan, workers)
+    stats = clt_statistics(plan, records)
     label = _single_label(records)
     u = records.urns[label]
-    v, w, uu = u.at_n.variances()
+    v, w = stats.v, stats.w
     n = plan.n
     rootn = math.sqrt(n)
     gap_mz = u.at_n.m_emp - u.at_n.z
@@ -302,12 +307,11 @@ def clt_check_mn(
     gap_mp = u.at_n.m_emp - u.at_proxy.z
     zq = normal_quantile(0.5 + coverage_level / 2.0)
 
-    inc_u = uu > 0.0
-    inc_v = v > 0.0
-    inc_w = w > 0.0
-    t_gap = rootn * gap_mz[inc_u] / np.sqrt(uu[inc_u])
-    t_prop = rootn * gap_zp[inc_v] / np.sqrt(v[inc_v])
-    t_mean = rootn * gap_mp[inc_w] / np.sqrt(w[inc_w])
+    inc_u, inc_v, inc_w = stats.inc_u, stats.inc_v, stats.inc_w
+    t_gap = stats.t_gap[inc_u]
+    t_prop = stats.t_prop[inc_v]
+    t_mean = stats.t_mean[inc_w]
+    aux = _proxy_aux(records, label)
 
     gap_diag = CltDiagnostics(
         kind="gap",
@@ -328,7 +332,7 @@ def clt_check_mn(
         coverage_level=coverage_level,
         excluded=int(plan.reps - np.count_nonzero(inc_v)),
         reps=plan.reps,
-        aux={},
+        aux=aux,
     )
     mean_hits = np.abs(gap_mp) <= zq * np.sqrt(w / n)
     mean_diag = CltDiagnostics(
@@ -339,13 +343,11 @@ def clt_check_mn(
         coverage_level=coverage_level,
         excluded=int(plan.reps - np.count_nonzero(inc_w)),
         reps=plan.reps,
-        aux=_proxy_aux(records, label),
+        aux=aux,
     )
     both = inc_u & inc_v
     if np.count_nonzero(both) >= 2:
-        tg = rootn * gap_mz[both] / np.sqrt(uu[both])
-        tp = rootn * gap_zp[both] / np.sqrt(v[both])
-        corr = float(np.corrcoef(tg, tp)[0, 1])
+        corr = float(np.corrcoef(stats.t_gap[both], stats.t_prop[both])[0, 1])
     else:
         corr = None
     return MeanCltDiagnostics(
@@ -354,7 +356,18 @@ def clt_check_mn(
         mean=mean_diag,
         corr_gap_proportion=corr,
         median_abs_gap=float(np.median(rootn * np.abs(gap_mz))),
+        stats=stats,
     )
+
+
+def clt_check_zn(
+    plan: ReplicationPlan,
+    records: RepRecords | None = None,
+    workers: int | None = None,
+    coverage_level: float = 0.95,
+) -> CltDiagnostics:
+    """Normal-law check for the scaled proportion error at horizon n."""
+    return clt_check_mn(plan, records, workers, coverage_level).proportion
 
 
 def _constant_reinforcement_value(policy) -> int | None:

@@ -219,9 +219,26 @@ def units_vec(keys: np.ndarray, counters: np.ndarray | int) -> np.ndarray:
     return (stream_values_vec(keys, counters) >> _V11) * _INV_2_53
 
 
-def units_from_states_vec(states: np.ndarray) -> np.ndarray:
-    """Finalize precomposed ``key + (c + 1) * GOLDEN`` states to uniforms."""
-    return (mix64_vec(states) >> _V11) * _INV_2_53
+def units_from_states_vec(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Finalize precomposed ``key + (c + 1) * GOLDEN`` states to uniforms.
+
+    With ``out`` (float64, the shape of ``states``) nothing is
+    allocated: ``states`` is consumed in place, ``out`` doubles as the
+    shift scratch, and the uniforms land in ``out``.  ``v >> 11`` is
+    below 2**53, so converting it through an int64 view is exact and
+    gives the same floats as the unsigned conversion.
+    """
+    if out is None:
+        return (mix64_vec(states) >> _V11) * _INV_2_53
+    x, shifted = states, out.view(np.uint64)
+    for shift, mul in ((_V30, _V_MIX_A), (_V27, _V_MIX_B)):
+        np.right_shift(x, shift, out=shifted)
+        x ^= shifted
+        x *= mul
+    np.right_shift(x, _V31, out=shifted)
+    x ^= shifted
+    x >>= _V11
+    return np.multiply(x.view(np.int64), _INV_2_53, out=out)
 
 
 def derive_keys_vec(key: int, *parts: int | str | np.ndarray) -> np.ndarray:

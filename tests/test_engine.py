@@ -113,6 +113,41 @@ def test_system_paths_agree_no_factors():
     assert_paths_agree(sys1, seed=2)
 
 
+@pytest.mark.parametrize("factors", [CommonFactors(), CommonFactors(reinforce=UNIFORM3)],
+                         ids=["no-factors", "reinforce-factor"])
+def test_system_paths_agree_distinct_draw_bases(factors):
+    # Constant draw sizes 1, 2, 3: every urn's row of the stacked draw
+    # carries its own scalar, and balls past an urn's draw are masked.
+    # With the factor, A and B share one reinforcement emission and C
+    # has its own.
+    sys3 = UrnSystem(
+        urns=(
+            UrnSpec(label="A", a=4, b=6, draw_base=1, reinforce_base=1),
+            UrnSpec(label="B", a=7, b=3, draw_base=2, reinforce_base=1),
+            UrnSpec(label="C", a=5, b=5, draw_base=3, reinforce_base=2),
+        ),
+        factors=factors,
+    )
+    assert_paths_agree(sys3, seed=13)
+
+
+def test_early_snapshots_are_final():
+    # A snapshot taken before the last horizon equals a run stopped
+    # there, and the steps after it leave it alone.
+    sys2 = UrnSystem(
+        urns=(
+            UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+            UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=2),
+        ),
+        factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3),
+    )
+    stopped = run_chunk(sys2, 4, 0, 9, (6,))
+    ran_on = run_chunk(sys2, 4, 0, 9, (6, 50))
+    for label in ("A", "B"):
+        for f in SNAPSHOT_FIELDS:
+            assert np.array_equal(ran_on[label][0][f], stopped[label][0][f]), (label, f)
+
+
 def test_run_chunk_rejects_bad_ranges():
     cfg = UrnConfig(a=2, b=2, draw=ConstantOne(), reinforce=ConstantReinforcement(1))
     with pytest.raises(ParameterError):

@@ -123,6 +123,30 @@ def test_units_from_states_vec_matches_direct():
     assert np.array_equal(vec, direct)
 
 
+def test_units_from_states_vec_in_place_is_bit_exact():
+    # 0xCF9A04AFFA6BADC0 finalizes to all ones, the largest uniform
+    all_ones = 0xCF9A04AFFA6BADC0
+    assert rng.mix64(all_ones) == rng.MASK64
+    edges = [0, 1, 1 << 63, rng.MASK64, all_ones]
+    more = [rng.stream_value(rng.rep_key(5, r), c) for r in range(3) for c in range(5)]
+    states = np.array([edges + more[:5], more[5:], more[:10]], dtype=np.uint64)
+    want = [[rng.unit_from_u64(rng.mix64(int(s))) for s in row] for row in states]
+    assert want[0][4] == 1.0 - 2.0**-53
+
+    # one argument: a fresh result, the states untouched
+    kept = states.copy()
+    assert rng.units_from_states_vec(kept).tolist() == want
+    assert np.array_equal(kept, states)
+
+    # with out: the states are consumed and the uniforms land in out
+    consumed = states.copy()
+    out = np.empty(states.shape, dtype=np.float64)
+    got = rng.units_from_states_vec(consumed, out=out)
+    assert got is out
+    assert out.tolist() == want
+    assert np.array_equal(out.view(np.uint64), np.array(want).view(np.uint64))
+
+
 def test_derive_keys_vec_matches_scalar():
     reps = np.arange(32, dtype=np.uint64)
     vec = rng.rep_keys_vec(17, reps)
