@@ -237,43 +237,74 @@ def _single_label(records: RepRecords) -> str:
 
 @dataclass(frozen=True)
 class CltStatistics:
-    """Every rep's plug-in variances and standardized statistics at n.
+    """Every rep's plug-in variances, gaps and standardized statistics at n.
 
     The ``t_*`` arrays hold every rep, with nan or inf where the
-    variance estimate is not positive; ``inc_*`` mark the reps whose
-    estimate is positive, the only ones the diagnostics use.
+    variance estimate is not positive; the diagnostics keep only the
+    reps whose estimate is positive.
     """
 
     v: np.ndarray
     w: np.ndarray
     u: np.ndarray
+    gap_zp: np.ndarray         # Z_n - Z_proxy
+    gap_mz: np.ndarray         # M_n - Z_n
+    gap_mp: np.ndarray         # M_n - Z_proxy
     t_prop: np.ndarray
     t_gap: np.ndarray
     t_mean: np.ndarray
-    inc_v: np.ndarray
-    inc_w: np.ndarray
-    inc_u: np.ndarray
 
 
 def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
     """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
     u = records.urns[_single_label(records)]
     v, w, uu = u.at_n.variances()
+    gap_zp = u.at_n.z - u.at_proxy.z
+    gap_mz = u.at_n.m_emp - u.at_n.z
+    gap_mp = u.at_n.m_emp - u.at_proxy.z
     rootn = math.sqrt(plan.n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_prop = rootn * (u.at_n.z - u.at_proxy.z) / np.sqrt(v)
-        t_gap = rootn * (u.at_n.m_emp - u.at_n.z) / np.sqrt(uu)
-        t_mean = rootn * (u.at_n.m_emp - u.at_proxy.z) / np.sqrt(w)
-    return CltStatistics(v=v, w=w, u=uu, t_prop=t_prop, t_gap=t_gap, t_mean=t_mean,
-                         inc_v=v > 0.0, inc_w=w > 0.0, inc_u=uu > 0.0)
+        t_prop = rootn * gap_zp / np.sqrt(v)
+        t_gap = rootn * gap_mz / np.sqrt(uu)
+        t_mean = rootn * gap_mp / np.sqrt(w)
+    return CltStatistics(v=v, w=w, u=uu, gap_zp=gap_zp, gap_mz=gap_mz, gap_mp=gap_mp,
+                         t_prop=t_prop, t_gap=t_gap, t_mean=t_mean)
+
+
+def _normal_diag(
+    kind: str,
+    t: np.ndarray,
+    var: np.ndarray,
+    gap: np.ndarray,
+    plan: ReplicationPlan,
+    coverage_level: float | None,
+    aux: dict[str, float],
+) -> CltDiagnostics:
+    """KS distance of ``t`` over the reps with ``var > 0``; with a level,
+    also the coverage of ``|gap| <= z_q sqrt(var / n)`` over all reps."""
+    n, reps = plan.n, plan.reps
+    included = var > 0.0
+    samples = t[included]
+    coverage = None
+    if coverage_level is not None:
+        zq = normal_quantile(0.5 + coverage_level / 2.0)
+        coverage = float(np.count_nonzero(np.abs(gap) <= zq * np.sqrt(var / n))) / reps
+    return CltDiagnostics(
+        kind=kind,
+        samples=samples,
+        ks_distance=_ks_vs_normal(samples) if len(samples) else math.nan,
+        coverage=coverage,
+        coverage_level=coverage_level,
+        excluded=int(reps - np.count_nonzero(included)),
+        reps=reps,
+        aux=aux,
+    )
 
 
 @dataclass(frozen=True)
 class MeanCltDiagnostics:
-    """Joint diagnostics for the empirical-mean limits."""
-
     gap: CltDiagnostics        # sqrt(n)(M_n - Z_n)/sqrt(U_n)
-    proportion: CltDiagnostics # sqrt(n)(Z_n - Z_proxy)/sqrt(V_n)
+    proportion: CltDiagnostics  # sqrt(n)(Z_n - Z_proxy)/sqrt(V_n)
     mean: CltDiagnostics       # sqrt(n)(M_n - Z_proxy)/sqrt(W_n)
     corr_gap_proportion: float | None
     median_abs_gap: float      # median of sqrt(n)|M_n - Z_n|, all reps
@@ -296,67 +327,20 @@ def clt_check_mn(
     """
     if records is None:
         records = replicate(plan, workers)
-    stats = clt_statistics(plan, records)
-    label = _single_label(records)
-    u = records.urns[label]
-    v, w = stats.v, stats.w
-    n = plan.n
-    rootn = math.sqrt(n)
-    gap_mz = u.at_n.m_emp - u.at_n.z
-    gap_zp = u.at_n.z - u.at_proxy.z
-    gap_mp = u.at_n.m_emp - u.at_proxy.z
-    zq = normal_quantile(0.5 + coverage_level / 2.0)
-
-    inc_u, inc_v, inc_w = stats.inc_u, stats.inc_v, stats.inc_w
-    t_gap = stats.t_gap[inc_u]
-    t_prop = stats.t_prop[inc_v]
-    t_mean = stats.t_mean[inc_w]
-    aux = _proxy_aux(records, label)
-
-    gap_diag = CltDiagnostics(
-        kind="gap",
-        samples=t_gap,
-        ks_distance=_ks_vs_normal(t_gap) if len(t_gap) else math.nan,
-        coverage=None,
-        coverage_level=None,
-        excluded=int(plan.reps - np.count_nonzero(inc_u)),
-        reps=plan.reps,
-        aux={},
-    )
-    prop_hits = np.abs(gap_zp) <= zq * np.sqrt(v / n)
-    prop_diag = CltDiagnostics(
-        kind="proportion",
-        samples=t_prop,
-        ks_distance=_ks_vs_normal(t_prop) if len(t_prop) else math.nan,
-        coverage=float(np.count_nonzero(prop_hits)) / plan.reps,
-        coverage_level=coverage_level,
-        excluded=int(plan.reps - np.count_nonzero(inc_v)),
-        reps=plan.reps,
-        aux=aux,
-    )
-    mean_hits = np.abs(gap_mp) <= zq * np.sqrt(w / n)
-    mean_diag = CltDiagnostics(
-        kind="mean",
-        samples=t_mean,
-        ks_distance=_ks_vs_normal(t_mean) if len(t_mean) else math.nan,
-        coverage=float(np.count_nonzero(mean_hits)) / plan.reps,
-        coverage_level=coverage_level,
-        excluded=int(plan.reps - np.count_nonzero(inc_w)),
-        reps=plan.reps,
-        aux=aux,
-    )
-    both = inc_u & inc_v
+    s = clt_statistics(plan, records)
+    aux = _proxy_aux(records, _single_label(records))
+    both = (s.u > 0.0) & (s.v > 0.0)
     if np.count_nonzero(both) >= 2:
-        corr = float(np.corrcoef(stats.t_gap[both], stats.t_prop[both])[0, 1])
+        corr = float(np.corrcoef(s.t_gap[both], s.t_prop[both])[0, 1])
     else:
         corr = None
     return MeanCltDiagnostics(
-        gap=gap_diag,
-        proportion=prop_diag,
-        mean=mean_diag,
+        gap=_normal_diag("gap", s.t_gap, s.u, s.gap_mz, plan, None, {}),
+        proportion=_normal_diag("proportion", s.t_prop, s.v, s.gap_zp, plan, coverage_level, aux),
+        mean=_normal_diag("mean", s.t_mean, s.w, s.gap_mp, plan, coverage_level, aux),
         corr_gap_proportion=corr,
-        median_abs_gap=float(np.median(rootn * np.abs(gap_mz))),
-        stats=stats,
+        median_abs_gap=float(np.median(math.sqrt(plan.n) * np.abs(s.gap_mz))),
+        stats=s,
     )
 
 
@@ -367,7 +351,11 @@ def clt_check_zn(
     coverage_level: float = 0.95,
 ) -> CltDiagnostics:
     """Normal-law check for the scaled proportion error at horizon n."""
-    return clt_check_mn(plan, records, workers, coverage_level).proportion
+    if records is None:
+        records = replicate(plan, workers)
+    s = clt_statistics(plan, records)
+    aux = _proxy_aux(records, _single_label(records))
+    return _normal_diag("proportion", s.t_prop, s.v, s.gap_zp, plan, coverage_level, aux)
 
 
 def _constant_reinforcement_value(policy) -> int | None:

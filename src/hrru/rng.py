@@ -224,12 +224,14 @@ def units_from_states_vec(states: np.ndarray, out: np.ndarray | None = None) -> 
 
     With ``out`` (float64, the shape of ``states``) nothing is
     allocated: ``states`` is consumed in place, ``out`` doubles as the
-    shift scratch, and the uniforms land in ``out``.  ``v >> 11`` is
+    shift scratch, and the uniforms land in ``out``.  Without ``out``
+    the input is copied first and left untouched.  ``v >> 11`` is
     below 2**53, so converting it through an int64 view is exact and
     gives the same floats as the unsigned conversion.
     """
     if out is None:
-        return (mix64_vec(states) >> _V11) * _INV_2_53
+        states = np.array(states, dtype=np.uint64)
+        out = np.empty(states.shape, np.float64)
     x, shifted = states, out.view(np.uint64)
     for shift, mul in ((_V30, _V_MIX_A), (_V27, _V_MIX_B)):
         np.right_shift(x, shift, out=shifted)
