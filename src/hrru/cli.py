@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ from .urn_core import (
 KINDS = ("simulate", "clt", "coverage", "limit-law", "mtest", "hitting")
 
 WORKERS_ENV = "HRRU_WORKERS"
+_TABLE_BLOCK = 1024  # rows formatted per % operation
 
 
 @dataclass
@@ -456,21 +458,26 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
+    """Write ``columns`` under ``header`` as a tsv or csv table.
+
+    Integer and bool columns print as ``%d`` (bools as 1/0), the rest
+    as ``%.17g`` floats.  Rows are formatted ``_TABLE_BLOCK`` at a time,
+    one ``%`` operation per block, and written as they are built.
+    """
     sep = "\t" if fmt == "tsv" else ","
+    columns = [np.asarray(c) for c in columns]
+    row = sep.join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
     rows = len(columns[0]) if columns else 0
-    lines = [sep.join(header)]
-    for i in range(rows):
-        lines.append(sep.join(_fmt(c[i]) for c in columns))
-    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+
+    def write(fh):
+        fh.write(sep.join(header) + "\n")
+        for lo in range(0, rows, _TABLE_BLOCK):
+            block = [c[lo:lo + _TABLE_BLOCK].tolist() for c in columns]
+            cells = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write(row * len(block[0]) % cells)
+
+    _write_atomic(path, write)
 
 
 def write_report(path: Path, payload: dict) -> None:

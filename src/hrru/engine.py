@@ -31,9 +31,10 @@ trajectory, so it reproduces a lane bit for bit: ``run_chunk`` uses it
 for ``CustomRule`` configs, which have no vector form, and the tests
 use it as their reference.
 
-All ball counts stay in int64; configuration validation bounds the
-worst-case total (a + b + steps * draw_bound * reinf_bound) below
-2**62 before a chunk starts.
+All ball counts and integer sums stay in int64; ``check_int64_range``
+bounds the worst-case total (a + b + steps * draw_bound * reinf_bound)
+and the sum of R^2 (steps * reinf_bound^2) below 2**62 before a chunk
+starts.
 """
 
 from __future__ import annotations
@@ -63,6 +64,22 @@ def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
         config.a + config.b
         + steps * config.draw.bound * config.reinforce.bound
     )
+
+
+def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
+    """Raise ``ParameterError`` unless ``steps`` steps keep every int64
+    count and sum of ``run_chunk`` below 2**62."""
+    if worst_case_total(config, steps) > (1 << 62):
+        raise ParameterError(
+            f"worst-case ball count after {steps} steps exceeds 2**62; "
+            f"shrink steps or policy bounds"
+        )
+    r_max = max(slot.config.reinforce.bound for slot in config.lockstep[0])
+    if steps * r_max * r_max > (1 << 62):
+        raise ParameterError(
+            f"worst-case sum of R^2 over {steps} steps exceeds 2**62 "
+            f"(largest reinforcement {r_max}); shrink steps or the reinforcement bound"
+        )
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
@@ -176,10 +193,7 @@ def run_chunk(
         raise ParameterError(f"horizons must be strictly increasing, got {horizons}")
     if horizons[0] < 1:
         raise ParameterError(f"horizons must be >= 1, got {horizons}")
-    if worst_case_total(config, horizons[-1]) > (1 << 62):
-        raise ParameterError(
-            "worst-case ball count exceeds 2**62; shrink steps or bounds"
-        )
+    check_int64_range(config, horizons[-1])
     if isinstance(getattr(config, "draw", None), CustomRule):
         trajs = (
             run_trajectory(config, horizons[-1], master_seed, rep)

@@ -69,10 +69,7 @@ class ReplicationPlan:
                 )
         if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
             raise ParameterError(f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
-        if engine.worst_case_total(self.config, self.proxy_horizon) > (1 << 62):
-            raise ParameterError(
-                "worst-case ball count exceeds 2**62; shrink horizons or policy bounds"
-            )
+        engine.check_int64_range(self.config, self.proxy_horizon)
 
     @property
     def proxy_horizon(self) -> int:

@@ -31,6 +31,10 @@ draw-size bound) and ball ``i`` of step ``t`` reads counter
 
 64-bit floats are produced from the top 53 bits: ``(v >> 11) * 2**-53``,
 uniform on [0, 1).
+
+``Stream`` evaluates its uniforms a block of counters at a time with
+the vector path and keeps the last block.  This is memoization of a
+pure function: every value is the one ``stream_value`` gives.
 """
 
 from __future__ import annotations
@@ -106,19 +110,39 @@ class Stream:
 
     ``at``/``unit_at`` are position-addressed and do not move the
     cursor; ``next_u64``/``next_unit`` read at the cursor and advance.
+    Uniforms come from a cached block of ``_BLOCK`` counters, filled by
+    ``units_vec`` on a miss and shared with every view of the stream;
+    counters past the uint64 range fall back to ``stream_value``.
     """
 
-    __slots__ = ("key", "pos")
+    __slots__ = ("key", "pos", "_block")
 
     def __init__(self, key: int, pos: int = 0):
         self.key = key & MASK64
         self.pos = pos
+        self._block = [0, []]  # first counter of the cached block, its uniforms
 
     def at(self, counter: int) -> int:
         return stream_value(self.key, counter)
 
     def unit_at(self, counter: int) -> float:
-        return unit_from_u64(stream_value(self.key, counter))
+        lo, units = self._block
+        i = counter - lo
+        if 0 <= i < len(units):
+            return units[i]
+        return self._fill(counter)
+
+    def _fill(self, counter: int) -> float:
+        # Cache the block holding ``counter``; blocks are aligned, so a
+        # counter below 2**64 lies in a block the uint64 path can hold.
+        if counter < 0:
+            raise ValueError("stream counter must be nonnegative")
+        lo = counter - counter % _BLOCK
+        if lo > MASK64:
+            return unit_from_u64(stream_value(self.key, counter))
+        units = units_vec(np.uint64(self.key), _BLOCK_COUNTERS + np.uint64(lo)).tolist()
+        self._block[:] = lo, units
+        return units[counter - lo]
 
     def next_u64(self) -> int:
         v = stream_value(self.key, self.pos)
@@ -126,11 +150,15 @@ class Stream:
         return v
 
     def next_unit(self) -> float:
-        return unit_from_u64(self.next_u64())
+        u = self.unit_at(self.pos)
+        self.pos += 1
+        return u
 
     def view(self, counter: int) -> "Stream":
         """A fresh cursor onto the same stream, positioned at ``counter``."""
-        return Stream(self.key, counter)
+        view = Stream(self.key, counter)
+        view._block = self._block
+        return view
 
     def __repr__(self) -> str:
         return f"Stream(key=0x{self.key:016x}, pos={self.pos})"
@@ -191,6 +219,8 @@ _V30 = np.uint64(30)
 _V27 = np.uint64(27)
 _V31 = np.uint64(31)
 _V11 = np.uint64(11)
+_BLOCK = 1024
+_BLOCK_COUNTERS = np.arange(_BLOCK, dtype=np.uint64)
 
 
 def mix64_vec(x: np.ndarray) -> np.ndarray:

@@ -4,14 +4,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hrru.cli import (
+    _TABLE_BLOCK,
     ExperimentConfig,
     build_parser,
     config_to_json_dict,
     main,
     parse_config,
+    write_table,
 )
 from hrru.urn_core import ConfigError
 
@@ -317,3 +320,62 @@ def test_hitting_cli(tmp_path):
     assert res["reps"] == 500
     assert res["absorbed_low"] + res["absorbed_high"] == 500
     assert res["expected"] == pytest.approx(2 / 3)
+
+
+def _cell(x) -> str:
+    # The per-cell rule the table bytes are pinned to.
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _table_by_cell(header, columns, sep) -> str:
+    rows = len(columns[0]) if columns else 0
+    lines = [sep.join(header)]
+    lines += [sep.join(_cell(c[i]) for c in columns) for i in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               1.7976931348623157e308, 0.1]
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("fmt,sep", [("tsv", "\t"), ("csv", ",")])
+@pytest.mark.parametrize("rows", [len(EDGE_FLOATS), _TABLE_BLOCK + 3])
+def test_write_table_matches_the_per_cell_rule(tmp_path, fmt, sep, rows):
+    rs = np.random.default_rng(4)
+    floats = rs.standard_normal(rows) * 10.0 ** rs.integers(-300, 300, rows)
+    floats[:len(EDGE_FLOATS)] = EDGE_FLOATS
+    ints = rs.integers(I64.min, I64.max, rows, endpoint=True)
+    ints[:2] = I64.min, I64.max
+    uints = rs.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+    uints[:2] = 0, 2**64 - 1
+    columns = [np.arange(rows), floats, rs.random(rows) < 0.5, ints, uints]
+    header = ["n", "x", "flag", "i64", "u64"]
+    write_table(tmp_path / "t", header, columns, fmt)
+    assert (tmp_path / "t").read_text(encoding="utf-8") == _table_by_cell(header, columns, sep)
+
+
+@pytest.mark.parametrize("fmt,sep", [("tsv", "\t"), ("csv", ",")])
+def test_write_table_header_only(tmp_path, fmt, sep):
+    header = ["rep", "z"]
+    write_table(tmp_path / "t", header, [], fmt)
+    assert (tmp_path / "t").read_text(encoding="utf-8") == "rep" + sep + "z\n"
+    write_table(tmp_path / "t", header, [np.arange(0), np.zeros(0)], fmt)
+    assert (tmp_path / "t").read_text(encoding="utf-8") == "rep" + sep + "z\n"
+
+
+def test_exit_code_2_on_reinforcement_square_overflow(tmp_path, capsys):
+    # The int64 sum of R^2 would wrap: 1000 * (2**31)**2 = 2**72, while
+    # the ball count stays near 2**41.
+    cfg = _clt_config(tmp_path / "out", reps=4, n=100, n_proxy=1000)
+    cfg["urn"]["draw"] = {"policy": "constant-one"}
+    cfg["urn"]["reinforce"] = {"policy": "constant", "value": 2**31}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["clt", "--config", str(cfg_path)]) == 2
+    assert "R^2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -15,6 +15,7 @@ import pytest
 from hrru import rng
 from hrru.engine import (
     SNAPSHOT_FIELDS,
+    check_int64_range,
     run_chunk,
     sample_hypergeometric_batch,
     trajectory_snapshot,
@@ -165,6 +166,33 @@ def test_run_chunk_rejects_capacity_overflow():
                     reinforce=ConstantReinforcement(10**15))
     with pytest.raises(ParameterError, match="2\\*\\*62"):
         run_chunk(cfg, 0, 0, 1, (10**4,))
+
+
+SQUARE_OVERFLOW = [
+    # 1000 steps of R = 2**31: the ball count stays near 2**41, but the
+    # int64 sum of R^2 would be 2**72.
+    UrnConfig(10, 10, ConstantOne(), ConstantReinforcement(2**31)),
+    # A system's global bound k covers its reinforcements, so the ball
+    # count bound already rejects it; the check covers both shapes.
+    UrnSystem(urns=(UrnSpec(label="A", a=2**31, b=1, draw_base=1, reinforce_base=2**31),),
+              factors=CommonFactors()),
+]
+
+
+@pytest.mark.parametrize("cfg", SQUARE_OVERFLOW, ids=["urn", "system"])
+def test_run_chunk_rejects_reinforcement_square_overflow(cfg):
+    with pytest.raises(ParameterError, match="2\\*\\*62"):
+        run_chunk(cfg, 0, 0, 2, (1000,))
+
+
+def test_reinforcement_square_bound_is_tight():
+    cfg = SQUARE_OVERFLOW[0]
+    check_int64_range(cfg, 1)  # 1 * (2**31)**2 = 2**62 is still allowed
+    with pytest.raises(ParameterError, match="R\\^2"):
+        check_int64_range(cfg, 2)
+    # the reduction the engine would otherwise wrap
+    snap = trajectory_snapshot(run_trajectory(cfg, 1000, 0), 1000)
+    assert snap["reinf_sqmean"] == float(2**62)
 
 
 def test_worst_case_total():

@@ -46,6 +46,14 @@ def test_plan_validation():
     assert plan.proxy_horizon == 50 * plan.n
 
 
+def test_plan_rejects_reinforcement_square_overflow():
+    # 1000 steps of R = 2**31 keep the ball count near 2**41 but would
+    # wrap the engine's int64 sum of R^2 (2**72).
+    cfg = UrnConfig(10, 10, ConstantOne(), ConstantReinforcement(2**31))
+    with pytest.raises(ParameterError, match="R\\^2"):
+        _plan(reps=2, n=100, n_proxy=1000, config=cfg)
+
+
 def test_single_rep_reduces_to_run_trajectory():
     plan = _plan(reps=1, n=40, n_proxy=400, seed=13)
     rec = mc.replicate(plan)

@@ -170,3 +170,69 @@ def test_no_numpy_warnings_on_vector_paths():
         rng.derive_keys_each(keys, "urn", "u0", "extract")
         rng.units_vec(keys, 12)
         rng.stream_values_vec(keys, np.arange(4, dtype=np.uint64))
+
+
+def _unit(key, counter):
+    return rng.unit_from_u64(rng.stream_value(key, counter))
+
+
+def test_stream_blocks_match_scalar_in_any_order():
+    # Uniforms are cached a block at a time; the block edges must not
+    # show in any read order.
+    key = rng.derive_key(5, "rep", 2)
+    B = rng._BLOCK
+    edges = [B - 1, B, B + 1, 3 * B + 5, 0]
+    spread = np.random.default_rng(1).integers(0, 8 * B, 300).tolist()
+    for order in (edges, edges[::-1], sorted(spread), sorted(spread, reverse=True), spread):
+        s = rng.Stream(key)
+        for c in order:
+            u = s.unit_at(c)
+            assert type(u) is float
+            assert u == _unit(key, c), c
+
+
+def test_stream_views_share_the_block():
+    key = rng.derive_key(6, "urn", "u0", "extract")
+    B = rng._BLOCK
+    s = rng.Stream(key)
+    v = s.view(2 * B - 2)
+    assert [v.next_unit() for _ in range(5)] == [_unit(key, 2 * B - 2 + i) for i in range(5)]
+    # the view moved the shared block to [2B, 3B); the parent and a
+    # sibling read from it
+    assert s._block is v._block and s._block[0] == 2 * B
+    assert s.view(2 * B + 7)._block is s._block
+    assert s.unit_at(2 * B + 9) == _unit(key, 2 * B + 9)
+
+
+def test_next_unit_advances_the_cursor():
+    key = rng.derive_key(8, "walk")
+    s = rng.Stream(key, pos=rng._BLOCK - 2)
+    got = [s.next_unit() for _ in range(4)]
+    assert got == [_unit(key, rng._BLOCK - 2 + i) for i in range(4)]
+    assert s.pos == rng._BLOCK + 2
+
+
+def test_unit_at_rejects_negative_counter():
+    s = rng.Stream(3)
+    with pytest.raises(ValueError):
+        s.unit_at(-1)
+    s.unit_at(0)  # a cached block must not admit negative counters either
+    with pytest.raises(ValueError):
+        s.unit_at(-1)
+    with pytest.raises(ValueError):
+        s.view(-rng._BLOCK).next_unit()
+
+
+def test_stream_counters_at_and_past_the_vector_range():
+    # Counters up to 2**64 - 1 come from uint64 blocks (the last block
+    # wraps c + 1 to 0); later ones fall back to stream_value.
+    key = rng.derive_key(9, "rep", 0)
+    B = rng._BLOCK
+    counters = [2**63 - 1, 2**63, 2**64 - B - 1, 2**64 - B, 2**64 - 1, 2**64, 2**64 + 5]
+    s = rng.Stream(key)
+    for c in counters:
+        u = s.unit_at(c)
+        assert type(u) is float
+        assert u == _unit(key, c), c
+    v = s.view(2**64 - 3)
+    assert [v.next_unit() for _ in range(6)] == [_unit(key, 2**64 - 3 + i) for i in range(6)]
