@@ -31,10 +31,12 @@ trajectory, so it reproduces a lane bit for bit: ``run_chunk`` uses it
 for ``CustomRule`` configs, which have no vector form, and the tests
 use it as their reference.
 
-All ball counts and integer sums stay in int64; ``check_int64_range``
-bounds the worst-case total (a + b + steps * draw_bound * reinf_bound)
-and the sum of R^2 (steps * reinf_bound^2) below 2**62 before a chunk
-starts.
+All ball counts and integer sums stay in int64, and numpy divides
+int64 by int64 (``h_rem / s_rem``, ``H / S``, ``counts / h``) through
+float64, which is exact only up to 2**53, where the scalar path divides
+Python ints exactly.  So ``check_int64_range`` bounds the worst-case
+total (a + b + steps * draw_bound * reinf_bound) and the sum of R^2
+(steps * reinf_bound^2) at 2**53 before a chunk starts.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ import numpy as np
 from . import rng
 from .multi_urn import UrnSystem
 from .urn_core import CustomRule, ParameterError, Trajectory, UrnConfig, run_trajectory
+
+# Integers up to 2**53 convert to float64 exactly.
+_EXACT_LIMIT = 1 << 53
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -68,16 +73,17 @@ def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
 
 def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
     """Raise ``ParameterError`` unless ``steps`` steps keep every int64
-    count and sum of ``run_chunk`` below 2**62."""
-    if worst_case_total(config, steps) > (1 << 62):
+    count and sum of ``run_chunk`` at most 2**53, the range in which its
+    float64 divisions give the scalar path's bits."""
+    if worst_case_total(config, steps) > _EXACT_LIMIT:
         raise ParameterError(
-            f"worst-case ball count after {steps} steps exceeds 2**62; "
-            f"shrink steps or policy bounds"
+            f"worst-case ball count after {steps} steps exceeds 2**53; "
+            f"shrink steps, initial counts or policy bounds"
         )
     r_max = max(slot.config.reinforce.bound for slot in config.lockstep[0])
-    if steps * r_max * r_max > (1 << 62):
+    if steps * r_max * r_max > _EXACT_LIMIT:
         raise ParameterError(
-            f"worst-case sum of R^2 over {steps} steps exceeds 2**62 "
+            f"worst-case sum of R^2 over {steps} steps exceeds 2**53 "
             f"(largest reinforcement {r_max}); shrink steps or the reinforcement bound"
         )
 

@@ -17,7 +17,7 @@ A system urn is exactly a single urn (``UrnSystem.lockstep``): its
 draw and reinforcement policies are the factor laws shifted by its
 base constants (a constant where a factor is absent), and they read
 the shared factor streams instead of the urn's own.  Every urn steps
-with the one urn rule of ``urn_core.advance`` at the system's shared
+with the one urn rule of ``urn_core.urn_rule`` at the system's shared
 extraction stride.  Per-urn extraction streams are keyed by label and
 purpose alone, so adding or removing an urn never perturbs another
 urn's draws.
@@ -58,6 +58,7 @@ from .urn_core import (
     UrnSlot,
     UrnState,
     advance,
+    lockstep_trajectories,
 )
 
 
@@ -227,6 +228,18 @@ class SystemState:
         )
 
 
+def _slot_streams(slots: Sequence[UrnSlot], streams: SystemStreams) -> list[UrnStreams]:
+    # What each slot reads: the shared factor streams and its own extraction.
+    return [
+        UrnStreams(
+            draw=streams.factor_draw,
+            extract=streams.urns[slot.config.label].extract,
+            reinforce=streams.factor_reinforce,
+        )
+        for slot in slots
+    ]
+
+
 def system_step(
     system: UrnSystem,
     state: SystemState,
@@ -242,13 +255,8 @@ def system_step(
     slots, stride = system.lockstep
     new_states = []
     records: dict[str, StepRecord] = {}
-    for slot, ust in zip(slots, state.states):
+    for slot, ust, reads in zip(slots, state.states, _slot_streams(slots, streams)):
         cfg = slot.config
-        reads = UrnStreams(
-            draw=streams.factor_draw,
-            extract=streams.urns[cfg.label].extract,
-            reinforce=streams.factor_reinforce,
-        )
         ust, records[cfg.label] = advance(ust, cfg.draw, cfg.reinforce, reads, stride)
         new_states.append(ust)
     spec = system.urns[0]
@@ -290,27 +298,17 @@ def run_system(
     if not isinstance(steps, int) or steps < 1:
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     streams = SystemStreams.create(master_seed, rep, system.labels)
-    state = SystemState.initial(system)
-    ints = {lab: np.empty((5, steps), dtype=np.int64) for lab in system.labels}  # N X R H S
-    floats = {lab: np.empty((2, steps), dtype=np.float64) for lab in system.labels}  # Z M
-    xsums = dict.fromkeys(system.labels, 0.0)
-    factors = np.empty((2, steps), dtype=np.int64)
-    for t in range(steps):
-        state, records, factors[:, t] = system_step(system, state, streams)
-        for lab, rec in records.items():
-            ints[lab][:, t] = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after)
-            xsums[lab] += rec.X / rec.N
-            floats[lab][:, t] = (rec.H_after / rec.S_after, xsums[lab] / (t + 1))
-    urns = {}
-    for slot in system.lockstep[0]:
-        lab = slot.config.label
-        (n, x, r, h, s), (z, m) = ints[lab], floats[lab]
-        urns[lab] = Trajectory(
-            config=slot.config, seed=master_seed, N=n, X=x, R=r, H=h, S=s, Z=z, M=m,
-        )
+    slots, stride = system.lockstep
+    trajs = lockstep_trajectories(
+        slots, stride, _slot_streams(slots, streams), steps, master_seed
+    )
+    # Every urn reads the same factors; the first urn's N and R carry them.
+    spec, first = system.urns[0], trajs[0]
     return SystemTrajectory(
-        system=system, seed=master_seed, urns=urns,
-        factor_draw=factors[0], factor_reinforce=factors[1],
+        system=system, seed=master_seed,
+        urns={traj.config.label: traj for traj in trajs},
+        factor_draw=first.N - spec.draw_base,
+        factor_reinforce=first.R - spec.reinforce_base,
     )
 
 

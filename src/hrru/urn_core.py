@@ -483,6 +483,16 @@ class StepRecord:
         return self.X / self.N
 
 
+def _chain(extract: Stream, first: int, n_draw: int, total: int, marked: int) -> int:
+    # The without-replacement Bernoulli chain: ball i reads counter
+    # first + i and is marked when u < (marked left) / (balls left).
+    h_rem = marked
+    for i in range(n_draw):
+        if extract.unit_at(first + i) < h_rem / (total - i):
+            h_rem -= 1
+    return marked - h_rem
+
+
 def sample_hypergeometric(stream: Stream, n_draw: int, total: int, marked: int) -> int:
     """Exact count of marked balls in a without-replacement sample.
 
@@ -495,12 +505,8 @@ def sample_hypergeometric(stream: Stream, n_draw: int, total: int, marked: int) 
         raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")
     if not (0 <= marked <= total):
         raise ParameterError(f"marked count must satisfy 0 <= H <= {total}, got {marked}")
-    h_rem, s_rem, hits = marked, total, 0
-    for _ in range(n_draw):
-        if stream.next_unit() < h_rem / s_rem:
-            hits += 1
-            h_rem -= 1
-        s_rem -= 1
+    hits = _chain(stream, stream.pos, n_draw, total, marked)
+    stream.pos += n_draw
     return hits
 
 
@@ -534,29 +540,48 @@ def advance(
     stride: int,
     n_history: Sequence[int] = (),
 ) -> tuple[UrnState, StepRecord]:
-    """The urn rule for one step, with ``stride`` extraction counters per step.
+    """``urn_rule`` on an ``UrnState``, returning the next state and the record.
 
-    Emit N_t, draw X_t without replacement, emit R_t, reinforce.  A
-    single urn's stride is its draw bound (``step``); urns stepped in
+    A single urn's stride is its draw bound (``step``); urns stepped in
     lockstep share the largest bound among them (``multi_urn``).
     """
-    t = state.n
-    n_draw = draw_policy.emit(t, state.S, n_history, streams.draw)
-    if not (1 <= n_draw <= state.S):
-        raise ModelViolationError(
-            f"draw size {n_draw} at step {t} is outside [1, {state.S}]"
-        )
-    hits = sample_hypergeometric(streams.extract.view(t * stride), n_draw, state.S, state.H)
-    r = reinf_policy.emit(t, streams.reinforce)
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
-    h_after = state.H + r * hits
-    s_after = state.S + r * n_draw
-    if s_after > CAPACITY_LIMIT:
-        raise OverflowError(f"ball count {s_after} exceeds the supported capacity 2**62")
+    t, h, s = state.n, state.H, state.S
+    n_draw, hits, r = urn_rule(t, h, s, draw_policy, reinf_policy, streams, stride, n_history)
+    h_after, s_after = h + r * hits, s + r * n_draw
     new_state = UrnState(a=state.a, b=state.b, n=t + 1, H=h_after, S=s_after)
     record = StepRecord(t=t, N=n_draw, X=hits, R=r, H_after=h_after, S_after=s_after)
     return new_state, record
+
+
+def urn_rule(
+    t: int,
+    H: int,
+    S: int,
+    draw_policy: DrawSizePolicy,
+    reinf_policy: ReinforcementPolicy,
+    streams: UrnStreams,
+    stride: int,
+    n_history: Sequence[int],
+) -> tuple[int, int, int]:
+    """The urn rule for step ``t`` from ``H`` A-balls of ``S``: (N_t, X_t, R_t).
+
+    Emit N_t, draw X_t without replacement (ball ``i`` reads extraction
+    counter ``t * stride + i``), emit R_t.  The caller reinforces, to
+    ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total is checked
+    against ``CAPACITY_LIMIT`` here.
+    """
+    n_draw = draw_policy.emit(t, S, n_history, streams.draw)
+    if not (1 <= n_draw <= S):
+        raise ModelViolationError(
+            f"draw size {n_draw} at step {t} is outside [1, {S}]"
+        )
+    hits = _chain(streams.extract, t * stride, n_draw, S, H)
+    r = reinf_policy.emit(t, streams.reinforce)
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
+    if S + r * n_draw > CAPACITY_LIMIT:
+        raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
+    return n_draw, hits, r
 
 
 def increment_identity_check(record: StepRecord, h_before: int, s_before: int) -> bool:
@@ -690,29 +715,52 @@ def run_trajectory(
         seed = int(seed_or_streams)
         streams = UrnStreams.create(seed, rep=rep, label=config.label)
 
-    state = UrnState.initial(config.a, config.b)
-    n_arr = np.empty(steps, dtype=np.int64)
-    x_arr = np.empty(steps, dtype=np.int64)
-    r_arr = np.empty(steps, dtype=np.int64)
-    h_arr = np.empty(steps, dtype=np.int64)
-    s_arr = np.empty(steps, dtype=np.int64)
-    z_arr = np.empty(steps, dtype=np.float64)
-    m_arr = np.empty(steps, dtype=np.float64)
-    n_history: list[int] = []
-    xsum = 0.0
-    stride = config.draw.bound  # UrnConfig has checked it against a + b
-    for t in range(steps):
-        state, rec = advance(state, config.draw, config.reinforce, streams, stride, n_history)
-        n_history.append(rec.N)
-        n_arr[t] = rec.N
-        x_arr[t] = rec.X
-        r_arr[t] = rec.R
-        h_arr[t] = rec.H_after
-        s_arr[t] = rec.S_after
-        z_arr[t] = rec.H_after / rec.S_after
-        xsum += rec.X / rec.N
-        m_arr[t] = xsum / (t + 1)
-    return Trajectory(
-        config=config, seed=seed,
-        N=n_arr, X=x_arr, R=r_arr, H=h_arr, S=s_arr, Z=z_arr, M=m_arr,
-    )
+    slots, stride = config.lockstep
+    return lockstep_trajectories(slots, stride, [streams], steps, seed)[0]
+
+
+def lockstep_trajectories(
+    slots: Sequence[UrnSlot],
+    stride: int,
+    streams: Sequence[UrnStreams],
+    steps: int,
+    seed: int | None,
+) -> list[Trajectory]:
+    """The ``Trajectory`` of every slot over ``steps`` steps of ``urn_rule``.
+
+    ``streams[i]`` holds the streams slot ``i`` reads.  Every uniform is
+    addressed by counter, so a slot's path does not depend on the other
+    slots' and each slot runs to the end in turn.  N, X, R, H and S go
+    straight into one int64 block per slot, Z and M into a float64 one;
+    Z is the exact ``H / S`` of Python ints (counts may pass 2**53).
+    No per-step object is kept apart from ``n_history``, the draw sizes
+    a history-reading policy is handed.
+    """
+    out = []
+    for slot, reads in zip(slots, streams):
+        cfg = slot.config
+        draw, reinforce = cfg.draw, cfg.reinforce
+        ints = np.empty((5, steps), dtype=np.int64)
+        floats = np.empty((2, steps), dtype=np.float64)
+        n_col, x_col, r_col, h_col, s_col = ints
+        z_col, m_col = floats
+        n_history: list[int] = []
+        h, s, xsum = cfg.a, cfg.a + cfg.b, 0.0
+        for t in range(steps):
+            n, x, r = urn_rule(t, h, s, draw, reinforce, reads, stride, n_history)
+            n_history.append(n)
+            h += r * x
+            s += r * n
+            n_col[t] = n
+            x_col[t] = x
+            r_col[t] = r
+            h_col[t] = h
+            s_col[t] = s
+            z_col[t] = h / s
+            xsum += x / n
+            m_col[t] = xsum / (t + 1)
+        out.append(Trajectory(
+            config=cfg, seed=seed,
+            N=n_col, X=x_col, R=r_col, H=h_col, S=s_col, Z=z_col, M=m_col,
+        ))
+    return out

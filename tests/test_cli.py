@@ -368,6 +368,17 @@ def test_write_table_header_only(tmp_path, fmt, sep):
     assert (tmp_path / "t").read_text(encoding="utf-8") == "rep" + sep + "z\n"
 
 
+def test_exit_code_2_on_counts_above_2_53(tmp_path, capsys):
+    # The engine's float64 divisions would round these counts.
+    cfg = _clt_config(tmp_path / "out", reps=4, n=5, n_proxy=50)
+    cfg["urn"]["a"], cfg["urn"]["b"] = 2**53 + 1, 2**53 + 7
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["clt", "--config", str(cfg_path)]) == 2
+    assert "2**53" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_exit_code_2_on_reinforcement_square_overflow(tmp_path, capsys):
     # The int64 sum of R^2 would wrap: 1000 * (2**31)**2 = 2**72, while
     # the ball count stays near 2**41.

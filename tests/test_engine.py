@@ -164,7 +164,7 @@ def test_run_chunk_rejects_bad_ranges():
 def test_run_chunk_rejects_capacity_overflow():
     cfg = UrnConfig(a=2, b=2, draw=DeterministicSchedule((4,)),
                     reinforce=ConstantReinforcement(10**15))
-    with pytest.raises(ParameterError, match="2\\*\\*62"):
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
         run_chunk(cfg, 0, 0, 1, (10**4,))
 
 
@@ -181,18 +181,38 @@ SQUARE_OVERFLOW = [
 
 @pytest.mark.parametrize("cfg", SQUARE_OVERFLOW, ids=["urn", "system"])
 def test_run_chunk_rejects_reinforcement_square_overflow(cfg):
-    with pytest.raises(ParameterError, match="2\\*\\*62"):
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
         run_chunk(cfg, 0, 0, 2, (1000,))
 
 
 def test_reinforcement_square_bound_is_tight():
-    cfg = SQUARE_OVERFLOW[0]
-    check_int64_range(cfg, 1)  # 1 * (2**31)**2 = 2**62 is still allowed
+    # R = 2**26: two steps sum R^2 to exactly 2**53, three pass it
+    cfg = UrnConfig(10, 10, ConstantOne(), ConstantReinforcement(2**26))
+    check_int64_range(cfg, 2)
     with pytest.raises(ParameterError, match="R\\^2"):
-        check_int64_range(cfg, 2)
+        check_int64_range(cfg, 3)
+    assert_paths_agree(cfg, hi=3, horizons=(1, 2))
     # the reduction the engine would otherwise wrap
-    snap = trajectory_snapshot(run_trajectory(cfg, 1000, 0), 1000)
+    snap = trajectory_snapshot(run_trajectory(SQUARE_OVERFLOW[0], 1000, 0), 1000)
     assert snap["reinf_sqmean"] == float(2**62)
+
+
+def test_run_chunk_rejects_counts_above_2_53():
+    # numpy divides int64 by int64 through float64, which rounds counts
+    # above 2**53; the scalar path divides exactly.  Admitted, this
+    # config gave 70 fields (z, s_over_n) unlike the scalar path's.
+    cfg = UrnConfig(2**53 + 1, 2**53 + 7, IidUniform(3), ConstantReinforcement(1))
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
+        run_chunk(cfg, 0, 0, 64, (5,))
+
+
+def test_ball_count_bound_is_tight():
+    # 2**53 - 8 balls gaining one a step reach exactly 2**53 in 8 steps
+    cfg = UrnConfig(2**52, 2**52 - 8, ConstantOne(), ConstantReinforcement(1))
+    check_int64_range(cfg, 8)
+    with pytest.raises(ParameterError, match="ball count"):
+        check_int64_range(cfg, 9)
+    assert_paths_agree(cfg, hi=5, horizons=(3, 8))
 
 
 def test_worst_case_total():

@@ -54,6 +54,12 @@ def test_plan_rejects_reinforcement_square_overflow():
         _plan(reps=2, n=100, n_proxy=1000, config=cfg)
 
 
+def test_plan_rejects_counts_above_2_53():
+    cfg = UrnConfig(2**53 + 1, 2**53 + 7, IidUniform(3), ConstantReinforcement(1))
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
+        _plan(reps=64, n=5, n_proxy=50, config=cfg)
+
+
 def test_single_rep_reduces_to_run_trajectory():
     plan = _plan(reps=1, n=40, n_proxy=400, seed=13)
     rec = mc.replicate(plan)

@@ -101,6 +101,45 @@ def test_shared_factors_are_identical_across_urns():
         assert records["B"].R - 1 == f_reinf
 
 
+# run_system's column builder against a loop of the public system_step().
+
+BUILDER_SYSTEMS = {
+    "full-factors": UrnSystem(
+        urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+              UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=2)),
+        factors=CommonFactors(draw=_dist(), reinforce=_dist()),
+    ),
+    "reinforce-only-factor": _system(factors=CommonFactors(reinforce=_dist())),
+    "no-factors": _system(labels=("only",), a=5, b=5, draw_base=3, reinforce_base=2),
+}
+
+
+@pytest.mark.parametrize("name", BUILDER_SYSTEMS)
+def test_run_system_matches_system_step_loop(name):
+    system, steps = BUILDER_SYSTEMS[name], 60
+    traj = run_system(system, steps, master_seed=4, rep=2)
+    state = SystemState.initial(system)
+    streams = rng.SystemStreams.create(4, 2, system.labels)
+    cols = {lab: {f: [] for f in "NXRHSZM"} for lab in system.labels}
+    xsums = dict.fromkeys(system.labels, 0.0)
+    factors = []
+    for t in range(steps):
+        state, records, pair = system_step(system, state, streams)
+        factors.append(pair)
+        for lab, rec in records.items():
+            xsums[lab] += rec.X / rec.N
+            row = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after, rec.z_after,
+                   xsums[lab] / (t + 1))
+            for f, v in zip("NXRHSZM", row):
+                cols[lab][f].append(v)
+    for lab in system.labels:
+        for f in "NXRHSZM":
+            assert getattr(traj.urn(lab), f).tolist() == cols[lab][f], (lab, f)
+    assert traj.factor_draw.dtype == traj.factor_reinforce.dtype == np.int64
+    assert traj.factor_draw.tolist() == [f for f, _ in factors]
+    assert traj.factor_reinforce.tolist() == [f for _, f in factors]
+
+
 def test_single_urn_system_reduces_to_plain_trajectory():
     # one urn, no factors: the system must reproduce the single-urn
     # engine bit for bit, because the streams and ops are shared

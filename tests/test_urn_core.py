@@ -271,6 +271,72 @@ def test_trajectory_determinism_and_rep_independence():
     assert not np.array_equal(t1.X, t3.X)
 
 
+# run_trajectory's column builder against a loop of the public step().
+
+COLUMNS = "NXRHSZM"
+
+
+def _stepped_columns(cfg, steps, streams):
+    state, history, xsum = UrnState.initial(cfg.a, cfg.b), [], 0.0
+    cols = {f: [] for f in COLUMNS}
+    for t in range(steps):
+        state, rec = step(state, cfg.draw, cfg.reinforce, streams, history)
+        history.append(rec.N)
+        xsum += rec.X / rec.N
+        row = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after, rec.z_after, xsum / (t + 1))
+        for f, v in zip(COLUMNS, row):
+            cols[f].append(v)
+    return cols
+
+
+def _assert_columns(traj, cols):
+    for f in COLUMNS:
+        got = getattr(traj, f)
+        assert got.dtype == (np.float64 if f in "ZM" else np.int64), f
+        assert got.tolist() == cols[f], f
+
+
+BUILDER_CONFIGS = [
+    _basic_config(a=4, b=4, draw=ConstantOne(), reinforce=ConstantReinforcement(2)),
+    _basic_config(a=4, b=4, draw=DeterministicSchedule((2, 1, 3))),
+    _basic_config(a=4, b=4, draw=IidUniform(4),
+                  reinforce=DiscreteReinforcement((1, 4), (0.6, 0.4))),
+    _basic_config(a=4, b=4, draw=DiscreteDraw((1, 3), (0.3, 0.7)),
+                  reinforce=ConstantReinforcement(2)),
+    _basic_config(a=4, b=4, draw=AbsorbingRandomWalk(start=3, high=5)),
+    # reads its history: one more than the previous draw, cycling 1..3
+    _basic_config(a=4, b=4, draw=CustomRule(
+        lambda t, s_prev, hist: 1 + hist[-1] % 3 if hist else 2, bound=3)),
+    # counts past 2**53, where Z must stay the exact H / S of Python ints
+    _basic_config(a=2**53 + 1, b=2**53 + 7, draw=IidUniform(3),
+                  reinforce=ConstantReinforcement(1)),
+]
+
+
+@pytest.mark.parametrize("cfg", BUILDER_CONFIGS,
+                         ids=lambda c: f"{type(c.draw).__name__}-a{c.a}")
+def test_run_trajectory_matches_step_loop(cfg):
+    traj = run_trajectory(cfg, 80, 11, rep=3)
+    _assert_columns(traj, _stepped_columns(cfg, 80, _streams(seed=11, rep=3)))
+
+
+def test_run_trajectory_on_prebuilt_streams_matches_step_loop():
+    # custom wiring: another label's streams, passed in
+    cfg = BUILDER_CONFIGS[4]
+    traj = run_trajectory(cfg, 80, _streams(seed=2, rep=5, label="elsewhere"))
+    assert traj.seed is None
+    _assert_columns(traj, _stepped_columns(cfg, 80, _streams(seed=2, rep=5, label="elsewhere")))
+
+
+def test_z_is_exact_above_2_53():
+    traj = run_trajectory(BUILDER_CONFIGS[-1], 3000, 0)
+    exact = [h / s for h, s in zip(traj.H.tolist(), traj.S.tolist())]
+    assert traj.Z.tolist() == exact
+    # numpy's int64 division rounds H and S to float64 first, so it
+    # would not do: this path has steps where the two differ
+    assert np.any(traj.H / traj.S != traj.Z)
+
+
 def test_config_error_collects_all_problems():
     with pytest.raises(ConfigError) as ei:
         UrnConfig(a=0, b=-1, draw=IidUniform(3), reinforce=ConstantReinforcement(1))
