@@ -57,7 +57,6 @@ class ExperimentConfig:
     n: int = 1
     n_proxy: int | None = None
     seed: int = 0
-    chunk_size: int = mc.DEFAULT_CHUNK_SIZE
     level: float | None = None
     target: str | None = None
     reference: tuple[str, ...] = ()
@@ -71,6 +70,9 @@ class ExperimentConfig:
     # they are written.
     out_dir: str = field(default=".", compare=False)
     table_format: str = "tsv"
+    # Lanes per chunk (``plan.chunk_size``): delivery like ``out_dir``,
+    # since no result depends on it.
+    chunk_size: int | None = field(default=None, compare=False)
 
 
 class _Collector:
@@ -326,7 +328,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     if out.seed is None:
         out.seed = 0
     out.chunk_size = col.expect_int(plan, "plan", "chunk_size", minimum=1,
-                                    required=False, default=mc.DEFAULT_CHUNK_SIZE)
+                                    required=False, default=None)
 
     system_kinds = ("mtest",)
     single_kinds = ("simulate", "clt", "limit-law")
@@ -441,8 +443,7 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
         }
         if factors:
             out["factors"] = factors
-    plan: dict = {"reps": cfg.reps, "n": cfg.n, "seed": cfg.seed,
-                  "chunk_size": cfg.chunk_size}
+    plan: dict = {"reps": cfg.reps, "n": cfg.n, "seed": cfg.seed}
     if cfg.n_proxy is not None:
         plan["n_proxy"] = cfg.n_proxy
     out["plan"] = plan
@@ -536,7 +537,7 @@ def _diag_to_dict(d: mc.CltDiagnostics) -> dict:
     return out
 
 
-def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     from .urn_core import run_trajectory
 
     traj = run_trajectory(cfg.urn, cfg.n, cfg.seed)
@@ -557,7 +558,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     return report
 
 
-def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     mn = mc.clt_check_mn(plan, records)
@@ -582,7 +583,7 @@ def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     return report
 
 
-def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     report = _report_skeleton(cfg)
@@ -610,7 +611,7 @@ def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     return report
 
 
-def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     rep = mc.limit_law_suite(plan, records)
@@ -626,7 +627,7 @@ def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     return report
 
 
-def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
@@ -635,7 +636,7 @@ def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
     return report
 
 
-def _run_hitting(cfg: ExperimentConfig, out_dir: Path, workers: int) -> dict:
+def _run_hitting(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     est = mc.hitting_probability_check(
         cfg.walk_start, cfg.walk_high, cfg.walk_reps, master_seed=cfg.seed
     )
@@ -659,8 +660,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, workers: int = 1) -> Path:
+def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
     """Execute a validated config; returns the report path.
+
+    ``workers`` goes to ``montecarlo.replicate``; None means its default.
 
     Every file is replaced whole, and ``report.json`` last, so a run
     that fails part-way leaves the previous report in place.
@@ -677,12 +680,13 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> Path:
 
 
 def _resolve_workers(flag_value: int | None) -> int | None:
-    """--workers, else $HRRU_WORKERS, else 1; None unless an integer >= 1."""
+    """--workers, else $HRRU_WORKERS, else ``os.cpu_count()``; None unless
+    an integer >= 1.  ``replicate`` clamps it to the chunk count."""
     if flag_value is not None:
         workers = flag_value
     else:
         try:
-            workers = int(os.environ.get(WORKERS_ENV) or 1)
+            workers = int(os.environ.get(WORKERS_ENV) or os.cpu_count() or 1)
         except ValueError:
             return None
     return workers if workers >= 1 else None
@@ -701,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default: ${WORKERS_ENV} or 1)")
+                       help=f"worker processes (default: ${WORKERS_ENV} or the CPU count)")
         p.add_argument("--out-dir", default=None,
                        help="override the config's output directory")
     return parser

@@ -31,12 +31,18 @@ trajectory, so it reproduces a lane bit for bit: ``run_chunk`` uses it
 for ``CustomRule`` configs, which have no vector form, and the tests
 use it as their reference.
 
-All ball counts and integer sums stay in int64, and numpy divides
-int64 by int64 (``h_rem / s_rem``, ``H / S``, ``counts / h``) through
-float64, which is exact only up to 2**53, where the scalar path divides
-Python ints exactly.  So ``check_int64_range`` bounds the worst-case
-total (a + b + steps * draw_bound * reinf_bound) and the sum of R^2
-(steps * reinf_bound^2) at 2**53 before a chunk starts.
+Ball counts, draw sizes, reinforcements and the integer sums are
+float64 state holding exact integers: ``n`` and ``r`` are copied into
+float64 rows once per step, and from there no operation mixes dtypes.
+Every sum, product and quotient (``h_rem / s_rem``, ``H / S``,
+``counts / h``) then gives the scalar path's Python-int bits as long as
+the integers stay at most 2**53.  So ``check_int64_range`` bounds the
+worst-case total (a + b + steps * draw_bound * reinf_bound) and the sum
+of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
+
+A chunk's workspace grows with its lanes and with the rows of its
+uniform matrix; ``lane_cap`` is the lane count whose workspace fits
+``WORKSPACE_BUDGET``, and ``montecarlo`` never plans a larger chunk.
 """
 
 from __future__ import annotations
@@ -72,9 +78,9 @@ def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
 
 
 def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
-    """Raise ``ParameterError`` unless ``steps`` steps keep every int64
-    count and sum of ``run_chunk`` at most 2**53, the range in which its
-    float64 divisions give the scalar path's bits."""
+    """Raise ``ParameterError`` unless ``steps`` steps keep every count
+    and sum of ``run_chunk`` at most 2**53, the range in which its
+    float64 state holds exact integers and gives the scalar path's bits."""
     if worst_case_total(config, steps) > _EXACT_LIMIT:
         raise ParameterError(
             f"worst-case ball count after {steps} steps exceeds 2**53; "
@@ -104,27 +110,28 @@ class _Chain:
     """The without-replacement Bernoulli chain over a block of lanes.
 
     ``draw`` decides ball ``j`` of every lane with one uniform: the
-    ball is marked when ``units[j] < h_rem / s_rem`` in float64, with
-    ``h_rem`` the marked balls left and ``s_rem = S - j`` the balls
-    left.  A lane whose draw size is at most ``j`` ignores ball ``j``;
-    its ``S - j`` stays positive since no draw exceeds the initial
-    ball count.  The buffers are allocated once, for every draw.
+    ball is marked when ``units[j] < h_rem / s_rem``, with ``h_rem`` the
+    marked balls left and ``s_rem = S - j`` the balls left.  A lane
+    whose draw size is at most ``j`` ignores ball ``j``; its ``S - j``
+    stays positive since no draw exceeds the initial ball count.  The
+    counts are float64 holding exact integers, and the buffers are
+    allocated once, for every draw.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.h_rem = np.empty(shape, dtype=np.int64)
-        self.s_rem = np.empty(shape, dtype=np.int64)
-        self.ratio = np.empty(shape, dtype=np.float64)
+        self.h_rem = np.empty(shape)
+        self.s_rem = np.empty(shape)
+        self.ratio = np.empty(shape)
         self.take = np.empty(shape, dtype=bool)
         self.active = np.empty(shape, dtype=bool)
-        self.x = np.empty(shape, dtype=np.int64)
+        self.x = np.empty(shape)
 
     def draw(self, units, H: np.ndarray, S: np.ndarray, n) -> np.ndarray:
         """Marked balls among ``n`` drawn from ``S`` holding ``H``, into ``self.x``.
 
         ``units`` yields ball ``j``'s uniforms in turn, and is read no
         further than the largest draw; ``n`` (every entry >= 1) is an
-        int or an array broadcasting to ``H``.
+        int or a float64 array broadcasting to ``H``.
         """
         h_rem, s_rem, ratio, take = self.h_rem, self.s_rem, self.ratio, self.take
         balls = iter(units)
@@ -140,11 +147,75 @@ class _Chain:
         return np.subtract(H, h_rem, out=self.x)
 
 
-def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
-    # The step's emissions laid out for the stacked urns: one emission
-    # read by every urn broadcasts; otherwise each urn's fills its row.
-    if rows is None:
-        return values[index[0]]
+class _Layout:
+    """Which stream value each row of a step's fused uniform matrix holds.
+
+    One row per stream value read per step, at counter c0 + m * t, each
+    row evaluated once however many emissions read it.  Emission rows
+    come first, then the extraction rows ball by ball: row
+    ``ex0 + j * len(urns) + u`` is ball ``j`` of urn ``u``.  ``draws``
+    and ``reinfs`` hold one (policy, stream, row) emission per distinct
+    (policy, stream) pair, and ``draw_of``/``reinf_of`` map each urn to
+    the emission it reads.
+    """
+
+    def __init__(self, config: UrnConfig | UrnSystem):
+        slots, self.stride = config.lockstep
+        self.urns = [slot.config for slot in slots]
+        self.rows: list[tuple[tuple[str, ...], int, int]] = []
+        self.draws: list = []
+        self.reinfs: list = []
+        self.draw_of = [self._emission(self.draws, slot.config.draw, slot.draw_stream)
+                        for slot in slots]
+        self.reinf_of = [self._emission(self.reinfs, slot.config.reinforce,
+                                        slot.reinforce_stream) for slot in slots]
+        self.ex0 = len(self.rows)
+        self.rows += [(("urn", c.label, rng.EXTRACT), j, self.stride)
+                      for j in range(self.stride) for c in self.urns]
+
+    def _emission(self, emitted: list, policy, stream: tuple[str, ...]) -> int:
+        for i, (p, s, _) in enumerate(emitted):
+            if p == policy and s == stream:
+                return i
+        r = None
+        if policy.stream_lag is not None:
+            key = (stream, -policy.stream_lag, 1)
+            if key not in self.rows:
+                self.rows.append(key)
+            r = self.rows.index(key)
+        emitted.append((policy, stream, r))
+        return len(emitted) - 1
+
+    @property
+    def lane_bytes(self) -> int:
+        # Three (rows, lanes) matrices (keys, counter states, uniforms)
+        # and _URN_BUFFERS (urns, lanes) float64 buffers.
+        return 8 * (3 * len(self.rows) + _URN_BUFFERS * len(self.urns))
+
+
+# run_chunk's (urns, lanes) buffers: ball counts, the chain, the integer
+# and Kahan sums with their scratch, and the emission rows.
+_URN_BUFFERS = 21
+# The workspace of one chunk is kept within this many bytes; see lane_cap.
+WORKSPACE_BUDGET = 8 << 20
+
+
+def lane_cap(config: UrnConfig | UrnSystem) -> int:
+    """The most lanes (at least 1) whose ``run_chunk`` workspace fits
+    ``WORKSPACE_BUDGET``; wide draw strides get fewer lanes."""
+    return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes)
+
+
+def _per_urn(values: list, index: list[int], rows: np.ndarray):
+    # The step's emissions laid out for the stacked urns, as float64.
+    # One int read by every urn stays a scalar; one array read by every
+    # urn broadcasts into every row; otherwise each urn's fills its row.
+    if len(set(index)) == 1:
+        value = values[index[0]]
+        if not isinstance(value, np.ndarray):
+            return value
+        rows[...] = value
+        return rows
     for u, i in enumerate(index):
         rows[u] = values[i]
     return rows
@@ -213,37 +284,8 @@ def run_chunk(
 
     lanes = rep_hi - rep_lo
     rkeys = rng.rep_keys_vec(master_seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
-    slots, stride = config.lockstep
-    urns = [slot.config for slot in slots]
-
-    # The fused uniform matrix: one row per stream value read per step,
-    # at counter c0 + m * t, each row evaluated once however many
-    # emissions read it.  Emission rows come first, then the extraction
-    # rows ball by ball: row ex0 + j * len(urns) + u is ball j of urn u.
-    rows: list[tuple[tuple[str, ...], int, int]] = []
-
-    def emission(emitted: list, policy, stream: tuple[str, ...]) -> int:
-        # One emission per distinct (policy, stream) pair and step.
-        for i, (p, s, _) in enumerate(emitted):
-            if p == policy and s == stream:
-                return i
-        r = None
-        if policy.stream_lag is not None:
-            key = (stream, -policy.stream_lag, 1)
-            if key not in rows:
-                rows.append(key)
-            r = rows.index(key)
-        emitted.append((policy, stream, r))
-        return len(emitted) - 1
-
-    draws: list = []
-    reinfs: list = []
-    draw_of = [emission(draws, c.draw, slot.draw_stream) for c, slot in zip(urns, slots)]
-    reinf_of = [emission(reinfs, c.reinforce, slot.reinforce_stream)
-                for c, slot in zip(urns, slots)]
-    ex0 = len(rows)
-    rows += [(("urn", c.label, rng.EXTRACT), j, stride) for j in range(stride) for c in urns]
-
+    layout = _Layout(config)
+    urns, rows, draws, reinfs = layout.urns, layout.rows, layout.draws, layout.reinfs
     keys = {stream: rng.derive_keys_each(rkeys, *stream)
             for stream in dict.fromkeys(stream for stream, _, _ in rows)}
     golden = rng.GOLDEN
@@ -256,22 +298,24 @@ def run_chunk(
 
     # The chunk's workspace; a step writes into it and allocates no
     # lane-sized array of its own.  Urns are stacked on axis 0.
+    # Every count, sum and emission in it is float64 holding an exact
+    # integer, so no step operation mixes dtypes.
     shape = (len(urns), lanes)
     states = np.empty_like(key_matrix)
     units = np.empty(key_matrix.shape, dtype=np.float64)
-    balls = units[ex0:].reshape(stride, *shape)
+    balls = units[layout.ex0:].reshape(layout.stride, *shape)
     step_off = np.empty_like(slope)
     chain = _Chain(shape)
-    H = np.repeat(np.array([[c.a] for c in urns], dtype=np.int64), lanes, axis=1)
-    S = np.repeat(np.array([[c.a + c.b] for c in urns], dtype=np.int64), lanes, axis=1)
-    counts = np.zeros((3, *shape), dtype=np.int64)     # sums of R, R^2, N
-    sums = np.zeros((2, *shape), dtype=np.float64)     # Kahan sums of X/N, 1/N
+    H = np.repeat(np.array([[c.a] for c in urns], dtype=np.float64), lanes, axis=1)
+    S = np.repeat(np.array([[c.a + c.b] for c in urns], dtype=np.float64), lanes, axis=1)
+    counts = np.zeros((3, *shape))  # sums of R, R^2, N
+    sums = np.zeros((2, *shape))    # Kahan sums of X/N, 1/N
     comps = np.zeros_like(sums)
     terms = np.empty_like(sums)
     spare = np.empty_like(sums)
-    grow = np.empty(shape, dtype=np.int64)
-    n_rows = np.empty(shape, dtype=np.int64) if len(set(draw_of)) > 1 else None
-    r_rows = np.empty(shape, dtype=np.int64) if len(set(reinf_of)) > 1 else None
+    grow = np.empty(shape)
+    n_rows = np.empty(shape)
+    r_rows = np.empty(shape)
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
@@ -286,8 +330,8 @@ def run_chunk(
             for (p, _, r), prev in zip(draws, n_now)
         ]
         r_now = [p.emit_vec(t, None if r is None else units[r]) for p, _, r in reinfs]
-        n = _per_urn(n_now, draw_of, n_rows)
-        r = _per_urn(r_now, reinf_of, r_rows)
+        n = _per_urn(n_now, layout.draw_of, n_rows)
+        r = _per_urn(r_now, layout.reinf_of, r_rows)
 
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)
@@ -327,9 +371,10 @@ def sample_hypergeometric_batch(
         raise ParameterError(f"count must be >= 1, got {count!r}")
     keys = np.full(count, key & rng.MASK64, dtype=np.uint64)
     base = np.arange(count, dtype=np.uint64) * np.uint64(n_draw)
-    return _Chain((count,)).draw(
+    hits = _Chain((count,)).draw(
         (rng.units_vec(keys, base + np.uint64(i)) for i in range(n_draw)),
-        np.full(count, marked, dtype=np.int64),
-        np.full(count, total, dtype=np.int64),
+        np.full(count, float(marked)),
+        np.full(count, float(total)),
         n_draw,
     )
+    return hits.astype(np.int64)

@@ -5,8 +5,11 @@ evaluation horizon ``n``, a long proxy horizon ``n_proxy``, and a
 master seed.  Replication ``r`` is a pure function of
 (master_seed, r): the engine derives every stream from that pair, so
 results are bit-identical whatever the chunking, worker count, or
-execution order.  Chunk boundaries are fixed by the plan, not by the
-scheduler, and chunk outputs are reassembled in index order.
+execution order.  ``replicate`` picks the chunks: one equal share of
+the reps per worker (fewer for a plan too small to pay for a worker),
+split further only where a share's workspace would exceed the engine's
+budget (``engine.lane_cap``).  Chunk outputs are reassembled in index
+order.
 
 The diagnostics standardize per-rep statistics with each rep's own
 plug-in variance and compare them against the standard normal law:
@@ -43,7 +46,6 @@ from .urn_core import (
 )
 
 DEFAULT_PROXY_FACTOR = 50
-DEFAULT_CHUNK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,9 @@ class ReplicationPlan:
     n: int
     n_proxy: int | None = None
     master_seed: int = 0
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+    # Lanes per chunk, for tests and experiments on chunking only: it
+    # changes no result, and ``engine.lane_cap`` still bounds it.
+    chunk_size: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.reps, int) or self.reps < 1:
@@ -67,7 +71,8 @@ class ReplicationPlan:
                 raise ParameterError(
                     f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
                 )
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
+        if self.chunk_size is not None and (
+                not isinstance(self.chunk_size, int) or self.chunk_size < 1):
             raise ParameterError(f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
         engine.check_int64_range(self.config, self.proxy_horizon)
 
@@ -150,8 +155,29 @@ class RepRecords:
         )
 
 
-def _chunk_bounds(reps: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk_size, reps)) for lo in range(0, reps, chunk_size)]
+# Starting a pool worker costs about as much as simulating this many
+# lane-steps (some 30 ms on 2 cores), so a plan gets no more equal
+# shares than it has of them.
+_SHARE_LANE_STEPS = 1 << 20
+
+
+def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
+    """The plan's reps as contiguous ranges of sizes differing by at most one.
+
+    Up to ``workers`` equal shares, each split into as few chunks as keep
+    every chunk within ``engine.lane_cap`` lanes; with ``plan.chunk_size``
+    set, as few chunks as keep every chunk within that many lanes, or the
+    cap.
+    """
+    cap = engine.lane_cap(plan.config)
+    if plan.chunk_size is None:
+        lane_steps = plan.reps * plan.proxy_horizon * len(plan.labels)
+        shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
+        chunks = shares * -(-plan.reps // (shares * cap))
+    else:
+        chunks = -(-plan.reps // min(plan.chunk_size, cap))
+    chunks = min(chunks, plan.reps)
+    return [(plan.reps * i // chunks, plan.reps * (i + 1) // chunks) for i in range(chunks)]
 
 
 def _run_one_chunk(args):
@@ -162,19 +188,21 @@ def _run_one_chunk(args):
 def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
-    ``workers`` > 1 distributes fixed chunks over at most
-    ``min(workers, chunks, os.cpu_count())`` processes; the per-rep
-    values are identical in every case because each rep's streams
-    depend only on (master_seed, rep index).  ``CustomRule`` plans run
-    in this process, since their rules need not be picklable.
+    The chunks (``_chunk_bounds``) run on ``min(workers, chunks,
+    os.cpu_count())`` processes, with ``workers`` defaulting to
+    ``os.cpu_count()``; the per-rep values are identical in every case
+    because each rep's streams depend only on (master_seed, rep index).
+    ``CustomRule`` plans run in this process, since their rules need
+    not be picklable.
     """
-    horizons = (plan.n, plan.proxy_horizon)
-    bounds = _chunk_bounds(plan.reps, plan.chunk_size)
-    tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
-    nworkers = 1 if workers is None else int(workers)
+    usable = os.cpu_count() or 1
+    nworkers = usable if workers is None else int(workers)
     if nworkers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    nworkers = min(nworkers, len(tasks), os.cpu_count() or 1)
+    horizons = (plan.n, plan.proxy_horizon)
+    bounds = _chunk_bounds(plan, min(nworkers, usable))
+    tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
+    nworkers = min(nworkers, len(tasks), usable)
     if nworkers == 1 or isinstance(getattr(plan.config, "draw", None), CustomRule):
         chunk_results = [_run_one_chunk(t) for t in tasks]
     else:

@@ -689,12 +689,6 @@ class Trajectory:
             S_after=int(self.S[t]),
         )
 
-    def state_before(self, t: int) -> tuple[int, int]:
-        """(H, S) entering step ``t``."""
-        if t == 0:
-            return self.config.a, self.config.a + self.config.b
-        return int(self.H[t - 1]), int(self.S[t - 1])
-
 
 def run_trajectory(
     config: UrnConfig,

@@ -241,6 +241,27 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         (tmp_path / "w2" / "samples.tsv").read_bytes()
 
 
+def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path):
+    # plan.chunk_size is delivery, like the output directory: it is not
+    # echoed, and neither it nor the worker count changes a byte.
+    outputs = set()
+    for chunk in (None, 1, 7, 4096):
+        for workers in (1, 2):
+            out = tmp_path / f"c{chunk}w{workers}"
+            raw = _clt_config(out)
+            if chunk is None:
+                del raw["plan"]["chunk_size"]
+            else:
+                raw["plan"]["chunk_size"] = chunk
+            echo = config_to_json_dict(parse_config(json.dumps(raw), kind="clt"))
+            assert "chunk_size" not in echo["plan"]
+            cfg_path = tmp_path / f"c{chunk}w{workers}.json"
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["clt", "--config", str(cfg_path), "--workers", str(workers)]) == 0
+            outputs.add(((out / "report.json").read_bytes(), (out / "samples.tsv").read_bytes()))
+    assert len(outputs) == 1
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"urn": {}, "plan": {}}')

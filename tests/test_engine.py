@@ -264,6 +264,7 @@ def test_sample_hypergeometric_batch_matches_scalar_views():
         sample_hypergeometric(stream.view(j * n_draw), n_draw, total, marked)
         for j in range(100)
     ]
+    assert batch.dtype == np.int64
     assert batch.tolist() == direct
 
 

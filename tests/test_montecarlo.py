@@ -1,5 +1,6 @@
 """Replication harness: determinism, reductions, and statistics."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hrru.multi_urn import CommonFactors, UrnSpec, UrnSystem
 from hrru.urn_core import (
     ConstantOne,
     ConstantReinforcement,
+    DiscreteDraw,
     IidUniform,
     IntegerDistribution,
     ParameterError,
@@ -124,7 +126,7 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     _RecordingPool.sizes = []
-    plan = _plan(chunk_size=8)  # 5 chunks
+    plan = _plan(chunk_size=8)  # 4 chunks
     base = mc.replicate(plan, workers=1)
     for workers in (10**6, 4, 2):
         assert mc.replicate(plan, workers=workers).single.at_n.z.tolist() == \
@@ -134,6 +136,64 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
     mc.replicate(plan, workers=8)
     assert _RecordingPool.sizes == [3, 3, 2]
+
+
+def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
+    # replicate(plan), and the CLI with neither --workers nor
+    # $HRRU_WORKERS, run one chunk per CPU.
+    from hrru.cli import main
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("HRRU_WORKERS", raising=False)
+    monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
+    _RecordingPool.sizes = []
+    plan = _plan(chunk_size=None)
+    assert [hi - lo for lo, hi in mc._chunk_bounds(plan, 3)] == [10, 10, 10]
+    assert mc.replicate(plan).single.at_n.z.tolist() == \
+        mc.replicate(plan, workers=1).single.at_n.z.tolist()
+    cfg = {"urn": {"a": 10, "b": 10, "draw": {"policy": "iid-uniform", "high": 4},
+                   "reinforce": {"policy": "uniform-range", "low": 1, "high": 3}},
+           "plan": {"reps": 30, "n": 20, "n_proxy": 200, "seed": 1},
+           "outputs": {"dir": str(tmp_path)}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["clt", "--config", str(tmp_path / "c.json")]) == 0
+    assert _RecordingPool.sizes == [3, 3]
+
+
+def test_chunks_are_equal_shares_per_worker():
+    plan = _plan(reps=5000, chunk_size=None)
+    assert mc._chunk_bounds(plan, 2) == [(0, 2500), (2500, 5000)]
+    assert mc._chunk_bounds(plan, 1) == [(0, 5000)]
+    # a plan too small to pay for a second process is one chunk
+    assert mc._chunk_bounds(_plan(reps=5000, n=5, n_proxy=50, chunk_size=None), 2) == \
+        [(0, 5000)]
+    # more workers than reps: one rep per chunk
+    assert mc._chunk_bounds(_plan(reps=3, n=10**6, n_proxy=10**7, chunk_size=None), 8) == \
+        [(0, 1), (1, 2), (2, 3)]
+    # an override sets the lanes per chunk; the chunks stay equal
+    assert mc._chunk_bounds(_plan(reps=30, chunk_size=8), 2) == \
+        [(0, 7), (7, 15), (15, 22), (22, 30)]
+
+
+def test_chunks_stay_within_the_workspace_budget():
+    # A draw bound of 1000 makes every lane carry about 1000 uniform
+    # rows, so the cap is far below an oversize override.  Only the
+    # bounds are computed; nothing is simulated.
+    wide = UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
+                     reinforce=UniformReinforcement(1, 3))
+    cap = mc.engine.lane_cap(wide)
+    assert 1 <= cap < 4096 < mc.engine.lane_cap(_cfg())
+    assert cap * mc.engine._Layout(wide).lane_bytes <= mc.engine.WORKSPACE_BUDGET
+    reps = 100 * cap + 1
+    for chunk_size in (10**9, None):
+        plan = _plan(reps=reps, n=10, n_proxy=100, chunk_size=chunk_size, config=wide)
+        bounds = mc._chunk_bounds(plan, 2)
+        sizes = [hi - lo for lo, hi in bounds]
+        assert bounds[0][0] == 0 and bounds[-1][1] == reps
+        assert all(b[1] == c[0] for b, c in zip(bounds, bounds[1:]))
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+        assert len(bounds) == (102 if chunk_size is None else 101)
 
 
 def test_different_seeds_give_fresh_but_comparable_samples():
