@@ -680,16 +680,18 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
 
 
 def _resolve_workers(flag_value: int | None) -> int | None:
-    """--workers, else $HRRU_WORKERS, else ``os.cpu_count()``; None unless
-    an integer >= 1.  ``replicate`` clamps it to the chunk count."""
-    if flag_value is not None:
-        workers = flag_value
-    else:
-        try:
-            workers = int(os.environ.get(WORKERS_ENV) or os.cpu_count() or 1)
-        except ValueError:
+    """--workers, else $HRRU_WORKERS, else None (``replicate``'s default).
+
+    Raises ValueError unless the value given is an integer >= 1.
+    """
+    if flag_value is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
             return None
-    return workers if workers >= 1 else None
+        flag_value = int(env)
+    if flag_value < 1:
+        raise ValueError(flag_value)
+    return flag_value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -705,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default: ${WORKERS_ENV} or the CPU count)")
+                       help=f"worker processes (default: ${WORKERS_ENV} or the usable CPUs)")
         p.add_argument("--out-dir", default=None,
                        help="override the config's output directory")
     return parser
@@ -729,8 +731,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg.seed = args.seed
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
-    workers = _resolve_workers(args.workers)
-    if workers is None:
+    try:
+        workers = _resolve_workers(args.workers)
+    except ValueError:
         print(f"error: --workers and ${WORKERS_ENV} must be integers >= 1", file=sys.stderr)
         return 2
     try:

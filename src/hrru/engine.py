@@ -40,9 +40,10 @@ the integers stay at most 2**53.  So ``check_int64_range`` bounds the
 worst-case total (a + b + steps * draw_bound * reinf_bound) and the sum
 of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
 
-A chunk's workspace grows with its lanes and with the rows of its
-uniform matrix; ``lane_cap`` is the lane count whose workspace fits
-``WORKSPACE_BUDGET``, and ``montecarlo`` never plans a larger chunk.
+A chunk's arrays (its step workspace and the snapshots it keeps) grow
+with its lanes, its urns and the rows of its uniform matrix;
+``lane_cap`` is the lane count whose arrays fit ``WORKSPACE_BUDGET``,
+and ``montecarlo`` never plans a larger chunk.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ class _Chain:
         self.active = np.empty(shape, dtype=bool)
         self.x = np.empty(shape)
 
+    @staticmethod
+    def lane_bytes() -> int:
+        """Bytes the buffers take per lane, read off a one-lane chain."""
+        return sum(buf.nbytes for buf in vars(_Chain((1,))).values())
+
     def draw(self, units, H: np.ndarray, S: np.ndarray, n) -> np.ndarray:
         """Marked balls among ``n`` drawn from ``S`` holding ``H``, into ``self.x``.
 
@@ -186,24 +192,33 @@ class _Layout:
         emitted.append((policy, stream, r))
         return len(emitted) - 1
 
-    @property
-    def lane_bytes(self) -> int:
-        # Three (rows, lanes) matrices (keys, counter states, uniforms)
-        # and _URN_BUFFERS (urns, lanes) float64 buffers.
-        return 8 * (3 * len(self.rows) + _URN_BUFFERS * len(self.urns))
+    def lane_bytes(self, horizons: int) -> int:
+        """Bytes per lane of the arrays a ``run_chunk`` with this many
+        horizons holds at once.
+
+        Three (rows, lanes) matrices (keys, counter states, uniforms);
+        per urn the chain, the ``_WORK_ROWS`` float64 rows and the
+        snapshot fields kept from every horizon; and a row for each
+        emission (none for a scalar one, so this may overstate).  The
+        peak comes at the last horizon, when the snapshots outweigh
+        any emission's temporaries.
+        """
+        per_urn = _Chain.lane_bytes() + 8 * (_WORK_ROWS + len(SNAPSHOT_FIELDS) * horizons)
+        emissions = len(self.draws) + len(self.reinfs)
+        return 8 * (3 * len(self.rows) + emissions) + per_urn * len(self.urns)
 
 
-# run_chunk's (urns, lanes) buffers: ball counts, the chain, the integer
-# and Kahan sums with their scratch, and the emission rows.
-_URN_BUFFERS = 21
-# The workspace of one chunk is kept within this many bytes; see lane_cap.
+# run_chunk's float64 (urns, lanes) rows, allocated as one block.
+_WORK_ROWS = 16
+# A chunk's arrays are kept within this many bytes; see lane_cap.
 WORKSPACE_BUDGET = 8 << 20
 
 
-def lane_cap(config: UrnConfig | UrnSystem) -> int:
-    """The most lanes (at least 1) whose ``run_chunk`` workspace fits
-    ``WORKSPACE_BUDGET``; wide draw strides get fewer lanes."""
-    return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes)
+def lane_cap(config: UrnConfig | UrnSystem, horizons: int) -> int:
+    """The most lanes (at least 1) whose ``run_chunk`` arrays, with
+    ``horizons`` snapshots, fit ``WORKSPACE_BUDGET``; wide draw strides
+    get fewer lanes."""
+    return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes(horizons))
 
 
 def _per_urn(values: list, index: list[int], rows: np.ndarray):
@@ -251,6 +266,20 @@ def trajectory_snapshot(traj: Trajectory, horizon: int) -> dict[str, float]:
     }
 
 
+def _row_keys(master_seed: int, rep_lo: int, rep_hi: int, rows: list) -> np.ndarray:
+    """Each row's key for lanes rep_lo..rep_hi-1, offset to counter c0:
+    a (rows, lanes) uint64 matrix; the per-stream keys are not kept."""
+    rkeys = rng.rep_keys_vec(master_seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
+    keys = {stream: rng.derive_keys_each(rkeys, *stream)
+            for stream in dict.fromkeys(stream for stream, _, _ in rows)}
+    # c(t) = c0 + m t, so the additive stream offset (c(t) + 1) * GOLDEN
+    # = off0 + t * slope (mod 2**64): off0 goes into the keys once here.
+    off0 = np.array([((c + 1) * rng.GOLDEN) & rng.MASK64 for _, c, _ in rows], dtype=np.uint64)
+    key_matrix = np.stack([keys[stream] for stream, _, _ in rows])
+    key_matrix += off0[:, None]
+    return key_matrix
+
+
 def run_chunk(
     config: UrnConfig | UrnSystem,
     master_seed: int,
@@ -283,18 +312,10 @@ def run_chunk(
         ]}
 
     lanes = rep_hi - rep_lo
-    rkeys = rng.rep_keys_vec(master_seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
     layout = _Layout(config)
     urns, rows, draws, reinfs = layout.urns, layout.rows, layout.draws, layout.reinfs
-    keys = {stream: rng.derive_keys_each(rkeys, *stream)
-            for stream in dict.fromkeys(stream for stream, _, _ in rows)}
-    golden = rng.GOLDEN
-    # c(t) = c0 + m t, so the additive stream offset (c(t) + 1) * GOLDEN
-    # = off0 + t * slope (mod 2**64): off0 goes into the keys once here.
-    off0 = np.array([((c + 1) * golden) & rng.MASK64 for _, c, _ in rows], dtype=np.uint64)
-    slope = np.array([(m * golden) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
-    key_matrix = np.stack([keys[stream] for stream, _, _ in rows])
-    key_matrix += off0[:, None]
+    key_matrix = _row_keys(master_seed, rep_lo, rep_hi, rows)
+    slope = np.array([(m * rng.GOLDEN) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
 
     # The chunk's workspace; a step writes into it and allocates no
     # lane-sized array of its own.  Urns are stacked on axis 0.
@@ -306,16 +327,13 @@ def run_chunk(
     balls = units[layout.ex0:].reshape(layout.stride, *shape)
     step_off = np.empty_like(slope)
     chain = _Chain(shape)
-    H = np.repeat(np.array([[c.a] for c in urns], dtype=np.float64), lanes, axis=1)
-    S = np.repeat(np.array([[c.a + c.b] for c in urns], dtype=np.float64), lanes, axis=1)
-    counts = np.zeros((3, *shape))  # sums of R, R^2, N
-    sums = np.zeros((2, *shape))    # Kahan sums of X/N, 1/N
-    comps = np.zeros_like(sums)
-    terms = np.empty_like(sums)
-    spare = np.empty_like(sums)
-    grow = np.empty(shape)
-    n_rows = np.empty(shape)
-    r_rows = np.empty(shape)
+    work = np.zeros((_WORK_ROWS, *shape))
+    H, S, grow, n_rows, r_rows = work[:5]
+    counts = work[5:8]   # sums of R, R^2, N
+    sums = work[8:10]    # Kahan sums of X/N, 1/N
+    comps, terms, spare = work[10:12], work[12:14], work[14:]
+    H[...] = [[c.a] for c in urns]
+    S[...] = [[c.a + c.b] for c in urns]
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)

@@ -7,7 +7,7 @@ master seed.  Replication ``r`` is a pure function of
 results are bit-identical whatever the chunking, worker count, or
 execution order.  ``replicate`` picks the chunks: one equal share of
 the reps per worker (fewer for a plan too small to pay for a worker),
-split further only where a share's workspace would exceed the engine's
+split further only where a share's arrays would exceed the engine's
 budget (``engine.lane_cap``).  Chunk outputs are reassembled in index
 order.
 
@@ -79,6 +79,11 @@ class ReplicationPlan:
     @property
     def proxy_horizon(self) -> int:
         return self.n_proxy if self.n_proxy is not None else DEFAULT_PROXY_FACTOR * self.n
+
+    @property
+    def horizons(self) -> tuple[int, int]:
+        """The engine's snapshot horizons: ``n`` and the proxy horizon."""
+        return (self.n, self.proxy_horizon)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -155,10 +160,11 @@ class RepRecords:
         )
 
 
-# Starting a pool worker costs about as much as simulating this many
-# lane-steps (some 30 ms on 2 cores), so a plan gets no more equal
-# shares than it has of them.
-_SHARE_LANE_STEPS = 1 << 20
+# A plan gets no more equal shares than it has this many lane-steps.
+# Measured on 2 cores (reference urn, 10 alternating pairs per size,
+# fresh processes): one process beat a pool of two up to 0.75 * 2**20
+# lane-steps, tied near 2**20 and lost from 1.5 * 2**20 on.
+_SHARE_LANE_STEPS = 1 << 19
 
 
 def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
@@ -169,7 +175,7 @@ def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
     set, as few chunks as keep every chunk within that many lanes, or the
     cap.
     """
-    cap = engine.lane_cap(plan.config)
+    cap = engine.lane_cap(plan.config, len(plan.horizons))
     if plan.chunk_size is None:
         lane_steps = plan.reps * plan.proxy_horizon * len(plan.labels)
         shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
@@ -185,21 +191,31 @@ def _run_one_chunk(args):
     return engine.run_chunk(config, master_seed, lo, hi, horizons)
 
 
+def _usable_cpus() -> int:
+    # The CPUs this process may run on: its affinity set where the
+    # platform reports one (taskset, container cpusets), else the count.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
-    The chunks (``_chunk_bounds``) run on ``min(workers, chunks,
-    os.cpu_count())`` processes, with ``workers`` defaulting to
-    ``os.cpu_count()``; the per-rep values are identical in every case
-    because each rep's streams depend only on (master_seed, rep index).
-    ``CustomRule`` plans run in this process, since their rules need
-    not be picklable.
+    The chunks (``_chunk_bounds``) run on ``min(workers, chunks, usable
+    CPUs)`` processes, with ``workers`` defaulting to the usable CPUs;
+    a plan too small to pay for starting a pool is one chunk, and so
+    runs in this process whatever ``workers`` says.  The per-rep values
+    are identical in every case because each rep's streams depend only
+    on (master_seed, rep index).  ``CustomRule`` plans run in this
+    process, since their rules need not be picklable.
     """
-    usable = os.cpu_count() or 1
+    usable = _usable_cpus()
     nworkers = usable if workers is None else int(workers)
     if nworkers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    horizons = (plan.n, plan.proxy_horizon)
+    horizons = plan.horizons
     bounds = _chunk_bounds(plan, min(nworkers, usable))
     tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
     nworkers = min(nworkers, len(tasks), usable)

@@ -9,12 +9,15 @@ chunking and multiprocessing safe.  The golden pins in test_golden.py
 catch changes that would move both paths together.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hrru import rng
 from hrru.engine import (
     SNAPSHOT_FIELDS,
+    _Layout,
     check_int64_range,
     run_chunk,
     sample_hypergeometric_batch,
@@ -130,6 +133,42 @@ def test_system_paths_agree_distinct_draw_bases(factors):
         factors=factors,
     )
     assert_paths_agree(sys3, seed=13)
+
+
+def _traced_peak(config, lanes, horizons):
+    tracemalloc.start()
+    try:
+        run_chunk(config, 1, 0, lanes, horizons)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("config, lanes", [
+    (UrnConfig(a=10, b=10, draw=IidUniform(4), reinforce=UniformReinforcement(1, 3)), 1024),
+    (UrnSystem(urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+                     UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=2)),
+               factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3)), 1024),
+    (UrnConfig(a=10, b=10, draw=AbsorbingRandomWalk(start=3, high=6),
+               reinforce=ConstantReinforcement(2)), 1024),
+    (UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
+               reinforce=UniformReinforcement(1, 3)), 32),
+], ids=["reference", "system", "walk", "stride-1000"])
+def test_lane_bytes_matches_the_traced_peak(config, lanes):
+    # lane_bytes sizes chunks against the memory budget, so it must
+    # cover what run_chunk holds per lane at its peak, snapshots
+    # included: one more float64 row would break the upper bound.  It
+    # may overstate by the rows of scalar emissions.  numpy reports
+    # its buffers to tracemalloc; the difference of two lane counts
+    # drops the chunk's fixed overhead.
+    horizons = (3, 30)
+    run_chunk(config, 1, 0, 8, horizons)
+    per_lane = (_traced_peak(config, 2 * lanes, horizons)
+                - _traced_peak(config, lanes, horizons)) / lanes
+    layout = _Layout(config)
+    estimate = layout.lane_bytes(len(horizons))
+    emission_rows = 8 * (len(layout.draws) + len(layout.reinfs))
+    assert 0.99 * estimate - emission_rows <= per_lane <= estimate + 4
 
 
 def test_early_snapshots_are_final():

@@ -124,7 +124,7 @@ class _RecordingPool:
 
 def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     _RecordingPool.sizes = []
     plan = _plan(chunk_size=8)  # 4 chunks
     base = mc.replicate(plan, workers=1)
@@ -133,7 +133,7 @@ def test_pool_size_is_clamped(monkeypatch):
             base.single.at_n.z.tolist()
     # one chunk, or one usable worker, never starts a pool
     mc.replicate(_plan(chunk_size=100), workers=8)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     mc.replicate(plan, workers=8)
     assert _RecordingPool.sizes == [3, 3, 2]
 
@@ -144,7 +144,7 @@ def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
     from hrru.cli import main
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     monkeypatch.delenv("HRRU_WORKERS", raising=False)
     monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
     _RecordingPool.sizes = []
@@ -159,6 +159,14 @@ def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["clt", "--config", str(tmp_path / "c.json")]) == 0
     assert _RecordingPool.sizes == [3, 3]
+
+
+def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert mc._usable_cpus() == 2
+    monkeypatch.delattr(mc.os, "sched_getaffinity")
+    assert mc._usable_cpus() == 64
 
 
 def test_chunks_are_equal_shares_per_worker():
@@ -182,9 +190,9 @@ def test_chunks_stay_within_the_workspace_budget():
     # bounds are computed; nothing is simulated.
     wide = UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
                      reinforce=UniformReinforcement(1, 3))
-    cap = mc.engine.lane_cap(wide)
-    assert 1 <= cap < 4096 < mc.engine.lane_cap(_cfg())
-    assert cap * mc.engine._Layout(wide).lane_bytes <= mc.engine.WORKSPACE_BUDGET
+    cap = mc.engine.lane_cap(wide, 2)
+    assert 1 <= cap < 4096 < mc.engine.lane_cap(_cfg(), 2)
+    assert cap * mc.engine._Layout(wide).lane_bytes(2) <= mc.engine.WORKSPACE_BUDGET
     reps = 100 * cap + 1
     for chunk_size in (10**9, None):
         plan = _plan(reps=reps, n=10, n_proxy=100, chunk_size=chunk_size, config=wide)
