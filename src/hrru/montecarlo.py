@@ -204,12 +204,13 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
     The chunks (``_chunk_bounds``) run on ``min(workers, chunks, usable
-    CPUs)`` processes, with ``workers`` defaulting to the usable CPUs;
-    a plan too small to pay for starting a pool is one chunk, and so
-    runs in this process whatever ``workers`` says.  The per-rep values
-    are identical in every case because each rep's streams depend only
-    on (master_seed, rep index).  ``CustomRule`` plans run in this
-    process, since their rules need not be picklable.
+    CPUs)`` processes, with ``workers`` defaulting to the usable CPUs.
+    A plan gets no more shares than it has ``_SHARE_LANE_STEPS``
+    lane-steps, so a small one runs in this process whatever
+    ``workers`` says.  The per-rep values are identical in every case
+    because each rep's streams depend only on (master_seed, rep index).
+    ``CustomRule`` plans run in this process, since their rules need
+    not be picklable.
     """
     usable = _usable_cpus()
     nworkers = usable if workers is None else int(workers)
