@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from . import montecarlo as mc
-from .multi_urn import CommonFactors, UrnSpec, UrnSystem
+from .multi_urn import CommonFactors, UrnSpec, UrnSystem, check_coefficients
 from .urn_core import (
     DRAW_POLICIES,
     REINFORCEMENT_POLICIES,
@@ -84,18 +84,23 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
+    @staticmethod
+    def at(path: str, key: str) -> str:
+        """The path of ``key`` inside ``path``; "" is the top level."""
+        return f"{path}.{key}" if path else key
+
     def expect_int(self, obj: dict, path: str, key: str, minimum: int | None = None,
                    required: bool = True, default=None):
         if key not in obj:
             if required:
-                self.add(f"{path}.{key}", "required field is missing")
+                self.add(self.at(path, key), "required field is missing")
             return default
         v = obj[key]
         if not isinstance(v, int) or isinstance(v, bool):
-            self.add(f"{path}.{key}", f"must be an integer, got {v!r}")
+            self.add(self.at(path, key), f"must be an integer, got {v!r}")
             return default
         if minimum is not None and v < minimum:
-            self.add(f"{path}.{key}", f"must be >= {minimum}, got {v}")
+            self.add(self.at(path, key), f"must be >= {minimum}, got {v}")
             return default
         return v
 
@@ -103,11 +108,11 @@ class _Collector:
                       default=None):
         if key not in obj:
             if required:
-                self.add(f"{path}.{key}", "required field is missing")
+                self.add(self.at(path, key), "required field is missing")
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.add(f"{path}.{key}", f"must be a number, got {v!r}")
+            self.add(self.at(path, key), f"must be a number, got {v!r}")
             return default
         return float(v)
 
@@ -115,14 +120,14 @@ class _Collector:
                    default=None, choices: tuple[str, ...] | None = None):
         if key not in obj:
             if required:
-                self.add(f"{path}.{key}", "required field is missing")
+                self.add(self.at(path, key), "required field is missing")
             return default
         v = obj[key]
         if not isinstance(v, str):
-            self.add(f"{path}.{key}", f"must be a string, got {v!r}")
+            self.add(self.at(path, key), f"must be a string, got {v!r}")
             return default
         if choices is not None and v not in choices:
-            self.add(f"{path}.{key}", f"must be one of {choices}, got {v!r}")
+            self.add(self.at(path, key), f"must be one of {choices}, got {v!r}")
             return default
         return v
 
@@ -378,6 +383,10 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             col.add("coeffs", "weights must be numbers")
         else:
             out.coeffs = {k: float(v) for k, v in coeffs.items()}
+            try:
+                check_coefficients(out.coeffs)
+            except ParameterError as exc:
+                col.add("coeffs", str(exc))
             if out.system is not None:
                 for lab in out.coeffs:
                     if lab not in out.system.labels:

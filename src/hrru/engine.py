@@ -9,10 +9,12 @@ each replication alone, and therefore independent of chunk sizes,
 worker counts, and execution order.
 
 A single urn and a multi-urn system take the same path: both are a
-list of one-urn slots (``config.lockstep``), each naming the streams
-its policies read, plus the shared extraction stride.  Each policy
-emits through its own ``emit_vec``, once per distinct (policy, stream)
-pair and step, so a shared factor is drawn once for all urns.
+list of one-urn slots (``config.lockstep``), each naming the key paths
+of the three streams it reads, plus the shared extraction stride.  The
+scalar path (``urn_core.lockstep_trajectories``) reads the same paths,
+so neither spells a path of its own.  Each policy emits through its
+own ``emit_vec``, once per distinct (policy, stream) pair and step, so
+a shared factor is drawn once for all urns.
 
 The urns are stacked on axis 0: ball counts, sums and the Bernoulli
 chain are ``(urns, lanes)`` arrays, and one step is one pass over all
@@ -36,9 +38,9 @@ float64 state holding exact integers: ``n`` and ``r`` are copied into
 float64 rows once per step, and from there no operation mixes dtypes.
 Every sum, product and quotient (``h_rem / s_rem``, ``H / S``,
 ``counts / h``) then gives the scalar path's Python-int bits as long as
-the integers stay at most 2**53.  So ``check_int64_range`` bounds the
-worst-case total (a + b + steps * draw_bound * reinf_bound) and the sum
-of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
+the integers stay at most 2**53.  So ``check_int64_range`` bounds every
+urn's worst-case total (a + b + steps * draw_bound * reinf_bound) and
+sum of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
 
 A chunk's arrays (its step workspace and the snapshots it keeps) grow
 with its lanes, its urns and the rows of its uniform matrix;
@@ -69,12 +71,12 @@ SNAPSHOT_FIELDS = (
 
 
 def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
-    if isinstance(config, UrnSystem):
-        k = config.k
-        return max(u.a + u.b for u in config.urns) + steps * k * k
-    return (
-        config.a + config.b
-        + steps * config.draw.bound * config.reinforce.bound
+    """The largest ball count any urn can reach in ``steps`` steps: per
+    urn, a + b plus ``steps`` times its draw bound times its
+    reinforcement bound."""
+    return max(
+        c.a + c.b + steps * c.draw.bound * c.reinforce.bound
+        for c in (slot.config for slot in config.lockstep[0])
     )
 
 
@@ -176,8 +178,8 @@ class _Layout:
         self.reinf_of = [self._emission(self.reinfs, slot.config.reinforce,
                                         slot.reinforce_stream) for slot in slots]
         self.ex0 = len(self.rows)
-        self.rows += [(("urn", c.label, rng.EXTRACT), j, self.stride)
-                      for j in range(self.stride) for c in self.urns]
+        self.rows += [(slot.extract_stream, j, self.stride)
+                      for j in range(self.stride) for slot in slots]
 
     def _emission(self, emitted: list, policy, stream: tuple[str, ...]) -> int:
         for i, (p, s, _) in enumerate(emitted):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine, gof, rng
 from .estimators import normal_cdf, normal_quantile, variance_terms
-from .multi_urn import UrnSystem
+from .multi_urn import UrnSystem, check_coefficients
 from .urn_core import (
     ConstantReinforcement,
     CustomRule,
@@ -87,9 +87,7 @@ class ReplicationPlan:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        if isinstance(self.config, UrnSystem):
-            return self.config.labels
-        return (self.config.label,)
+        return tuple(slot.config.label for slot in self.config.lockstep[0])
 
 
 @dataclass(frozen=True)
@@ -539,8 +537,7 @@ def linear_combination_coverage(
     """
     if basis not in ("Z", "M"):
         raise ParameterError(f"basis must be 'Z' or 'M', got {basis!r}")
-    if not coeffs:
-        raise ParameterError("coefficient map must name at least one urn")
+    check_coefficients(coeffs)
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
     if records is None:

@@ -15,10 +15,12 @@ draw (1 <= N <= k <= a + b) is provable at configuration time.
 
 A system urn is exactly a single urn (``UrnSystem.lockstep``): its
 draw and reinforcement policies are the factor laws shifted by its
-base constants (a constant where a factor is absent), and they read
-the shared factor streams instead of the urn's own.  Every urn steps
-with the one urn rule of ``urn_core.urn_rule`` at the system's shared
-extraction stride.  Per-urn extraction streams are keyed by label and
+base constants (a constant where a factor is absent), and its slot
+names the shared factor streams instead of the urn's own.
+``run_system`` is one call to ``urn_core.lockstep_trajectories``, the
+builder ``run_trajectory`` uses too: every urn steps with the one urn
+rule at the system's shared extraction stride, and all urns read one
+stream per factor.  Per-urn extraction streams are keyed by label and
 purpose alone, so adding or removing an urn never perturbs another
 urn's draws.
 """
@@ -43,7 +45,7 @@ from .estimators import (
     plugin_estimates,
     variance_estimates,
 )
-from .rng import FACTOR_DRAW, FACTOR_REINFORCE, SystemStreams, UrnStreams
+from .rng import FACTOR_DRAW, FACTOR_REINFORCE
 from .urn_core import (
     ConfigError,
     ConstantReinforcement,
@@ -52,12 +54,9 @@ from .urn_core import (
     DiscreteReinforcement,
     IntegerDistribution,
     ParameterError,
-    StepRecord,
     Trajectory,
     UrnConfig,
     UrnSlot,
-    UrnState,
-    advance,
     lockstep_trajectories,
 )
 
@@ -214,58 +213,6 @@ def _urn_config_for(spec: UrnSpec, f: CommonFactors) -> UrnConfig:
 
 
 @dataclass(frozen=True)
-class SystemState:
-    """Compositions of all urns after ``t`` completed steps."""
-
-    states: tuple[UrnState, ...]
-    t: int
-
-    @classmethod
-    def initial(cls, system: UrnSystem) -> "SystemState":
-        return cls(
-            states=tuple(UrnState.initial(u.a, u.b) for u in system.urns),
-            t=0,
-        )
-
-
-def _slot_streams(slots: Sequence[UrnSlot], streams: SystemStreams) -> list[UrnStreams]:
-    # What each slot reads: the shared factor streams and its own extraction.
-    return [
-        UrnStreams(
-            draw=streams.factor_draw,
-            extract=streams.urns[slot.config.label].extract,
-            reinforce=streams.factor_reinforce,
-        )
-        for slot in slots
-    ]
-
-
-def system_step(
-    system: UrnSystem,
-    state: SystemState,
-    streams: SystemStreams,
-) -> tuple[SystemState, dict[str, StepRecord], tuple[int, int]]:
-    """Advance every urn by one step under one shared factor draw.
-
-    Urns step in declaration order, each by the single-urn rule of its
-    slot in ``system.lockstep``, reading the factor streams for its
-    draw size and reinforcement.  Returns the new state, the per-label
-    step records, and the drawn (F', F'') pair.
-    """
-    slots, stride = system.lockstep
-    new_states = []
-    records: dict[str, StepRecord] = {}
-    for slot, ust, reads in zip(slots, state.states, _slot_streams(slots, streams)):
-        cfg = slot.config
-        ust, records[cfg.label] = advance(ust, cfg.draw, cfg.reinforce, reads, stride)
-        new_states.append(ust)
-    spec = system.urns[0]
-    first = records[spec.label]
-    factors = (first.N - spec.draw_base, first.R - spec.reinforce_base)
-    return SystemState(states=tuple(new_states), t=state.t + 1), records, factors
-
-
-@dataclass(frozen=True)
 class SystemTrajectory:
     """Aligned per-urn trajectories plus the shared factor draws."""
 
@@ -294,14 +241,10 @@ def run_system(
     master_seed: int,
     rep: int = 0,
 ) -> SystemTrajectory:
-    """Simulate ``steps`` coupled steps of the whole system."""
-    if not isinstance(steps, int) or steps < 1:
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
-    streams = SystemStreams.create(master_seed, rep, system.labels)
+    """Simulate ``steps`` coupled steps of replication ``rep`` of the
+    whole system."""
     slots, stride = system.lockstep
-    trajs = lockstep_trajectories(
-        slots, stride, _slot_streams(slots, streams), steps, master_seed
-    )
+    trajs = lockstep_trajectories(slots, stride, master_seed, rep, steps)
     # Every urn reads the same factors; the first urn's N and R carry them.
     spec, first = system.urns[0], trajs[0]
     return SystemTrajectory(
@@ -386,6 +329,17 @@ def per_urn_summary(traj: SystemTrajectory, n: int | None = None) -> dict[str, U
     return out
 
 
+def check_coefficients(coeffs: Mapping[str, float]) -> None:
+    """Raise ``ParameterError`` unless the weights of a linear
+    combination are finite, name at least one urn and are not all zero."""
+    if not coeffs:
+        raise ParameterError("coefficient map must name at least one urn")
+    if not all(math.isfinite(c) for c in coeffs.values()):
+        raise ParameterError(f"coefficients must be finite, got {dict(coeffs)}")
+    if all(c == 0.0 for c in coeffs.values()):
+        raise ParameterError("at least one coefficient must be nonzero")
+
+
 def linear_combination_ci(
     traj: SystemTrajectory,
     coeffs: Mapping[str, float],
@@ -403,10 +357,7 @@ def linear_combination_ci(
     """
     if basis not in ("Z", "M"):
         raise ParameterError(f"basis must be 'Z' or 'M', got {basis!r}")
-    if not coeffs:
-        raise ParameterError("coefficient map must name at least one urn")
-    if all(c == 0.0 for c in coeffs.values()):
-        raise ParameterError("at least one coefficient must be nonzero")
+    check_coefficients(coeffs)
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
     summaries = per_urn_summary(traj, n)

@@ -172,42 +172,12 @@ def rep_key(master_seed: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class UrnStreams:
-    """The three per-urn streams for one replication."""
+    """The three streams one urn step reads: its draw size, its
+    extraction and its reinforcement."""
 
     draw: Stream
     extract: Stream
     reinforce: Stream
-
-    @classmethod
-    def create(cls, master_seed: int, rep: int = 0, label: str = DEFAULT_LABEL) -> "UrnStreams":
-        rk = rep_key(master_seed, rep)
-        return cls.from_rep_key(rk, label)
-
-    @classmethod
-    def from_rep_key(cls, rk: int, label: str = DEFAULT_LABEL) -> "UrnStreams":
-        return cls(
-            draw=Stream(derive_key(rk, "urn", label, DRAW)),
-            extract=Stream(derive_key(rk, "urn", label, EXTRACT)),
-            reinforce=Stream(derive_key(rk, "urn", label, REINFORCE)),
-        )
-
-
-@dataclass(frozen=True)
-class SystemStreams:
-    """Urn streams for every label plus the shared factor streams."""
-
-    urns: dict[str, UrnStreams]
-    factor_draw: Stream
-    factor_reinforce: Stream
-
-    @classmethod
-    def create(cls, master_seed: int, rep: int, labels: tuple[str, ...]) -> "SystemStreams":
-        rk = rep_key(master_seed, rep)
-        return cls(
-            urns={lab: UrnStreams.from_rep_key(rk, lab) for lab in labels},
-            factor_draw=Stream(derive_key(rk, FACTOR_DRAW)),
-            factor_reinforce=Stream(derive_key(rk, FACTOR_REINFORCE)),
-        )
 
 
 # Vectorized twins.  These evaluate the same functions elementwise on

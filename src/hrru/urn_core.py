@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import DEFAULT_LABEL, DRAW, REINFORCE, Stream, UrnStreams
+from .rng import DEFAULT_LABEL, DRAW, EXTRACT, REINFORCE, Stream, UrnStreams, derive_key, rep_key
 
-# Ball counts are carried in int64 arrays by the batch engine; keep a
+# Ball counts land in the int64 columns of a ``Trajectory``; keep a
 # margin below 2**63 so intermediate products cannot wrap there.
 CAPACITY_LIMIT = 1 << 62
 
@@ -66,8 +66,8 @@ class IntegerDistribution:
             problems.append("support values must be integers")
         elif len(set(self.values)) != len(self.values):
             problems.append("support values must be distinct")
-        if any(p < 0.0 for p in self.probs):
-            problems.append("probabilities must be nonnegative")
+        if any(not math.isfinite(p) or p < 0.0 for p in self.probs):
+            problems.append(f"probabilities must be finite and nonnegative, got {self.probs}")
         elif self.probs and abs(math.fsum(self.probs) - 1.0) > 1e-9:
             problems.append(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
         if problems:
@@ -281,14 +281,7 @@ class AbsorbingRandomWalk:
     def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
         if t == 0:
             return self.start
-        if len(n_history) == t:
-            prev = n_history[t - 1]
-        else:
-            # Standalone replay: rebuild the walk from its own stream.
-            prev = self.start
-            for j in range(1, t):
-                prev = walk_move(prev, stream.unit_at(j - 1), self.high)
-        return self.emit_vec(t, stream.unit_at(t - 1), prev)
+        return self.emit_vec(t, stream.unit_at(t - 1), n_history[t - 1])
 
     def emit_vec(self, t: int, u, n_prev):
         return self.start if t == 0 else walk_move(n_prev, u, self.high)
@@ -438,32 +431,6 @@ REINFORCEMENT_POLICIES = {
 
 
 @dataclass(frozen=True)
-class UrnState:
-    """Exact composition after ``n`` completed steps."""
-
-    a: int
-    b: int
-    n: int
-    H: int
-    S: int
-
-    @classmethod
-    def initial(cls, a: int, b: int) -> "UrnState":
-        problems = []
-        if not isinstance(a, int) or a < 1:
-            problems.append(f"initial A-count must be an integer >= 1, got {a!r}")
-        if not isinstance(b, int) or b < 1:
-            problems.append(f"initial B-count must be an integer >= 1, got {b!r}")
-        if problems:
-            raise ParameterError("; ".join(problems))
-        return cls(a=a, b=b, n=0, H=a, S=a + b)
-
-    @property
-    def z(self) -> float:
-        return self.H / self.S
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """Everything observable about one completed step."""
 
@@ -508,49 +475,6 @@ def sample_hypergeometric(stream: Stream, n_draw: int, total: int, marked: int) 
     hits = _chain(stream, stream.pos, n_draw, total, marked)
     stream.pos += n_draw
     return hits
-
-
-def step(
-    state: UrnState,
-    draw_policy: DrawSizePolicy,
-    reinf_policy: ReinforcementPolicy,
-    streams: UrnStreams,
-    n_history: Sequence[int] = (),
-) -> tuple[UrnState, StepRecord]:
-    """Advance the urn by one step, reading streams positionally.
-
-    ``n_history`` is the list of prior draw sizes for history-dependent
-    policies; stateless policies ignore it, and history-dependent ones
-    can replay their own stream when it is not supplied.
-    """
-    k = draw_policy.bound
-    if k > state.a + state.b:
-        raise ParameterError(
-            f"draw-size bound {k} exceeds initial ball count {state.a + state.b}; "
-            f"the bound must satisfy k <= a + b"
-        )
-    return advance(state, draw_policy, reinf_policy, streams, k, n_history)
-
-
-def advance(
-    state: UrnState,
-    draw_policy: DrawSizePolicy,
-    reinf_policy: ReinforcementPolicy,
-    streams: UrnStreams,
-    stride: int,
-    n_history: Sequence[int] = (),
-) -> tuple[UrnState, StepRecord]:
-    """``urn_rule`` on an ``UrnState``, returning the next state and the record.
-
-    A single urn's stride is its draw bound (``step``); urns stepped in
-    lockstep share the largest bound among them (``multi_urn``).
-    """
-    t, h, s = state.n, state.H, state.S
-    n_draw, hits, r = urn_rule(t, h, s, draw_policy, reinf_policy, streams, stride, n_history)
-    h_after, s_after = h + r * hits, s + r * n_draw
-    new_state = UrnState(a=state.a, b=state.b, n=t + 1, H=h_after, S=s_after)
-    record = StepRecord(t=t, N=n_draw, X=hits, R=r, H_after=h_after, S_after=s_after)
-    return new_state, record
 
 
 def urn_rule(
@@ -636,17 +560,22 @@ class UrnConfig:
 class UrnSlot:
     """One urn of a lockstep run: a one-urn config and the streams it reads.
 
-    A stream is named by its key parts below the replication key (see
+    A stream is named by its key path below the replication key (see
     ``rng``): a single urn's policies read its own ``("urn", label,
     "draw")`` and ``("urn", label, "reinforce")``; a system urn's read
     the shared ``("factor-draw",)`` and ``("factor-reinforce",)``.
     Extraction always reads the urn's own ``("urn", label, "extract")``,
-    at the run's shared stride.
+    at the run's shared stride.  The scalar path and the batch engine
+    both key their streams by these paths.
     """
 
     config: UrnConfig
     draw_stream: tuple[str, ...]
     reinforce_stream: tuple[str, ...]
+
+    @property
+    def extract_stream(self) -> tuple[str, ...]:
+        return ("urn", self.config.label, EXTRACT)
 
 
 @dataclass(frozen=True)
@@ -693,47 +622,47 @@ class Trajectory:
 def run_trajectory(
     config: UrnConfig,
     steps: int,
-    seed_or_streams: int | UrnStreams,
+    master_seed: int,
     rep: int = 0,
 ) -> Trajectory:
-    """Simulate ``steps`` steps of one urn, exactly and reproducibly.
-
-    Pass a master seed (with an optional replication index) for the
-    standard stream wiring, or prebuilt streams for custom wiring.
-    """
-    if not isinstance(steps, int) or steps < 1:
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
-    if isinstance(seed_or_streams, UrnStreams):
-        streams, seed = seed_or_streams, None
-    else:
-        seed = int(seed_or_streams)
-        streams = UrnStreams.create(seed, rep=rep, label=config.label)
-
+    """Simulate ``steps`` steps of replication ``rep`` of one urn, exactly
+    and reproducibly."""
     slots, stride = config.lockstep
-    return lockstep_trajectories(slots, stride, [streams], steps, seed)[0]
+    return lockstep_trajectories(slots, stride, master_seed, rep, steps)[0]
 
 
 def lockstep_trajectories(
     slots: Sequence[UrnSlot],
     stride: int,
-    streams: Sequence[UrnStreams],
+    master_seed: int,
+    rep: int,
     steps: int,
-    seed: int | None,
 ) -> list[Trajectory]:
     """The ``Trajectory`` of every slot over ``steps`` steps of ``urn_rule``.
 
-    ``streams[i]`` holds the streams slot ``i`` reads.  Every uniform is
-    addressed by counter, so a slot's path does not depend on the other
-    slots' and each slot runs to the end in turn.  N, X, R, H and S go
-    straight into one int64 block per slot, Z and M into a float64 one;
-    Z is the exact ``H / S`` of Python ints (counts may pass 2**53).
-    No per-step object is kept apart from ``n_history``, the draw sizes
-    a history-reading policy is handed.
+    Each distinct key path the slots name becomes one ``Stream`` under
+    replication ``rep`` of ``master_seed``, so urns reading a shared
+    factor share its stream.  Every uniform is addressed by counter, so
+    a slot's path does not depend on the other slots' and each slot
+    runs to the end in turn.  N, X, R, H and S go straight into one
+    int64 block per slot, Z and M into a float64 one; Z is the exact
+    ``H / S`` of Python ints (counts may pass 2**53).  No per-step
+    object is kept apart from ``n_history``, the draw sizes a
+    history-reading policy is handed.
     """
+    if not isinstance(steps, int) or steps < 1:
+        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
+    seed = int(master_seed)
+    rk = rep_key(seed, rep)
+    paths = {p for slot in slots
+             for p in (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)}
+    streams = {p: Stream(derive_key(rk, *p)) for p in paths}
     out = []
-    for slot, reads in zip(slots, streams):
+    for slot in slots:
         cfg = slot.config
         draw, reinforce = cfg.draw, cfg.reinforce
+        reads = UrnStreams(streams[slot.draw_stream], streams[slot.extract_stream],
+                           streams[slot.reinforce_stream])
         ints = np.empty((5, steps), dtype=np.int64)
         floats = np.empty((2, steps), dtype=np.float64)
         n_col, x_col, r_col, h_col, s_col = ints

@@ -411,3 +411,55 @@ def test_exit_code_2_on_reinforcement_square_overflow(tmp_path, capsys):
     assert main(["clt", "--config", str(cfg_path)]) == 2
     assert "R^2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _system_coverage_config(out_dir, coeffs):
+    return {
+        "urns": [
+            {"label": "A", "a": 10, "b": 10, "draw_base": 2, "reinforce_base": 1},
+            {"label": "B", "a": 10, "b": 10, "draw_base": 2, "reinforce_base": 1},
+        ],
+        "plan": {"reps": 8, "n": 10, "n_proxy": 100, "seed": 3},
+        "coeffs": coeffs,
+        "outputs": {"dir": str(out_dir)},
+    }
+
+
+@pytest.mark.parametrize("coeffs", [{"A": 0, "B": 0}, {"A": float("nan"), "B": 1}],
+                         ids=["all-zero", "nan"])
+def test_exit_code_2_on_degenerate_coefficients(tmp_path, capsys, coeffs):
+    # Degenerate weights make an interval whose coverage means nothing.
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_system_coverage_config(tmp_path / "out", coeffs)))
+    assert main(["coverage", "--config", str(cfg_path)]) == 2
+    assert "coeffs: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_exit_code_2_on_nan_probabilities(tmp_path, capsys):
+    # JSON admits the literal NaN, and the engine and the scalar path
+    # would sample a NaN law differently.
+    cfg = _clt_config(tmp_path / "out", reps=4, n=5, n_proxy=50)
+    cfg["urn"]["draw"] = {"policy": "discrete", "values": [1, 2, 3],
+                          "probs": [0.5, float("nan"), 0.5]}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert "NaN" in cfg_path.read_text()
+    assert main(["clt", "--config", str(cfg_path)]) == 2
+    assert "urn.draw: probabilities must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    factor = _system_coverage_config(tmp_path, {"A": 1})
+    factor["factors"] = {"draw": {"values": [0, 1], "probs": [float("nan"), 1.0]}}
+    with pytest.raises(ConfigError, match="factors.draw: probabilities must be finite"):
+        parse_config(json.dumps(factor), kind="coverage")
+
+
+def test_top_level_error_paths_have_no_leading_dot():
+    cfg = _system_coverage_config("somewhere", {"A": 1})
+    cfg.update(level="high", basis="Q")
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(cfg), kind="coverage")
+    problems = ei.value.problems
+    assert any(p.startswith("level: must be a number") for p in problems)
+    assert any(p.startswith("basis: must be one of") for p in problems)
+    assert not any(p.startswith(".") for p in problems)

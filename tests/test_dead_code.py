@@ -1,8 +1,10 @@
 """No dead code: every module-level import is used, every private
-module-level function or class is referenced somewhere.
+module-level function or class is referenced somewhere, and the
+package's exports match its imports.
 
 Static, stdlib ``ast`` only.  The package ``__init__`` is exempt from
-the import check: its imports are the public re-exports.
+the import check: its imports are the public re-exports, which the
+export check holds to ``__all__`` instead.
 """
 
 import ast
@@ -61,9 +63,46 @@ def unreferenced_private_defs() -> list[str]:
     return found
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def export_problems() -> list[str]:
+    init = _tree(PACKAGE / "__init__.py")
+    (exported,) = [
+        ast.literal_eval(node.value) for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    defined = _top_level_names(init)
+    found = [f"__all__ names {n}, which __init__ does not define" for n in exported
+             if n not in defined]
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            source = _top_level_names(_tree(PACKAGE / f"{node.module}.py"))
+            for alias in node.names:
+                if alias.name not in source:
+                    found.append(f"{node.module} defines no {alias.name}")
+                if (alias.asname or alias.name) not in exported:
+                    found.append(f"__init__ imports {alias.name} but __all__ omits it")
+    return found
+
+
 def test_no_unused_module_imports():
     assert unused_imports() == []
 
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_defs() == []
+
+
+def test_exports_resolve_and_match_imports():
+    assert export_problems() == []

@@ -211,8 +211,8 @@ SQUARE_OVERFLOW = [
     # 1000 steps of R = 2**31: the ball count stays near 2**41, but the
     # int64 sum of R^2 would be 2**72.
     UrnConfig(10, 10, ConstantOne(), ConstantReinforcement(2**31)),
-    # A system's global bound k covers its reinforcements, so the ball
-    # count bound already rejects it; the check covers both shapes.
+    # The same urn as a system: draw 1 times R = 2**31 keeps its ball
+    # count near 2**41 too, so the sum of R^2 rejects both shapes.
     UrnSystem(urns=(UrnSpec(label="A", a=2**31, b=1, draw_base=1, reinforce_base=2**31),),
               factors=CommonFactors()),
 ]
@@ -254,9 +254,27 @@ def test_ball_count_bound_is_tight():
     assert_paths_agree(cfg, hi=5, horizons=(3, 8))
 
 
+def test_system_ball_count_bound_is_exact_per_urn():
+    # 2**53 - 16 balls gaining two a step reach exactly 2**53 in 8 steps:
+    # the bound is draw 1 times R 2 per urn, not the system's k**2 = 4
+    system = UrnSystem(urns=(UrnSpec(label="A", a=2**52, b=2**52 - 16,
+                                     draw_base=1, reinforce_base=2),))
+    check_int64_range(system, 8)
+    with pytest.raises(ParameterError, match="ball count"):
+        check_int64_range(system, 9)
+    assert_paths_agree(system, hi=5, horizons=(3, 8))
+
+
 def test_worst_case_total():
     cfg = UrnConfig(a=2, b=3, draw=IidUniform(3), reinforce=UniformReinforcement(1, 2))
     assert worst_case_total(cfg, 10) == 5 + 10 * 3 * 2
+    # per urn, then the largest: A grows by at most 4 * 2 a step, B by 3 * 6
+    system = UrnSystem(
+        urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+              UrnSpec(label="B", a=30, b=3, draw_base=1, reinforce_base=5)),
+        factors=CommonFactors(draw=UNIFORM3, reinforce=IntegerDistribution((0, 1), (0.5, 0.5))),
+    )
+    assert worst_case_total(system, 10) == max(20 + 10 * 4 * 2, 33 + 10 * 3 * 6)
 
 
 def test_custom_rule_falls_back_to_scalar():

@@ -357,6 +357,10 @@ def test_linear_combination_coverage_runs():
     assert 0.85 <= res.coverage <= 1.0
     with pytest.raises(ParameterError):
         mc.linear_combination_coverage(plan, {"A": 1.0, "nope": 1.0}, "Z", 0.95, rec)
+    # all-zero or non-finite weights make an interval whose coverage means nothing
+    for bad in ({"A": 0.0, "B": 0.0}, {"A": math.nan, "B": 1.0}, {"A": math.inf}):
+        with pytest.raises(ParameterError, match="nonzero|finite"):
+            mc.linear_combination_coverage(plan, bad, "Z", 0.95, rec)
 
 
 def test_mtest_rejection_frequency_under_null():

@@ -7,7 +7,6 @@ from hrru import rng
 from hrru.estimators import FROM_MN, FROM_ZN, plugin_estimates
 from hrru.multi_urn import (
     CommonFactors,
-    SystemState,
     UrnSpec,
     UrnSystem,
     conditional_independence_stat,
@@ -15,9 +14,9 @@ from hrru.multi_urn import (
     mean_reinforcement_test,
     per_urn_summary,
     run_system,
-    system_step,
 )
 from hrru.urn_core import ConfigError, ParameterError, run_trajectory
+from test_urn_core import assert_columns, rule_columns
 
 UNIFORM3 = dict(values=(0, 1, 2), probs=(1 / 3, 1 / 3, 1 / 3))
 
@@ -91,17 +90,16 @@ def test_system_k_and_stride():
 
 def test_shared_factors_are_identical_across_urns():
     sys2 = _system(factors=CommonFactors(draw=_dist(), reinforce=_dist()))
-    state = SystemState.initial(sys2)
-    streams = rng.SystemStreams.create(0, 0, sys2.labels)
-    for t in range(30):
-        state, records, (f_draw, f_reinf) = system_step(sys2, state, streams)
-        assert records["A"].N - 2 == f_draw
-        assert records["B"].N - 2 == f_draw
-        assert records["A"].R - 1 == f_reinf
-        assert records["B"].R - 1 == f_reinf
+    traj = run_system(sys2, 30, 0)
+    for lab in ("A", "B"):
+        assert (traj.urn(lab).N - 2).tolist() == traj.factor_draw.tolist()
+        assert (traj.urn(lab).R - 1).tolist() == traj.factor_reinforce.tolist()
+    assert len(set(traj.factor_draw.tolist())) > 1
 
 
-# run_system's column builder against a loop of the public system_step().
+# run_system's column builder against a test-local loop of urn_rule per
+# urn, on streams derived here along the README key tree: the shared
+# factor streams and the urn's own extraction stream.
 
 BUILDER_SYSTEMS = {
     "full-factors": UrnSystem(
@@ -114,30 +112,29 @@ BUILDER_SYSTEMS = {
 }
 
 
+def _system_streams(seed, rep, label):
+    rk = rng.derive_key(seed, "rep", rep)
+    return rng.UrnStreams(
+        draw=rng.Stream(rng.derive_key(rk, "factor-draw")),
+        extract=rng.Stream(rng.derive_key(rk, "urn", label, "extract")),
+        reinforce=rng.Stream(rng.derive_key(rk, "factor-reinforce")),
+    )
+
+
 @pytest.mark.parametrize("name", BUILDER_SYSTEMS)
 def test_run_system_matches_system_step_loop(name):
     system, steps = BUILDER_SYSTEMS[name], 60
     traj = run_system(system, steps, master_seed=4, rep=2)
-    state = SystemState.initial(system)
-    streams = rng.SystemStreams.create(4, 2, system.labels)
-    cols = {lab: {f: [] for f in "NXRHSZM"} for lab in system.labels}
-    xsums = dict.fromkeys(system.labels, 0.0)
-    factors = []
-    for t in range(steps):
-        state, records, pair = system_step(system, state, streams)
-        factors.append(pair)
-        for lab, rec in records.items():
-            xsums[lab] += rec.X / rec.N
-            row = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after, rec.z_after,
-                   xsums[lab] / (t + 1))
-            for f, v in zip("NXRHSZM", row):
-                cols[lab][f].append(v)
-    for lab in system.labels:
-        for f in "NXRHSZM":
-            assert getattr(traj.urn(lab), f).tolist() == cols[lab][f], (lab, f)
+    slots, stride = system.lockstep
+    assert stride == system.draw_stride
+    for spec, slot in zip(system.urns, slots):
+        cols = rule_columns(slot.config, stride, _system_streams(4, 2, spec.label), steps)
+        assert_columns(traj.urn(spec.label), cols)
+    first = system.urns[0]
     assert traj.factor_draw.dtype == traj.factor_reinforce.dtype == np.int64
-    assert traj.factor_draw.tolist() == [f for f, _ in factors]
-    assert traj.factor_reinforce.tolist() == [f for _, f in factors]
+    assert (traj.factor_draw + first.draw_base).tolist() == traj.urn(first.label).N.tolist()
+    assert (traj.factor_reinforce + first.reinforce_base).tolist() == \
+        traj.urn(first.label).R.tolist()
 
 
 def test_single_urn_system_reduces_to_plain_trajectory():
@@ -240,6 +237,8 @@ def test_linear_combination_validation():
         linear_combination_ci(straj, {"A": 1.0}, "Q", 20, 0.95)
     with pytest.raises(ParameterError):
         linear_combination_ci(straj, {"A": 1.0}, "Z", 20, 1.5)
+    with pytest.raises(ParameterError, match="finite"):
+        linear_combination_ci(straj, {"A": float("nan"), "B": 1.0}, "Z", 20, 0.95)
 
 
 def test_mean_reinforcement_test_basics():

@@ -4,10 +4,14 @@ The scalar path defines the contract; the vector twins must match it
 bit for bit, because the batch engine's reproducibility rests on that.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hrru import rng
+from hrru.multi_urn import UrnSpec, UrnSystem
+from hrru.urn_core import IidUniform, UniformReinforcement, UrnConfig
 
 
 def test_mix64_known_values():
@@ -72,19 +76,29 @@ def test_rep_keys_differ():
 
 
 def test_urn_streams_are_distinct():
-    st = rng.UrnStreams.create(master_seed=3, rep=2, label="u0")
-    heads = {st.draw.at(0), st.extract.at(0), st.reinforce.at(0)}
+    # the three key paths an urn's slot names give three distinct streams
+    (slot,), _ = UrnConfig(3, 3, IidUniform(2), UniformReinforcement(1, 2)).lockstep
+    rk = rng.rep_key(3, 2)
+    paths = (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)
+    assert paths == (("urn", "u0", "draw"), ("urn", "u0", "extract"), ("urn", "u0", "reinforce"))
+    heads = {rng.Stream(rng.derive_key(rk, *p)).at(0) for p in paths}
     assert len(heads) == 3
-    other = rng.UrnStreams.create(master_seed=3, rep=2, label="u1")
-    assert other.draw.at(0) != st.draw.at(0)
+    (other,), _ = replace(slot.config, label="u1").lockstep
+    assert other.draw_stream != slot.draw_stream
+    assert rng.derive_key(rk, *other.draw_stream) != rng.derive_key(rk, *slot.draw_stream)
 
 
 def test_system_streams_mirror_urn_streams():
-    sys_st = rng.SystemStreams.create(master_seed=4, rep=1, labels=("A", "B"))
-    solo = rng.UrnStreams.create(master_seed=4, rep=1, label="A")
-    assert sys_st.urns["A"].draw.at(5) == solo.draw.at(5)
-    assert sys_st.urns["A"].extract.at(5) == solo.extract.at(5)
-    assert sys_st.factor_draw.at(0) != sys_st.factor_reinforce.at(0)
+    # a system urn extracts on the single urn's own path and draws its
+    # size and reinforcement on the shared factor paths
+    system = UrnSystem(urns=(UrnSpec("A", 5, 5, 2, 1), UrnSpec("B", 5, 5, 1, 1)))
+    slots, _ = system.lockstep
+    solos = [slot.config.lockstep[0][0] for slot in slots]
+    assert [s.extract_stream for s in slots] == [s.extract_stream for s in solos]
+    assert {s.draw_stream for s in slots} == {("factor-draw",)}
+    assert {s.reinforce_stream for s in slots} == {("factor-reinforce",)}
+    rk = rng.rep_key(4, 1)
+    assert rng.derive_key(rk, "factor-draw") != rng.derive_key(rk, "factor-reinforce")
 
 
 # Vector twins.

@@ -23,16 +23,19 @@ from hrru.urn_core import (
     ParameterError,
     UniformReinforcement,
     UrnConfig,
-    UrnState,
     increment_identity_check,
     run_trajectory,
     sample_hypergeometric,
-    step,
+    urn_rule,
+    walk_move,
 )
 
 
 def _streams(seed=0, rep=0, label="u0"):
-    return rng.UrnStreams.create(seed, rep, label)
+    # An urn's own streams, straight from the README key tree.
+    rk = rng.derive_key(seed, "rep", rep)
+    return rng.UrnStreams(*(rng.Stream(rng.derive_key(rk, "urn", label, purpose))
+                            for purpose in ("draw", "extract", "reinforce")))
 
 
 # Draw distribution: exact probabilities against the closed form.
@@ -115,6 +118,15 @@ def test_integer_distribution_validation():
     assert d.sample(0.999999) == 5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integer_distribution_rejects_non_finite_probabilities(bad):
+    # NaN fails every comparison, so sign and sum checks alone admit it
+    probs = (0.5, bad, 0.5)
+    for law in (IntegerDistribution, DiscreteDraw, DiscreteReinforcement):
+        with pytest.raises(ParameterError, match="finite"):
+            law((1, 2, 3), probs)
+
+
 def test_deterministic_schedule_repeats_last():
     pol = DeterministicSchedule((1, 3, 2))
     s = _streams().draw
@@ -170,9 +182,11 @@ def test_absorbing_walk_replays_without_history():
     history = []
     for t in range(50):
         history.append(pol.emit(t, 100, tuple(history), s))
-    # same values when recomputed from the stream alone
-    for t in range(50):
-        assert pol.emit(t, 100, (), s) == history[t]
+    # the same walk rebuilt from its stream alone: step t reads counter t - 1
+    prev = pol.start
+    for t in range(1, 50):
+        prev = walk_move(prev, s.unit_at(t - 1), pol.high)
+        assert history[t] == prev
 
 
 def test_custom_rule_contract():
@@ -219,22 +233,18 @@ def _basic_config(**kw):
 
 
 def test_step_updates_both_colors():
-    st0 = UrnState.initial(3, 4)
-    cfg = _basic_config()
-    streams = _streams(seed=8)
-    st1, rec = step(st0, cfg.draw, cfg.reinforce, streams)
+    rec = run_trajectory(_basic_config(), 1, 8).record(0)
     assert rec.t == 0
-    assert st1.H == 3 + rec.R * rec.X
-    assert st1.S == 7 + rec.R * rec.N
-    assert st1.n == 1
+    assert rec.H_after == 3 + rec.R * rec.X
+    assert rec.S_after == 7 + rec.R * rec.N
     assert increment_identity_check(rec, 3, 7)
 
 
 def test_step_rejects_oversized_draw():
-    st0 = UrnState.initial(1, 1)
-    streams = _streams()
-    with pytest.raises(ParameterError, match="k <= a \\+ b"):
-        step(st0, DeterministicSchedule((3,)), ConstantReinforcement(1), streams)
+    # the rule's own guard, behind the config's k <= a + b check
+    with pytest.raises(ModelViolationError, match="outside \\[1, 2\\]"):
+        urn_rule(0, 1, 2, DeterministicSchedule((3,)), ConstantReinforcement(1),
+                 _streams(), 3, [])
 
 
 def test_run_trajectory_shapes_and_echo():
@@ -271,25 +281,27 @@ def test_trajectory_determinism_and_rep_independence():
     assert not np.array_equal(t1.X, t3.X)
 
 
-# run_trajectory's column builder against a loop of the public step().
+# run_trajectory's column builder against a test-local loop of urn_rule
+# on streams derived here, so the slot's key paths are pinned too.
 
 COLUMNS = "NXRHSZM"
+STEPS = 300
 
 
-def _stepped_columns(cfg, steps, streams):
-    state, history, xsum = UrnState.initial(cfg.a, cfg.b), [], 0.0
+def rule_columns(cfg, stride, streams, steps):
+    h, s, history, xsum = cfg.a, cfg.a + cfg.b, [], 0.0
     cols = {f: [] for f in COLUMNS}
     for t in range(steps):
-        state, rec = step(state, cfg.draw, cfg.reinforce, streams, history)
-        history.append(rec.N)
-        xsum += rec.X / rec.N
-        row = (rec.N, rec.X, rec.R, rec.H_after, rec.S_after, rec.z_after, xsum / (t + 1))
-        for f, v in zip(COLUMNS, row):
+        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, history)
+        history.append(n)
+        h, s = h + r * x, s + r * n
+        xsum += x / n
+        for f, v in zip(COLUMNS, (n, x, r, h, s, h / s, xsum / (t + 1))):
             cols[f].append(v)
     return cols
 
 
-def _assert_columns(traj, cols):
+def assert_columns(traj, cols):
     for f in COLUMNS:
         got = getattr(traj, f)
         assert got.dtype == (np.float64 if f in "ZM" else np.int64), f
@@ -307,6 +319,8 @@ BUILDER_CONFIGS = [
     # reads its history: one more than the previous draw, cycling 1..3
     _basic_config(a=4, b=4, draw=CustomRule(
         lambda t, s_prev, hist: 1 + hist[-1] % 3 if hist else 2, bound=3)),
+    # a wide stride: a step's 1000 balls span a stream block boundary
+    _basic_config(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01))),
     # counts past 2**53, where Z must stay the exact H / S of Python ints
     _basic_config(a=2**53 + 1, b=2**53 + 7, draw=IidUniform(3),
                   reinforce=ConstantReinforcement(1)),
@@ -316,16 +330,9 @@ BUILDER_CONFIGS = [
 @pytest.mark.parametrize("cfg", BUILDER_CONFIGS,
                          ids=lambda c: f"{type(c.draw).__name__}-a{c.a}")
 def test_run_trajectory_matches_step_loop(cfg):
-    traj = run_trajectory(cfg, 80, 11, rep=3)
-    _assert_columns(traj, _stepped_columns(cfg, 80, _streams(seed=11, rep=3)))
-
-
-def test_run_trajectory_on_prebuilt_streams_matches_step_loop():
-    # custom wiring: another label's streams, passed in
-    cfg = BUILDER_CONFIGS[4]
-    traj = run_trajectory(cfg, 80, _streams(seed=2, rep=5, label="elsewhere"))
-    assert traj.seed is None
-    _assert_columns(traj, _stepped_columns(cfg, 80, _streams(seed=2, rep=5, label="elsewhere")))
+    traj = run_trajectory(cfg, STEPS, 11, rep=3)
+    assert_columns(traj, rule_columns(cfg, cfg.draw.bound, _streams(seed=11, rep=3), STEPS))
+    assert cfg.draw.bound < 1000 or 1000 in traj.N
 
 
 def test_z_is_exact_above_2_53():
@@ -348,15 +355,6 @@ def test_config_error_collects_all_problems():
 def test_config_rejects_draw_bound_above_capacity():
     with pytest.raises(ConfigError, match="k <= a \\+ b"):
         UrnConfig(a=1, b=1, draw=IidUniform(3), reinforce=ConstantReinforcement(1))
-
-
-def test_state_validation():
-    with pytest.raises(ParameterError):
-        UrnState.initial(0, 1)
-    with pytest.raises(ParameterError):
-        UrnState.initial(1, 0)
-    st = UrnState.initial(2, 3)
-    assert st.z == pytest.approx(0.4)
 
 
 # Property tests: the exact integer identity under fuzzed parameters.
