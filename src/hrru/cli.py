@@ -363,6 +363,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         ref = raw.get("reference")
         if not isinstance(ref, list) or not ref or not all(isinstance(x, str) for x in ref):
             col.add("reference", f"must be a nonempty list of urn labels, got {ref!r}")
+        elif len(set(ref)) != len(ref):
+            col.add("reference", f"labels must be distinct, got {ref!r}")
         else:
             out.reference = tuple(ref)
         if out.system is not None and out.target is not None:
@@ -374,7 +376,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             if out.target in out.reference:
                 col.add("target", "must not belong to the reference set")
 
-    if "coeffs" in raw:
+    system_coverage = resolved_kind == "coverage" and has_urns
+    for name in ("coeffs", "basis"):
+        if name in raw and not system_coverage:
+            col.add(name, "applies to coverage on a multi-urn system only")
+    if system_coverage and "coeffs" in raw:
         coeffs = raw["coeffs"]
         if not isinstance(coeffs, dict) or not coeffs:
             col.add("coeffs", f"must be a nonempty object of label: weight, got {coeffs!r}")
@@ -391,8 +397,9 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
                 for lab in out.coeffs:
                     if lab not in out.system.labels:
                         col.add("coeffs", f"no urn labeled {lab!r}; labels are {out.system.labels}")
-    out.basis = col.expect_str(raw, "", "basis", required=False, default="Z",
-                               choices=("Z", "M"))
+    if system_coverage:
+        out.basis = col.expect_str(raw, "", "basis", required=False, default="Z",
+                                   choices=("Z", "M"))
     if resolved_kind == "coverage" and out.system is not None and not out.coeffs:
         col.add("coeffs", "coverage on a multi-urn system needs a coefficient map")
 

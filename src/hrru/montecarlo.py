@@ -596,6 +596,8 @@ def mtest_rejection(
         raise ParameterError("reference set must be nonempty")
     if target in refs:
         raise ParameterError(f"target {target!r} must not belong to the reference set")
+    if len(set(refs)) != len(refs):
+        raise ParameterError(f"reference labels must be distinct, got {refs}")
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
     if records is None:

@@ -24,10 +24,13 @@ with purposes "draw", "extract", "reinforce" at the urn level and
 "factor-draw", "factor-reinforce" at the replication level.
 
 Counter layout within a trajectory: the draw-size and reinforcement
-streams use counter ``t`` for step ``t``; the extraction stream
-reserves a fixed stride of ``k`` counters per step (``k`` the declared
-draw-size bound) and ball ``i`` of step ``t`` reads counter
-``t * k + i``.  Unused counters in a stride are simply never read.
+streams use counter ``t`` for step ``t``, except the absorbing walk,
+which reads ``t - 1`` (its step 0 emits the start value and reads
+nothing); a policy declares this offset as its ``stream_lag``.  The
+extraction stream reserves a fixed stride of ``k`` counters per step
+(``k`` the declared draw-size bound) and ball ``i`` of step ``t``
+reads counter ``t * k + i``.  Unused counters in a stride are simply
+never read.
 
 64-bit floats are produced from the top 53 bits: ``(v >> 11) * 2**-53``,
 uniform on [0, 1).

@@ -19,7 +19,9 @@ pure function of its streams.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,7 +74,9 @@ class IntegerDistribution:
             problems.append(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
         if problems:
             raise ParameterError("; ".join(problems))
-        object.__setattr__(self, "_cdf", np.asarray(self.cdf_steps(), dtype=np.float64))
+        cdf = list(accumulate(self.probs))
+        cdf[-1] = 1.0
+        object.__setattr__(self, "_cdf", np.asarray(cdf, dtype=np.float64))
         object.__setattr__(self, "_support", np.asarray(self.values, dtype=np.int64))
 
     @property
@@ -83,22 +87,11 @@ class IntegerDistribution:
     def high(self) -> int:
         return max(self.values)
 
-    def cdf_steps(self) -> tuple[float, ...]:
-        out, acc = [], 0.0
-        for p in self.probs:
-            acc += p
-            out.append(acc)
-        out[-1] = 1.0
-        return tuple(out)
-
-    def sample(self, u: float) -> int:
-        for v, c in zip(self.values, self.cdf_steps()):
-            if u < c:
-                return v
-        return self.values[-1]
-
-    def sample_vec(self, u: np.ndarray) -> np.ndarray:
-        """``sample`` elementwise: the first value whose CDF step exceeds u."""
+    def sample(self, u):
+        """The first value whose CDF step exceeds ``u``, for one uniform
+        (a Python int) or elementwise for an array."""
+        if isinstance(u, float):
+            return self.values[min(bisect_right(self._cdf, u), len(self.values) - 1)]
         idx = np.searchsorted(self._cdf, u, side="right")
         np.minimum(idx, len(self.values) - 1, out=idx)
         return self._support[idx]
@@ -116,7 +109,8 @@ class IntegerDistribution:
 # lane) and ``n_prev`` the previous draw size (an int or one per lane).
 # ``stream_lag`` says which counter that uniform sits at: step ``t``
 # reads counter ``t - stream_lag``, and ``None`` means no stream is
-# read.  ``emit`` is the scalar form that reads the stream itself.
+# read.  Both ``urn_rule`` and the batch engine read the uniform there
+# and hand it in, so a policy never sees a stream.
 
 
 def _scaled(u, span: int):
@@ -155,9 +149,6 @@ class ConstantOne:
     def iid_draws(self) -> bool:
         return True
 
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        return 1
-
     def emit_vec(self, t: int, u, n_prev) -> int:
         return 1
 
@@ -184,9 +175,6 @@ class DeterministicSchedule:
     def iid_draws(self) -> bool:
         return len(set(self.values)) == 1
 
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        return self.emit_vec(t, None, None)
-
     def emit_vec(self, t: int, u, n_prev) -> int:
         return self.values[t] if t < len(self.values) else self.values[-1]
 
@@ -209,9 +197,6 @@ class IidUniform:
     @property
     def iid_draws(self) -> bool:
         return True
-
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        return self.emit_vec(t, stream.unit_at(t), None)
 
     def emit_vec(self, t: int, u, n_prev):
         return 1 + _scaled(u, self.high)
@@ -239,11 +224,8 @@ class DiscreteDraw:
     def iid_draws(self) -> bool:
         return True
 
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        return self._dist.sample(stream.unit_at(t))
-
-    def emit_vec(self, t: int, u: np.ndarray, n_prev) -> np.ndarray:
-        return self._dist.sample_vec(u)
+    def emit_vec(self, t: int, u, n_prev):
+        return self._dist.sample(u)
 
 
 @dataclass(frozen=True)
@@ -278,11 +260,6 @@ class AbsorbingRandomWalk:
     def iid_draws(self) -> bool:
         return False
 
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
-        if t == 0:
-            return self.start
-        return self.emit_vec(t, stream.unit_at(t - 1), n_history[t - 1])
-
     def emit_vec(self, t: int, u, n_prev):
         return self.start if t == 0 else walk_move(n_prev, u, self.high)
 
@@ -310,7 +287,7 @@ class CustomRule:
     def iid_draws(self) -> bool:
         return False
 
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int], stream: Stream) -> int:
+    def emit(self, t: int, s_prev: int, n_history: Sequence[int]) -> int:
         n = self.rule(t, s_prev, n_history)
         if not isinstance(n, int) or isinstance(n, bool) or not (1 <= n <= self.bound):
             raise ModelViolationError(
@@ -343,9 +320,6 @@ class ConstantReinforcement:
     def bound(self) -> int:
         return self.value
 
-    def emit(self, t: int, stream: Stream) -> int:
-        return self.value
-
     def emit_vec(self, t: int, u) -> int:
         return self.value
 
@@ -374,9 +348,6 @@ class UniformReinforcement:
     def bound(self) -> int:
         return self.high
 
-    def emit(self, t: int, stream: Stream) -> int:
-        return self.emit_vec(t, stream.unit_at(t))
-
     def emit_vec(self, t: int, u):
         return self.low + _scaled(u, self.high - self.low + 1)
 
@@ -402,11 +373,8 @@ class DiscreteReinforcement:
     def bound(self) -> int:
         return max(self.values)
 
-    def emit(self, t: int, stream: Stream) -> int:
-        return self._dist.sample(stream.unit_at(t))
-
-    def emit_vec(self, t: int, u: np.ndarray) -> np.ndarray:
-        return self._dist.sample_vec(u)
+    def emit_vec(self, t: int, u):
+        return self._dist.sample(u)
 
     def mean(self) -> float:
         return self._dist.mean()
@@ -460,6 +428,13 @@ def _chain(extract: Stream, first: int, n_draw: int, total: int, marked: int) ->
     return marked - h_rem
 
 
+def _unit(policy, stream: Stream, t: int) -> float | None:
+    # The uniform a policy reads at step t: counter t - stream_lag of
+    # its stream, or none without a lag or before that counter.
+    lag = policy.stream_lag
+    return None if lag is None or t < lag else stream.unit_at(t - lag)
+
+
 def sample_hypergeometric(stream: Stream, n_draw: int, total: int, marked: int) -> int:
     """Exact count of marked balls in a without-replacement sample.
 
@@ -490,17 +465,23 @@ def urn_rule(
     """The urn rule for step ``t`` from ``H`` A-balls of ``S``: (N_t, X_t, R_t).
 
     Emit N_t, draw X_t without replacement (ball ``i`` reads extraction
-    counter ``t * stride + i``), emit R_t.  The caller reinforces, to
-    ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total is checked
-    against ``CAPACITY_LIMIT`` here.
+    counter ``t * stride + i``), emit R_t.  Each policy is handed the
+    uniform at counter ``t - stream_lag`` of its stream, as in the batch
+    engine; a ``CustomRule`` reads the history instead.  The caller
+    reinforces, to ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total
+    is checked against ``CAPACITY_LIMIT`` here.
     """
-    n_draw = draw_policy.emit(t, S, n_history, streams.draw)
+    if isinstance(draw_policy, CustomRule):
+        n_draw = draw_policy.emit(t, S, n_history)
+    else:
+        n_prev = n_history[t - 1] if t else None
+        n_draw = draw_policy.emit_vec(t, _unit(draw_policy, streams.draw, t), n_prev)
     if not (1 <= n_draw <= S):
         raise ModelViolationError(
             f"draw size {n_draw} at step {t} is outside [1, {S}]"
         )
     hits = _chain(streams.extract, t * stride, n_draw, S, H)
-    r = reinf_policy.emit(t, streams.reinforce)
+    r = reinf_policy.emit_vec(t, _unit(reinf_policy, streams.reinforce, t))
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
     if S + r * n_draw > CAPACITY_LIMIT:

@@ -121,6 +121,46 @@ def test_parse_mtest_requires_system_and_labels():
     assert parsed.system is not None
 
 
+def test_exit_code_2_on_duplicate_reference_labels(tmp_path, capsys):
+    cfg = {
+        "urns": [
+            {"label": "A", "a": 5, "b": 5, "draw_base": 1, "reinforce_base": 1},
+            {"label": "B", "a": 5, "b": 5, "draw_base": 1, "reinforce_base": 1},
+        ],
+        "plan": {"reps": 3, "n": 10, "n_proxy": 100, "seed": 0},
+        "target": "A",
+        "reference": ["B", "B"],
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mtest", "--config", str(cfg_path)]) == 2
+    assert "reference: labels must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_exit_code_2_on_stray_coeffs(tmp_path, capsys):
+    # A single urn's coverage reads no combination weights.
+    cfg = _clt_config(tmp_path / "out", reps=4, n=5, n_proxy=50, coeffs={"zzz": 3.0})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["coverage", "--config", str(cfg_path)]) == 2
+    assert "coeffs: applies to coverage on a multi-urn system only" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_stray_basis_is_rejected_and_a_read_basis_round_trips():
+    # The echo writes basis only beside coeffs, so a basis nothing reads
+    # could not survive the round trip; it is rejected instead.
+    with pytest.raises(ConfigError, match="basis: applies to coverage"):
+        parse_config(json.dumps(_clt_config("somewhere", basis="M")), kind="clt")
+    cfg = parse_config(json.dumps(dict(_system_coverage_config("somewhere", {"A": 1}),
+                                       basis="M")), kind="coverage")
+    assert cfg.basis == "M"
+    again = parse_config(json.dumps(config_to_json_dict(cfg)))
+    assert again == cfg
+
+
 def test_parse_hitting():
     cfg = {"walk": {"start": 3, "high": 6, "reps": 100, "seed": 4}}
     parsed = parse_config(json.dumps(cfg), kind="hitting")

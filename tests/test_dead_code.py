@@ -1,6 +1,7 @@
 """No dead code: every module-level import is used, every private
-module-level function or class is referenced somewhere, and the
-package's exports match its imports.
+module-level function or class is referenced somewhere, the package's
+exports match its imports, and no JSON policy grows a second way to
+emit.
 
 Static, stdlib ``ast`` only.  The package ``__init__`` is exempt from
 the import check: its imports are the public re-exports, which the
@@ -96,6 +97,29 @@ def export_problems() -> list[str]:
     return found
 
 
+def policy_problems() -> list[str]:
+    # Every class in urn_core's DRAW_POLICIES and REINFORCEMENT_POLICIES
+    # declares its stream counter (stream_lag) and its one rule
+    # (emit_vec), and none defines a scalar emit that reads a stream.
+    tree = _tree(PACKAGE / "urn_core.py")
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    tables = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("DRAW_POLICIES", "REINFORCEMENT_POLICIES")
+            for t in node.targets)
+    ]
+    found = [] if len(tables) == 2 else ["urn_core lacks a policy table"]
+    for table in tables:
+        for value in table.values:
+            body = _top_level_names(classes[value.id])
+            found += [f"{value.id} does not declare {name}"
+                      for name in ("stream_lag", "emit_vec") if name not in body]
+            if "emit" in body:
+                found.append(f"{value.id} defines emit")
+    return found
+
+
 def test_no_unused_module_imports():
     assert unused_imports() == []
 
@@ -106,3 +130,7 @@ def test_no_unreferenced_private_definitions():
 
 def test_exports_resolve_and_match_imports():
     assert export_problems() == []
+
+
+def test_policies_emit_through_emit_vec_only():
+    assert policy_problems() == []

@@ -383,6 +383,19 @@ def test_mtest_rejection_frequency_under_null():
         mc.mtest_rejection(plan, "missing", ("B",), 0.05, rec)
 
 
+def test_mtest_rejection_rejects_duplicate_references():
+    # A repeated label would weigh that urn twice in the reference mean.
+    sys3 = UrnSystem(
+        urns=tuple(UrnSpec(label=lab, a=10, b=10, draw_base=2, reinforce_base=1)
+                   for lab in "ABC"),
+        factors=CommonFactors(reinforce=UNIFORM3),
+    )
+    plan = _plan(config=sys3, reps=4, n=10, n_proxy=100)
+    with pytest.raises(ParameterError, match="reference labels must be distinct"):
+        mc.mtest_rejection(plan, "A", ("B", "B"), 0.05)
+    assert mc.mtest_rejection(plan, "A", ("B", "C"), 0.05).reference == ("B", "C")
+
+
 def test_gap_rms_shrinks_like_root_n():
     # root-n consistency: the M - Z gap's RMS over replications drops
     # by about sqrt(10) when the horizon grows tenfold

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hrru import rng
 from hrru.urn_core import (
+    DRAW_POLICIES,
+    REINFORCEMENT_POLICIES,
     AbsorbingRandomWalk,
     ConfigError,
     ConstantOne,
@@ -116,6 +118,8 @@ def test_integer_distribution_validation():
     assert d.sample(0.2499999) == 2
     assert d.sample(0.25) == 5
     assert d.sample(0.999999) == 5
+    assert type(d.sample(0.25)) is int
+    assert d.sample(np.array([0.0, 0.2499999, 0.25, 0.999999])).tolist() == [2, 2, 5, 5]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -127,10 +131,25 @@ def test_integer_distribution_rejects_non_finite_probabilities(bad):
             law((1, 2, 3), probs)
 
 
+def _emissions(pol, stream, steps):
+    # A stream policy run alone, as urn_rule runs it: step t hands
+    # emit_vec the stream's uniform at counter t - stream_lag (none
+    # without a lag or before that counter) and, for a draw-size
+    # policy, the previous emission.
+    out = []
+    for t in range(steps):
+        lag = pol.stream_lag
+        u = None if lag is None or t < lag else stream.unit_at(t - lag)
+        if type(pol) in REINFORCEMENT_POLICIES.values():
+            out.append(pol.emit_vec(t, u))
+        else:
+            out.append(pol.emit_vec(t, u, out[-1] if out else None))
+    return out
+
+
 def test_deterministic_schedule_repeats_last():
     pol = DeterministicSchedule((1, 3, 2))
-    s = _streams().draw
-    assert [pol.emit(t, 100, (), s) for t in range(6)] == [1, 3, 2, 2, 2, 2]
+    assert _emissions(pol, _streams().draw, 6) == [1, 3, 2, 2, 2, 2]
     assert pol.bound == 3
     assert not pol.iid_draws
     assert DeterministicSchedule((2, 2, 2)).iid_draws
@@ -138,8 +157,7 @@ def test_deterministic_schedule_repeats_last():
 
 def test_iid_uniform_range_and_mean():
     pol = IidUniform(4)
-    s = _streams(seed=9).draw
-    vals = [pol.emit(t, 100, (), s) for t in range(8000)]
+    vals = _emissions(pol, _streams(seed=9).draw, 8000)
     assert set(vals) == {1, 2, 3, 4}
     assert abs(sum(vals) / len(vals) - 2.5) < 0.05
     assert pol.bound == 4 and pol.iid_draws
@@ -148,70 +166,60 @@ def test_iid_uniform_range_and_mean():
 def test_uniform_draw_hits_top_value_even_at_power_of_two():
     # u close to 1 must clamp into the top cell, not overflow past it
     pol = IidUniform(8)
-
-    class _Top:
-        def unit_at(self, c):
-            return 1.0 - 2.0 ** -53
-
-    assert pol.emit(0, 100, (), _Top()) == 8
+    assert pol.emit_vec(0, 1.0 - 2.0 ** -53, None) == 8
+    assert pol.emit_vec(0, np.array([1.0 - 2.0 ** -53]), None).tolist() == [8]
 
 
 def test_absorbing_walk_dynamics():
     pol = AbsorbingRandomWalk(start=3, high=5)
-    s = _streams(seed=2).draw
-    history = []
-    prev = None
-    for t in range(200):
-        n = pol.emit(t, 100, tuple(history), s)
-        if t == 0:
-            assert n == 3
+    walk = _emissions(pol, _streams(seed=2).draw, 200)
+    assert walk[0] == 3
+    for prev, n in zip(walk, walk[1:]):
+        if prev in (1, 5):
+            assert n == prev
         else:
-            if prev in (1, 5):
-                assert n == prev
-            else:
-                assert n in (prev - 1, prev + 1)
-        history.append(n)
-        prev = n
+            assert n in (prev - 1, prev + 1)
     # absorbed by now with overwhelming probability
-    assert prev in (1, 5)
+    assert walk[-1] in (1, 5)
 
 
 def test_absorbing_walk_replays_without_history():
     pol = AbsorbingRandomWalk(start=2, high=6)
+    traj = run_trajectory(_basic_config(a=3, b=3, draw=pol), 50, 4)
+    # the same walk rebuilt from the urn's draw stream alone: step t
+    # reads counter t - 1
     s = _streams(seed=4).draw
-    history = []
-    for t in range(50):
-        history.append(pol.emit(t, 100, tuple(history), s))
-    # the same walk rebuilt from its stream alone: step t reads counter t - 1
     prev = pol.start
+    assert traj.N[0] == prev
     for t in range(1, 50):
         prev = walk_move(prev, s.unit_at(t - 1), pol.high)
-        assert history[t] == prev
+        assert traj.N[t] == prev
 
 
 def test_custom_rule_contract():
     pol = CustomRule(lambda t, s_prev, hist: 1 + (t % 2), bound=2)
-    s = _streams().draw
-    assert [pol.emit(t, 10, (), s) for t in range(4)] == [1, 2, 1, 2]
+    assert [pol.emit(t, 10, ()) for t in range(4)] == [1, 2, 1, 2]
     bad = CustomRule(lambda t, s_prev, hist: 0, bound=2)
     with pytest.raises(ModelViolationError):
-        bad.emit(0, 10, (), s)
+        bad.emit(0, 10, ())
     overflow = CustomRule(lambda t, s_prev, hist: 3, bound=2)
     with pytest.raises(ModelViolationError):
-        overflow.emit(0, 10, (), s)
+        overflow.emit(0, 10, ())
     nonint = CustomRule(lambda t, s_prev, hist: 1.5, bound=2)
     with pytest.raises(ModelViolationError):
-        nonint.emit(0, 10, (), s)
+        nonint.emit(0, 10, ())
+    # urn_rule calls the checked rule, so a bad emission stops a step
+    with pytest.raises(ModelViolationError, match="custom rule emitted 0"):
+        urn_rule(0, 5, 10, bad, ConstantReinforcement(1), _streams(), 2, [])
 
 
 def test_reinforcement_policies():
     s = _streams(seed=3).reinforce
-    vals = [UniformReinforcement(1, 3).emit(t, s) for t in range(6000)]
+    vals = _emissions(UniformReinforcement(1, 3), s, 6000)
     assert set(vals) == {1, 2, 3}
     assert abs(sum(vals) / len(vals) - 2.0) < 0.05
-    assert ConstantReinforcement(4).emit(0, s) == 4
-    d = DiscreteReinforcement((2, 7), (0.5, 0.5))
-    dvals = {d.emit(t, s) for t in range(200)}
+    assert ConstantReinforcement(4).emit_vec(0, None) == 4
+    dvals = set(_emissions(DiscreteReinforcement((2, 7), (0.5, 0.5)), s, 200))
     assert dvals == {2, 7}
     with pytest.raises(ParameterError):
         ConstantReinforcement(0)
@@ -221,6 +229,47 @@ def test_reinforcement_policies():
         UniformReinforcement(3, 2)
     with pytest.raises(ParameterError):
         DiscreteReinforcement((0, 1), (0.5, 0.5))
+
+
+# One example of every JSON policy; a policy added to either table
+# without one fails the test below.
+POLICY_EXAMPLES = {
+    ConstantOne: ConstantOne(),
+    DeterministicSchedule: DeterministicSchedule((1, 3, 2)),
+    IidUniform: IidUniform(8),
+    DiscreteDraw: DiscreteDraw((1, 3, 6), (0.25, 0.5, 0.25)),
+    AbsorbingRandomWalk: AbsorbingRandomWalk(start=3, high=5),
+    ConstantReinforcement: ConstantReinforcement(4),
+    UniformReinforcement: UniformReinforcement(2, 5),
+    DiscreteReinforcement: DiscreteReinforcement((2, 7), (0.25, 0.75)),
+}
+# The extremes of a uniform, the walk's up/down split and the discrete
+# examples' CDF steps (0.25 and 0.75), each hit exactly.
+EDGE_UNITS = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("t", [0, 1, 5], ids=lambda t: f"t{t}")
+@pytest.mark.parametrize("cls", [*DRAW_POLICIES.values(), *REINFORCEMENT_POLICIES.values()],
+                         ids=lambda c: c.__name__)
+def test_scalar_emission_matches_vector_lane(cls, t):
+    # urn_rule calls emit_vec with one float, the engine with one
+    # uniform per lane: lane i must equal the float call on u[i], which
+    # returns a Python int.
+    pol = POLICY_EXAMPLES[cls]
+    draw = cls in DRAW_POLICIES.values()
+    # previous draw sizes: absorbed low, inside and absorbed high
+    prevs = [None] if t == 0 else [1, 3, 5]
+    for prev in prevs:
+        lanes = np.array(EDGE_UNITS)
+        if draw:
+            vec = pol.emit_vec(t, lanes, None if prev is None else np.full(len(lanes), prev))
+        else:
+            vec = pol.emit_vec(t, lanes)
+        vec = np.broadcast_to(vec, lanes.shape)
+        for i, u in enumerate(EDGE_UNITS):
+            one = pol.emit_vec(t, u, prev) if draw else pol.emit_vec(t, u)
+            assert type(one) is int, (u, prev)
+            assert one == vec[i], (u, prev)
 
 
 # Stepping and whole trajectories.
