@@ -40,10 +40,22 @@ from .urn_core import (
     UrnConfig,
 )
 
-KINDS = ("simulate", "clt", "coverage", "limit-law", "mtest", "hitting")
-
 WORKERS_ENV = "HRRU_WORKERS"
 _TABLE_BLOCK = 1024  # rows formatted per % operation
+
+# The top-level keys each kind reads besides "kind" and "outputs".  A
+# key named here may still be refused with its own message, such as
+# "factors" beside a single urn.
+_URN_KEYS = ("plan", "urn", "urns", "factors", "coeffs", "basis")
+_TOP_LEVEL = {
+    "simulate": _URN_KEYS,
+    "clt": _URN_KEYS,
+    "coverage": (*_URN_KEYS, "level"),
+    "limit-law": _URN_KEYS,
+    "mtest": (*_URN_KEYS, "level", "target", "reference"),
+    "hitting": ("walk",),
+}
+KINDS = tuple(_TOP_LEVEL)
 
 
 @dataclass
@@ -88,6 +100,13 @@ class _Collector:
     def at(path: str, key: str) -> str:
         """The path of ``key`` inside ``path``; "" is the top level."""
         return f"{path}.{key}" if path else key
+
+    def unknown(self, obj: dict, path: str, known) -> None:
+        """Report every key of ``obj`` outside ``known``, so a typo never
+        falls back to a default."""
+        for key in obj:
+            if key not in known:
+                self.add(self.at(path, key), "unknown field")
 
     def expect_int(self, obj: dict, path: str, key: str, minimum: int | None = None,
                    required: bool = True, default=None):
@@ -157,11 +176,13 @@ _FIELD_PARSERS = {
 }
 
 
-def _parse_fields(col: _Collector, cls, obj: dict, path: str):
-    """``cls`` built from its dataclass fields; its constructor checks ranges."""
-    kwargs = {
-        f.name: _FIELD_PARSERS[f.type](col, obj, path, f.name) for f in dataclasses.fields(cls)
-    }
+def _parse_fields(col: _Collector, cls, obj: dict, path: str, extra: tuple[str, ...] = ()):
+    """``cls`` built from its dataclass fields; its constructor checks
+    ranges.  Keys of ``obj`` other than the fields and ``extra`` are
+    reported as unknown."""
+    fields = dataclasses.fields(cls)
+    col.unknown(obj, path, {*extra, *(f.name for f in fields)})
+    kwargs = {f.name: _FIELD_PARSERS[f.type](col, obj, path, f.name) for f in fields}
     if None in kwargs.values():
         return None
     try:
@@ -181,13 +202,14 @@ def _parse_policy(col: _Collector, obj, path: str, menu: dict, what: str):
     if name not in menu:
         col.add(f"{path}.policy", f"unknown {what} policy {name!r}; supported: {tuple(menu)}")
         return None
-    return _parse_fields(col, menu[name], obj, path)
+    return _parse_fields(col, menu[name], obj, path, extra=("policy",))
 
 
 def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
     if not isinstance(obj, dict):
         col.add(path, f"must be an object, got {obj!r}")
         return None
+    col.unknown(obj, path, ("a", "b", "label", "draw", "reinforce"))
     a = col.expect_int(obj, path, "a", minimum=1)
     b = col.expect_int(obj, path, "b", minimum=1)
     label = col.expect_str(obj, path, "label", required=False, default="u0")
@@ -240,6 +262,7 @@ def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
             col.add("factors", f"must be an object, got {factors_obj!r}")
             ok = False
         else:
+            col.unknown(factors_obj, "factors", ("draw", "reinforce"))
             for name in ("draw", "reinforce"):
                 if name in factors_obj:
                     factors[name] = _parse_factor_dist(col, factors_obj[name], f"factors.{name}")
@@ -283,6 +306,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         if cfg_kind is not None and cfg_kind != kind:
             col.add("kind", f"config says {cfg_kind!r} but the subcommand is {kind!r}")
         resolved_kind = kind
+    if resolved_kind is not None:
+        col.unknown(raw, "", ("kind", "outputs", *_TOP_LEVEL[resolved_kind]))
 
     out = ExperimentConfig(kind=resolved_kind or "simulate")
 
@@ -290,6 +315,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     if not isinstance(outputs, dict):
         col.add("outputs", f"must be an object, got {outputs!r}")
         outputs = {}
+    col.unknown(outputs, "outputs", ("dir", "table_format"))
     out.out_dir = col.expect_str(outputs, "outputs", "dir", required=False, default=".")
     out.table_format = col.expect_str(
         outputs, "outputs", "table_format", required=False, default="tsv",
@@ -306,6 +332,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         if not isinstance(walk, dict):
             col.add("walk", "hitting experiments need a 'walk' object (start, high, reps)")
         else:
+            col.unknown(walk, "walk", ("start", "high", "reps", "seed"))
             out.walk_start = col.expect_int(walk, "walk", "start", minimum=2)
             out.walk_high = col.expect_int(walk, "walk", "high", minimum=3)
             out.walk_reps = col.expect_int(walk, "walk", "reps", minimum=1)
@@ -323,6 +350,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     if not isinstance(plan, dict):
         col.add("plan", "required object (reps, n, n_proxy, seed)")
         plan = {}
+    col.unknown(plan, "plan", ("reps", "n", "n_proxy", "seed", "chunk_size"))
     needs_reps = resolved_kind != "simulate"
     out.reps = col.expect_int(plan, "plan", "reps", minimum=1,
                               required=needs_reps, default=1) or 1

@@ -34,8 +34,9 @@ for ``CustomRule`` configs, which have no vector form, and the tests
 use it as their reference.
 
 Ball counts, draw sizes, reinforcements and the integer sums are
-float64 state holding exact integers: ``n`` and ``r`` are copied into
-float64 rows once per step, and from there no operation mixes dtypes.
+float64 holding exact integers: a policy's ``emit_vec`` returns float64
+for an array of uniforms, an emission every urn reads is used as it
+is, and no step operation mixes dtypes.
 Every sum, product and quotient (``h_rem / s_rem``, ``H / S``,
 ``counts / h``) then gives the scalar path's Python-int bits as long as
 the integers stay at most 2**53.  So ``check_int64_range`` bounds every
@@ -224,15 +225,12 @@ def lane_cap(config: UrnConfig | UrnSystem, horizons: int) -> int:
 
 
 def _per_urn(values: list, index: list[int], rows: np.ndarray):
-    # The step's emissions laid out for the stacked urns, as float64.
-    # One int read by every urn stays a scalar; one array read by every
-    # urn broadcasts into every row; otherwise each urn's fills its row.
+    # The step's emissions laid out for the stacked urns.  One emission
+    # read by every urn is used as it is: an int stays a scalar and a
+    # float64 (lanes,) array broadcasts against (urns, lanes).  Otherwise
+    # each urn's emission is copied into its float64 row.
     if len(set(index)) == 1:
-        value = values[index[0]]
-        if not isinstance(value, np.ndarray):
-            return value
-        rows[...] = value
-        return rows
+        return values[index[0]]
     for u, i in enumerate(index):
         rows[u] = values[i]
     return rows

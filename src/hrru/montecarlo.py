@@ -29,6 +29,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -189,13 +190,39 @@ def _run_one_chunk(args):
     return engine.run_chunk(config, master_seed, lo, hi, horizons)
 
 
+# The cgroup file system: v2 keeps the CPU quota in cpu.max, v1 in
+# cpu/cpu.cfs_quota_us over cpu/cpu.cfs_period_us.
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> int | None:
+    # The CPUs the cgroup's quota pays for, rounded up; None when there
+    # is no quota ("max" or -1) or no readable file.
+    try:
+        quota, period = (_CGROUP / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
 def _usable_cpus() -> int:
     # The CPUs this process may run on: its affinity set where the
-    # platform reports one (taskset, container cpusets), else the count.
+    # platform reports one (taskset, container cpusets), else the count,
+    # and no more than the cgroup's CPU quota.
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:

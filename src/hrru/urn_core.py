@@ -32,6 +32,15 @@ from .rng import DEFAULT_LABEL, DRAW, EXTRACT, REINFORCE, Stream, UrnStreams, de
 # margin below 2**63 so intermediate products cannot wrap there.
 CAPACITY_LIMIT = 1 << 62
 
+# An ``IntegerDistribution`` samples an array of uniforms by CDF
+# comparisons, a few passes per support value, when its support has at
+# most ``_COMPARE_MAX`` values and the array at least ``_COMPARE_LANES``
+# lanes per value; otherwise by ``searchsorted``, whose cost per lane
+# grows with the lanes (a measured crossover: about 3 values at 1024
+# lanes, 12 at 4096, 24 to 32 at 8192, 40 at 16 384 and 50 at 32 768).
+_COMPARE_MAX = 32
+_COMPARE_LANES = 512
+
 
 class ParameterError(ValueError):
     """A single argument or field is out of its documented range."""
@@ -77,7 +86,10 @@ class IntegerDistribution:
         cdf = list(accumulate(self.probs))
         cdf[-1] = 1.0
         object.__setattr__(self, "_cdf", np.asarray(cdf, dtype=np.float64))
-        object.__setattr__(self, "_support", np.asarray(self.values, dtype=np.int64))
+        object.__setattr__(self, "_support", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "_steps", tuple(
+            (c, float(hi - lo)) for c, lo, hi in zip(cdf, self.values, self.values[1:])
+        ))
 
     @property
     def low(self) -> int:
@@ -88,13 +100,30 @@ class IntegerDistribution:
         return max(self.values)
 
     def sample(self, u):
-        """The first value whose CDF step exceeds ``u``, for one uniform
-        (a Python int) or elementwise for an array."""
+        """The first value whose CDF step exceeds ``u``: a Python int for
+        one uniform, float64 holding exact integers for an array.
+
+        That value sits at index "CDF steps at or below ``u``", capped
+        at the last.  An array of a small law counts the steps by one
+        comparison each, ``values[0] + sum over i < K - 1 of
+        (u >= cdf[i]) * (values[i + 1] - values[i])``, whose partial
+        sums are support values; a larger law, or a short array, uses
+        ``searchsorted``.
+        """
+        k = len(self.values)
         if isinstance(u, float):
-            return self.values[min(bisect_right(self._cdf, u), len(self.values) - 1)]
-        idx = np.searchsorted(self._cdf, u, side="right")
-        np.minimum(idx, len(self.values) - 1, out=idx)
-        return self._support[idx]
+            return self.values[min(bisect_right(self._cdf, u), k - 1)]
+        if k > min(_COMPARE_MAX, u.size // _COMPARE_LANES):
+            idx = np.searchsorted(self._cdf, u, side="right")
+            np.minimum(idx, k - 1, out=idx)
+            return self._support[idx]
+        out = np.full(u.shape, self._support[0])
+        step = np.empty(u.shape)
+        for c, d in self._steps:
+            np.greater_equal(u, c, out=step)
+            step *= d
+            out += step
+        return out
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
@@ -110,29 +139,36 @@ class IntegerDistribution:
 # ``stream_lag`` says which counter that uniform sits at: step ``t``
 # reads counter ``t - stream_lag``, and ``None`` means no stream is
 # read.  Both ``urn_rule`` and the batch engine read the uniform there
-# and hand it in, so a policy never sees a stream.
+# and hand it in, so a policy never sees a stream.  A float ``u`` gets a
+# Python int back; an array gets a float64 array holding exact integers,
+# the engine's dtype, or an int when the policy reads no stream.
 
 
-def _scaled(u, span: int):
-    """floor(u * span) capped at span - 1, for one uniform or an array.
+def _scaled(u, low: int, span: int):
+    """low + floor(u * span), with floor(u * span) capped at span - 1:
+    an int for one uniform, float64 holding exact integers for an array.
 
     The cap guards the u == 1 - ulp edge so emissions stay in range.
     """
     if isinstance(u, float):
-        return min(int(u * span), span - 1)
-    scaled = (u * span).astype(np.int64)
+        return low + min(int(u * span), span - 1)
+    scaled = np.multiply(u, span)
+    np.floor(scaled, out=scaled)
     np.minimum(scaled, span - 1, out=scaled)
+    scaled += low
     return scaled
 
 
 def walk_move(prev, u, high: int):
     """One move of the fair +/-1 walk absorbed at 1 and at ``high``.
 
-    Up when ``u < 0.5``, down otherwise, and no move once absorbed;
-    elementwise when ``prev`` and ``u`` are arrays.
+    Up when ``u < 0.5``, down otherwise, and no move once absorbed: an
+    int for one uniform, float64 holding exact integers for an array.
     """
     inside = (prev > 1) & (prev < high)
-    return prev + inside * (2 * (u < 0.5) - 1)
+    if isinstance(u, float):
+        return prev + inside * (2 * (u < 0.5) - 1)
+    return prev + inside * np.where(u < 0.5, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +235,7 @@ class IidUniform:
         return True
 
     def emit_vec(self, t: int, u, n_prev):
-        return 1 + _scaled(u, self.high)
+        return _scaled(u, 1, self.high)
 
 
 @dataclass(frozen=True)
@@ -349,7 +385,7 @@ class UniformReinforcement:
         return self.high
 
     def emit_vec(self, t: int, u):
-        return self.low + _scaled(u, self.high - self.low + 1)
+        return _scaled(u, self.low, self.high - self.low + 1)
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0

@@ -503,3 +503,57 @@ def test_top_level_error_paths_have_no_leading_dot():
     assert any(p.startswith("level: must be a number") for p in problems)
     assert any(p.startswith("basis: must be one of") for p in problems)
     assert not any(p.startswith(".") for p in problems)
+
+
+def _mtest_config():
+    cfg = _system_coverage_config("somewhere", {"A": 1})
+    del cfg["coeffs"]
+    cfg.update(factors={"reinforce": {"values": [0, 1], "probs": [0.5, 0.5]}},
+               level=0.05, target="A", reference=["B"])
+    return cfg
+
+
+def _with(cfg, path, key):
+    # cfg with a stray key added to the object at path (a key tuple)
+    obj = cfg
+    for step in path:
+        obj = obj[step]
+    obj[key] = 1
+    return cfg
+
+
+@pytest.mark.parametrize("kind,make,path,where", [
+    ("clt", lambda: _clt_config("somewhere"), (), "stray"),
+    ("clt", lambda: _clt_config("somewhere"), ("plan",), "plan.stray"),
+    ("clt", lambda: _clt_config("somewhere"), ("outputs",), "outputs.stray"),
+    ("clt", lambda: _clt_config("somewhere"), ("urn",), "urn.stray"),
+    ("clt", lambda: _clt_config("somewhere"), ("urn", "draw"), "urn.draw.stray"),
+    ("clt", lambda: _clt_config("somewhere"), ("urn", "reinforce"), "urn.reinforce.stray"),
+    ("mtest", _mtest_config, ("urns", 1), "urns[1].stray"),
+    ("mtest", _mtest_config, ("factors",), "factors.stray"),
+    ("mtest", _mtest_config, ("factors", "reinforce"), "factors.reinforce.stray"),
+    ("hitting", lambda: {"walk": {"start": 3, "high": 6, "reps": 10}}, ("walk",), "walk.stray"),
+])
+def test_unknown_fields_are_reported_at_every_level(kind, make, path, where):
+    assert parse_config(json.dumps(make()), kind=kind).kind == kind
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(_with(make(), path, "stray")), kind=kind)
+    assert ei.value.problems == [f"{where}: unknown field"]
+
+
+def test_typos_and_keys_of_other_kinds_exit_2(tmp_path, capsys):
+    # A misspelled n_proxy would otherwise run with the default 50 n.
+    cfg = _clt_config(tmp_path / "out")
+    cfg["plan"]["n_prox"] = cfg["plan"].pop("n_proxy")
+    cfg["urn"]["draw"]["low"] = 2
+    cfg.update(level=0.9, target="A", reference=["B"], walk={})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["clt", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    for where in ("plan.n_prox", "urn.draw.low", "level", "target", "reference", "walk"):
+        assert f"  - {where}: unknown field" in err.splitlines()
+    assert not (tmp_path / "out" / "report.json").exists()
+    hitting = {"walk": {"start": 3, "high": 6, "reps": 10}, "plan": {"n": 5}}
+    with pytest.raises(ConfigError, match="plan: unknown field"):
+        parse_config(json.dumps(hitting), kind="hitting")

@@ -161,12 +161,34 @@ def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
     assert _RecordingPool.sizes == [3, 3]
 
 
-def test_usable_cpus_follow_the_affinity_set(monkeypatch):
+def test_usable_cpus_follow_the_affinity_set(monkeypatch, tmp_path):
+    monkeypatch.setattr(mc, "_CGROUP", tmp_path)  # no cgroup files: no quota
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     assert mc._usable_cpus() == 2
     monkeypatch.delattr(mc.os, "sched_getaffinity")
     assert mc._usable_cpus() == 64
+
+
+@pytest.mark.parametrize("files,quota", [
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "50000\n"}, None),   # no period file
+    ({"cpu.max": "garbage\n"}, None),
+    ({}, None),
+], ids=["v2-1.5", "v2-1", "v2-max", "v1-2.5", "v1-none", "v1-unreadable", "v2-garbage",
+        "no-cgroup"])
+def test_usable_cpus_respect_the_cgroup_cpu_quota(monkeypatch, tmp_path, files, quota):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(mc, "_CGROUP", tmp_path)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert mc._cpu_quota() == quota
+    assert mc._usable_cpus() == (4 if quota is None else quota)
 
 
 def test_chunks_are_equal_shares_per_worker():

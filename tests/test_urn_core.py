@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hrru import rng
 from hrru.urn_core import (
+    _COMPARE_LANES,
+    _COMPARE_MAX,
     DRAW_POLICIES,
     REINFORCEMENT_POLICIES,
     AbsorbingRandomWalk,
@@ -120,6 +122,38 @@ def test_integer_distribution_validation():
     assert d.sample(0.999999) == 5
     assert type(d.sample(0.25)) is int
     assert d.sample(np.array([0.0, 0.2499999, 0.25, 0.999999])).tolist() == [2, 2, 5, 5]
+
+
+def _uniform_law(k, order=1):
+    return tuple(range(1, k + 1))[::order], (1 / k,) * k
+
+
+@pytest.mark.parametrize("values,probs", [
+    ((2, 5), (0.25, 0.75)),
+    ((7,), (1.0,)),
+    ((1, 2, 3, 4, 5), (0.0, 0.5, 0.0, 0.5, 0.0)),   # zero-probability plateaus
+    ((9, 2, 5), (0.2, 0.3, 0.5)),                   # unsorted support
+    ((1, 1000), (0.99, 0.01)),
+    _uniform_law(_COMPARE_MAX),                     # the largest law compared
+    _uniform_law(_COMPARE_MAX + 1, order=-1),       # always searchsorted
+], ids=["two", "one", "plateaus", "unsorted", "wide", "compare-max", "searchsorted"])
+def test_array_sample_matches_searchsorted(values, probs):
+    # Both array branches against searchsorted(side="right") plus the
+    # clamp, at 0, every CDF step, just below each step, 1 - 2**-53 and
+    # a random batch: the short array takes searchsorted (but for one
+    # value), the long one compares every law of up to _COMPARE_MAX
+    # values.  Each lane also equals the float branch.
+    dist = IntegerDistribution(values, probs)
+    cdf = dist._cdf
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], cdf, np.nextafter(cdf, 0.0),
+                        np.random.default_rng(5).random(256)])
+    want = np.asarray(values)[np.minimum(np.searchsorted(cdf, u, side="right"),
+                                         len(values) - 1)]
+    assert [dist.sample(x) for x in u.tolist()] == want.tolist()
+    for lanes in (len(u), _COMPARE_MAX * _COMPARE_LANES):
+        got = dist.sample(np.resize(u, lanes))
+        assert got.dtype == np.float64
+        assert got.tolist() == np.resize(want, lanes).tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -265,6 +299,9 @@ def test_scalar_emission_matches_vector_lane(cls, t):
             vec = pol.emit_vec(t, lanes, None if prev is None else np.full(len(lanes), prev))
         else:
             vec = pol.emit_vec(t, lanes)
+        if pol.stream_lag is not None and t >= pol.stream_lag:
+            # the engine's dtype, used as it is
+            assert vec.dtype == np.float64, prev
         vec = np.broadcast_to(vec, lanes.shape)
         for i, u in enumerate(EDGE_UNITS):
             one = pol.emit_vec(t, u, prev) if draw else pol.emit_vec(t, u)
