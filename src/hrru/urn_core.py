@@ -101,7 +101,8 @@ class IntegerDistribution:
 
     def sample(self, u):
         """The first value whose CDF step exceeds ``u``: a Python int for
-        one uniform, float64 holding exact integers for an array.
+        one uniform, float64 holding exact integers for an array (exact
+        for values up to 2**53, the engine's range).
 
         That value sits at index "CDF steps at or below ``u``", capped
         at the last.  An array of a small law counts the steps by one
