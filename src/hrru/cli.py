@@ -82,9 +82,6 @@ class ExperimentConfig:
     # they are written.
     out_dir: str = field(default=".", compare=False)
     table_format: str = "tsv"
-    # Lanes per chunk (``plan.chunk_size``): delivery like ``out_dir``,
-    # since no result depends on it.
-    chunk_size: int | None = field(default=None, compare=False)
 
 
 class _Collector:
@@ -346,22 +343,22 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError(col.problems)
         return out
 
+    # simulate runs one trajectory to n: it reads no reps or n_proxy.
+    simulate = resolved_kind == "simulate"
+    reads = ("n", "seed") if simulate else ("reps", "n", "n_proxy", "seed")
     plan = raw.get("plan")
     if not isinstance(plan, dict):
-        col.add("plan", "required object (reps, n, n_proxy, seed)")
+        col.add("plan", f"required object ({', '.join(reads)})")
         plan = {}
-    col.unknown(plan, "plan", ("reps", "n", "n_proxy", "seed", "chunk_size"))
-    needs_reps = resolved_kind != "simulate"
-    out.reps = col.expect_int(plan, "plan", "reps", minimum=1,
-                              required=needs_reps, default=1) or 1
+    col.unknown(plan, "plan", reads)
+    if not simulate:
+        out.reps = col.expect_int(plan, "plan", "reps", minimum=1) or 1
+        out.n_proxy = col.expect_int(plan, "plan", "n_proxy", minimum=1,
+                                     required=False, default=None)
     out.n = col.expect_int(plan, "plan", "n", minimum=1) or 1
-    out.n_proxy = col.expect_int(plan, "plan", "n_proxy", minimum=1,
-                                 required=False, default=None)
     out.seed = col.expect_int(plan, "plan", "seed")
     if out.seed is None:
         out.seed = 0
-    out.chunk_size = col.expect_int(plan, "plan", "chunk_size", minimum=1,
-                                    required=False, default=None)
 
     system_kinds = ("mtest",)
     single_kinds = ("simulate", "clt", "limit-law")
@@ -487,7 +484,9 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
         }
         if factors:
             out["factors"] = factors
-    plan: dict = {"reps": cfg.reps, "n": cfg.n, "seed": cfg.seed}
+    plan: dict = {"n": cfg.n, "seed": cfg.seed}
+    if cfg.kind != "simulate":
+        plan = {"reps": cfg.reps, **plan}
     if cfg.n_proxy is not None:
         plan["n_proxy"] = cfg.n_proxy
     out["plan"] = plan
@@ -562,7 +561,6 @@ def _plan_for(cfg: ExperimentConfig) -> mc.ReplicationPlan:
         n=cfg.n,
         n_proxy=cfg.n_proxy,
         master_seed=cfg.seed,
-        chunk_size=cfg.chunk_size,
     )
 
 

@@ -379,7 +379,8 @@ def sample_hypergeometric_batch(
     """``count`` independent exact hypergeometric draws from one stream.
 
     Sample ``j`` reads counters ``j * n_draw .. j * n_draw + n_draw - 1``,
-    matching ``sample_hypergeometric`` on ``Stream(key).view(j * n_draw)``.
+    as ``sample_hypergeometric(Stream(key), j * n_draw, n_draw, total,
+    marked)`` does.
     """
     if not (1 <= n_draw <= total):
         raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")

@@ -11,8 +11,9 @@ split further only where a share's arrays would exceed the engine's
 budget (``engine.lane_cap``).  Chunk outputs are reassembled in index
 order.
 
-The diagnostics standardize per-rep statistics with each rep's own
-plug-in variance and compare them against the standard normal law:
+The diagnostics take the records of one ``replicate`` call, standardize
+per-rep statistics with each rep's own plug-in variance and compare
+them against the standard normal law:
 
     T_prop = sqrt(n) (Z_n - Z_proxy) / sqrt(V_n)
     T_gap  = sqrt(n) (M_n - Z_n)     / sqrt(U_n)
@@ -47,6 +48,8 @@ from .urn_core import (
 )
 
 DEFAULT_PROXY_FACTOR = 50
+# The level of the CLT diagnostics' coverage of |gap| <= z_q sqrt(var / n).
+CLT_COVERAGE_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,6 @@ class ReplicationPlan:
     n: int
     n_proxy: int | None = None
     master_seed: int = 0
-    # Lanes per chunk, for tests and experiments on chunking only: it
-    # changes no result, and ``engine.lane_cap`` still bounds it.
-    chunk_size: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.reps, int) or self.reps < 1:
@@ -72,9 +72,6 @@ class ReplicationPlan:
                 raise ParameterError(
                     f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
                 )
-        if self.chunk_size is not None and (
-                not isinstance(self.chunk_size, int) or self.chunk_size < 1):
-            raise ParameterError(f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
         engine.check_int64_range(self.config, self.proxy_horizon)
 
     @property
@@ -141,11 +138,7 @@ class RepRecords:
         return next(iter(self.urns.values()))
 
     def __len__(self) -> int:
-        return len(self.single_or_first.at_n.z)
-
-    @property
-    def single_or_first(self) -> UrnRecords:
-        return next(iter(self.urns.values()))
+        return len(next(iter(self.urns.values())).at_n.z)
 
     def take(self, m: int) -> "RepRecords":
         if not (1 <= m <= len(self)):
@@ -169,19 +162,14 @@ _SHARE_LANE_STEPS = 1 << 19
 def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
     """The plan's reps as contiguous ranges of sizes differing by at most one.
 
-    Up to ``workers`` equal shares, each split into as few chunks as keep
-    every chunk within ``engine.lane_cap`` lanes; with ``plan.chunk_size``
-    set, as few chunks as keep every chunk within that many lanes, or the
-    cap.
+    Up to ``workers`` equal shares (no more than the plan has
+    ``_SHARE_LANE_STEPS`` lane-steps), each split into as few chunks as
+    keep every chunk within ``engine.lane_cap`` lanes.
     """
     cap = engine.lane_cap(plan.config, len(plan.horizons))
-    if plan.chunk_size is None:
-        lane_steps = plan.reps * plan.proxy_horizon * len(plan.labels)
-        shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
-        chunks = shares * -(-plan.reps // (shares * cap))
-    else:
-        chunks = -(-plan.reps // min(plan.chunk_size, cap))
-    chunks = min(chunks, plan.reps)
+    lane_steps = plan.reps * plan.proxy_horizon * len(plan.labels)
+    shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
+    chunks = min(shares * -(-plan.reps // (shares * cap)), plan.reps)
     return [(plan.reps * i // chunks, plan.reps * (i + 1) // chunks) for i in range(chunks)]
 
 
@@ -228,11 +216,13 @@ def _usable_cpus() -> int:
 def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
-    The chunks (``_chunk_bounds``) run on ``min(workers, chunks, usable
-    CPUs)`` processes, with ``workers`` defaulting to the usable CPUs.
-    A plan gets no more shares than it has ``_SHARE_LANE_STEPS``
-    lane-steps, so a small one runs in this process whatever
-    ``workers`` says.  The per-rep values are identical in every case
+    This is the one place a plan is simulated: every diagnostic below
+    takes the records it returns.  The chunks (``_chunk_bounds``, the
+    only chunking) run on ``min(workers, chunks, usable CPUs)``
+    processes, with ``workers`` defaulting to the usable CPUs.  A plan
+    gets no more shares than it has ``_SHARE_LANE_STEPS`` lane-steps,
+    so a small one runs in this process whatever ``workers`` says.  The
+    per-rep values are identical in every case
     because each rep's streams depend only on (master_seed, rep index).
     ``CustomRule`` plans run in this process, since their rules need
     not be picklable.
@@ -277,8 +267,8 @@ class CltDiagnostics:
     aux: dict[str, float]
 
 
-def _proxy_aux(records: RepRecords, label: str) -> dict[str, float]:
-    blk = records.urns[label].at_proxy
+def _proxy_aux(urn: UrnRecords) -> dict[str, float]:
+    blk = urn.at_proxy
     target = blk.draw_mean * blk.reinf_mean
     abs_err = np.abs(blk.s_over_n - target)
     return {
@@ -291,15 +281,6 @@ def _proxy_aux(records: RepRecords, label: str) -> dict[str, float]:
 
 def _ks_vs_normal(samples: np.ndarray) -> float:
     return gof.ks_distance(samples, normal_cdf)
-
-
-def _single_label(records: RepRecords) -> str:
-    labels = tuple(records.urns)
-    if len(labels) != 1:
-        raise ParameterError(
-            f"this diagnostic needs a single-urn plan, got urns {labels}"
-        )
-    return labels[0]
 
 
 @dataclass(frozen=True)
@@ -324,7 +305,7 @@ class CltStatistics:
 
 def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
     """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
-    u = records.urns[_single_label(records)]
+    u = records.single
     v, w, uu = u.at_n.variances()
     gap_zp = u.at_n.z - u.at_proxy.z
     gap_mz = u.at_n.m_emp - u.at_n.z
@@ -342,26 +323,27 @@ def _normal_diag(
     kind: str,
     t: np.ndarray,
     var: np.ndarray,
-    gap: np.ndarray,
     plan: ReplicationPlan,
-    coverage_level: float | None,
     aux: dict[str, float],
+    gap: np.ndarray | None = None,
 ) -> CltDiagnostics:
-    """KS distance of ``t`` over the reps with ``var > 0``; with a level,
-    also the coverage of ``|gap| <= z_q sqrt(var / n)`` over all reps."""
+    """KS distance of ``t`` over the reps with ``var > 0``; with a gap,
+    also the coverage of ``|gap| <= z_q sqrt(var / n)`` over all reps at
+    ``CLT_COVERAGE_LEVEL``."""
     n, reps = plan.n, plan.reps
     included = var > 0.0
     samples = t[included]
-    coverage = None
-    if coverage_level is not None:
-        zq = normal_quantile(0.5 + coverage_level / 2.0)
+    coverage = level = None
+    if gap is not None:
+        level = CLT_COVERAGE_LEVEL
+        zq = normal_quantile(0.5 + level / 2.0)
         coverage = float(np.count_nonzero(np.abs(gap) <= zq * np.sqrt(var / n))) / reps
     return CltDiagnostics(
         kind=kind,
         samples=samples,
         ks_distance=_ks_vs_normal(samples) if len(samples) else math.nan,
         coverage=coverage,
-        coverage_level=coverage_level,
+        coverage_level=level,
         excluded=int(reps - np.count_nonzero(included)),
         reps=reps,
         aux=aux,
@@ -378,12 +360,7 @@ class MeanCltDiagnostics:
     stats: CltStatistics       # every rep's variances and statistics
 
 
-def clt_check_mn(
-    plan: ReplicationPlan,
-    records: RepRecords | None = None,
-    workers: int | None = None,
-    coverage_level: float = 0.95,
-) -> MeanCltDiagnostics:
+def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnostics:
     """Normal-law checks for the empirical mean at horizon n.
 
     The gap statistic and the proportion statistic are asymptotically
@@ -392,37 +369,27 @@ def clt_check_mn(
     variance estimate are excluded from the affected statistic and
     counted, never silently dropped.
     """
-    if records is None:
-        records = replicate(plan, workers)
     s = clt_statistics(plan, records)
-    aux = _proxy_aux(records, _single_label(records))
+    aux = _proxy_aux(records.single)
     both = (s.u > 0.0) & (s.v > 0.0)
     if np.count_nonzero(both) >= 2:
         corr = float(np.corrcoef(s.t_gap[both], s.t_prop[both])[0, 1])
     else:
         corr = None
     return MeanCltDiagnostics(
-        gap=_normal_diag("gap", s.t_gap, s.u, s.gap_mz, plan, None, {}),
-        proportion=_normal_diag("proportion", s.t_prop, s.v, s.gap_zp, plan, coverage_level, aux),
-        mean=_normal_diag("mean", s.t_mean, s.w, s.gap_mp, plan, coverage_level, aux),
+        gap=_normal_diag("gap", s.t_gap, s.u, plan, {}),
+        proportion=_normal_diag("proportion", s.t_prop, s.v, plan, aux, s.gap_zp),
+        mean=_normal_diag("mean", s.t_mean, s.w, plan, aux, s.gap_mp),
         corr_gap_proportion=corr,
         median_abs_gap=float(np.median(math.sqrt(plan.n) * np.abs(s.gap_mz))),
         stats=s,
     )
 
 
-def clt_check_zn(
-    plan: ReplicationPlan,
-    records: RepRecords | None = None,
-    workers: int | None = None,
-    coverage_level: float = 0.95,
-) -> CltDiagnostics:
+def clt_check_zn(plan: ReplicationPlan, records: RepRecords) -> CltDiagnostics:
     """Normal-law check for the scaled proportion error at horizon n."""
-    if records is None:
-        records = replicate(plan, workers)
     s = clt_statistics(plan, records)
-    aux = _proxy_aux(records, _single_label(records))
-    return _normal_diag("proportion", s.t_prop, s.v, s.gap_zp, plan, coverage_level, aux)
+    return _normal_diag("proportion", s.t_prop, s.v, plan, _proxy_aux(records.single), s.gap_zp)
 
 
 def _constant_reinforcement_value(policy) -> int | None:
@@ -449,21 +416,15 @@ class LimitLawReport:
     beta_ks: float | None
 
 
-def limit_law_suite(
-    plan: ReplicationPlan,
-    records: RepRecords | None = None,
-    workers: int | None = None,
-) -> LimitLawReport:
+def limit_law_suite(plan: ReplicationPlan, records: RepRecords) -> LimitLawReport:
     """Growth-rate and no-atom diagnostics; Beta reference when exact.
 
     For single-ball draws with constant reinforcement ``k`` the limit
     proportion has the Beta(a/k, b/k) law, so the proxy sample is also
     tested against that reference CDF.
     """
-    if records is None:
-        records = replicate(plan, workers)
-    label = _single_label(records)
-    aux = _proxy_aux(records, label)
+    urn = records.single
+    aux = _proxy_aux(urn)
     beta_params = None
     beta_ks = None
     cfg = plan.config
@@ -471,7 +432,7 @@ def limit_law_suite(
         const_r = _constant_reinforcement_value(cfg.reinforce)
         if cfg.draw.bound == 1 and const_r is not None:
             beta_params = (cfg.a / const_r, cfg.b / const_r)
-            zp = records.urns[label].at_proxy.z
+            zp = urn.at_proxy.z
             beta_ks = gof.ks_distance(
                 zp, lambda x: gof.beta_cdf(x, beta_params[0], beta_params[1])
             )
@@ -517,12 +478,7 @@ def _coverage_result(basis: str, hits: np.ndarray, reps: int) -> CoverageResult:
     )
 
 
-def coverage_experiment(
-    plan: ReplicationPlan,
-    level: float,
-    records: RepRecords | None = None,
-    workers: int | None = None,
-) -> CoverageReport:
+def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords) -> CoverageReport:
     """Empirical coverage of both intervals against the proxy truth.
 
     Raw (unclipped) intervals are scored; a zero-width interval counts
@@ -530,10 +486,7 @@ def coverage_experiment(
     """
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
-    if records is None:
-        records = replicate(plan, workers)
-    label = _single_label(records)
-    u = records.urns[label]
+    u = records.single
     v, w, _ = u.at_n.variances()
     n = plan.n
     truth = u.at_proxy.z
@@ -554,8 +507,7 @@ def linear_combination_coverage(
     coeffs: dict[str, float],
     basis: str,
     level: float,
-    records: RepRecords | None = None,
-    workers: int | None = None,
+    records: RepRecords,
 ) -> CoverageResult:
     """Coverage of the weighted-combination interval across urns.
 
@@ -567,8 +519,6 @@ def linear_combination_coverage(
     check_coefficients(coeffs)
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
-    if records is None:
-        records = replicate(plan, workers)
     for lab in coeffs:
         if lab not in records.urns:
             raise ParameterError(f"no urn labeled {lab!r}; labels are {tuple(records.urns)}")
@@ -614,8 +564,7 @@ def mtest_rejection(
     target: str,
     reference: tuple[str, ...] | list[str],
     level: float,
-    records: RepRecords | None = None,
-    workers: int | None = None,
+    records: RepRecords,
 ) -> MTestFrequency:
     """Rejection frequency of the mean-reinforcement test over reps."""
     refs = tuple(reference)
@@ -627,8 +576,6 @@ def mtest_rejection(
         raise ParameterError(f"reference labels must be distinct, got {refs}")
     if not (0.0 < level < 1.0):
         raise ParameterError(f"level must lie in (0, 1), got {level!r}")
-    if records is None:
-        records = replicate(plan, workers)
     for lab in (target, *refs):
         if lab not in records.urns:
             raise ParameterError(f"no urn labeled {lab!r}; labels are {tuple(records.urns)}")

@@ -120,6 +120,8 @@ class UrnSystem:
         if len(set(labels)) != len(labels):
             problems.append(f"urn labels must be distinct, got {labels}")
         for u in self.urns:
+            if not isinstance(u.label, str) or not u.label:
+                problems.append(f"urn {u.label!r}: label must be a nonempty string")
             if not isinstance(u.a, int) or u.a < 1:
                 problems.append(f"urn {u.label!r}: a must be an integer >= 1, got {u.a!r}")
             if not isinstance(u.b, int) or u.b < 1:

@@ -109,24 +109,19 @@ def unit_from_u64(v: int) -> float:
 
 
 class Stream:
-    """Sequential view over a counter-based stream.
+    """One stream's uniforms, addressed by counter: ``unit_at(c)`` is
+    the uniform at counter ``c``, whatever was read before.
 
-    ``at``/``unit_at`` are position-addressed and do not move the
-    cursor; ``next_u64``/``next_unit`` read at the cursor and advance.
     Uniforms come from a cached block of ``_BLOCK`` counters, filled by
-    ``units_vec`` on a miss and shared with every view of the stream;
-    counters past the uint64 range fall back to ``stream_value``.
+    ``units_vec`` on a miss; counters past the uint64 range fall back
+    to ``stream_value``.
     """
 
-    __slots__ = ("key", "pos", "_block")
+    __slots__ = ("key", "_block")
 
-    def __init__(self, key: int, pos: int = 0):
+    def __init__(self, key: int):
         self.key = key & MASK64
-        self.pos = pos
         self._block = [0, []]  # first counter of the cached block, its uniforms
-
-    def at(self, counter: int) -> int:
-        return stream_value(self.key, counter)
 
     def unit_at(self, counter: int) -> float:
         lo, units = self._block
@@ -147,24 +142,8 @@ class Stream:
         self._block[:] = lo, units
         return units[counter - lo]
 
-    def next_u64(self) -> int:
-        v = stream_value(self.key, self.pos)
-        self.pos += 1
-        return v
-
-    def next_unit(self) -> float:
-        u = self.unit_at(self.pos)
-        self.pos += 1
-        return u
-
-    def view(self, counter: int) -> "Stream":
-        """A fresh cursor onto the same stream, positioned at ``counter``."""
-        view = Stream(self.key, counter)
-        view._block = self._block
-        return view
-
     def __repr__(self) -> str:
-        return f"Stream(key=0x{self.key:016x}, pos={self.pos})"
+        return f"Stream(key=0x{self.key:016x})"
 
 
 def rep_key(master_seed: int, rep: int) -> int:
@@ -222,19 +201,15 @@ def units_vec(keys: np.ndarray, counters: np.ndarray | int) -> np.ndarray:
     return (stream_values_vec(keys, counters) >> _V11) * _INV_2_53
 
 
-def units_from_states_vec(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Finalize precomposed ``key + (c + 1) * GOLDEN`` states to uniforms.
+def units_from_states_vec(states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Finalize precomposed ``key + (c + 1) * GOLDEN`` states to uniforms
+    in ``out`` (float64, the shape of ``states``).
 
-    With ``out`` (float64, the shape of ``states``) nothing is
-    allocated: ``states`` is consumed in place, ``out`` doubles as the
-    shift scratch, and the uniforms land in ``out``.  Without ``out``
-    the input is copied first and left untouched.  ``v >> 11`` is
-    below 2**53, so converting it through an int64 view is exact and
-    gives the same floats as the unsigned conversion.
+    Nothing is allocated: ``states`` is consumed in place and ``out``
+    doubles as the shift scratch.  ``v >> 11`` is below 2**53, so
+    converting it through an int64 view is exact and gives the same
+    floats as the unsigned conversion.
     """
-    if out is None:
-        states = np.array(states, dtype=np.uint64)
-        out = np.empty(states.shape, np.float64)
     x, shifted = states, out.view(np.uint64)
     for shift, mul in ((_V30, _V_MIX_A), (_V27, _V_MIX_B)):
         np.right_shift(x, shift, out=shifted)
@@ -244,30 +219,6 @@ def units_from_states_vec(states: np.ndarray, out: np.ndarray | None = None) -> 
     x ^= shifted
     x >>= _V11
     return np.multiply(x.view(np.int64), _INV_2_53, out=out)
-
-
-def derive_keys_vec(key: int, *parts: int | str | np.ndarray) -> np.ndarray:
-    """Vector form of derive_key; array parts derive one key per element.
-
-    Scalar parts are folded in python ints (exact wrap-around, no numpy
-    scalar warnings); the chain goes vectorized at the first array part.
-    """
-    golden = np.uint64(GOLDEN)
-    k_scalar: int | None = int(key) & MASK64
-    k: np.ndarray | None = None
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            tags = mix64_vec(part.astype(np.uint64))
-            base = np.uint64(k_scalar) if k_scalar is not None else k
-            k_scalar = None
-            k = mix64_vec((base ^ tags) + golden)
-        elif k_scalar is not None:
-            k_scalar = mix64(((k_scalar ^ mix64(_tag(part))) + GOLDEN) & MASK64)
-        else:
-            k = mix64_vec((k ^ np.uint64(mix64(_tag(part)))) + golden)
-    if k_scalar is not None:
-        return np.asarray(np.uint64(k_scalar))
-    return k
 
 
 def derive_keys_each(keys: np.ndarray, *parts: int | str) -> np.ndarray:
@@ -281,4 +232,6 @@ def derive_keys_each(keys: np.ndarray, *parts: int | str) -> np.ndarray:
 
 
 def rep_keys_vec(master_seed: int, reps: np.ndarray) -> np.ndarray:
-    return derive_keys_vec(master_seed, "rep", reps)
+    """``rep_key(master_seed, r)`` for every index ``r`` of ``reps``."""
+    base = np.uint64(derive_key(master_seed, "rep"))
+    return mix64_vec((base ^ mix64_vec(reps.astype(np.uint64))) + np.uint64(GOLDEN))

@@ -446,14 +446,6 @@ class StepRecord:
     H_after: int
     S_after: int
 
-    @property
-    def z_after(self) -> float:
-        return self.H_after / self.S_after
-
-    @property
-    def x_fraction(self) -> float:
-        return self.X / self.N
-
 
 def _chain(extract: Stream, first: int, n_draw: int, total: int, marked: int) -> int:
     # The without-replacement Bernoulli chain: ball i reads counter
@@ -472,21 +464,19 @@ def _unit(policy, stream: Stream, t: int) -> float | None:
     return None if lag is None or t < lag else stream.unit_at(t - lag)
 
 
-def sample_hypergeometric(stream: Stream, n_draw: int, total: int, marked: int) -> int:
+def sample_hypergeometric(stream: Stream, first: int, n_draw: int, total: int,
+                          marked: int) -> int:
     """Exact count of marked balls in a without-replacement sample.
 
     Sequentially decides each of the ``n_draw`` extractions with one
-    uniform: ball ``i`` is marked with probability (marked remaining) /
-    (balls remaining).  Consumes exactly ``n_draw`` uniforms from the
-    stream cursor.
+    uniform: ball ``i`` reads counter ``first + i`` of ``stream`` and is
+    marked with probability (marked remaining) / (balls remaining).
     """
     if not (1 <= n_draw <= total):
         raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")
     if not (0 <= marked <= total):
         raise ParameterError(f"marked count must satisfy 0 <= H <= {total}, got {marked}")
-    hits = _chain(stream, stream.pos, n_draw, total, marked)
-    stream.pos += n_draw
-    return hits
+    return _chain(stream, first, n_draw, total, marked)
 
 
 def urn_rule(
@@ -616,10 +606,6 @@ class Trajectory:
     M: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.N)
-
-    @property
-    def steps(self) -> int:
         return len(self.N)
 
     @property

@@ -260,11 +260,14 @@ def test_criterion_11_shared_factor_system(shared_factor_run):
             f"in [0.035, 0.065]; difference coverage = {cov.coverage:.4f} in [0.930, 0.968]")
 
 
-def test_criterion_12_worker_count_invariance(tmp_path):
-    # replication records: same plan, three worker counts, exact equality
+def test_criterion_12_worker_count_invariance(tmp_path, cap_lanes):
+    # replication records: same plan, three worker counts, exact equality;
+    # a budget of 256 lanes splits every run into chunks
     cfg = UrnConfig(a=1, b=1, draw=ConstantOne(), reinforce=ConstantReinforcement(1))
     plan = mc.ReplicationPlan(config=cfg, reps=2000, n=1000, n_proxy=10_000,
-                              master_seed=MASTER_SEED, chunk_size=256)
+                              master_seed=MASTER_SEED)
+    cap_lanes(plan, 256)
+    assert len(mc._chunk_bounds(plan, 1)) > 1
     base = mc.replicate(plan, workers=1)
     arrays_equal = True
     for workers in (2, 3):
@@ -280,6 +283,7 @@ def test_criterion_12_worker_count_invariance(tmp_path):
     # emitted reports: byte identity through the command-line pipeline
     import json
 
+    from hrru.cli import _plan_for, parse_config
     from hrru.cli import main as cli_main
 
     cfg_json = {
@@ -288,12 +292,15 @@ def test_criterion_12_worker_count_invariance(tmp_path):
             "draw": {"policy": "iid-uniform", "high": 4},
             "reinforce": {"policy": "uniform-range", "low": 1, "high": 3},
         },
-        "plan": {"reps": 200, "n": 200, "n_proxy": 2000,
-                 "seed": MASTER_SEED, "chunk_size": 64},
+        "plan": {"reps": 200, "n": 200, "n_proxy": 2000, "seed": MASTER_SEED},
         "outputs": {"dir": str(tmp_path / "w1")},
     }
     path = tmp_path / "clt.json"
     path.write_text(json.dumps(cfg_json))
+    # 200 reps x 2000 steps run as one chunk unless the budget splits them
+    cli_plan = _plan_for(parse_config(path.read_text(), kind="clt"))
+    cap_lanes(cli_plan, 64)
+    assert len(mc._chunk_bounds(cli_plan, 1)) > 1
     rc1 = cli_main(["clt", "--config", str(path), "--workers", "1"])
     rc2 = cli_main(["clt", "--config", str(path), "--workers", "4",
                     "--out-dir", str(tmp_path / "w4")])

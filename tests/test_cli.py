@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from hrru import engine
+from hrru import montecarlo as mc
 from hrru.cli import (
     _TABLE_BLOCK,
     ExperimentConfig,
+    _plan_for,
     build_parser,
     config_to_json_dict,
     main,
@@ -35,8 +38,7 @@ def _clt_config(out_dir, reps=20, n=30, n_proxy=300, seed=7, **extra):
             "draw": {"policy": "iid-uniform", "high": 4},
             "reinforce": {"policy": "uniform-range", "low": 1, "high": 3},
         },
-        "plan": {"reps": reps, "n": n, "n_proxy": n_proxy, "seed": seed,
-                 "chunk_size": 8},
+        "plan": {"reps": reps, "n": n, "n_proxy": n_proxy, "seed": seed},
         "outputs": {"dir": str(out_dir)},
     }
     cfg.update(extra)
@@ -181,6 +183,15 @@ def test_config_echo_round_trips():
     assert config_to_json_dict(again) == echo
 
 
+def test_simulate_echo_holds_only_the_plan_keys_simulate_reads():
+    cfg = parse_config(json.dumps(MINIMAL_SIM), kind="simulate")
+    echo = config_to_json_dict(cfg)
+    assert echo["plan"] == {"n": 5, "seed": 1}
+    assert parse_config(json.dumps(echo)) == cfg
+    with pytest.raises(ConfigError, match=r"plan: required object \(n, seed\)"):
+        parse_config(json.dumps({"urn": MINIMAL_SIM["urn"]}), kind="simulate")
+
+
 def test_simulate_cli_outputs(tmp_path):
     cfg_path = tmp_path / "sim.json"
     cfg = dict(MINIMAL_SIM, outputs={"dir": str(tmp_path / "out")})
@@ -269,9 +280,12 @@ def test_rerun_from_echo_is_byte_identical(tmp_path):
     assert s1 == s2
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
+def test_worker_count_does_not_change_bytes(tmp_path, cap_lanes):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(_clt_config(tmp_path / "w1")))
+    plan = _plan_for(parse_config(cfg_path.read_text(), kind="clt"))
+    cap_lanes(plan, 8)
+    assert len(mc._chunk_bounds(plan, 2)) > 1
     assert main(["clt", "--config", str(cfg_path), "--workers", "1"]) == 0
     assert main(["clt", "--config", str(cfg_path), "--workers", "2",
                  "--out-dir", str(tmp_path / "w2")]) == 0
@@ -281,25 +295,25 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         (tmp_path / "w2" / "samples.tsv").read_bytes()
 
 
-def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path):
-    # plan.chunk_size is delivery, like the output directory: it is not
-    # echoed, and neither it nor the worker count changes a byte.
-    outputs = set()
-    for chunk in (None, 1, 7, 4096):
+def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path, cap_lanes):
+    # Neither the lanes per chunk (forced through the engine's budget)
+    # nor the worker count changes a byte of the report, its config echo
+    # included, or of the samples table.
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_clt_config(tmp_path / "out")))
+    plan = _plan_for(parse_config(cfg_path.read_text(), kind="clt"))
+    outputs, chunks = set(), set()
+    for lanes in (None, 1, 7, 4096):
+        if lanes is not None:
+            cap_lanes(plan, lanes)
         for workers in (1, 2):
-            out = tmp_path / f"c{chunk}w{workers}"
-            raw = _clt_config(out)
-            if chunk is None:
-                del raw["plan"]["chunk_size"]
-            else:
-                raw["plan"]["chunk_size"] = chunk
-            echo = config_to_json_dict(parse_config(json.dumps(raw), kind="clt"))
-            assert "chunk_size" not in echo["plan"]
-            cfg_path = tmp_path / f"c{chunk}w{workers}.json"
-            cfg_path.write_text(json.dumps(raw))
-            assert main(["clt", "--config", str(cfg_path), "--workers", str(workers)]) == 0
+            chunks.add(len(mc._chunk_bounds(plan, workers)))
+            out = tmp_path / f"c{lanes}w{workers}"
+            assert main(["clt", "--config", str(cfg_path), "--workers", str(workers),
+                         "--out-dir", str(out)]) == 0
             outputs.add(((out / "report.json").read_bytes(), (out / "samples.tsv").read_bytes()))
     assert len(outputs) == 1
+    assert min(chunks) == 1 and max(chunks) > 1
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -465,6 +479,19 @@ def _system_coverage_config(out_dir, coeffs):
     }
 
 
+def test_empty_system_label_exits_2_before_any_output(tmp_path, capsys):
+    cfg = _system_coverage_config(tmp_path / "out", {"A": 1})
+    cfg["urns"][0]["label"] = ""
+    problem = "urns: urn '': label must be a nonempty string"
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(cfg), kind="coverage")
+    assert problem in ei.value.problems
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["coverage", "--config", str(tmp_path / "c.json")]) == 2
+    assert f"  - {problem}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("coeffs", [{"A": 0, "B": 0}, {"A": float("nan"), "B": 1}],
                          ids=["all-zero", "nan"])
 def test_exit_code_2_on_degenerate_coefficients(tmp_path, capsys, coeffs):
@@ -533,11 +560,15 @@ def _with(cfg, path, key):
     ("mtest", _mtest_config, ("factors",), "factors.stray"),
     ("mtest", _mtest_config, ("factors", "reinforce"), "factors.reinforce.stray"),
     ("hitting", lambda: {"walk": {"start": 3, "high": 6, "reps": 10}}, ("walk",), "walk.stray"),
+    # simulate runs one trajectory to n: a plan's reps and n_proxy mean nothing
+    ("simulate", lambda: json.loads(json.dumps(MINIMAL_SIM)), ("plan",), "plan.reps"),
+    ("simulate", lambda: json.loads(json.dumps(MINIMAL_SIM)), ("plan",), "plan.n_proxy"),
 ])
 def test_unknown_fields_are_reported_at_every_level(kind, make, path, where):
     assert parse_config(json.dumps(make()), kind=kind).kind == kind
+    key = where.rsplit(".", 1)[-1]
     with pytest.raises(ConfigError) as ei:
-        parse_config(json.dumps(_with(make(), path, "stray")), kind=kind)
+        parse_config(json.dumps(_with(make(), path, key)), kind=kind)
     assert ei.value.problems == [f"{where}: unknown field"]
 
 

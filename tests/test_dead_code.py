@@ -1,7 +1,9 @@
 """No dead code: every module-level import is used, every private
 module-level function or class is referenced somewhere, the package's
 exports match its imports, and no JSON policy grows a second way to
-emit.
+emit.  And no live code goes missing: every name the benchmark in
+``perfbench/`` reads from the package still exists, since its tracer
+skips a target it cannot find instead of failing.
 
 Static, stdlib ``ast`` only.  The package ``__init__`` is exempt from
 the import check: its imports are the public re-exports, which the
@@ -13,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hrru"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -120,6 +123,53 @@ def policy_problems() -> list[str]:
     return found
 
 
+def _package_names(module: str) -> set[str] | None:
+    # The top-level names of hrru.<module> ("" is the package), or None
+    # when there is no such module.
+    path = PACKAGE / f"{module or '__init__'}.py"
+    return _top_level_names(_tree(path)) if path.is_file() else None
+
+
+def _has(module: str, name: str) -> bool:
+    names = _package_names(module)
+    if names is None:
+        return False
+    return name in names or (module == "" and _package_names(name) is not None)
+
+
+def perfbench_problems() -> list[str]:
+    # Every (span, module, function, counter) of tracer.TARGETS, every
+    # ``from hrru... import`` in perfbench/*.py, and every attribute
+    # read through a module so imported (``mc.replicate``).
+    found = []
+    (targets,) = [
+        node.value for node in _tree(PERFBENCH / "tracer.py").body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    for entry in targets.elts:
+        module, name = (ast.literal_eval(e) for e in entry.elts[1:3])
+        if not _has(module, name):
+            found.append(f"tracer target hrru.{module}.{name} does not exist")
+    for path in sorted(PERFBENCH.glob("*.py")):
+        aliases = {}
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module == "hrru" or node.module.startswith("hrru.")):
+                module = node.module[len("hrru."):] if "." in node.module else ""
+                for alias in node.names:
+                    if not _has(module, alias.name):
+                        found.append(f"{path.name}: from {node.module} import {alias.name}")
+                    elif module == "" and _package_names(alias.name) is not None:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and not _has(aliases[node.value.id], node.attr)):
+                found.append(f"{path.name}: {node.value.id}.{node.attr}")
+    return found
+
+
 def test_no_unused_module_imports():
     assert unused_imports() == []
 
@@ -134,3 +184,7 @@ def test_exports_resolve_and_match_imports():
 
 def test_policies_emit_through_emit_vec_only():
     assert policy_problems() == []
+
+
+def test_perfbench_reads_only_names_that_exist():
+    assert perfbench_problems() == []

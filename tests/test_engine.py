@@ -318,7 +318,7 @@ def test_sample_hypergeometric_batch_matches_scalar_views():
     batch = sample_hypergeometric_batch(key, n_draw, total, marked, 100)
     stream = rng.Stream(key)
     direct = [
-        sample_hypergeometric(stream.view(j * n_draw), n_draw, total, marked)
+        sample_hypergeometric(stream, j * n_draw, n_draw, total, marked)
         for j in range(100)
     ]
     assert batch.dtype == np.int64

@@ -51,13 +51,13 @@ CLI_CONFIGS = {
         "urn": {"a": 6, "b": 5,
                 "draw": {"policy": "absorbing-walk", "start": 3, "high": 5},
                 "reinforce": {"policy": "uniform-range", "low": 1, "high": 3}},
-        "plan": {"reps": 24, "n": 20, "n_proxy": 200, "seed": 5, "chunk_size": 10},
+        "plan": {"reps": 24, "n": 20, "n_proxy": 200, "seed": 5},
     },
     "coverage": {
         "urns": [{"label": "A", "a": 10, "b": 10, "draw_base": 2, "reinforce_base": 1},
                  {"label": "B", "a": 8, "b": 12, "draw_base": 1, "reinforce_base": 2}],
         "factors": {"draw": UNIFORM3, "reinforce": UNIFORM3},
-        "plan": {"reps": 16, "n": 20, "n_proxy": 200, "seed": 6, "chunk_size": 7},
+        "plan": {"reps": 16, "n": 20, "n_proxy": 200, "seed": 6},
         "coeffs": {"A": 1.0, "B": -1.0},
         "basis": "M",
     },

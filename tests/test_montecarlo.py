@@ -29,10 +29,9 @@ def _cfg():
                      reinforce=UniformReinforcement(1, 3))
 
 
-def _plan(reps=30, n=50, n_proxy=500, seed=0, chunk_size=8, config=None):
+def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None):
     return mc.ReplicationPlan(config=config or _cfg(), reps=reps, n=n,
-                              n_proxy=n_proxy, master_seed=seed,
-                              chunk_size=chunk_size)
+                              n_proxy=n_proxy, master_seed=seed)
 
 
 def test_plan_validation():
@@ -42,8 +41,6 @@ def test_plan_validation():
         _plan(n=0)
     with pytest.raises(ParameterError, match=">= 10 n"):
         _plan(n=100, n_proxy=500)
-    with pytest.raises(ParameterError):
-        _plan(chunk_size=0)
     plan = _plan(n_proxy=None)
     assert plan.proxy_horizon == 50 * plan.n
 
@@ -81,18 +78,24 @@ def test_single_rep_reduces_to_run_trajectory():
     assert blk_n.draw_recipmean[0] == pytest.approx(eta, rel=1e-12)
 
 
-def test_chunk_size_does_not_change_results():
-    base = mc.replicate(_plan(chunk_size=30))
-    for cs in (1, 7, 8, 29):
-        other = mc.replicate(_plan(chunk_size=cs))
+def test_chunk_size_does_not_change_results(cap_lanes):
+    plan = _plan()
+    assert len(mc._chunk_bounds(plan, 1)) == 1
+    base = mc.replicate(plan, workers=1)
+    for lanes in (1, 7, 8, 29):
+        cap_lanes(plan, lanes)
+        assert len(mc._chunk_bounds(plan, 1)) > 1
+        other = mc.replicate(plan, workers=1)
         for fld in ("z", "m_emp", "reinf_mean", "draw_recipmean"):
             assert np.array_equal(
                 getattr(base.single.at_n, fld), getattr(other.single.at_n, fld)
-            ), (cs, fld)
+            ), (lanes, fld)
 
 
-def test_worker_count_does_not_change_results():
-    plan = _plan(chunk_size=8)
+def test_worker_count_does_not_change_results(cap_lanes):
+    plan = _plan()
+    cap_lanes(plan, 8)
+    assert len(mc._chunk_bounds(plan, 3)) > 1
     one = mc.replicate(plan, workers=1)
     three = mc.replicate(plan, workers=3)
     for fld in mc.engine.SNAPSHOT_FIELDS:
@@ -122,17 +125,20 @@ class _RecordingPool:
         return map(fn, tasks)
 
 
-def test_pool_size_is_clamped(monkeypatch):
+def test_pool_size_is_clamped(monkeypatch, cap_lanes):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     _RecordingPool.sizes = []
-    plan = _plan(chunk_size=8)  # 4 chunks
+    plan = _plan()
+    cap_lanes(plan, 8)
+    assert len(mc._chunk_bounds(plan, 3)) == 4
     base = mc.replicate(plan, workers=1)
     for workers in (10**6, 4, 2):
         assert mc.replicate(plan, workers=workers).single.at_n.z.tolist() == \
             base.single.at_n.z.tolist()
     # one chunk, or one usable worker, never starts a pool
-    mc.replicate(_plan(chunk_size=100), workers=8)
+    assert len(mc._chunk_bounds(_plan(reps=8), 3)) == 1
+    mc.replicate(_plan(reps=8), workers=8)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     mc.replicate(plan, workers=8)
     assert _RecordingPool.sizes == [3, 3, 2]
@@ -148,7 +154,7 @@ def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
     monkeypatch.delenv("HRRU_WORKERS", raising=False)
     monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
     _RecordingPool.sizes = []
-    plan = _plan(chunk_size=None)
+    plan = _plan()
     assert [hi - lo for lo, hi in mc._chunk_bounds(plan, 3)] == [10, 10, 10]
     assert mc.replicate(plan).single.at_n.z.tolist() == \
         mc.replicate(plan, workers=1).single.at_n.z.tolist()
@@ -191,24 +197,24 @@ def test_usable_cpus_respect_the_cgroup_cpu_quota(monkeypatch, tmp_path, files, 
     assert mc._usable_cpus() == (4 if quota is None else quota)
 
 
-def test_chunks_are_equal_shares_per_worker():
-    plan = _plan(reps=5000, chunk_size=None)
+def test_chunks_are_equal_shares_per_worker(cap_lanes):
+    plan = _plan(reps=5000)
     assert mc._chunk_bounds(plan, 2) == [(0, 2500), (2500, 5000)]
     assert mc._chunk_bounds(plan, 1) == [(0, 5000)]
     # a plan too small to pay for a second process is one chunk
-    assert mc._chunk_bounds(_plan(reps=5000, n=5, n_proxy=50, chunk_size=None), 2) == \
-        [(0, 5000)]
+    assert mc._chunk_bounds(_plan(reps=5000, n=5, n_proxy=50), 2) == [(0, 5000)]
     # more workers than reps: one rep per chunk
-    assert mc._chunk_bounds(_plan(reps=3, n=10**6, n_proxy=10**7, chunk_size=None), 8) == \
+    assert mc._chunk_bounds(_plan(reps=3, n=10**6, n_proxy=10**7), 8) == \
         [(0, 1), (1, 2), (2, 3)]
-    # an override sets the lanes per chunk; the chunks stay equal
-    assert mc._chunk_bounds(_plan(reps=30, chunk_size=8), 2) == \
-        [(0, 7), (7, 15), (15, 22), (22, 30)]
+    # a share over the budget's lanes splits into equal chunks
+    small = _plan(reps=30)
+    cap_lanes(small, 8)
+    assert mc._chunk_bounds(small, 2) == [(0, 7), (7, 15), (15, 22), (22, 30)]
 
 
 def test_chunks_stay_within_the_workspace_budget():
     # A draw bound of 1000 makes every lane carry about 1000 uniform
-    # rows, so the cap is far below an oversize override.  Only the
+    # rows, so the cap is far below the reference urn's.  Only the
     # bounds are computed; nothing is simulated.
     wide = UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
                      reinforce=UniformReinforcement(1, 3))
@@ -216,14 +222,12 @@ def test_chunks_stay_within_the_workspace_budget():
     assert 1 <= cap < 4096 < mc.engine.lane_cap(_cfg(), 2)
     assert cap * mc.engine._Layout(wide).lane_bytes(2) <= mc.engine.WORKSPACE_BUDGET
     reps = 100 * cap + 1
-    for chunk_size in (10**9, None):
-        plan = _plan(reps=reps, n=10, n_proxy=100, chunk_size=chunk_size, config=wide)
-        bounds = mc._chunk_bounds(plan, 2)
-        sizes = [hi - lo for lo, hi in bounds]
-        assert bounds[0][0] == 0 and bounds[-1][1] == reps
-        assert all(b[1] == c[0] for b, c in zip(bounds, bounds[1:]))
-        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
-        assert len(bounds) == (102 if chunk_size is None else 101)
+    bounds = mc._chunk_bounds(_plan(reps=reps, n=10, n_proxy=100, config=wide), 2)
+    sizes = [hi - lo for lo, hi in bounds]
+    assert bounds[0][0] == 0 and bounds[-1][1] == reps
+    assert all(b[1] == c[0] for b, c in zip(bounds, bounds[1:]))
+    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+    assert len(bounds) == 102
 
 
 def test_different_seeds_give_fresh_but_comparable_samples():
@@ -272,7 +276,7 @@ def test_horizon_block_variances_match_estimators():
 
 
 def test_clt_checks_run_and_expose_masks():
-    plan = _plan(reps=200, n=100, n_proxy=1000, seed=3, chunk_size=64)
+    plan = _plan(reps=200, n=100, n_proxy=1000, seed=3)
     rec = mc.replicate(plan)
     zn = mc.clt_check_zn(plan, rec)
     assert zn.kind == "proportion"
@@ -323,7 +327,7 @@ def test_clt_exclusions_are_counted_not_silent():
 
 def test_polya_limit_law_detection():
     cfg = UrnConfig(a=1, b=1, draw=ConstantOne(), reinforce=ConstantReinforcement(1))
-    plan = _plan(config=cfg, reps=200, n=20, n_proxy=2000, seed=5, chunk_size=128)
+    plan = _plan(config=cfg, reps=200, n=20, n_proxy=2000, seed=5)
     rec = mc.replicate(plan)
     rep = mc.limit_law_suite(plan, rec)
     assert rep.beta_params == (1.0, 1.0)
@@ -345,7 +349,7 @@ def test_limit_law_no_beta_for_general_config():
 
 
 def test_coverage_experiment_reports_both_bases():
-    plan = _plan(reps=300, n=100, n_proxy=1000, seed=9, chunk_size=128)
+    plan = _plan(reps=300, n=100, n_proxy=1000, seed=9)
     rec = mc.replicate(plan)
     cov = mc.coverage_experiment(plan, 0.95, rec)
     assert cov.level == 0.95
@@ -372,7 +376,7 @@ def test_linear_combination_coverage_runs():
         ),
         factors=CommonFactors(reinforce=UNIFORM3),
     )
-    plan = _plan(config=sys2, reps=200, n=100, n_proxy=1000, seed=4, chunk_size=128)
+    plan = _plan(config=sys2, reps=200, n=100, n_proxy=1000, seed=4)
     rec = mc.replicate(plan)
     res = mc.linear_combination_coverage(plan, {"A": 1.0, "B": -1.0}, "Z", 0.95, rec)
     assert res.reps == 200
@@ -393,7 +397,7 @@ def test_mtest_rejection_frequency_under_null():
         ),
         factors=CommonFactors(reinforce=UNIFORM3),
     )
-    plan = _plan(config=sys2, reps=400, n=200, n_proxy=2000, seed=6, chunk_size=256)
+    plan = _plan(config=sys2, reps=400, n=200, n_proxy=2000, seed=6)
     rec = mc.replicate(plan)
     res = mc.mtest_rejection(plan, "A", ("B",), 0.05, rec)
     assert res.applicable == 400
@@ -413,15 +417,16 @@ def test_mtest_rejection_rejects_duplicate_references():
         factors=CommonFactors(reinforce=UNIFORM3),
     )
     plan = _plan(config=sys3, reps=4, n=10, n_proxy=100)
+    rec = mc.replicate(plan)
     with pytest.raises(ParameterError, match="reference labels must be distinct"):
-        mc.mtest_rejection(plan, "A", ("B", "B"), 0.05)
-    assert mc.mtest_rejection(plan, "A", ("B", "C"), 0.05).reference == ("B", "C")
+        mc.mtest_rejection(plan, "A", ("B", "B"), 0.05, rec)
+    assert mc.mtest_rejection(plan, "A", ("B", "C"), 0.05, rec).reference == ("B", "C")
 
 
 def test_gap_rms_shrinks_like_root_n():
     # root-n consistency: the M - Z gap's RMS over replications drops
     # by about sqrt(10) when the horizon grows tenfold
-    plan = _plan(reps=150, n=1000, n_proxy=10000, seed=12, chunk_size=150)
+    plan = _plan(reps=150, n=1000, n_proxy=10000, seed=12)
     rec = mc.replicate(plan)
     gap_small = rec.single.at_n.m_emp - rec.single.at_n.z
     gap_large = rec.single.at_proxy.m_emp - rec.single.at_proxy.z

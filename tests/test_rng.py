@@ -36,12 +36,11 @@ def test_mix64_wraps_input():
 
 def test_stream_value_is_positional():
     key = rng.derive_key(123, "rep", 0)
+    direct = [rng.unit_from_u64(rng.stream_value(key, c)) for c in range(10)]
+    # a read depends on its counter only, not on the reads before it
+    assert [rng.Stream(key).unit_at(c) for c in range(10)] == direct
     s = rng.Stream(key)
-    direct = [rng.stream_value(key, c) for c in range(10)]
-    assert [s.next_u64() for _ in range(10)] == direct
-    assert s.at(3) == direct[3]
-    # views are offset windows onto the same sequence
-    assert rng.Stream(key).view(4).next_u64() == direct[4]
+    assert [s.unit_at(c) for c in (7, 3, 9, 0)] == [direct[c] for c in (7, 3, 9, 0)]
 
 
 def test_stream_rejects_negative_counter():
@@ -51,7 +50,7 @@ def test_stream_rejects_negative_counter():
 
 def test_units_in_unit_interval():
     s = rng.Stream(rng.derive_key(7, "urn", "u0", "draw"))
-    us = [s.next_unit() for _ in range(1000)]
+    us = [s.unit_at(c) for c in range(1000)]
     assert all(0.0 <= u < 1.0 for u in us)
     # 53-bit mantissas exactly: u * 2**53 is integral
     assert all(float(u * 2**53).is_integer() for u in us)
@@ -81,7 +80,7 @@ def test_urn_streams_are_distinct():
     rk = rng.rep_key(3, 2)
     paths = (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)
     assert paths == (("urn", "u0", "draw"), ("urn", "u0", "extract"), ("urn", "u0", "reinforce"))
-    heads = {rng.Stream(rng.derive_key(rk, *p)).at(0) for p in paths}
+    heads = {rng.stream_value(rng.derive_key(rk, *p), 0) for p in paths}
     assert len(heads) == 3
     (other,), _ = replace(slot.config, label="u1").lockstep
     assert other.draw_stream != slot.draw_stream
@@ -132,7 +131,7 @@ def test_units_from_states_vec_matches_direct():
     counters = np.arange(20)
     states = (np.uint64(key) + (counters.astype(np.uint64) + np.uint64(1))
               * np.uint64(rng.GOLDEN))
-    vec = rng.units_from_states_vec(states)
+    vec = rng.units_from_states_vec(states, np.empty(20))
     direct = rng.units_vec(np.full(20, key, dtype=np.uint64), counters.astype(np.uint64))
     assert np.array_equal(vec, direct)
 
@@ -147,12 +146,7 @@ def test_units_from_states_vec_in_place_is_bit_exact():
     want = [[rng.unit_from_u64(rng.mix64(int(s))) for s in row] for row in states]
     assert want[0][4] == 1.0 - 2.0**-53
 
-    # one argument: a fresh result, the states untouched
-    kept = states.copy()
-    assert rng.units_from_states_vec(kept).tolist() == want
-    assert np.array_equal(kept, states)
-
-    # with out: the states are consumed and the uniforms land in out
+    # the states are consumed and the uniforms land in out
     consumed = states.copy()
     out = np.empty(states.shape, dtype=np.float64)
     got = rng.units_from_states_vec(consumed, out=out)
@@ -205,27 +199,6 @@ def test_stream_blocks_match_scalar_in_any_order():
             assert u == _unit(key, c), c
 
 
-def test_stream_views_share_the_block():
-    key = rng.derive_key(6, "urn", "u0", "extract")
-    B = rng._BLOCK
-    s = rng.Stream(key)
-    v = s.view(2 * B - 2)
-    assert [v.next_unit() for _ in range(5)] == [_unit(key, 2 * B - 2 + i) for i in range(5)]
-    # the view moved the shared block to [2B, 3B); the parent and a
-    # sibling read from it
-    assert s._block is v._block and s._block[0] == 2 * B
-    assert s.view(2 * B + 7)._block is s._block
-    assert s.unit_at(2 * B + 9) == _unit(key, 2 * B + 9)
-
-
-def test_next_unit_advances_the_cursor():
-    key = rng.derive_key(8, "walk")
-    s = rng.Stream(key, pos=rng._BLOCK - 2)
-    got = [s.next_unit() for _ in range(4)]
-    assert got == [_unit(key, rng._BLOCK - 2 + i) for i in range(4)]
-    assert s.pos == rng._BLOCK + 2
-
-
 def test_unit_at_rejects_negative_counter():
     s = rng.Stream(3)
     with pytest.raises(ValueError):
@@ -234,7 +207,7 @@ def test_unit_at_rejects_negative_counter():
     with pytest.raises(ValueError):
         s.unit_at(-1)
     with pytest.raises(ValueError):
-        s.view(-rng._BLOCK).next_unit()
+        s.unit_at(-rng._BLOCK)
 
 
 def test_stream_counters_at_and_past_the_vector_range():
@@ -248,5 +221,5 @@ def test_stream_counters_at_and_past_the_vector_range():
         u = s.unit_at(c)
         assert type(u) is float
         assert u == _unit(key, c), c
-    v = s.view(2**64 - 3)
-    assert [v.next_unit() for _ in range(6)] == [_unit(key, 2**64 - 3 + i) for i in range(6)]
+    assert [s.unit_at(2**64 - 3 + i) for i in range(6)] == \
+        [_unit(key, 2**64 - 3 + i) for i in range(6)]

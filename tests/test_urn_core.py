@@ -67,14 +67,14 @@ def test_sample_hypergeometric_support():
     s = _streams().extract
     for j, (n_draw, total, marked) in enumerate([(3, 7, 2), (5, 5, 3), (2, 9, 0), (4, 6, 6)]):
         for i in range(200):
-            x = sample_hypergeometric(s.view((j * 200 + i) * n_draw), n_draw, total, marked)
+            x = sample_hypergeometric(s, (j * 200 + i) * n_draw, n_draw, total, marked)
             assert max(0, n_draw - (total - marked)) <= x <= min(n_draw, marked)
 
 
 def test_sample_hypergeometric_exhaustive_draw():
     # drawing the whole urn returns exactly the marked count
     s = _streams().extract
-    assert sample_hypergeometric(s, 6, 6, 4) == 4
+    assert sample_hypergeometric(s, 0, 6, 6, 4) == 4
 
 
 def test_sample_hypergeometric_frequencies():
@@ -84,7 +84,7 @@ def test_sample_hypergeometric_frequencies():
     counts = {x: 0 for x in pmf}
     reps = 20000
     for j in range(reps):
-        counts[sample_hypergeometric(s.view(j * n_draw), n_draw, total, marked)] += 1
+        counts[sample_hypergeometric(s, j * n_draw, n_draw, total, marked)] += 1
     for x, p in pmf.items():
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(counts[x] / reps - p) < 5 * se
@@ -93,11 +93,11 @@ def test_sample_hypergeometric_frequencies():
 def test_sample_hypergeometric_validation():
     s = _streams().extract
     with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 0, 5, 2)
+        sample_hypergeometric(s, 0, 0, 5, 2)
     with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 6, 5, 2)
+        sample_hypergeometric(s, 0, 6, 5, 2)
     with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 2, 5, 6)
+        sample_hypergeometric(s, 0, 2, 5, 6)
 
 
 # Policy objects.
