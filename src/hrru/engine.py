@@ -55,10 +55,9 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import CustomRule, ParameterError, Trajectory, UrnConfig, run_trajectory
-
-# Integers up to 2**53 convert to float64 exactly.
-_EXACT_LIMIT = 1 << 53
+from .urn_core import (
+    _EXACT_LIMIT, CustomRule, ParameterError, Trajectory, UrnConfig, run_trajectory,
+)
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon

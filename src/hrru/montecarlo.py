@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -238,6 +237,10 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     if nworkers == 1 or isinstance(getattr(plan.config, "draw", None), CustomRule):
         chunk_results = [_run_one_chunk(t) for t in tasks]
     else:
+        # imported here: the pool module costs about 20 ms to import, and
+        # `simulate` and one-worker runs never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             chunk_results = list(pool.map(_run_one_chunk, tasks))
     urns = {}

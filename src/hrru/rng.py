@@ -36,8 +36,10 @@ never read.
 uniform on [0, 1).
 
 ``Stream`` evaluates its uniforms a block of counters at a time with
-the vector path and keeps the last block.  This is memoization of a
-pure function: every value is the one ``stream_value`` gives.
+the vector path and keeps the last block, for the per-step urn rule.
+This is memoization of a pure function: every value is the one
+``stream_value`` gives.  Batch readers (the trajectory builder, the
+engine) evaluate arrays of counters directly.
 """
 
 from __future__ import annotations

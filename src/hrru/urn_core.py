@@ -26,7 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import DEFAULT_LABEL, DRAW, EXTRACT, REINFORCE, Stream, UrnStreams, derive_key, rep_key
+from .rng import (
+    DEFAULT_LABEL, DRAW, EXTRACT, REINFORCE, Stream, UrnStreams, derive_key, rep_key, units_vec,
+)
 
 # Ball counts land in the int64 columns of a ``Trajectory``; keep a
 # margin below 2**63 so intermediate products cannot wrap there.
@@ -40,6 +42,16 @@ CAPACITY_LIMIT = 1 << 62
 # lanes, 12 at 4096, 24 to 32 at 8192, 40 at 16 384 and 50 at 32 768).
 _COMPARE_MAX = 32
 _COMPARE_LANES = 512
+
+# The trajectory builder runs windows of ``_WINDOW_READS // stride``
+# steps (at least one), so a window reads at most ``_WINDOW_READS``
+# extraction uniforms (one step's draw when the stride is larger) and
+# at most as many from each policy stream.
+_WINDOW_READS = 1 << 16
+# Integers up to 2**53 convert to float64 exactly: the batch engine
+# keeps its counts within that bound, and the trajectory builder lets a
+# policy within it emit a whole window as one float64 array.
+_EXACT_LIMIT = 1 << 53
 
 
 class ParameterError(ValueError):
@@ -447,13 +459,14 @@ class StepRecord:
     S_after: int
 
 
-def _chain(extract: Stream, first: int, n_draw: int, total: int, marked: int) -> int:
-    # The without-replacement Bernoulli chain: ball i reads counter
-    # first + i and is marked when u < (marked left) / (balls left).
+def _chain(units, total: int, marked: int) -> int:
+    # The without-replacement Bernoulli chain over one step's uniforms:
+    # ball i is marked when its uniform is below (marked left) / (balls left).
     h_rem = marked
-    for i in range(n_draw):
-        if extract.unit_at(first + i) < h_rem / (total - i):
+    for u in units:
+        if u < h_rem / total:
             h_rem -= 1
+        total -= 1
     return marked - h_rem
 
 
@@ -462,6 +475,19 @@ def _unit(policy, stream: Stream, t: int) -> float | None:
     # its stream, or none without a lag or before that counter.
     lag = policy.stream_lag
     return None if lag is None or t < lag else stream.unit_at(t - lag)
+
+
+def _check_step(t: int, S: int, n_draw: int, r) -> None:
+    # A step's emissions the urn can take: a draw in [1, S], a
+    # reinforcement that is an integer >= 1, and a total within capacity.
+    if not (1 <= n_draw <= S):
+        raise ModelViolationError(
+            f"draw size {n_draw} at step {t} is outside [1, {S}]"
+        )
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
+    if S + r * n_draw > CAPACITY_LIMIT:
+        raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
 
 
 def sample_hypergeometric(stream: Stream, first: int, n_draw: int, total: int,
@@ -476,7 +502,7 @@ def sample_hypergeometric(stream: Stream, first: int, n_draw: int, total: int,
         raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")
     if not (0 <= marked <= total):
         raise ParameterError(f"marked count must satisfy 0 <= H <= {total}, got {marked}")
-    return _chain(stream, first, n_draw, total, marked)
+    return _chain(map(stream.unit_at, range(first, first + n_draw)), total, marked)
 
 
 def urn_rule(
@@ -491,28 +517,23 @@ def urn_rule(
 ) -> tuple[int, int, int]:
     """The urn rule for step ``t`` from ``H`` A-balls of ``S``: (N_t, X_t, R_t).
 
-    Emit N_t, draw X_t without replacement (ball ``i`` reads extraction
-    counter ``t * stride + i``), emit R_t.  Each policy is handed the
-    uniform at counter ``t - stream_lag`` of its stream, as in the batch
-    engine; a ``CustomRule`` reads the history instead.  The caller
-    reinforces, to ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total
-    is checked against ``CAPACITY_LIMIT`` here.
+    Emit N_t and R_t, check them, then draw X_t without replacement
+    (ball ``i`` reads extraction counter ``t * stride + i``).  Each
+    policy is handed the uniform at counter ``t - stream_lag`` of its
+    stream, as in the batch engine; a ``CustomRule`` reads the history
+    instead.  The caller reinforces, to ``H + R_t X_t`` of
+    ``S + R_t N_t`` balls; that total is checked against
+    ``CAPACITY_LIMIT`` here.
     """
     if isinstance(draw_policy, CustomRule):
         n_draw = draw_policy.emit(t, S, n_history)
     else:
         n_prev = n_history[t - 1] if t else None
         n_draw = draw_policy.emit_vec(t, _unit(draw_policy, streams.draw, t), n_prev)
-    if not (1 <= n_draw <= S):
-        raise ModelViolationError(
-            f"draw size {n_draw} at step {t} is outside [1, {S}]"
-        )
-    hits = _chain(streams.extract, t * stride, n_draw, S, H)
     r = reinf_policy.emit_vec(t, _unit(reinf_policy, streams.reinforce, t))
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
-    if S + r * n_draw > CAPACITY_LIMIT:
-        raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
+    _check_step(t, S, n_draw, r)
+    first = t * stride
+    hits = _chain(map(streams.extract.unit_at, range(first, first + n_draw)), S, H)
     return n_draw, hits, r
 
 
@@ -642,52 +663,134 @@ def lockstep_trajectories(
     rep: int,
     steps: int,
 ) -> list[Trajectory]:
-    """The ``Trajectory`` of every slot over ``steps`` steps of ``urn_rule``.
+    """The ``Trajectory`` of every slot over ``steps`` steps of the urn rule.
 
-    Each distinct key path the slots name becomes one ``Stream`` under
+    Each distinct key path the slots name becomes one stream key under
     replication ``rep`` of ``master_seed``, so urns reading a shared
     factor share its stream.  Every uniform is addressed by counter, so
     a slot's path does not depend on the other slots' and each slot
-    runs to the end in turn.  N, X, R, H and S go straight into one
-    int64 block per slot, Z and M into a float64 one; Z is the exact
-    ``H / S`` of Python ints (counts may pass 2**53).  No per-step
-    object is kept apart from ``n_history``, the draw sizes a
-    history-reading policy is handed.
+    runs to the end in turn, a window of steps at a time (``_windows``).
+    The values, checks and chain are ``urn_rule``'s, so the columns are
+    the ones a loop of ``urn_rule`` gives.  H and S are the running
+    integer sums, Z is the exact ``H / S`` of Python ints (counts may
+    pass 2**53) and M the running mean of X/N in step order.
     """
     if not isinstance(steps, int) or steps < 1:
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     seed = int(master_seed)
     rk = rep_key(seed, rep)
-    paths = {p for slot in slots
-             for p in (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)}
-    streams = {p: Stream(derive_key(rk, *p)) for p in paths}
+    keys = {p: derive_key(rk, *p) for slot in slots
+            for p in (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)}
     out = []
     for slot in slots:
         cfg = slot.config
-        draw, reinforce = cfg.draw, cfg.reinforce
-        reads = UrnStreams(streams[slot.draw_stream], streams[slot.extract_stream],
-                           streams[slot.reinforce_stream])
         ints = np.empty((5, steps), dtype=np.int64)
-        floats = np.empty((2, steps), dtype=np.float64)
         n_col, x_col, r_col, h_col, s_col = ints
-        z_col, m_col = floats
-        n_history: list[int] = []
-        h, s, xsum = cfg.a, cfg.a + cfg.b, 0.0
-        for t in range(steps):
-            n, x, r = urn_rule(t, h, s, draw, reinforce, reads, stride, n_history)
-            n_history.append(n)
-            h += r * x
-            s += r * n
-            n_col[t] = n
-            x_col[t] = x
-            r_col[t] = r
-            h_col[t] = h
-            s_col[t] = s
-            z_col[t] = h / s
-            xsum += x / n
-            m_col[t] = xsum / (t + 1)
+        windows = _rule_steps if isinstance(cfg.draw, CustomRule) else _windows
+        for t0, ns, xs, rs in windows(cfg, stride, steps, keys[slot.draw_stream],
+                                      keys[slot.extract_stream], keys[slot.reinforce_stream]):
+            t1 = t0 + len(ns)
+            n_col[t0:t1] = ns
+            x_col[t0:t1] = xs
+            r_col[t0:t1] = rs
+        # The capacity check keeps every partial sum below 2**62.
+        np.cumsum(r_col * x_col, out=h_col)
+        np.cumsum(r_col * n_col, out=s_col)
+        h_col += cfg.a
+        s_col += cfg.a + cfg.b
+        # numpy rounds int64 counts to float64 before dividing, which is
+        # exact only up to 2**53; past that, divide Python ints.
+        z_col = h_col / s_col if s_col[-1] <= _EXACT_LIMIT else np.array(
+            [h / s for h, s in zip(h_col.tolist(), s_col.tolist())])
+        # np.add.accumulate adds in index order, as a step loop would.
+        m_col = np.add.accumulate(x_col / n_col) / np.arange(1, steps + 1)
         out.append(Trajectory(
             config=cfg, seed=seed,
             N=n_col, X=x_col, R=r_col, H=h_col, S=s_col, Z=z_col, M=m_col,
         ))
     return out
+
+
+def _windows(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key: int,
+             reinforce_key: int):
+    # (t0, N, X, R) for windows of at most _WINDOW_READS // stride steps.
+    # A window emits its draw sizes and reinforcements before any ball
+    # is drawn, reads exactly the extraction counters its draws use, and
+    # then runs the chain and the integer update step by step.
+    draw, reinforce = cfg.draw, cfg.reinforce
+    batch_draws = draw.iid_draws and draw.bound <= _EXACT_LIMIT
+    batch_reinforce = reinforce.bound <= _EXACT_LIMIT
+    width = max(1, _WINDOW_READS // stride)
+    h, s, n_prev = cfg.a, cfg.a + cfg.b, None
+    for t0 in range(0, steps, width):
+        t1 = min(t0 + width, steps)
+        ns = _emissions(draw.emit_vec, draw.stream_lag, draw_key, t0, t1, n_prev, batch_draws)
+        n_prev = ns[-1]
+        rs = _emissions(lambda t, u, _: reinforce.emit_vec(t, u), reinforce.stream_lag,
+                        reinforce_key, t0, t1, None, batch_reinforce)
+        units = _extraction_units(extract_key, stride, t0, ns)
+        xs = []
+        first = 0
+        for t, n, r in zip(range(t0, t1), ns, rs):
+            if not (1 <= n <= s and type(r) is int and r >= 1
+                    and s + r * n <= CAPACITY_LIMIT):
+                _check_step(t, s, n, r)  # raises the first check that fails
+            x = _chain(units[first:first + n], s, h)
+            first += n
+            h += r * x
+            s += r * n
+            xs.append(x)
+        yield t0, ns, xs, rs
+
+
+def _rule_steps(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key: int,
+                reinforce_key: int):
+    # A CustomRule reads S, so no draw can be emitted ahead: urn_rule
+    # itself, one step at a time on block-cached streams.
+    streams = UrnStreams(Stream(draw_key), Stream(extract_key), Stream(reinforce_key))
+    h, s, ns, xs, rs = cfg.a, cfg.a + cfg.b, [], [], []
+    for t in range(steps):
+        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, ns)
+        h += r * x
+        s += r * n
+        ns.append(n)
+        xs.append(x)
+        rs.append(r)
+    yield 0, ns, xs, rs
+
+
+def _emissions(emit, lag, key: int, t0: int, t1: int, prev, batch: bool) -> list[int]:
+    # One policy's emissions for steps t0..t1 - 1 as Python ints, by
+    # ``emit(t, u, prev)``: step t reads counter t - lag of stream
+    # ``key``, or nothing without a lag or before that counter.  A batch
+    # policy emits a window whose steps all read, or none does, in one
+    # call on the array of its uniforms; otherwise each step emits from
+    # its own float and the previous emission.
+    first = t1 if lag is None else min(max(t0, lag), t1)  # the first step that reads
+    units = units_vec(np.uint64(key), np.arange(first - lag, t1 - lag, dtype=np.uint64)) \
+        if first < t1 else None
+    if batch and first in (t0, t1):
+        values = emit(t0, units, None)
+        if isinstance(values, int):
+            return [values] * (t1 - t0)
+        return values.astype(np.int64).tolist()
+    out = []
+    floats = [None] * (first - t0) + ([] if units is None else units.tolist())
+    for t, u in zip(range(t0, t1), floats):
+        prev = emit(t, u, prev)
+        out.append(prev)
+    return out
+
+
+def _extraction_units(key: int, stride: int, t0: int, ns: list[int]) -> memoryview:
+    # The uniforms balls i < N_t of steps t0, t0 + 1, ... read, in step
+    # order: counters t * stride + i, in uint64 arithmetic that wraps as
+    # the generator's state does.  Negative draws read nothing (the
+    # step check rejects them).
+    counts = np.maximum(ns, 0)
+    ends = np.cumsum(counts)
+    starts = np.arange(t0, t0 + len(ns), dtype=np.uint64) * np.uint64(stride)
+    starts -= (ends - counts).astype(np.uint64)
+    counters = np.repeat(starts, counts)
+    counters += np.arange(ends[-1], dtype=np.uint64)
+    return memoryview(units_vec(np.uint64(key), counters))

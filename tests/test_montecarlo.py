@@ -1,7 +1,10 @@
 """Replication harness: determinism, reductions, and statistics."""
 
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,7 +129,7 @@ class _RecordingPool:
 
 
 def test_pool_size_is_clamped(monkeypatch, cap_lanes):
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     _RecordingPool.sizes = []
     plan = _plan()
@@ -144,12 +147,20 @@ def test_pool_size_is_clamped(monkeypatch, cap_lanes):
     assert _RecordingPool.sizes == [3, 3, 2]
 
 
+def test_cli_import_leaves_the_pool_module_out():
+    # the process pool is imported only when replicate starts one
+    code = "import sys, hrru.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
     # replicate(plan), and the CLI with neither --workers nor
     # $HRRU_WORKERS, run one chunk per CPU.
     from hrru.cli import main
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     monkeypatch.delenv("HRRU_WORKERS", raising=False)
     monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)

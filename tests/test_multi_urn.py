@@ -16,7 +16,7 @@ from hrru.multi_urn import (
     run_system,
 )
 from hrru.urn_core import ConfigError, ParameterError, run_trajectory
-from test_urn_core import assert_columns, rule_columns
+from test_urn_core import assert_columns, past_one_window, rule_columns
 
 UNIFORM3 = dict(values=(0, 1, 2), probs=(1 / 3, 1 / 3, 1 / 3))
 
@@ -121,9 +121,13 @@ def _system_streams(seed, rep, label):
     )
 
 
-@pytest.mark.parametrize("name", BUILDER_SYSTEMS)
-def test_run_system_matches_system_step_loop(name):
-    system, steps = BUILDER_SYSTEMS[name], 60
+@pytest.mark.parametrize("name,seam", [
+    pytest.param(name, seam, id=name + ("-seam" if seam else ""))
+    for name in BUILDER_SYSTEMS for seam in (False, True)
+])
+def test_run_system_matches_system_step_loop(name, seam):
+    system = BUILDER_SYSTEMS[name]
+    steps = past_one_window(system.draw_stride) if seam else 60
     traj = run_system(system, steps, master_seed=4, rep=2)
     slots, stride = system.lockstep
     assert stride == system.draw_stride

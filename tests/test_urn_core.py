@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrru import rng
+from hrru import rng, urn_core
 from hrru.urn_core import (
     _COMPARE_LANES,
     _COMPARE_MAX,
+    _WINDOW_READS,
     DRAW_POLICIES,
     REINFORCEMENT_POLICIES,
     AbsorbingRandomWalk,
@@ -413,12 +414,36 @@ BUILDER_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", BUILDER_CONFIGS,
-                         ids=lambda c: f"{type(c.draw).__name__}-a{c.a}")
-def test_run_trajectory_matches_step_loop(cfg):
-    traj = run_trajectory(cfg, STEPS, 11, rep=3)
-    assert_columns(traj, rule_columns(cfg, cfg.draw.bound, _streams(seed=11, rep=3), STEPS))
+def past_one_window(stride):
+    # one builder window of a run at this stride, and a few steps more
+    return max(1, _WINDOW_READS // stride) + 3
+
+
+@pytest.mark.parametrize("cfg,steps", [
+    pytest.param(cfg, steps, id=f"{type(cfg.draw).__name__}-a{cfg.a}{seam}")
+    for cfg in BUILDER_CONFIGS
+    for steps, seam in ((STEPS, ""), (past_one_window(cfg.draw.bound), "-seam"))
+])
+def test_run_trajectory_matches_step_loop(cfg, steps):
+    traj = run_trajectory(cfg, steps, 11, rep=3)
+    assert_columns(traj, rule_columns(cfg, cfg.draw.bound, _streams(seed=11, rep=3), steps))
     assert cfg.draw.bound < 1000 or 1000 in traj.N
+
+
+def test_extraction_reads_follow_the_draws(monkeypatch):
+    # the wide config reads the sum of its draws from its extraction
+    # stream, not its stride of 1000 counters a step
+    cfg, steps = BUILDER_CONFIGS[6], 300
+    reads = {}
+
+    def counting(keys, counters):
+        reads[int(keys)] = reads.get(int(keys), 0) + np.size(counters)
+        return rng.units_vec(keys, counters)
+
+    monkeypatch.setattr(urn_core, "units_vec", counting)
+    traj = run_trajectory(cfg, steps, 11, rep=3)
+    extract = rng.derive_key(rng.derive_key(11, "rep", 3), "urn", cfg.label, "extract")
+    assert reads[extract] == int(traj.N.sum()) < steps * 1000 // 10
 
 
 def test_z_is_exact_above_2_53():
