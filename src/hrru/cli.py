@@ -38,6 +38,7 @@ from .urn_core import (
     IntegerDistribution,
     ParameterError,
     UrnConfig,
+    _is_int,
 )
 
 WORKERS_ENV = "HRRU_WORKERS"
@@ -112,7 +113,7 @@ class _Collector:
                 self.add(self.at(path, key), "required field is missing")
             return default
         v = obj[key]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             self.add(self.at(path, key), f"must be an integer, got {v!r}")
             return default
         if minimum is not None and v < minimum:

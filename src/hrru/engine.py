@@ -16,29 +16,37 @@ so neither spells a path of its own.  Each policy emits through its
 own ``emit_vec``, once per distinct (policy, stream) pair and step, so
 a shared factor is drawn once for all urns.
 
-The urns are stacked on axis 0: ball counts, sums and the Bernoulli
-chain are ``(urns, lanes)`` arrays, and one step is one pass over all
-urns.  An emission read by every urn broadcasts; otherwise each urn's
-emission is copied into its row.  Each step finalizes one fused
-``(rows, lanes)`` matrix of uniforms, whose extraction rows are laid
-out ball by ball so that ball ``j`` of every urn is one ``(urns,
-lanes)`` view.  A chunk allocates its workspace (states, uniforms,
-chain, sums and Kahan buffers) once, and the step's array operations
-write into it; snapshots are fresh arrays, never views of it.
+The urns are stacked on axis 0: ball counts, the Bernoulli chain and
+the sum of X/N are ``(urns, lanes)`` arrays, and one step is one pass
+over all urns.  An emission read by every urn broadcasts; otherwise
+each urn's emission is copied into its row.  Each step finalizes one
+fused ``(rows, lanes)`` matrix of uniforms, whose extraction rows are
+laid out ball by ball so that ball ``j`` of every urn is one ``(urns,
+lanes)`` view.  The sums of N and 1/N, and of R and R^2, are kept once
+per distinct emission, at its own shape: a ``(lanes,)`` row for one
+read from a stream, a Python float for one that is the same int on
+every lane (a constant or a schedule).  A snapshot hands each urn the
+sums of the emissions it reads.  A chunk allocates its workspace
+(states, uniforms, chain, sums and Kahan buffers) once, and the step's
+array operations write into it; snapshots are fresh arrays, never
+views of it or of another urn's snapshot.
 
 Floating-point accumulations across steps (mean of X/N, mean of 1/N)
-use Kahan compensation, elementwise, in a fixed step order.
-``trajectory_snapshot`` performs the same operations on one scalar
-trajectory, so it reproduces a lane bit for bit: ``run_chunk`` uses it
-for ``CustomRule`` configs, which have no vector form, and the tests
-use it as their reference.
+use Kahan compensation in a fixed step order: ``_kahan_add`` on the
+lane rows, in one call over X/N of every urn and 1/N of every
+lane-shaped draw, and ``_kahan_step`` on a float sum, the same four
+operations in the same order.  ``trajectory_snapshot`` reduces one
+scalar trajectory by ``_kahan_step`` too, so it reproduces a lane bit
+for bit: ``run_chunk`` uses it for ``CustomRule`` configs, which have
+no vector form, and the tests use it as their reference.
 
 Ball counts, draw sizes, reinforcements and the integer sums are
 float64 holding exact integers: a policy's ``emit_vec`` returns float64
 for an array of uniforms, an emission every urn reads is used as it
-is, and no step operation mixes dtypes.
+is, and no step operation mixes dtypes.  A float sum of an int
+emission adds the same exact integers.
 Every sum, product and quotient (``h_rem / s_rem``, ``H / S``,
-``counts / h``) then gives the scalar path's Python-int bits as long as
+``sum / h``) then gives the scalar path's Python-int bits as long as
 the integers stay at most 2**53.  So ``check_int64_range`` bounds every
 urn's worst-case total (a + b + steps * draw_bound * reinf_bound) and
 sum of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
@@ -100,8 +108,8 @@ def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
                scratch: np.ndarray) -> None:
     # Classic compensated add, elementwise and in place: x is consumed
-    # and scratch is overwritten.  _kahan_sum performs these four
-    # operations in the same order on scalars.
+    # and scratch is overwritten.  _kahan_step performs these four
+    # operations in the same order on floats.
     y = np.subtract(x, comp, out=x)
     t = np.add(total, y, out=scratch)
     np.subtract(t, total, out=comp)
@@ -180,6 +188,13 @@ class _Layout:
         self.ex0 = len(self.rows)
         self.rows += [(slot.extract_stream, j, self.stride)
                       for j in range(self.stride) for slot in slots]
+        # An emission read from a stream is a (lanes,) array; the others
+        # are a Python int, the same on every lane.
+        self.lane_draws = [i for i, (_, _, r) in enumerate(self.draws) if r is not None]
+        self.lane_reinfs = [i for i, (_, _, r) in enumerate(self.reinfs) if r is not None]
+        # Urns reading distinct emissions need them copied into (urns, lanes) rows.
+        self.copy_draws = len(set(self.draw_of)) > 1
+        self.copy_reinfs = len(set(self.reinf_of)) > 1
 
     def _emission(self, emitted: list, policy, stream: tuple[str, ...]) -> int:
         for i, (p, s, _) in enumerate(emitted):
@@ -199,19 +214,27 @@ class _Layout:
         horizons holds at once.
 
         Three (rows, lanes) matrices (keys, counter states, uniforms);
-        per urn the chain, the ``_WORK_ROWS`` float64 rows and the
-        snapshot fields kept from every horizon; and a row for each
-        emission (none for a scalar one, so this may overstate).  The
-        peak comes at the last horizon, when the snapshots outweigh
-        any emission's temporaries.
+        per urn the chain, the ``_WORK_ROWS`` float64 rows, the rows of
+        copied emissions and the snapshot fields kept from every
+        horizon; and per emission read from a stream its value and its
+        ``_DRAW_ROWS`` or ``_REINF_ROWS`` sums.  An emission that is a
+        Python int holds no lane row.  The peak comes at the last
+        horizon, when the snapshots outweigh any emission's temporaries.
         """
-        per_urn = _Chain.lane_bytes() + 8 * (_WORK_ROWS + len(SNAPSHOT_FIELDS) * horizons)
-        emissions = len(self.draws) + len(self.reinfs)
+        per_urn = _Chain.lane_bytes() + 8 * (
+            _WORK_ROWS + self.copy_draws + self.copy_reinfs + len(SNAPSHOT_FIELDS) * horizons)
+        emissions = ((1 + _DRAW_ROWS) * len(self.lane_draws)
+                     + (1 + _REINF_ROWS) * len(self.lane_reinfs))
         return 8 * (3 * len(self.rows) + emissions) + per_urn * len(self.urns)
 
 
-# run_chunk's float64 (urns, lanes) rows, allocated as one block.
-_WORK_ROWS = 16
+# run_chunk's float64 lane rows: per urn H, S, a product scratch and the
+# Kahan sum of X/N (total, compensation, term, scratch); per draw read
+# from a stream the sum of N and the Kahan sum of 1/N; per reinforcement
+# read from a stream the sums of R and R^2.
+_WORK_ROWS = 7
+_DRAW_ROWS = 5
+_REINF_ROWS = 2
 # A chunk's arrays are kept within this many bytes; see lane_cap.
 WORKSPACE_BUDGET = 8 << 20
 
@@ -223,26 +246,35 @@ def lane_cap(config: UrnConfig | UrnSystem, horizons: int) -> int:
     return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes(horizons))
 
 
-def _per_urn(values: list, index: list[int], rows: np.ndarray):
-    # The step's emissions laid out for the stacked urns.  One emission
-    # read by every urn is used as it is: an int stays a scalar and a
-    # float64 (lanes,) array broadcasts against (urns, lanes).  Otherwise
-    # each urn's emission is copied into its float64 row.
-    if len(set(index)) == 1:
+def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
+    # The step's emissions laid out for the stacked urns.  Without
+    # ``rows`` every urn reads one emission, used as it is: an int stays
+    # a scalar and a float64 (lanes,) array broadcasts against (urns,
+    # lanes).  Otherwise each urn's emission is copied into its row.
+    if rows is None:
         return values[index[0]]
     for u, i in enumerate(index):
         rows[u] = values[i]
     return rows
 
 
+def _kahan_step(total: float, comp: float, x: float) -> tuple[float, float]:
+    # One compensated add on floats: _kahan_add's four operations.
+    y = x - comp
+    t = total + y
+    return t, (t - total) - y
+
+
 def _kahan_sum(xs) -> float:
     total = comp = 0.0
     for x in xs:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total, comp = _kahan_step(total, comp, x)
     return total
+
+
+def _mean(total, h: int, lanes: int) -> np.ndarray:
+    # A fresh (lanes,) array of total / h, for a row or a float sum.
+    return total / h if isinstance(total, np.ndarray) else np.full(lanes, total / h)
 
 
 def trajectory_snapshot(traj: Trajectory, horizon: int) -> dict[str, float]:
@@ -320,19 +352,36 @@ def run_chunk(
     # lane-sized array of its own.  Urns are stacked on axis 0.
     # Every count, sum and emission in it is float64 holding an exact
     # integer, so no step operation mixes dtypes.
-    shape = (len(urns), lanes)
+    nu, lane_draws, lane_reinfs = len(urns), layout.lane_draws, layout.lane_reinfs
+    shape = (nu, lanes)
     states = np.empty_like(key_matrix)
     units = np.empty(key_matrix.shape, dtype=np.float64)
     balls = units[layout.ex0:].reshape(layout.stride, *shape)
     step_off = np.empty_like(slope)
     chain = _Chain(shape)
-    work = np.zeros((_WORK_ROWS, *shape))
-    H, S, grow, n_rows, r_rows = work[:5]
-    counts = work[5:8]   # sums of R, R^2, N
-    sums = work[8:10]    # Kahan sums of X/N, 1/N
-    comps, terms, spare = work[10:12], work[12:14], work[14:]
+    H, S, grow = np.zeros((3, *shape))
+    n_rows = np.empty(shape) if layout.copy_draws else None
+    r_rows = np.empty(shape) if layout.copy_reinfs else None
+    # The Kahan sums kept per lane, one block for one _kahan_add: X/N of
+    # each urn, then 1/N of each draw read from a stream.
+    sums, comps, terms, spare = np.zeros((4, nu + len(lane_draws), lanes))
     H[...] = [[c.a] for c in urns]
     S[...] = [[c.a + c.b] for c in urns]
+
+    # Each emission's sums of N and 1/N, or of R and R^2, kept once
+    # however many urns read it: a (lanes,) row for an emission read
+    # from a stream, a Python float for an int emission.
+    n_tot, recip_tot, recip_comp = ([0.0] * len(draws) for _ in range(3))
+    r_tot, r_sqtot = ([0.0] * len(reinfs) for _ in range(2))
+    for j, i in enumerate(lane_draws):
+        n_tot[i], recip_tot[i] = np.zeros(lanes), sums[nu + j]
+    for i in lane_reinfs:
+        r_tot[i], r_sqtot[i] = np.zeros(lanes), np.zeros(lanes)
+    draw_rows = [(i, n_tot[i], terms[nu + j]) for j, i in enumerate(lane_draws)]
+    reinf_rows = [(i, r_tot[i], r_sqtot[i]) for i in lane_reinfs]
+    int_draws = [i for i in range(len(draws)) if i not in lane_draws]
+    int_reinfs = [i for i in range(len(reinfs)) if i not in lane_reinfs]
+    x_terms, sq = terms[:nu], grow[0]
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
@@ -353,19 +402,31 @@ def run_chunk(
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)
         S += np.multiply(r, n, out=grow)
-        counts[0] += r
-        counts[1] += np.multiply(r, r, out=grow)
-        counts[2] += n
-        np.divide(x, n, out=terms[0])
-        np.divide(1.0, n, out=terms[1])
+        np.divide(x, n, out=x_terms)
+        for i, n_sum, term in draw_rows:
+            n_sum += n_now[i]
+            np.divide(1.0, n_now[i], out=term)
         _kahan_add(sums, comps, terms, spare)
+        for i, r_sum, r_sqsum in reinf_rows:
+            r_sum += r_now[i]
+            r_sqsum += np.multiply(r_now[i], r_now[i], out=sq)
+        for i in int_draws:
+            n_tot[i] += n_now[i]
+            recip_tot[i], recip_comp[i] = _kahan_step(recip_tot[i], recip_comp[i],
+                                                      1.0 / n_now[i])
+        for i in int_reinfs:
+            r_tot[i] += r_now[i]
+            r_sqtot[i] += r_now[i] * r_now[i]
 
         if t + 1 == horizons[next_h]:
             h = t + 1
-            fields = (H / S, sums[0] / h, S / h, counts[0] / h, counts[1] / h,
-                      counts[2] / h, sums[1] / h)
-            for u, c in enumerate(urns):
-                out[c.label].append(dict(zip(SNAPSHOT_FIELDS, (f[u] for f in fields))))
+            z, m_emp, s_over_n = H / S, sums[:nu] / h, S / h
+            for u, (c, d, e) in enumerate(zip(urns, layout.draw_of, layout.reinf_of)):
+                out[c.label].append(dict(zip(SNAPSHOT_FIELDS, (
+                    z[u], m_emp[u], s_over_n[u],
+                    _mean(r_tot[e], h, lanes), _mean(r_sqtot[e], h, lanes),
+                    _mean(n_tot[d], h, lanes), _mean(recip_tot[d], h, lanes),
+                ))))
             next_h += 1
             if next_h == len(horizons):
                 break

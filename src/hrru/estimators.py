@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .urn_core import ParameterError, Trajectory
+from .urn_core import ParameterError, Trajectory, _is_int
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def plugin_estimates(traj: Trajectory, n: int | None = None) -> PlugInEstimates:
     total = len(traj)
     if n is None:
         n = total
-    if not isinstance(n, int) or not (1 <= n <= total):
+    if not _is_int(n) or not (1 <= n <= total):
         raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
     r = traj.R[:n]
     nn = traj.N[:n]
@@ -204,7 +204,7 @@ def confidence_interval(
     """Interval ``point +/- z_{1 - alpha/2} sqrt(variance / n)``."""
     if basis not in _BASIS_TAGS:
         raise ParameterError(f"basis must be one of {_BASIS_TAGS}, got {basis!r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")

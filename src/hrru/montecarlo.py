@@ -43,6 +43,7 @@ from .urn_core import (
     ParameterError,
     UniformReinforcement,
     UrnConfig,
+    _is_int,
     walk_move,
 )
 
@@ -62,12 +63,12 @@ class ReplicationPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.reps, int) or self.reps < 1:
+        if not _is_int(self.reps) or self.reps < 1:
             raise ParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
         if self.n_proxy is not None:
-            if not isinstance(self.n_proxy, int) or self.n_proxy < 10 * self.n:
+            if not _is_int(self.n_proxy) or self.n_proxy < 10 * self.n:
                 raise ParameterError(
                     f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
                 )
@@ -609,7 +610,7 @@ def mtest_rejection(
 
 def walk_absorption_probability(start: int, high: int) -> float:
     """Chance the absorbed +/-1 walk from ``start`` ends at 1."""
-    if not (isinstance(start, int) and isinstance(high, int)):
+    if not (_is_int(start) and _is_int(high)):
         raise ParameterError("start and high must be integers")
     if high < 3 or not (2 <= start <= high - 1):
         raise ParameterError(
@@ -646,7 +647,7 @@ def hitting_probability_check(
     not a tuning knob).
     """
     walk_absorption_probability(start, high)  # validates the barriers
-    if not isinstance(reps, int) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
     reps_arr = np.arange(reps, dtype=np.uint64)
     rkeys = rng.rep_keys_vec(master_seed, reps_arr)

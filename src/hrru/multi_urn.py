@@ -57,6 +57,7 @@ from .urn_core import (
     Trajectory,
     UrnConfig,
     UrnSlot,
+    _is_int,
     lockstep_trajectories,
 )
 
@@ -122,15 +123,15 @@ class UrnSystem:
         for u in self.urns:
             if not isinstance(u.label, str) or not u.label:
                 problems.append(f"urn {u.label!r}: label must be a nonempty string")
-            if not isinstance(u.a, int) or u.a < 1:
+            if not _is_int(u.a) or u.a < 1:
                 problems.append(f"urn {u.label!r}: a must be an integer >= 1, got {u.a!r}")
-            if not isinstance(u.b, int) or u.b < 1:
+            if not _is_int(u.b) or u.b < 1:
                 problems.append(f"urn {u.label!r}: b must be an integer >= 1, got {u.b!r}")
-            if not isinstance(u.draw_base, int) or u.draw_base < 1:
+            if not _is_int(u.draw_base) or u.draw_base < 1:
                 problems.append(
                     f"urn {u.label!r}: draw base must be an integer >= 1, got {u.draw_base!r}"
                 )
-            if not isinstance(u.reinforce_base, int) or u.reinforce_base < 1:
+            if not _is_int(u.reinforce_base) or u.reinforce_base < 1:
                 problems.append(
                     f"urn {u.label!r}: reinforcement base must be an integer >= 1, "
                     f"got {u.reinforce_base!r}"
@@ -288,7 +289,7 @@ def conditional_independence_stat(
     total = len(traj)
     if n is None:
         n = total
-    if not isinstance(n, int) or not (1 <= n <= total):
+    if not _is_int(n) or not (1 <= n <= total):
         raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
 
     def centered(t: Trajectory) -> np.ndarray:

@@ -54,6 +54,12 @@ _WINDOW_READS = 1 << 16
 _EXACT_LIMIT = 1 << 53
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an int other than a bool: ``True`` is an ``int``
+    to ``isinstance`` but never a count, draw size or reinforcement."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class ParameterError(ValueError):
     """A single argument or field is out of its documented range."""
 
@@ -85,7 +91,7 @@ class IntegerDistribution:
             problems.append(
                 f"{len(self.values)} values but {len(self.probs)} probabilities"
             )
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in self.values):
+        if not all(map(_is_int, self.values)):
             problems.append("support values must be integers")
         elif len(set(self.values)) != len(self.values):
             problems.append("support values must be distinct")
@@ -212,7 +218,7 @@ class DeterministicSchedule:
     def __post_init__(self):
         if not self.values:
             raise ParameterError("schedule must contain at least one draw size")
-        bad = [v for v in self.values if not isinstance(v, int) or v < 1]
+        bad = [v for v in self.values if not _is_int(v) or v < 1]
         if bad:
             raise ParameterError(f"draw sizes must be integers >= 1, got {bad}")
 
@@ -236,7 +242,7 @@ class IidUniform:
     stream_lag = 0
 
     def __post_init__(self):
-        if not isinstance(self.high, int) or self.high < 1:
+        if not _is_int(self.high) or self.high < 1:
             raise ParameterError(f"uniform draw bound must be an integer >= 1, got {self.high!r}")
 
     @property
@@ -294,10 +300,10 @@ class AbsorbingRandomWalk:
 
     def __post_init__(self):
         problems = []
-        if not isinstance(self.high, int) or self.high < 2:
+        if not _is_int(self.high) or self.high < 2:
             problems.append(f"walk ceiling must be an integer >= 2, got {self.high!r}")
-        if not isinstance(self.start, int) or not (1 <= self.start <= (self.high if isinstance(self.high, int) else self.start)):
-            problems.append(f"walk start must lie in [1, high], got {self.start!r}")
+        if not _is_int(self.start) or not (1 <= self.start <= (self.high if _is_int(self.high) else self.start)):
+            problems.append(f"walk start must be an integer in [1, high], got {self.start!r}")
         if problems:
             raise ParameterError("; ".join(problems))
 
@@ -329,7 +335,7 @@ class CustomRule:
     stream_lag = None
 
     def __post_init__(self):
-        if not isinstance(self.bound, int) or self.bound < 1:
+        if not _is_int(self.bound) or self.bound < 1:
             raise ParameterError(f"declared bound must be an integer >= 1, got {self.bound!r}")
 
     @property
@@ -338,7 +344,7 @@ class CustomRule:
 
     def emit(self, t: int, s_prev: int, n_history: Sequence[int]) -> int:
         n = self.rule(t, s_prev, n_history)
-        if not isinstance(n, int) or isinstance(n, bool) or not (1 <= n <= self.bound):
+        if not _is_int(n) or not (1 <= n <= self.bound):
             raise ModelViolationError(
                 f"custom rule emitted {n!r} at step {t}, outside [1, {self.bound}]"
             )
@@ -362,7 +368,7 @@ class ConstantReinforcement:
     stream_lag = None
 
     def __post_init__(self):
-        if not isinstance(self.value, int) or self.value < 1:
+        if not _is_int(self.value) or self.value < 1:
             raise ParameterError(f"reinforcement must be an integer >= 1, got {self.value!r}")
 
     @property
@@ -386,9 +392,9 @@ class UniformReinforcement:
 
     def __post_init__(self):
         problems = []
-        if not isinstance(self.low, int) or self.low < 1:
+        if not _is_int(self.low) or self.low < 1:
             problems.append(f"low must be an integer >= 1, got {self.low!r}")
-        if not isinstance(self.high, int) or (isinstance(self.low, int) and self.high < self.low):
+        if not _is_int(self.high) or (_is_int(self.low) and self.high < self.low):
             problems.append(f"high must be an integer >= low, got {self.high!r}")
         if problems:
             raise ParameterError("; ".join(problems))
@@ -484,7 +490,7 @@ def _check_step(t: int, S: int, n_draw: int, r) -> None:
         raise ModelViolationError(
             f"draw size {n_draw} at step {t} is outside [1, {S}]"
         )
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+    if not _is_int(r) or r < 1:
         raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
     if S + r * n_draw > CAPACITY_LIMIT:
         raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
@@ -564,9 +570,9 @@ class UrnConfig:
 
     def __post_init__(self):
         problems = []
-        if not isinstance(self.a, int) or self.a < 1:
+        if not _is_int(self.a) or self.a < 1:
             problems.append(f"a must be an integer >= 1, got {self.a!r}")
-        if not isinstance(self.b, int) or self.b < 1:
+        if not _is_int(self.b) or self.b < 1:
             problems.append(f"b must be an integer >= 1, got {self.b!r}")
         if not self.label:
             problems.append("label must be a nonempty string")
@@ -675,7 +681,7 @@ def lockstep_trajectories(
     integer sums, Z is the exact ``H / S`` of Python ints (counts may
     pass 2**53) and M the running mean of X/N in step order.
     """
-    if not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     seed = int(master_seed)
     rk = rep_key(seed, rep)

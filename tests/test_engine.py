@@ -98,15 +98,19 @@ def test_system_paths_agree_full_factors():
     assert_paths_agree(sys2, seed=21)
 
 
+# The benchmark's mtest system: both urns read one constant draw of 2
+# and one shared reinforcement row.
+REINFORCE_ONLY = UrnSystem(
+    urns=(
+        UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+        UrnSpec(label="B", a=10, b=10, draw_base=2, reinforce_base=1),
+    ),
+    factors=CommonFactors(reinforce=UNIFORM3),
+)
+
+
 def test_system_paths_agree_reinforce_only_factor():
-    sys2 = UrnSystem(
-        urns=(
-            UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
-            UrnSpec(label="B", a=10, b=10, draw_base=2, reinforce_base=1),
-        ),
-        factors=CommonFactors(reinforce=UNIFORM3),
-    )
-    assert_paths_agree(sys2, seed=8)
+    assert_paths_agree(REINFORCE_ONLY, seed=8)
 
 
 def test_system_paths_agree_no_factors():
@@ -117,14 +121,8 @@ def test_system_paths_agree_no_factors():
     assert_paths_agree(sys1, seed=2)
 
 
-@pytest.mark.parametrize("factors", [CommonFactors(), CommonFactors(reinforce=UNIFORM3)],
-                         ids=["no-factors", "reinforce-factor"])
-def test_system_paths_agree_distinct_draw_bases(factors):
-    # Constant draw sizes 1, 2, 3: every urn's row of the stacked draw
-    # carries its own scalar, and balls past an urn's draw are masked.
-    # With the factor, A and B share one reinforcement emission and C
-    # has its own.
-    sys3 = UrnSystem(
+def _distinct_draw_bases(factors):
+    return UrnSystem(
         urns=(
             UrnSpec(label="A", a=4, b=6, draw_base=1, reinforce_base=1),
             UrnSpec(label="B", a=7, b=3, draw_base=2, reinforce_base=1),
@@ -132,7 +130,44 @@ def test_system_paths_agree_distinct_draw_bases(factors):
         ),
         factors=factors,
     )
-    assert_paths_agree(sys3, seed=13)
+
+
+FACTORS = {"no-factors": CommonFactors(), "reinforce-factor": CommonFactors(reinforce=UNIFORM3)}
+
+
+@pytest.mark.parametrize("factors", FACTORS.values(), ids=FACTORS.keys())
+def test_system_paths_agree_distinct_draw_bases(factors):
+    # Constant draw sizes 1, 2, 3: every urn's row of the stacked draw
+    # carries its own scalar, and balls past an urn's draw are masked.
+    # With the factor, A and B share one reinforcement emission and C
+    # has its own.
+    assert_paths_agree(_distinct_draw_bases(factors), seed=13)
+
+
+LONG_HORIZON = {
+    "reinforce-only-factor": REINFORCE_ONLY,
+    "schedule": UrnConfig(a=6, b=7, draw=DeterministicSchedule((2, 1, 3)),
+                          reinforce=ConstantReinforcement(2)),
+    **{f"distinct-draw-bases-{k}": _distinct_draw_bases(f) for k, f in FACTORS.items()},
+}
+
+
+@pytest.mark.parametrize("config", LONG_HORIZON.values(), ids=LONG_HORIZON.keys())
+def test_paths_agree_at_a_long_horizon(config):
+    # Sums kept once per emission, as Python floats where the emission
+    # is an int, over enough steps for the Kahan compensation of 1/N
+    # (1/3 is inexact) to matter to the last bit.
+    assert_paths_agree(config, seed=5, horizons=(13, 1500))
+
+
+def test_snapshots_alias_nothing():
+    # Urns reading one emission get their own arrays of its sums: no
+    # field, of one urn or two, shares memory with another.
+    got = run_chunk(REINFORCE_ONLY, 3, 0, 6, (4, 9))
+    fields = [f for snaps in got.values() for snap in snaps for f in snap.values()]
+    assert len(fields) == 2 * 2 * len(SNAPSHOT_FIELDS)
+    for i, f in enumerate(fields):
+        assert not any(np.shares_memory(f, g) for g in fields[i + 1:])
 
 
 def _traced_peak(config, lanes, horizons):
@@ -153,14 +188,15 @@ def _traced_peak(config, lanes, horizons):
                reinforce=ConstantReinforcement(2)), 1024),
     (UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
                reinforce=UniformReinforcement(1, 3)), 32),
-], ids=["reference", "system", "walk", "stride-1000"])
+    (REINFORCE_ONLY, 1024),
+    (_distinct_draw_bases(FACTORS["no-factors"]), 1024),
+], ids=["reference", "system", "walk", "stride-1000", "mtest", "distinct-draw-bases"])
 def test_lane_bytes_matches_the_traced_peak(config, lanes):
     # lane_bytes sizes chunks against the memory budget, so it must
     # cover what run_chunk holds per lane at its peak, snapshots
-    # included: one more float64 row would break the upper bound.  It
-    # may overstate by the rows of scalar emissions.  numpy reports
-    # its buffers to tracemalloc; the difference of two lane counts
-    # drops the chunk's fixed overhead.
+    # included: one more float64 row would break the upper bound.
+    # numpy reports its buffers to tracemalloc; the difference of two
+    # lane counts drops the chunk's fixed overhead.
     horizons = (3, 30)
     run_chunk(config, 1, 0, 8, horizons)
     per_lane = (_traced_peak(config, 2 * lanes, horizons)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrru import rng, urn_core
+from hrru.montecarlo import ReplicationPlan
+from hrru.multi_urn import UrnSpec, UrnSystem
 from hrru.urn_core import (
     _COMPARE_LANES,
     _COMPARE_MAX,
@@ -466,6 +468,39 @@ def test_config_error_collects_all_problems():
 def test_config_rejects_draw_bound_above_capacity():
     with pytest.raises(ConfigError, match="k <= a \\+ b"):
         UrnConfig(a=1, b=1, draw=IidUniform(3), reinforce=ConstantReinforcement(1))
+
+
+_URN = UrnConfig(a=3, b=3, draw=IidUniform(2), reinforce=ConstantReinforcement(2))
+
+# One constructor per integer field, with True (an int to isinstance)
+# in that field and valid values elsewhere.
+BOOL_FIELDS = {
+    "UrnConfig.a": lambda: UrnConfig(True, 3, IidUniform(2), ConstantReinforcement(2)),
+    "UrnConfig.b": lambda: UrnConfig(3, True, IidUniform(2), ConstantReinforcement(2)),
+    "UrnSpec.a": lambda: UrnSystem(urns=(UrnSpec("A", True, 3, 1, 1),)),
+    "UrnSpec.b": lambda: UrnSystem(urns=(UrnSpec("A", 3, True, 1, 1),)),
+    "UrnSpec.draw_base": lambda: UrnSystem(urns=(UrnSpec("A", 3, 3, True, 1),)),
+    "UrnSpec.reinforce_base": lambda: UrnSystem(urns=(UrnSpec("A", 3, 3, 1, True),)),
+    "ConstantReinforcement": lambda: ConstantReinforcement(True),
+    "UniformReinforcement.low": lambda: UniformReinforcement(True, 3),
+    "UniformReinforcement.high": lambda: UniformReinforcement(1, True),
+    "IidUniform": lambda: IidUniform(True),
+    "DeterministicSchedule": lambda: DeterministicSchedule((2, True)),
+    "AbsorbingRandomWalk.start": lambda: AbsorbingRandomWalk(start=True, high=3),
+    "AbsorbingRandomWalk.high": lambda: AbsorbingRandomWalk(start=1, high=True),
+    "CustomRule.bound": lambda: CustomRule(lambda t, s_prev, hist: 1, bound=True),
+    "ReplicationPlan.reps": lambda: ReplicationPlan(_URN, reps=True, n=10),
+    "ReplicationPlan.n": lambda: ReplicationPlan(_URN, reps=2, n=True),
+    "ReplicationPlan.n_proxy": lambda: ReplicationPlan(_URN, reps=2, n=1, n_proxy=True),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_FIELDS.values(), ids=BOOL_FIELDS.keys())
+def test_integer_fields_reject_bools(build):
+    # Each of these ran with True as 1 (or failed only at a later step),
+    # while the CLI and IntegerDistribution reject it.
+    with pytest.raises((ConfigError, ParameterError), match="integer"):
+        build()
 
 
 # Property tests: the exact integer identity under fuzzed parameters.
