@@ -671,8 +671,10 @@ def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) ->
 
 
 def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    # The test reads horizon n alone: n_proxy is validated and echoed,
+    # never simulated.
     plan = _plan_for(cfg)
-    records = mc.replicate(plan, workers)
+    records = mc.replicate(plan, workers, proxy=False)
     res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
     report = _report_skeleton(cfg)
     report["results"] = {**dataclasses.asdict(res), "frequency": res.frequency}

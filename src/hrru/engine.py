@@ -19,7 +19,8 @@ a shared factor is drawn once for all urns.
 The urns are stacked on axis 0: ball counts, the Bernoulli chain and
 the sum of X/N are ``(urns, lanes)`` arrays, and one step is one pass
 over all urns.  An emission read by every urn broadcasts; otherwise
-each urn's emission is copied into its row.  Each step finalizes one
+each urn's emission is copied into its row, an int one only on a step
+where it changes.  Each step finalizes one
 fused ``(rows, lanes)`` matrix of uniforms, whose extraction rows are
 laid out ball by ball so that ball ``j`` of every urn is one ``(urns,
 lanes)`` view.  The sums of N and 1/N, and of R and R^2, are kept once
@@ -246,15 +247,21 @@ def lane_cap(config: UrnConfig | UrnSystem, horizons: int) -> int:
     return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes(horizons))
 
 
-def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
+def _per_urn(values: list, index: list[int], rows: np.ndarray | None, written: list):
     # The step's emissions laid out for the stacked urns.  Without
     # ``rows`` every urn reads one emission, used as it is: an int stays
     # a scalar and a float64 (lanes,) array broadcasts against (urns,
-    # lanes).  Otherwise each urn's emission is copied into its row.
+    # lanes).  Otherwise each urn's emission is copied into its row: an
+    # array on every step, an int only when it differs from the int
+    # ``written`` last put in that row (in a system, on step 0 alone).
     if rows is None:
         return values[index[0]]
     for u, i in enumerate(index):
-        rows[u] = values[i]
+        value = values[i]
+        if isinstance(value, np.ndarray):
+            rows[u] = value
+        elif value != written[u]:
+            rows[u] = written[u] = value
     return rows
 
 
@@ -385,6 +392,8 @@ def run_chunk(
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
+    n_written: list = [None] * nu
+    r_written: list = [None] * nu
     next_h = 0
     total = horizons[-1]
     for t in range(total):
@@ -396,8 +405,8 @@ def run_chunk(
             for (p, _, r), prev in zip(draws, n_now)
         ]
         r_now = [p.emit_vec(t, None if r is None else units[r]) for p, _, r in reinfs]
-        n = _per_urn(n_now, layout.draw_of, n_rows)
-        r = _per_urn(r_now, layout.reinf_of, r_rows)
+        n = _per_urn(n_now, layout.draw_of, n_rows, n_written)
+        r = _per_urn(r_now, layout.reinf_of, r_rows, r_written)
 
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)

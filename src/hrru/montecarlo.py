@@ -119,7 +119,7 @@ class HorizonBlock:
 @dataclass(frozen=True)
 class UrnRecords:
     at_n: HorizonBlock
-    at_proxy: HorizonBlock
+    at_proxy: HorizonBlock | None  # None when replicate ran with proxy=False
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class RepRecords:
         return RepRecords(
             plan=replace(self.plan, reps=m),
             urns={
-                lab: UrnRecords(at_n=u.at_n.take(m), at_proxy=u.at_proxy.take(m))
+                lab: UrnRecords(at_n=u.at_n.take(m),
+                                at_proxy=None if u.at_proxy is None else u.at_proxy.take(m))
                 for lab, u in self.urns.items()
             },
         )
@@ -159,15 +160,19 @@ class RepRecords:
 _SHARE_LANE_STEPS = 1 << 19
 
 
-def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
+def _chunk_bounds(plan: ReplicationPlan, workers: int,
+                  horizons: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
     """The plan's reps as contiguous ranges of sizes differing by at most one.
 
     Up to ``workers`` equal shares (no more than the plan has
-    ``_SHARE_LANE_STEPS`` lane-steps), each split into as few chunks as
-    keep every chunk within ``engine.lane_cap`` lanes.
+    ``_SHARE_LANE_STEPS`` lane-steps to the last of ``horizons``), each
+    split into as few chunks as keep every chunk, with one snapshot per
+    horizon, within ``engine.lane_cap`` lanes.  ``horizons`` are the
+    ones simulated, ``plan.horizons`` by default.
     """
-    cap = engine.lane_cap(plan.config, len(plan.horizons))
-    lane_steps = plan.reps * plan.proxy_horizon * len(plan.labels)
+    horizons = plan.horizons if horizons is None else horizons
+    cap = engine.lane_cap(plan.config, len(horizons))
+    lane_steps = plan.reps * horizons[-1] * len(plan.labels)
     shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
     chunks = min(shares * -(-plan.reps // (shares * cap)), plan.reps)
     return [(plan.reps * i // chunks, plan.reps * (i + 1) // chunks) for i in range(chunks)]
@@ -213,17 +218,21 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
+def replicate(plan: ReplicationPlan, workers: int | None = None, *,
+              proxy: bool = True) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
     This is the one place a plan is simulated: every diagnostic below
-    takes the records it returns.  The chunks (``_chunk_bounds``, the
-    only chunking) run on ``min(workers, chunks, usable CPUs)``
-    processes, with ``workers`` defaulting to the usable CPUs.  A plan
-    gets no more shares than it has ``_SHARE_LANE_STEPS`` lane-steps,
-    so a small one runs in this process whatever ``workers`` says.  The
-    per-rep values are identical in every case
-    because each rep's streams depend only on (master_seed, rep index).
+    takes the records it returns.  With ``proxy=False`` the reps stop
+    at ``n`` and every ``at_proxy`` is None, for a caller that reads
+    horizon ``n`` alone (``mtest_rejection``).  The chunks
+    (``_chunk_bounds`` of the horizons simulated, the only chunking)
+    run on ``min(workers, chunks, usable CPUs)`` processes, with
+    ``workers`` defaulting to the usable CPUs.  A plan gets no more
+    shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one
+    runs in this process whatever ``workers`` says.  The per-rep values
+    are identical in every case because each rep's streams depend only
+    on (master_seed, rep index).
     ``CustomRule`` plans run in this process, since their rules need
     not be picklable.
     """
@@ -231,8 +240,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     nworkers = usable if workers is None else int(workers)
     if nworkers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    horizons = plan.horizons
-    bounds = _chunk_bounds(plan, min(nworkers, usable))
+    horizons = plan.horizons if proxy else (plan.n,)
+    bounds = _chunk_bounds(plan, min(nworkers, usable), horizons)
     tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
     nworkers = min(nworkers, len(tasks), usable)
     if nworkers == 1 or isinstance(getattr(plan.config, "draw", None), CustomRule):
@@ -253,7 +262,7 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
                 for f in engine.SNAPSHOT_FIELDS
             }
             blocks.append(HorizonBlock(horizon=horizon, **fields))
-        urns[label] = UrnRecords(at_n=blocks[0], at_proxy=blocks[1])
+        urns[label] = UrnRecords(at_n=blocks[0], at_proxy=blocks[1] if proxy else None)
     return RepRecords(plan=plan, urns=urns)
 
 
@@ -271,8 +280,14 @@ class CltDiagnostics:
     aux: dict[str, float]
 
 
+def _at_proxy(urn: UrnRecords) -> HorizonBlock:
+    if urn.at_proxy is None:
+        raise ParameterError("these records stop at n; replicate with proxy=True")
+    return urn.at_proxy
+
+
 def _proxy_aux(urn: UrnRecords) -> dict[str, float]:
-    blk = urn.at_proxy
+    blk = _at_proxy(urn)
     target = blk.draw_mean * blk.reinf_mean
     abs_err = np.abs(blk.s_over_n - target)
     return {
@@ -311,9 +326,10 @@ def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
     """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
     u = records.single
     v, w, uu = u.at_n.variances()
-    gap_zp = u.at_n.z - u.at_proxy.z
+    zp = _at_proxy(u).z
+    gap_zp = u.at_n.z - zp
     gap_mz = u.at_n.m_emp - u.at_n.z
-    gap_mp = u.at_n.m_emp - u.at_proxy.z
+    gap_mp = u.at_n.m_emp - zp
     rootn = math.sqrt(plan.n)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_prop = rootn * gap_zp / np.sqrt(v)
@@ -493,7 +509,7 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     u = records.single
     v, w, _ = u.at_n.variances()
     n = plan.n
-    truth = u.at_proxy.z
+    truth = _at_proxy(u).z
     zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
     hit_z = np.abs(u.at_n.z - truth) <= zq * np.sqrt(v / n)
     hit_m = np.abs(u.at_n.m_emp - truth) <= zq * np.sqrt(w / n)
@@ -540,7 +556,7 @@ def linear_combination_coverage(
         else:
             center = center + c * u.at_n.m_emp
             variance = variance + (c * c) * w
-        truth = truth + c * u.at_proxy.z
+        truth = truth + c * _at_proxy(u).z
     zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
     hits = np.abs(center - truth) <= zq * np.sqrt(variance / n)
     tag = "lincomb_Z" if basis == "Z" else "lincomb_M"

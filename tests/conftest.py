@@ -10,11 +10,13 @@ def cap_lanes(monkeypatch):
     """``cap_lanes(plan, lanes)`` shrinks ``engine.WORKSPACE_BUDGET`` so a
     chunk of ``plan`` holds at most ``lanes`` lanes: the real chunking
     policy then splits the plan, as it does a plan too big for the
-    budget."""
+    budget.  ``horizons`` are the ones the run simulates, by default
+    ``plan.horizons``."""
 
-    def cap(plan, lanes):
-        lane_bytes = engine._Layout(plan.config).lane_bytes(len(plan.horizons))
+    def cap(plan, lanes, horizons=None):
+        count = len(plan.horizons if horizons is None else horizons)
+        lane_bytes = engine._Layout(plan.config).lane_bytes(count)
         monkeypatch.setattr(engine, "WORKSPACE_BUDGET", lanes * lane_bytes)
-        assert engine.lane_cap(plan.config, len(plan.horizons)) == lanes
+        assert engine.lane_cap(plan.config, count) == lanes
 
     return cap

@@ -20,6 +20,7 @@ from hrru.cli import (
     write_table,
 )
 from hrru.urn_core import ConfigError
+from test_golden import CLI_CONFIGS
 
 MINIMAL_SIM = {
     "urn": {
@@ -314,6 +315,89 @@ def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path, cap_lanes):
             outputs.add(((out / "report.json").read_bytes(), (out / "samples.tsv").read_bytes()))
     assert len(outputs) == 1
     assert min(chunks) == 1 and max(chunks) > 1
+
+
+def _recorded_chunks(monkeypatch) -> list:
+    # (rep_lo, rep_hi, horizons) of every engine.run_chunk call made in
+    # this process, as --workers 1 runs every chunk.
+    calls = []
+    run_chunk = engine.run_chunk
+
+    def recording(config, master_seed, rep_lo, rep_hi, horizons):
+        calls.append((rep_lo, rep_hi, tuple(horizons)))
+        return run_chunk(config, master_seed, rep_lo, rep_hi, horizons)
+
+    monkeypatch.setattr(engine, "run_chunk", recording)
+    return calls
+
+
+def _limit_law_config(out_dir):
+    cfg = _clt_config(out_dir)
+    cfg["urn"].update(draw={"policy": "constant-one"},
+                      reinforce={"policy": "constant", "value": 2})
+    return cfg
+
+
+@pytest.mark.parametrize("kind,make,horizons", [
+    ("mtest", lambda d: dict(_mtest_config(), outputs={"dir": str(d)}), (10,)),
+    ("clt", _clt_config, (30, 300)),
+    ("coverage", lambda d: _clt_config(d, level=0.9), (30, 300)),
+    ("coverage", lambda d: _system_coverage_config(d, {"A": 1.0, "B": -1.0}), (10, 100)),
+    ("limit-law", _limit_law_config, (30, 300)),
+], ids=["mtest", "clt", "coverage-urn", "coverage-system", "limit-law"])
+def test_each_kind_simulates_the_horizons_it_reads(tmp_path, monkeypatch, kind, make, horizons):
+    # mtest reads horizon n alone; the other kinds also read the proxy.
+    calls = _recorded_chunks(monkeypatch)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(make(tmp_path / "out")))
+    assert main([kind, "--config", str(cfg_path), "--workers", "1"]) == 0
+    assert calls and {h for _, _, h in calls} == {horizons}
+
+
+def test_mtest_results_do_not_depend_on_n_proxy(tmp_path):
+    # n_proxy is validated and echoed, and changes no result.
+    results = set()
+    for n_proxy in (100, 500, None):
+        cfg = dict(_mtest_config(), outputs={"dir": str(tmp_path / f"p{n_proxy}")})
+        if n_proxy is None:
+            del cfg["plan"]["n_proxy"]
+        else:
+            cfg["plan"]["n_proxy"] = n_proxy
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["mtest", "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / f"p{n_proxy}" / "report.json").read_text())
+        assert report["config"]["plan"].get("n_proxy") == n_proxy
+        results.add(json.dumps(report["results"], sort_keys=True))
+    assert len(results) == 1
+
+
+def test_mtest_bytes_hold_across_workers_and_chunks(tmp_path, monkeypatch, cap_lanes):
+    # The golden mtest config, in one chunk and in chunks of 3 lanes
+    # (forced through the engine's budget at the one horizon mtest
+    # simulates), in this process and, with every plan worth a second
+    # process, in a pool of two.
+    calls = _recorded_chunks(monkeypatch)
+    monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(CLI_CONFIGS["mtest"]))
+    plan = _plan_for(parse_config(cfg_path.read_text(), kind="mtest"))
+    reports, chunks = set(), []
+    for lanes in (None, 3):
+        if lanes is not None:
+            cap_lanes(plan, lanes, (plan.n,))
+        for workers in (1, 2):
+            calls.clear()
+            out = tmp_path / f"c{lanes}w{workers}"
+            assert main(["mtest", "--config", str(cfg_path), "--workers", str(workers),
+                         "--out-dir", str(out)]) == 0
+            reports.add((out / "report.json").read_bytes())
+            if workers == 1:
+                chunks.append(calls[:])
+    assert len(reports) == 1
+    assert [len(c) for c in chunks] == [1, 7]
+    assert chunks[1][0] == (0, 2, (plan.n,))
+    assert len(mc._chunk_bounds(plan, 2, (plan.n,))) == 8
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

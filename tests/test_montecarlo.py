@@ -223,6 +223,19 @@ def test_chunks_are_equal_shares_per_worker(cap_lanes):
     assert mc._chunk_bounds(small, 2) == [(0, 7), (7, 15), (15, 22), (22, 30)]
 
 
+def test_chunks_follow_the_horizons_simulated():
+    # Shares and lanes are sized from the horizons a run simulates: to n
+    # alone a chunk keeps one snapshot, so more lanes fit the budget,
+    # and the plan has a tenth of its lane-steps.
+    plan = _plan(reps=22000)
+    assert mc._chunk_bounds(plan, 1) == mc._chunk_bounds(plan, 1, plan.horizons) == \
+        [(0, 11000), (11000, 22000)]
+    assert mc._chunk_bounds(plan, 1, (plan.n,)) == [(0, 22000)]
+    plan = _plan(reps=5000)
+    assert mc._chunk_bounds(plan, 2) == [(0, 2500), (2500, 5000)]
+    assert mc._chunk_bounds(plan, 2, (plan.n,)) == [(0, 5000)]
+
+
 def test_chunks_stay_within_the_workspace_budget():
     # A draw bound of 1000 makes every lane carry about 1000 uniform
     # rows, so the cap is far below the reference urn's.  Only the
@@ -258,6 +271,26 @@ def test_take_prefix():
     assert np.array_equal(head.single.at_n.z, rec.single.at_n.z[:5])
     with pytest.raises(ParameterError):
         rec.take(21)
+
+
+def test_replicate_without_the_proxy_stops_at_n():
+    plan = _plan(reps=20)
+    full = mc.replicate(plan)
+    assert full.single.at_proxy.horizon == plan.proxy_horizon
+    short = mc.replicate(plan, proxy=False)
+    assert short.single.at_proxy is None
+    assert short.single.at_n.horizon == plan.n
+    for fld in mc.engine.SNAPSHOT_FIELDS:
+        assert np.array_equal(getattr(short.single.at_n, fld), getattr(full.single.at_n, fld))
+    head = short.take(5)
+    assert len(head) == 5 and head.plan.reps == 5
+    assert head.single.at_proxy is None
+    assert np.array_equal(head.single.at_n.z, full.single.at_n.z[:5])
+    # the diagnostics that read the proxy say so
+    for diag in (mc.clt_check_zn, mc.clt_check_mn, mc.limit_law_suite,
+                 lambda p, r: mc.coverage_experiment(p, 0.9, r)):
+        with pytest.raises(ParameterError, match="proxy=True"):
+            diag(plan, short)
 
 
 def test_rep_records_single_requires_one_urn():
