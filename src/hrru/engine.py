@@ -38,8 +38,7 @@ lane rows, in one call over X/N of every urn and 1/N of every
 lane-shaped draw, and ``_kahan_step`` on a float sum, the same four
 operations in the same order.  ``trajectory_snapshot`` reduces one
 scalar trajectory by ``_kahan_step`` too, so it reproduces a lane bit
-for bit: ``run_chunk`` uses it for ``CustomRule`` configs, which have
-no vector form, and the tests use it as their reference.
+for bit: the tests use it as their reference.
 
 Ball counts, draw sizes, reinforcements and the integer sums are
 float64 holding exact integers: a policy's ``emit_vec`` returns float64
@@ -64,9 +63,7 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import (
-    _EXACT_LIMIT, CustomRule, ParameterError, Trajectory, UrnConfig, run_trajectory,
-)
+from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -328,8 +325,7 @@ def run_chunk(
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
     Returns {label: [snapshot dict per horizon]}; horizons must be
-    strictly increasing.  ``CustomRule`` configs run one replication
-    at a time through ``run_trajectory``.
+    strictly increasing.
     """
     if rep_hi <= rep_lo:
         raise ParameterError(f"empty replication range [{rep_lo}, {rep_hi})")
@@ -338,16 +334,6 @@ def run_chunk(
     if horizons[0] < 1:
         raise ParameterError(f"horizons must be >= 1, got {horizons}")
     check_int64_range(config, horizons[-1])
-    if isinstance(getattr(config, "draw", None), CustomRule):
-        trajs = (
-            run_trajectory(config, horizons[-1], master_seed, rep)
-            for rep in range(rep_lo, rep_hi)
-        )
-        snaps = [[trajectory_snapshot(traj, h) for h in horizons] for traj in trajs]
-        return {config.label: [
-            {f: np.array([s[hi][f] for s in snaps]) for f in SNAPSHOT_FIELDS}
-            for hi in range(len(horizons))
-        ]}
 
     lanes = rep_hi - rep_lo
     layout = _Layout(config)

@@ -38,12 +38,12 @@ from .estimators import normal_cdf, normal_quantile, variance_terms
 from .multi_urn import UrnSystem, check_coefficients
 from .urn_core import (
     ConstantReinforcement,
-    CustomRule,
     DiscreteReinforcement,
     ParameterError,
     UniformReinforcement,
     UrnConfig,
     _is_int,
+    _master_seed,
     walk_move,
 )
 
@@ -72,6 +72,7 @@ class ReplicationPlan:
                 raise ParameterError(
                     f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
                 )
+        object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         engine.check_int64_range(self.config, self.proxy_horizon)
 
     @property
@@ -233,8 +234,6 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
     runs in this process whatever ``workers`` says.  The per-rep values
     are identical in every case because each rep's streams depend only
     on (master_seed, rep index).
-    ``CustomRule`` plans run in this process, since their rules need
-    not be picklable.
     """
     usable = _usable_cpus()
     nworkers = usable if workers is None else int(workers)
@@ -244,7 +243,7 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
     bounds = _chunk_bounds(plan, min(nworkers, usable), horizons)
     tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
     nworkers = min(nworkers, len(tasks), usable)
-    if nworkers == 1 or isinstance(getattr(plan.config, "draw", None), CustomRule):
+    if nworkers == 1:
         chunk_results = [_run_one_chunk(t) for t in tasks]
     else:
         # imported here: the pool module costs about 20 ms to import, and
@@ -666,7 +665,7 @@ def hitting_probability_check(
     if not _is_int(reps) or reps < 1:
         raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
     reps_arr = np.arange(reps, dtype=np.uint64)
-    rkeys = rng.rep_keys_vec(master_seed, reps_arr)
+    rkeys = rng.rep_keys_vec(_master_seed(master_seed), reps_arr)
     keys = rng.derive_keys_each(rkeys, "walk")
     w = np.full(reps, start, dtype=np.int64)
     t = 1

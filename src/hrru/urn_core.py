@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +58,14 @@ def _is_int(v) -> bool:
     """Whether ``v`` is an int other than a bool: ``True`` is an ``int``
     to ``isinstance`` but never a count, draw size or reinforcement."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _master_seed(seed) -> int:
+    """``seed`` as a Python int: any integer, numpy's included, but no
+    bool or float (``int`` would run 1.7 as seed 1)."""
+    if not (_is_int(seed) or isinstance(seed, np.integer)):
+        raise ParameterError(f"master seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 class ParameterError(ValueError):
@@ -319,41 +327,8 @@ class AbsorbingRandomWalk:
         return self.start if t == 0 else walk_move(n_prev, u, self.high)
 
 
-@dataclass(frozen=True)
-class CustomRule:
-    """User-supplied draw-size rule with a declared hard bound.
-
-    The rule is called as ``rule(t, s_prev, n_history)`` and must
-    return an integer in [1, bound]; emissions outside that range are
-    a contract violation and raise.  The rule sees no randomness, so
-    custom schedules stay reproducible.  It has no vector form: the
-    batch engine runs such configs one replication at a time.
-    """
-
-    rule: Callable[[int, int, Sequence[int]], int]
-    bound: int
-    stream_lag = None
-
-    def __post_init__(self):
-        if not _is_int(self.bound) or self.bound < 1:
-            raise ParameterError(f"declared bound must be an integer >= 1, got {self.bound!r}")
-
-    @property
-    def iid_draws(self) -> bool:
-        return False
-
-    def emit(self, t: int, s_prev: int, n_history: Sequence[int]) -> int:
-        n = self.rule(t, s_prev, n_history)
-        if not _is_int(n) or not (1 <= n <= self.bound):
-            raise ModelViolationError(
-                f"custom rule emitted {n!r} at step {t}, outside [1, {self.bound}]"
-            )
-        return n
-
-
 DrawSizePolicy = (
-    ConstantOne | DeterministicSchedule | IidUniform | DiscreteDraw
-    | AbsorbingRandomWalk | CustomRule
+    ConstantOne | DeterministicSchedule | IidUniform | DiscreteDraw | AbsorbingRandomWalk
 )
 
 
@@ -519,23 +494,19 @@ def urn_rule(
     reinf_policy: ReinforcementPolicy,
     streams: UrnStreams,
     stride: int,
-    n_history: Sequence[int],
+    n_prev: int | None,
 ) -> tuple[int, int, int]:
     """The urn rule for step ``t`` from ``H`` A-balls of ``S``: (N_t, X_t, R_t).
 
     Emit N_t and R_t, check them, then draw X_t without replacement
     (ball ``i`` reads extraction counter ``t * stride + i``).  Each
     policy is handed the uniform at counter ``t - stream_lag`` of its
-    stream, as in the batch engine; a ``CustomRule`` reads the history
-    instead.  The caller reinforces, to ``H + R_t X_t`` of
-    ``S + R_t N_t`` balls; that total is checked against
-    ``CAPACITY_LIMIT`` here.
+    stream, as in the batch engine, and the draw-size policy also the
+    previous draw size ``n_prev`` (None at step 0).  The caller
+    reinforces, to ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total
+    is checked against ``CAPACITY_LIMIT`` here.
     """
-    if isinstance(draw_policy, CustomRule):
-        n_draw = draw_policy.emit(t, S, n_history)
-    else:
-        n_prev = n_history[t - 1] if t else None
-        n_draw = draw_policy.emit_vec(t, _unit(draw_policy, streams.draw, t), n_prev)
+    n_draw = draw_policy.emit_vec(t, _unit(draw_policy, streams.draw, t), n_prev)
     r = reinf_policy.emit_vec(t, _unit(reinf_policy, streams.reinforce, t))
     _check_step(t, S, n_draw, r)
     first = t * stride
@@ -683,7 +654,7 @@ def lockstep_trajectories(
     """
     if not _is_int(steps) or steps < 1:
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
-    seed = int(master_seed)
+    seed = _master_seed(master_seed)
     rk = rep_key(seed, rep)
     keys = {p: derive_key(rk, *p) for slot in slots
             for p in (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)}
@@ -692,9 +663,8 @@ def lockstep_trajectories(
         cfg = slot.config
         ints = np.empty((5, steps), dtype=np.int64)
         n_col, x_col, r_col, h_col, s_col = ints
-        windows = _rule_steps if isinstance(cfg.draw, CustomRule) else _windows
-        for t0, ns, xs, rs in windows(cfg, stride, steps, keys[slot.draw_stream],
-                                      keys[slot.extract_stream], keys[slot.reinforce_stream]):
+        for t0, ns, xs, rs in _windows(cfg, stride, steps, keys[slot.draw_stream],
+                                       keys[slot.extract_stream], keys[slot.reinforce_stream]):
             t1 = t0 + len(ns)
             n_col[t0:t1] = ns
             x_col[t0:t1] = xs
@@ -747,22 +717,6 @@ def _windows(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key
             s += r * n
             xs.append(x)
         yield t0, ns, xs, rs
-
-
-def _rule_steps(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key: int,
-                reinforce_key: int):
-    # A CustomRule reads S, so no draw can be emitted ahead: urn_rule
-    # itself, one step at a time on block-cached streams.
-    streams = UrnStreams(Stream(draw_key), Stream(extract_key), Stream(reinforce_key))
-    h, s, ns, xs, rs = cfg.a, cfg.a + cfg.b, [], [], []
-    for t in range(steps):
-        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, ns)
-        h += r * x
-        s += r * n
-        ns.append(n)
-        xs.append(x)
-        rs.append(r)
-    yield 0, ns, xs, rs
 
 
 def _emissions(emit, lag, key: int, t0: int, t1: int, prev, batch: bool) -> list[int]:

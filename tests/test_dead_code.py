@@ -1,17 +1,20 @@
 """No dead code: every module-level import is used, every private
 module-level function or class is referenced somewhere, the package's
-exports match its imports, and no JSON policy grows a second way to
-emit.  And no live code goes missing: every name the benchmark in
-``perfbench/`` reads from the package still exists, since its tracer
-skips a target it cannot find instead of failing.
+exports match its imports, no JSON policy grows a second way to emit,
+and no policy lives outside the JSON menus.  And no live code goes
+missing: every name the benchmark in ``perfbench/`` reads from the
+package still exists, since its tracer skips a target it cannot find
+instead of failing.
 
-Static, stdlib ``ast`` only.  The package ``__init__`` is exempt from
-the import check: its imports are the public re-exports, which the
-export check holds to ``__all__`` instead.
+Static, stdlib ``ast`` only, except the menu check, which imports the
+policy type unions.  The package ``__init__`` is exempt from the import
+check: its imports are the public re-exports, which the export check
+holds to ``__all__`` instead.
 """
 
 import ast
 from pathlib import Path
+from typing import get_args
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hrru"
@@ -184,6 +187,17 @@ def test_exports_resolve_and_match_imports():
 
 def test_policies_emit_through_emit_vec_only():
     assert policy_problems() == []
+
+
+def test_every_policy_is_on_a_json_menu():
+    # The policy type unions hold exactly the classes a JSON config can
+    # name, so no policy lives outside the menus.
+    from hrru.urn_core import (
+        DRAW_POLICIES, REINFORCEMENT_POLICIES, DrawSizePolicy, ReinforcementPolicy,
+    )
+
+    assert set(get_args(DrawSizePolicy)) == set(DRAW_POLICIES.values())
+    assert set(get_args(ReinforcementPolicy)) == set(REINFORCEMENT_POLICIES.values())
 
 
 def test_perfbench_reads_only_names_that_exist():

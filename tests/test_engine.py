@@ -29,7 +29,6 @@ from hrru.urn_core import (
     AbsorbingRandomWalk,
     ConstantOne,
     ConstantReinforcement,
-    CustomRule,
     DeterministicSchedule,
     DiscreteDraw,
     DiscreteReinforcement,
@@ -70,7 +69,6 @@ DRAW_POLICIES = [
     IidUniform(4),
     DiscreteDraw((1, 3), (0.3, 0.7)),
     AbsorbingRandomWalk(start=3, high=5),
-    CustomRule(lambda t, s_prev, hist: 1 + (t * 7 + s_prev) % 3, bound=3),
 ]
 
 REINF_POLICIES = [
@@ -311,17 +309,6 @@ def test_worst_case_total():
         factors=CommonFactors(draw=UNIFORM3, reinforce=IntegerDistribution((0, 1), (0.5, 0.5))),
     )
     assert worst_case_total(system, 10) == max(20 + 10 * 4 * 2, 33 + 10 * 3 * 6)
-
-
-def test_custom_rule_falls_back_to_scalar():
-    cfg = UrnConfig(
-        a=4, b=4,
-        draw=CustomRule(lambda t, s_prev, hist: 1 + (t % 3), bound=3),
-        reinforce=ConstantReinforcement(1),
-    )
-    out = run_chunk(cfg, 0, 0, 3, (9,))
-    # deterministic rule: mean draw = mean of 1,2,3 cycles
-    assert np.allclose(out["u0"][0]["draw_mean"], 2.0)
 
 
 def test_chunk_boundaries_do_not_matter():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrru import rng, urn_core
-from hrru.montecarlo import ReplicationPlan
+from hrru.montecarlo import ReplicationPlan, hitting_probability_check, replicate
 from hrru.multi_urn import UrnSpec, UrnSystem
 from hrru.urn_core import (
     _COMPARE_LANES,
@@ -20,7 +20,6 @@ from hrru.urn_core import (
     ConfigError,
     ConstantOne,
     ConstantReinforcement,
-    CustomRule,
     DeterministicSchedule,
     DiscreteDraw,
     DiscreteReinforcement,
@@ -233,23 +232,6 @@ def test_absorbing_walk_replays_without_history():
         assert traj.N[t] == prev
 
 
-def test_custom_rule_contract():
-    pol = CustomRule(lambda t, s_prev, hist: 1 + (t % 2), bound=2)
-    assert [pol.emit(t, 10, ()) for t in range(4)] == [1, 2, 1, 2]
-    bad = CustomRule(lambda t, s_prev, hist: 0, bound=2)
-    with pytest.raises(ModelViolationError):
-        bad.emit(0, 10, ())
-    overflow = CustomRule(lambda t, s_prev, hist: 3, bound=2)
-    with pytest.raises(ModelViolationError):
-        overflow.emit(0, 10, ())
-    nonint = CustomRule(lambda t, s_prev, hist: 1.5, bound=2)
-    with pytest.raises(ModelViolationError):
-        nonint.emit(0, 10, ())
-    # urn_rule calls the checked rule, so a bad emission stops a step
-    with pytest.raises(ModelViolationError, match="custom rule emitted 0"):
-        urn_rule(0, 5, 10, bad, ConstantReinforcement(1), _streams(), 2, [])
-
-
 def test_reinforcement_policies():
     s = _streams(seed=3).reinforce
     vals = _emissions(UniformReinforcement(1, 3), s, 6000)
@@ -333,7 +315,7 @@ def test_step_rejects_oversized_draw():
     # the rule's own guard, behind the config's k <= a + b check
     with pytest.raises(ModelViolationError, match="outside \\[1, 2\\]"):
         urn_rule(0, 1, 2, DeterministicSchedule((3,)), ConstantReinforcement(1),
-                 _streams(), 3, [])
+                 _streams(), 3, None)
 
 
 def test_run_trajectory_shapes_and_echo():
@@ -378,11 +360,10 @@ STEPS = 300
 
 
 def rule_columns(cfg, stride, streams, steps):
-    h, s, history, xsum = cfg.a, cfg.a + cfg.b, [], 0.0
+    h, s, n, xsum = cfg.a, cfg.a + cfg.b, None, 0.0
     cols = {f: [] for f in COLUMNS}
     for t in range(steps):
-        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, history)
-        history.append(n)
+        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, n)
         h, s = h + r * x, s + r * n
         xsum += x / n
         for f, v in zip(COLUMNS, (n, x, r, h, s, h / s, xsum / (t + 1))):
@@ -405,9 +386,6 @@ BUILDER_CONFIGS = [
     _basic_config(a=4, b=4, draw=DiscreteDraw((1, 3), (0.3, 0.7)),
                   reinforce=ConstantReinforcement(2)),
     _basic_config(a=4, b=4, draw=AbsorbingRandomWalk(start=3, high=5)),
-    # reads its history: one more than the previous draw, cycling 1..3
-    _basic_config(a=4, b=4, draw=CustomRule(
-        lambda t, s_prev, hist: 1 + hist[-1] % 3 if hist else 2, bound=3)),
     # a wide stride: a step's 1000 balls span a stream block boundary
     _basic_config(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01))),
     # counts past 2**53, where Z must stay the exact H / S of Python ints
@@ -435,7 +413,7 @@ def test_run_trajectory_matches_step_loop(cfg, steps):
 def test_extraction_reads_follow_the_draws(monkeypatch):
     # the wide config reads the sum of its draws from its extraction
     # stream, not its stride of 1000 counters a step
-    cfg, steps = BUILDER_CONFIGS[6], 300
+    cfg, steps = BUILDER_CONFIGS[5], 300
     reads = {}
 
     def counting(keys, counters):
@@ -488,10 +466,12 @@ BOOL_FIELDS = {
     "DeterministicSchedule": lambda: DeterministicSchedule((2, True)),
     "AbsorbingRandomWalk.start": lambda: AbsorbingRandomWalk(start=True, high=3),
     "AbsorbingRandomWalk.high": lambda: AbsorbingRandomWalk(start=1, high=True),
-    "CustomRule.bound": lambda: CustomRule(lambda t, s_prev, hist: 1, bound=True),
     "ReplicationPlan.reps": lambda: ReplicationPlan(_URN, reps=True, n=10),
     "ReplicationPlan.n": lambda: ReplicationPlan(_URN, reps=2, n=True),
     "ReplicationPlan.n_proxy": lambda: ReplicationPlan(_URN, reps=2, n=1, n_proxy=True),
+    "ReplicationPlan.master_seed": lambda: ReplicationPlan(_URN, reps=2, n=1, master_seed=True),
+    "hitting_probability_check.master_seed": lambda: hitting_probability_check(
+        2, 4, 8, master_seed=True),
 }
 
 
@@ -501,6 +481,30 @@ def test_integer_fields_reject_bools(build):
     # while the CLI and IntegerDistribution reject it.
     with pytest.raises((ConfigError, ParameterError), match="integer"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: run_trajectory(_URN, 5, 1.7),
+    lambda: ReplicationPlan(_URN, reps=3, n=5, master_seed=1.7),
+    lambda: hitting_probability_check(2, 4, 8, master_seed=1.7),
+], ids=["run_trajectory", "ReplicationPlan", "hitting_probability_check"])
+def test_master_seed_rejects_floats(build):
+    # int() would run 1.7 as seed 1, and derive_key cannot mask a float
+    with pytest.raises(ParameterError, match="master seed must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("seed", [-3, np.int64(5), np.uint64(5)], ids=repr)
+def test_master_seed_accepts_every_integer(seed):
+    # a negative seed, as the CLI takes it, and numpy integers all run
+    # as the Python int of the same value
+    traj = run_trajectory(_URN, 5, seed)
+    assert type(traj.seed) is int and traj.seed == seed
+    assert traj.Z.tolist() == run_trajectory(_URN, 5, int(seed)).Z.tolist()
+    plan = ReplicationPlan(_URN, reps=3, n=5, master_seed=seed)
+    assert type(plan.master_seed) is int and plan.master_seed == seed
+    same = ReplicationPlan(_URN, reps=3, n=5, master_seed=int(seed))
+    assert replicate(plan, 1).single.at_n.z.tolist() == replicate(same, 1).single.at_n.z.tolist()
 
 
 # Property tests: the exact integer identity under fuzzed parameters.
