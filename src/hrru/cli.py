@@ -30,7 +30,14 @@ import numpy as np
 
 from . import __version__
 from . import montecarlo as mc
-from .multi_urn import CommonFactors, UrnSpec, UrnSystem, check_coefficients
+from .multi_urn import (
+    CommonFactors,
+    UrnSpec,
+    UrnSystem,
+    combination_problems,
+    level_problems,
+    mtest_problems,
+)
 from .urn_core import (
     DRAW_POLICIES,
     REINFORCEMENT_POLICIES,
@@ -331,15 +338,13 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             col.add("walk", "hitting experiments need a 'walk' object (start, high, reps)")
         else:
             col.unknown(walk, "walk", ("start", "high", "reps", "seed"))
-            out.walk_start = col.expect_int(walk, "walk", "start", minimum=2)
-            out.walk_high = col.expect_int(walk, "walk", "high", minimum=3)
+            out.walk_start = col.expect_int(walk, "walk", "start")
+            out.walk_high = col.expect_int(walk, "walk", "high")
             out.walk_reps = col.expect_int(walk, "walk", "reps", minimum=1)
             out.seed = col.expect_int(walk, "walk", "seed", required=False, default=0)
-            if (
-                out.walk_start is not None and out.walk_high is not None
-                and out.walk_start > out.walk_high - 1
-            ):
-                col.add("walk.start", "must satisfy 2 <= start <= high - 1")
+            if out.walk_start is not None and out.walk_high is not None:
+                problems = mc.walk_problems(out.walk_start, out.walk_high)
+                col.problems += [f"walk.{p}" for p in problems]
         if col.problems:
             raise ConfigError(col.problems)
         return out
@@ -352,14 +357,15 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         col.add("plan", f"required object ({', '.join(reads)})")
         plan = {}
     col.unknown(plan, "plan", reads)
+    before = len(col.problems)
     if not simulate:
         out.reps = col.expect_int(plan, "plan", "reps", minimum=1) or 1
-        out.n_proxy = col.expect_int(plan, "plan", "n_proxy", minimum=1,
-                                     required=False, default=None)
+        out.n_proxy = col.expect_int(plan, "plan", "n_proxy", required=False)
     out.n = col.expect_int(plan, "plan", "n", minimum=1) or 1
     out.seed = col.expect_int(plan, "plan", "seed")
     if out.seed is None:
         out.seed = 0
+    plan_fields_ok = len(col.problems) == before
 
     system_kinds = ("mtest",)
     single_kinds = ("simulate", "clt", "limit-law")
@@ -377,62 +383,43 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     else:
         col.add("urn", f"an experiment of kind {resolved_kind!r} needs an urn section")
 
-    if resolved_kind == "coverage":
-        out.level = col.expect_number(raw, "", "level", required=False, default=0.95)
-    elif resolved_kind == "mtest":
-        out.level = col.expect_number(raw, "", "level", required=False, default=0.05)
-    if out.level is not None and not (0.0 < out.level < 1.0):
-        col.add("level", f"must lie in (0, 1), got {out.level!r}")
+    # Each rule on these values is stated once, in the library: here the
+    # JSON types are checked and the library's problems collected.
+    if resolved_kind in ("coverage", "mtest"):
+        out.level = col.expect_number(raw, "", "level", required=False,
+                                      default=0.95 if resolved_kind == "coverage" else 0.05)
+        col.problems += level_problems(out.level)
 
     if resolved_kind == "mtest":
         out.target = col.expect_str(raw, "", "target")
         ref = raw.get("reference")
-        if not isinstance(ref, list) or not ref or not all(isinstance(x, str) for x in ref):
-            col.add("reference", f"must be a nonempty list of urn labels, got {ref!r}")
-        elif len(set(ref)) != len(ref):
-            col.add("reference", f"labels must be distinct, got {ref!r}")
-        else:
+        if not isinstance(ref, list) or not all(isinstance(x, str) for x in ref):
+            col.add("reference", f"must be a list of urn labels, got {ref!r}")
+        elif out.system is not None and out.target is not None:
             out.reference = tuple(ref)
-        if out.system is not None and out.target is not None:
-            labels = out.system.labels
-            for lab in (out.target, *out.reference):
-                if lab not in labels:
-                    col.add("target" if lab == out.target else "reference",
-                            f"no urn labeled {lab!r}; labels are {labels}")
-            if out.target in out.reference:
-                col.add("target", "must not belong to the reference set")
+            col.problems += mtest_problems(out.target, out.reference, out.system.labels)
 
     system_coverage = resolved_kind == "coverage" and has_urns
     for name in ("coeffs", "basis"):
         if name in raw and not system_coverage:
             col.add(name, "applies to coverage on a multi-urn system only")
-    if system_coverage and "coeffs" in raw:
-        coeffs = raw["coeffs"]
-        if not isinstance(coeffs, dict) or not coeffs:
-            col.add("coeffs", f"must be a nonempty object of label: weight, got {coeffs!r}")
-        elif any(isinstance(v, bool) or not isinstance(v, (int, float))
-                 for v in coeffs.values()):
-            col.add("coeffs", "weights must be numbers")
-        else:
-            out.coeffs = {k: float(v) for k, v in coeffs.items()}
-            try:
-                check_coefficients(out.coeffs)
-            except ParameterError as exc:
-                col.add("coeffs", str(exc))
-            if out.system is not None:
-                for lab in out.coeffs:
-                    if lab not in out.system.labels:
-                        col.add("coeffs", f"no urn labeled {lab!r}; labels are {out.system.labels}")
     if system_coverage:
-        out.basis = col.expect_str(raw, "", "basis", required=False, default="Z",
-                                   choices=("Z", "M"))
-    if resolved_kind == "coverage" and out.system is not None and not out.coeffs:
-        col.add("coeffs", "coverage on a multi-urn system needs a coefficient map")
+        out.basis = col.expect_str(raw, "", "basis", required=False, default="Z")
+        coeffs = raw.get("coeffs", {})
+        if not isinstance(coeffs, dict) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs.values()
+        ):
+            col.add("coeffs", f"must be an object of label: weight (a number), got {coeffs!r}")
+        elif out.system is not None:
+            out.coeffs = {k: float(v) for k, v in coeffs.items()}
+            col.problems += combination_problems(out.coeffs, out.basis, out.system.labels)
 
-    # Plan-level cross checks mirror ReplicationPlan's own validation,
-    # surfaced here so they land in the collected error list.
-    if out.n_proxy is not None and out.n_proxy < 10 * out.n:
-        col.add("plan.n_proxy", f"must be >= 10 n = {10 * out.n}, got {out.n_proxy}")
+    # The plan checks its own bounds: the n_proxy floor and 2**53.
+    if not simulate and plan_fields_ok and (out.urn is not None or out.system is not None):
+        try:
+            _plan_for(out)
+        except ParameterError as exc:
+            col.add("plan", str(exc))
     if col.problems:
         raise ConfigError(col.problems)
     return out

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import engine, gof, rng
 from .estimators import normal_cdf, normal_quantile, variance_terms
-from .multi_urn import UrnSystem, check_coefficients
+from .multi_urn import UrnSystem, combination_problems, level_problems, mtest_problems
 from .urn_core import (
     ConstantReinforcement,
     DiscreteReinforcement,
@@ -44,6 +44,7 @@ from .urn_core import (
     UrnConfig,
     _is_int,
     _master_seed,
+    _raise_problems,
     walk_move,
 )
 
@@ -236,9 +237,11 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
     on (master_seed, rep index).
     """
     usable = _usable_cpus()
-    nworkers = usable if workers is None else int(workers)
-    if nworkers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers!r}")
+    if workers is None:
+        workers = usable
+    elif not (_is_int(workers) or isinstance(workers, np.integer)) or workers < 1:
+        raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
+    nworkers = int(workers)
     horizons = plan.horizons if proxy else (plan.n,)
     bounds = _chunk_bounds(plan, min(nworkers, usable), horizons)
     tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
@@ -503,8 +506,7 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     Raw (unclipped) intervals are scored; a zero-width interval counts
     as a miss unless it equals the truth exactly.
     """
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
+    _raise_problems(level_problems(level))
     u = records.single
     v, w, _ = u.at_n.variances()
     n = plan.n
@@ -533,14 +535,8 @@ def linear_combination_coverage(
     The truth is the same weighted combination of proxy proportions;
     weights are applied in the map's iteration order.
     """
-    if basis not in ("Z", "M"):
-        raise ParameterError(f"basis must be 'Z' or 'M', got {basis!r}")
-    check_coefficients(coeffs)
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
-    for lab in coeffs:
-        if lab not in records.urns:
-            raise ParameterError(f"no urn labeled {lab!r}; labels are {tuple(records.urns)}")
+    labels = tuple(records.urns)
+    _raise_problems(level_problems(level) + combination_problems(coeffs, basis, labels))
     reps = plan.reps
     n = plan.n
     center = np.zeros(reps)
@@ -587,17 +583,7 @@ def mtest_rejection(
 ) -> MTestFrequency:
     """Rejection frequency of the mean-reinforcement test over reps."""
     refs = tuple(reference)
-    if not refs:
-        raise ParameterError("reference set must be nonempty")
-    if target in refs:
-        raise ParameterError(f"target {target!r} must not belong to the reference set")
-    if len(set(refs)) != len(refs):
-        raise ParameterError(f"reference labels must be distinct, got {refs}")
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
-    for lab in (target, *refs):
-        if lab not in records.urns:
-            raise ParameterError(f"no urn labeled {lab!r}; labels are {tuple(records.urns)}")
+    _raise_problems(level_problems(level) + mtest_problems(target, refs, tuple(records.urns)))
     tgt = records.urns[target].at_n
     _, _, u_n = tgt.variances()
     ref_mean = np.zeros(plan.reps)
@@ -623,14 +609,21 @@ def mtest_rejection(
     )
 
 
+def walk_problems(start: int, high: int) -> list[str]:
+    """The ``"key: message"`` problems of the absorbed walk's barriers:
+    integers with 2 <= start <= high - 1, so high >= 3."""
+    problems = [f"{key}: must be an integer, got {v!r}"
+                for key, v in (("start", start), ("high", high)) if not _is_int(v)]
+    if not problems and not 2 <= start <= high - 1:
+        problems.append(
+            f"start: must satisfy 2 <= start <= high - 1, got start={start}, high={high}"
+        )
+    return problems
+
+
 def walk_absorption_probability(start: int, high: int) -> float:
     """Chance the absorbed +/-1 walk from ``start`` ends at 1."""
-    if not (_is_int(start) and _is_int(high)):
-        raise ParameterError("start and high must be integers")
-    if high < 3 or not (2 <= start <= high - 1):
-        raise ParameterError(
-            f"need 2 <= start <= high - 1 with high >= 3, got start={start}, high={high}"
-        )
+    _raise_problems(walk_problems(start, high))
     return (high - start) / (high - 1)
 
 

@@ -58,6 +58,7 @@ from .urn_core import (
     UrnConfig,
     UrnSlot,
     _is_int,
+    _raise_problems,
     lockstep_trajectories,
 )
 
@@ -332,15 +333,42 @@ def per_urn_summary(traj: SystemTrajectory, n: int | None = None) -> dict[str, U
     return out
 
 
-def check_coefficients(coeffs: Mapping[str, float]) -> None:
-    """Raise ``ParameterError`` unless the weights of a linear
-    combination are finite, name at least one urn and are not all zero."""
+def level_problems(level: float) -> list[str]:
+    """The ``"key: message"`` problems of an interval's or a test's level,
+    which must lie in (0, 1)."""
+    return [] if 0.0 < level < 1.0 else [f"level: must lie in (0, 1), got {level!r}"]
+
+
+def combination_problems(
+    coeffs: Mapping[str, float], basis: str, labels: tuple[str, ...]
+) -> list[str]:
+    """The ``"key: message"`` problems of a linear combination of the urns
+    ``labels``: its basis is "Z" or "M", and its weights are finite, not
+    all zero, and name at least one urn, each of them in ``labels``."""
+    problems = [] if basis in ("Z", "M") else [f"basis: must be 'Z' or 'M', got {basis!r}"]
     if not coeffs:
-        raise ParameterError("coefficient map must name at least one urn")
-    if not all(math.isfinite(c) for c in coeffs.values()):
-        raise ParameterError(f"coefficients must be finite, got {dict(coeffs)}")
-    if all(c == 0.0 for c in coeffs.values()):
-        raise ParameterError("at least one coefficient must be nonzero")
+        problems.append("coeffs: must name at least one urn")
+    elif not all(math.isfinite(c) for c in coeffs.values()):
+        problems.append(f"coeffs: weights must be finite, got {dict(coeffs)}")
+    elif all(c == 0.0 for c in coeffs.values()):
+        problems.append("coeffs: at least one weight must be nonzero")
+    return problems + [f"coeffs: no urn labeled {lab!r}; labels are {labels}"
+                       for lab in coeffs if lab not in labels]
+
+
+def mtest_problems(target: str, refs: tuple[str, ...], labels: tuple[str, ...]) -> list[str]:
+    """The ``"key: message"`` problems of a mean-reinforcement test on the
+    urns ``labels``: the reference set ``refs`` is nonempty and its labels
+    are distinct, the target is outside it, and every label names an urn."""
+    problems = [] if refs else ["reference: must name at least one urn"]
+    if len(set(refs)) != len(refs):
+        problems.append(f"reference: labels must be distinct, got {refs}")
+    if target in refs:
+        problems.append(f"target: must not belong to the reference set, got {target!r}")
+    for key, labs in (("target", (target,)), ("reference", refs)):
+        problems += [f"{key}: no urn labeled {lab!r}; labels are {labels}"
+                     for lab in labs if lab not in labels]
+    return problems
 
 
 def linear_combination_ci(
@@ -358,15 +386,8 @@ def linear_combination_ci(
     the proportion-limit variance for basis Z and the empirical-mean
     variance for basis M.
     """
-    if basis not in ("Z", "M"):
-        raise ParameterError(f"basis must be 'Z' or 'M', got {basis!r}")
-    check_coefficients(coeffs)
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
+    _raise_problems(level_problems(level) + combination_problems(coeffs, basis, traj.labels))
     summaries = per_urn_summary(traj, n)
-    for lab in coeffs:
-        if lab not in summaries:
-            raise ParameterError(f"no urn labeled {lab!r}; labels are {traj.labels}")
     m = next(iter(summaries.values())).estimates.n
     if basis == "Z":
         center = math.fsum(c * summaries[lab].z_n for lab, c in coeffs.items())
@@ -410,18 +431,8 @@ def mean_reinforcement_test(
     """Asymptotic test of H0: the target urn's mean reinforcement is
     no larger than the reference urns' common mean."""
     refs = tuple(reference)
-    if not refs:
-        raise ParameterError("reference set must be nonempty")
-    if u in refs:
-        raise ParameterError(f"target {u!r} must not belong to the reference set")
-    if len(set(refs)) != len(refs):
-        raise ParameterError(f"reference labels must be distinct, got {refs}")
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level!r}")
+    _raise_problems(level_problems(level) + mtest_problems(u, refs, traj.labels))
     summaries = per_urn_summary(traj, n)
-    for lab in (u, *refs):
-        if lab not in summaries:
-            raise ParameterError(f"no urn labeled {lab!r}; labels are {traj.labels}")
     s_u = summaries[u]
     m = s_u.estimates.n
     u_n = s_u.variances.u_n

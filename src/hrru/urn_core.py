@@ -69,7 +69,8 @@ def _master_seed(seed) -> int:
 
 
 class ParameterError(ValueError):
-    """A single argument or field is out of its documented range."""
+    """Arguments or fields out of their documented range, one problem or
+    several joined by "; "."""
 
 
 class ConfigError(ValueError):
@@ -78,6 +79,12 @@ class ConfigError(ValueError):
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def _raise_problems(problems: Sequence[str]) -> None:
+    """Raise one ``ParameterError`` joining ``problems``, if there are any."""
+    if problems:
+        raise ParameterError("; ".join(problems))
 
 
 class ModelViolationError(RuntimeError):
@@ -107,8 +114,7 @@ class IntegerDistribution:
             problems.append(f"probabilities must be finite and nonnegative, got {self.probs}")
         elif self.probs and abs(math.fsum(self.probs) - 1.0) > 1e-9:
             problems.append(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
-        if problems:
-            raise ParameterError("; ".join(problems))
+        _raise_problems(problems)
         cdf = list(accumulate(self.probs))
         cdf[-1] = 1.0
         object.__setattr__(self, "_cdf", np.asarray(cdf, dtype=np.float64))
@@ -312,8 +318,7 @@ class AbsorbingRandomWalk:
             problems.append(f"walk ceiling must be an integer >= 2, got {self.high!r}")
         if not _is_int(self.start) or not (1 <= self.start <= (self.high if _is_int(self.high) else self.start)):
             problems.append(f"walk start must be an integer in [1, high], got {self.start!r}")
-        if problems:
-            raise ParameterError("; ".join(problems))
+        _raise_problems(problems)
 
     @property
     def bound(self) -> int:
@@ -371,8 +376,7 @@ class UniformReinforcement:
             problems.append(f"low must be an integer >= 1, got {self.low!r}")
         if not _is_int(self.high) or (_is_int(self.low) and self.high < self.low):
             problems.append(f"high must be an integer >= low, got {self.high!r}")
-        if problems:
-            raise ParameterError("; ".join(problems))
+        _raise_problems(problems)
 
     @property
     def bound(self) -> int:

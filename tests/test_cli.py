@@ -19,7 +19,7 @@ from hrru.cli import (
     parse_config,
     write_table,
 )
-from hrru.urn_core import ConfigError
+from hrru.urn_core import ConfigError, ParameterError
 from test_golden import CLI_CONFIGS
 
 MINIMAL_SIM = {
@@ -534,8 +534,10 @@ def test_exit_code_2_on_counts_above_2_53(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["clt", "--config", str(cfg_path)]) == 2
-    assert "2**53" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert any(p.startswith("  - plan: ") and "2**53" in p for p in err[1:])
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_on_reinforcement_square_overflow(tmp_path, capsys):
@@ -547,8 +549,10 @@ def test_exit_code_2_on_reinforcement_square_overflow(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["clt", "--config", str(cfg_path)]) == 2
-    assert "R^2" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert any(p.startswith("  - plan: ") and "R^2" in p for p in err[1:])
+    assert not (tmp_path / "out").exists()
 
 
 def _system_coverage_config(out_dir, coeffs):
@@ -612,7 +616,7 @@ def test_top_level_error_paths_have_no_leading_dot():
         parse_config(json.dumps(cfg), kind="coverage")
     problems = ei.value.problems
     assert any(p.startswith("level: must be a number") for p in problems)
-    assert any(p.startswith("basis: must be one of") for p in problems)
+    assert any(p.startswith("basis: must be 'Z' or 'M'") for p in problems)
     assert not any(p.startswith(".") for p in problems)
 
 
@@ -622,6 +626,30 @@ def _mtest_config():
     cfg.update(factors={"reinforce": {"values": [0, 1], "probs": [0.5, 0.5]}},
                level=0.05, target="A", reference=["B"])
     return cfg
+
+
+def test_mtest_reports_every_broken_rule_as_the_library_states_it(tmp_path, capsys):
+    # Four rules broken at once: the level, distinct references, a
+    # target that names an urn, and the plan's n_proxy floor.
+    cfg = dict(_mtest_config(), level=1.5, target="Q", reference=["B", "B"],
+               outputs={"dir": str(tmp_path / "out")})
+    cfg["plan"]["n_proxy"] = 50
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["mtest", "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    problems = [line.removeprefix("  - ") for line in err[1:]]
+    keys = [p.split(":", 1)[0] for p in problems]
+    assert sorted(keys) == ["level", "plan", "reference", "target"]
+    assert any(p.startswith("plan: n_proxy must be") for p in problems)
+    assert not (tmp_path / "out").exists()
+    valid = parse_config(json.dumps(_mtest_config()), kind="mtest")
+    plan = _plan_for(valid)
+    records = mc.replicate(plan, 1, proxy=False)
+    with pytest.raises(ParameterError) as ei:
+        mc.mtest_rejection(plan, "Q", ["B", "B"], 1.5, records)
+    mtest_lines = [p for p, k in zip(problems, keys) if k in ("level", "target", "reference")]
+    assert "; ".join(mtest_lines) == str(ei.value)
 
 
 def _with(cfg, path, key):

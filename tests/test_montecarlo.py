@@ -147,6 +147,16 @@ def test_pool_size_is_clamped(monkeypatch, cap_lanes):
     assert _RecordingPool.sizes == [3, 3, 2]
 
 
+def test_replicate_takes_only_integer_workers():
+    # int() would run 1.5 and True as one worker and "2" as two.
+    plan = _plan(reps=2, n=5, n_proxy=50)
+    for bad in (1.5, True, "2", 0):
+        with pytest.raises(ParameterError, match="workers must be an integer >= 1"):
+            mc.replicate(plan, bad)
+    assert mc.replicate(plan, np.int64(1)).single.at_n.z.tolist() == \
+        mc.replicate(plan, 1).single.at_n.z.tolist()
+
+
 def test_cli_import_leaves_the_pool_module_out():
     # the process pool is imported only when replicate starts one
     code = "import sys, hrru.cli; print('concurrent.futures.process' in sys.modules)"
@@ -462,7 +472,7 @@ def test_mtest_rejection_rejects_duplicate_references():
     )
     plan = _plan(config=sys3, reps=4, n=10, n_proxy=100)
     rec = mc.replicate(plan)
-    with pytest.raises(ParameterError, match="reference labels must be distinct"):
+    with pytest.raises(ParameterError, match="reference: labels must be distinct"):
         mc.mtest_rejection(plan, "A", ("B", "B"), 0.05, rec)
     assert mc.mtest_rejection(plan, "A", ("B", "C"), 0.05, rec).reference == ("B", "C")
 
