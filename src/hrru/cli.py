@@ -25,19 +25,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from . import montecarlo as mc
-from .multi_urn import (
-    CommonFactors,
-    UrnSpec,
-    UrnSystem,
-    combination_problems,
-    level_problems,
-    mtest_problems,
-)
 from .urn_core import (
     DRAW_POLICIES,
     REINFORCEMENT_POLICIES,
@@ -47,6 +39,12 @@ from .urn_core import (
     UrnConfig,
     _is_int,
 )
+
+# montecarlo and multi_urn are imported where a kind needs them, so
+# ``hrru simulate`` loads neither (nor the engine they import).
+if TYPE_CHECKING:
+    from .montecarlo import CltDiagnostics, ReplicationPlan
+    from .multi_urn import UrnSystem
 
 WORKERS_ENV = "HRRU_WORKERS"
 _TABLE_BLOCK = 1024  # rows formatted per % operation
@@ -138,7 +136,16 @@ class _Collector:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.add(self.at(path, key), f"must be a number, got {v!r}")
             return default
-        return float(v)
+        return self.to_float(self.at(path, key), v, default)
+
+    def to_float(self, path: str, v: int | float, default=None):
+        """A JSON number as a float; an integer past the float range is
+        reported at ``path`` instead of raising OverflowError."""
+        try:
+            return float(v)
+        except OverflowError:
+            self.add(path, "integer is too large for a float")
+            return default
 
     def expect_str(self, obj: dict, path: str, key: str, required: bool = True,
                    default=None, choices: tuple[str, ...] | None = None):
@@ -169,7 +176,9 @@ def _parse_list(col: _Collector, obj: dict, path: str, key: str, kind: type) -> 
     if any(isinstance(x, bool) or not isinstance(x, (int, kind)) for x in v):
         col.add(f"{path}.{key}", f"must contain only {what}, got {v!r}")
         return None
-    return tuple(kind(x) for x in v)
+    values = tuple(x if kind is int else col.to_float(f"{path}.{key}[{i}]", x)
+                   for i, x in enumerate(v))
+    return None if None in values else values
 
 
 # How each dataclass field type of a policy, factor law or urn spec is read.
@@ -247,6 +256,8 @@ def _parse_factor_dist(col: _Collector, obj, path: str) -> IntegerDistribution |
 
 
 def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
+    from .multi_urn import CommonFactors, UrnSpec, UrnSystem
+
     if not isinstance(urns_obj, list) or not urns_obj:
         col.add("urns", f"must be a nonempty list, got {urns_obj!r}")
         return None
@@ -295,6 +306,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(
             [f"syntax: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError([f"syntax: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level: must be a JSON object"])
     col = _Collector()
@@ -343,7 +356,9 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             out.walk_reps = col.expect_int(walk, "walk", "reps", minimum=1)
             out.seed = col.expect_int(walk, "walk", "seed", required=False, default=0)
             if out.walk_start is not None and out.walk_high is not None:
-                problems = mc.walk_problems(out.walk_start, out.walk_high)
+                from .montecarlo import walk_problems
+
+                problems = walk_problems(out.walk_start, out.walk_high)
                 col.problems += [f"walk.{p}" for p in problems]
         if col.problems:
             raise ConfigError(col.problems)
@@ -386,6 +401,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     # Each rule on these values is stated once, in the library: here the
     # JSON types are checked and the library's problems collected.
     if resolved_kind in ("coverage", "mtest"):
+        from .multi_urn import level_problems
+
         out.level = col.expect_number(raw, "", "level", required=False,
                                       default=0.95 if resolved_kind == "coverage" else 0.05)
         col.problems += level_problems(out.level)
@@ -396,6 +413,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         if not isinstance(ref, list) or not all(isinstance(x, str) for x in ref):
             col.add("reference", f"must be a list of urn labels, got {ref!r}")
         elif out.system is not None and out.target is not None:
+            from .multi_urn import mtest_problems
+
             out.reference = tuple(ref)
             col.problems += mtest_problems(out.target, out.reference, out.system.labels)
 
@@ -411,8 +430,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         ):
             col.add("coeffs", f"must be an object of label: weight (a number), got {coeffs!r}")
         elif out.system is not None:
-            out.coeffs = {k: float(v) for k, v in coeffs.items()}
-            col.problems += combination_problems(out.coeffs, out.basis, out.system.labels)
+            from .multi_urn import combination_problems
+
+            out.coeffs = {k: col.to_float(f"coeffs.{k}", v) for k, v in coeffs.items()}
+            if None not in out.coeffs.values():
+                col.problems += combination_problems(out.coeffs, out.basis, out.system.labels)
 
     # The plan checks its own bounds: the n_proxy floor and 2**53.
     if not simulate and plan_fields_ok and (out.urn is not None or out.system is not None):
@@ -542,8 +564,10 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _plan_for(cfg: ExperimentConfig) -> mc.ReplicationPlan:
-    return mc.ReplicationPlan(
+def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
+    from .montecarlo import ReplicationPlan
+
+    return ReplicationPlan(
         config=cfg.urn if cfg.urn is not None else cfg.system,
         reps=cfg.reps,
         n=cfg.n,
@@ -552,7 +576,7 @@ def _plan_for(cfg: ExperimentConfig) -> mc.ReplicationPlan:
     )
 
 
-def _diag_to_dict(d: mc.CltDiagnostics) -> dict:
+def _diag_to_dict(d: CltDiagnostics) -> dict:
     out = {
         "kind": d.kind,
         "ks_distance": d.ks_distance,
@@ -589,6 +613,8 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> 
 
 
 def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    from . import montecarlo as mc
+
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     mn = mc.clt_check_mn(plan, records)
@@ -614,6 +640,8 @@ def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
 
 
 def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    from . import montecarlo as mc
+
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     report = _report_skeleton(cfg)
@@ -642,6 +670,8 @@ def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> 
 
 
 def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    from . import montecarlo as mc
+
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     rep = mc.limit_law_suite(plan, records)
@@ -658,6 +688,8 @@ def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) ->
 
 
 def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    from . import montecarlo as mc
+
     # The test reads horizon n alone: n_proxy is validated and echoed,
     # never simulated.
     plan = _plan_for(cfg)
@@ -669,6 +701,8 @@ def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dic
 
 
 def _run_hitting(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+    from . import montecarlo as mc
+
     est = mc.hitting_probability_check(
         cfg.walk_start, cfg.walk_high, cfg.walk_reps, master_seed=cfg.seed
     )

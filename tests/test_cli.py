@@ -609,6 +609,61 @@ def test_exit_code_2_on_nan_probabilities(tmp_path, capsys):
         parse_config(json.dumps(factor), kind="coverage")
 
 
+HUGE = 10**400  # a JSON integer past the float range
+
+
+def _huge_level(out):
+    return "coverage", _clt_config(out, level=HUGE), "level"
+
+
+def _huge_coeff(out):
+    return "coverage", _system_coverage_config(out, {"A": HUGE, "B": -1}), "coeffs.A"
+
+
+def _huge_draw_prob(out):
+    cfg = _clt_config(out)
+    cfg["urn"]["draw"] = {"policy": "discrete", "values": [1, 2], "probs": [0.5, HUGE]}
+    return "clt", cfg, "urn.draw.probs[1]"
+
+
+def _huge_reinforcement_prob(out):
+    cfg = _clt_config(out)
+    cfg["urn"]["reinforce"] = {"policy": "discrete", "values": [1, 2], "probs": [HUGE, 1]}
+    return "clt", cfg, "urn.reinforce.probs[0]"
+
+
+def _huge_factor_prob(out):
+    cfg = _system_coverage_config(out, {"A": 1})
+    cfg["factors"] = {"draw": {"values": [0, 1], "probs": [HUGE, 1]}}
+    return "coverage", cfg, "factors.draw.probs[0]"
+
+
+@pytest.mark.parametrize("make", [_huge_level, _huge_coeff, _huge_draw_prob,
+                                  _huge_reinforcement_prob, _huge_factor_prob])
+def test_exit_code_2_on_integers_past_the_float_range(tmp_path, capsys, make):
+    # float() raises OverflowError on such an integer; it is a
+    # configuration problem at its key path.
+    kind, cfg, path = make(tmp_path / "out")
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main([kind, "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert f"  - {path}: integer is too large for a float" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_2_on_integer_past_the_digit_limit(tmp_path, capsys):
+    # Python refuses to parse an integer of more than 4300 digits; where
+    # it has no such limit, the level is too large for a float.
+    text = json.dumps(_clt_config(tmp_path / "out", level=0.5))
+    (tmp_path / "c.json").write_text(text.replace("0.5", "1" + "0" * 5000))
+    assert main(["coverage", "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert len(err) == 2 and (err[1].startswith("  - syntax: ") or "level" in err[1])
+    assert not (tmp_path / "out").exists()
+
+
 def test_top_level_error_paths_have_no_leading_dot():
     cfg = _system_coverage_config("somewhere", {"A": 1})
     cfg.update(level="high", basis="Q")

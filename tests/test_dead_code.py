@@ -1,15 +1,14 @@
 """No dead code: every module-level import is used, every private
-module-level function or class is referenced somewhere, the package's
-exports match its imports, no JSON policy grows a second way to emit,
-and no policy lives outside the JSON menus.  And no live code goes
-missing: every name the benchmark in ``perfbench/`` reads from the
-package still exists, since its tracer skips a target it cannot find
-instead of failing.
+module-level function or class is referenced somewhere, every export
+in the package's table is defined where the table says and is in
+``__all__``, no JSON policy grows a second way to emit, and no policy
+lives outside the JSON menus.  And no live code goes missing: every
+name the benchmark in ``perfbench/`` reads from the package still
+exists, since its tracer skips a target it cannot find instead of
+failing.
 
 Static, stdlib ``ast`` only, except the menu check, which imports the
-policy type unions.  The package ``__init__`` is exempt from the import
-check: its imports are the public re-exports, which the export check
-holds to ``__all__`` instead.
+policy type unions, and the export check, which reads ``hrru.__all__``.
 """
 
 import ast
@@ -48,10 +47,9 @@ def _imported(tree: ast.Module) -> list[str]:
 def unused_imports() -> list[str]:
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            tree = _tree(path)
-            used = _referenced(tree)
-            found += [f"{path.stem}.{n}" for n in _imported(tree) if n not in used]
+        tree = _tree(path)
+        used = _referenced(tree)
+        found += [f"{path.stem}.{n}" for n in _imported(tree) if n not in used]
     return found
 
 
@@ -83,23 +81,30 @@ def _top_level_names(tree: ast.Module) -> set[str]:
 
 
 def export_problems() -> list[str]:
+    # __init__ maps each export to its submodule in one table, _EXPORTS
+    # (submodule: names), and imports a submodule only when one of its
+    # names is first read.
+    import hrru
+
     init = _tree(PACKAGE / "__init__.py")
-    (exported,) = [
+    (table,) = [
         ast.literal_eval(node.value) for node in init.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
     ]
-    defined = _top_level_names(init)
-    found = [f"__all__ names {n}, which __init__ does not define" for n in exported
-             if n not in defined]
+    found, names = [], ["__version__"]
+    for module, exported in table.items():
+        tree = _tree(PACKAGE / f"{module}.py")
+        defined = _top_level_names(tree) - set(_imported(tree))
+        found += [f"{module} defines no {n}" for n in exported if n not in defined]
+        names += exported
+    found += [f"{n} is listed twice" for n in sorted(set(names)) if names.count(n) > 1]
+    if sorted(hrru.__all__) != sorted(names):
+        found.append(f"__all__ is {sorted(hrru.__all__)}, not the table's names and __version__")
+    # A module-level import of a submodule would make the package eager.
     for node in init.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            source = _top_level_names(_tree(PACKAGE / f"{node.module}.py"))
-            for alias in node.names:
-                if alias.name not in source:
-                    found.append(f"{node.module} defines no {alias.name}")
-                if (alias.asname or alias.name) not in exported:
-                    found.append(f"__init__ imports {alias.name} but __all__ omits it")
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append(f"__init__ line {node.lineno}: module-level relative import")
     return found
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -163,6 +164,58 @@ def test_cli_import_leaves_the_pool_module_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fresh(code: str, *args: str):
+    # the JSON that ``code`` prints last, run in a fresh interpreter
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_simulate_loads_neither_the_engine_nor_montecarlo(tmp_path):
+    # `import hrru` loads no submodule; `hrru simulate` loads only what
+    # one trajectory needs.
+    cfg = {"urn": {"a": 2, "b": 3, "draw": {"policy": "iid-uniform", "high": 2},
+                   "reinforce": {"policy": "constant", "value": 1}},
+           "plan": {"n": 20, "seed": 1}, "outputs": {"dir": str(tmp_path / "out")}}
+    (tmp_path / "sim.json").write_text(json.dumps(cfg))
+    code = """
+        import json, sys
+        import hrru
+        after_import = [m for m in sys.modules if m.startswith("hrru.")]
+        from hrru.cli import main
+        assert main(["simulate", "--config", sys.argv[1]]) == 0
+        heavy = ("hrru.montecarlo", "hrru.engine", "hrru.multi_urn", "hrru.estimators",
+                 "hrru.gof", "concurrent.futures")
+        print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
+    """
+    assert _fresh(code, str(tmp_path / "sim.json")) == [[], []]
+
+
+def test_package_exports_resolve_on_first_use():
+    code = """
+        import importlib, json
+        import hrru
+        names = {}
+        exec("from hrru import *", names)
+        seen = {"not_its_module": [
+            n for n in hrru.__all__ if n != "__version__" and names.get(n) is not
+            getattr(importlib.import_module("hrru." + hrru._MODULE_OF[n]), n)]}
+        seen["not_in_dir"] = sorted(set(hrru.__all__) - set(dir(hrru)))
+        try:
+            hrru.no_such_name
+        except AttributeError:
+            seen["no_such_name"] = "AttributeError"
+        from hrru import cli, montecarlo
+        seen["submodules"] = [cli.__name__, montecarlo.__name__]
+        seen["replicate"] = hrru.replicate is montecarlo.replicate
+        print(json.dumps(seen))
+    """
+    assert _fresh(code) == {
+        "not_its_module": [], "not_in_dir": [], "no_such_name": "AttributeError",
+        "submodules": ["hrru.cli", "hrru.montecarlo"], "replicate": True,
+    }
 
 
 def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
