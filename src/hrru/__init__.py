@@ -39,13 +39,13 @@ _EXPORTS = {
         "linear_combination_ci", "mean_reinforcement_test", "per_urn_summary",
         "run_system",
     ),
-    "rng": ("Stream", "UrnStreams", "derive_key", "mix64", "stream_value"),
+    "rng": ("derive_key", "mix64", "stream_value"),
     "urn_core": (
         "AbsorbingRandomWalk", "ConfigError", "ConstantOne", "ConstantReinforcement",
         "DeterministicSchedule", "DiscreteDraw", "DiscreteReinforcement", "IidUniform",
         "IntegerDistribution", "ModelViolationError", "ParameterError", "StepRecord",
         "Trajectory", "UniformReinforcement", "UrnConfig", "increment_identity_check",
-        "run_trajectory", "sample_hypergeometric",
+        "run_trajectory",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

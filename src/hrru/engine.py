@@ -433,9 +433,10 @@ def sample_hypergeometric_batch(
 ) -> np.ndarray:
     """``count`` independent exact hypergeometric draws from one stream.
 
-    Sample ``j`` reads counters ``j * n_draw .. j * n_draw + n_draw - 1``,
-    as ``sample_hypergeometric(Stream(key), j * n_draw, n_draw, total,
-    marked)`` does.
+    Sample ``j`` runs the without-replacement Bernoulli chain of the
+    randomness contract: ball ``i`` reads counter ``j * n_draw + i`` of
+    stream ``key`` and is marked when that uniform is below (marked
+    left) / (balls left).
     """
     if not (1 <= n_draw <= total):
         raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")

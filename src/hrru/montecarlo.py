@@ -638,20 +638,22 @@ class HittingEstimate:
     estimate: float
 
 
+_WALK_STEP_CAP = 10_000_000
+
+
 def hitting_probability_check(
     start: int,
     high: int,
     reps: int,
     master_seed: int = 0,
-    step_cap: int = 10_000_000,
 ) -> HittingEstimate:
     """Empirical frequency of the walk absorbing at the lower barrier.
 
     Runs ``reps`` independent walks by the draw-size policy's rule
     (``walk_move``), each on its own replication stream, and counts
     terminal states.
-    Walks still unabsorbed after ``step_cap`` steps are reported in
-    ``cap_hits`` (absorption is almost sure, so the cap is a guard,
+    Walks still unabsorbed after ``_WALK_STEP_CAP`` steps are reported
+    in ``cap_hits`` (absorption is almost sure, so the cap is a guard,
     not a tuning knob).
     """
     walk_absorption_probability(start, high)  # validates the barriers
@@ -662,7 +664,7 @@ def hitting_probability_check(
     keys = rng.derive_keys_each(rkeys, "walk")
     w = np.full(reps, start, dtype=np.int64)
     t = 1
-    while t <= step_cap and np.any((w > 1) & (w < high)):
+    while t <= _WALK_STEP_CAP and np.any((w > 1) & (w < high)):
         w = walk_move(w, rng.units_vec(keys, t - 1), high)
         t += 1
     low = int(np.count_nonzero(w == 1))

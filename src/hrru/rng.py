@@ -35,16 +35,13 @@ never read.
 64-bit floats are produced from the top 53 bits: ``(v >> 11) * 2**-53``,
 uniform on [0, 1).
 
-``Stream`` evaluates its uniforms a block of counters at a time with
-the vector path and keeps the last block, for the per-step urn rule.
-This is memoization of a pure function: every value is the one
-``stream_value`` gives.  Batch readers (the trajectory builder, the
-engine) evaluate arrays of counters directly.
+``mix64``, ``derive_key`` and ``stream_value`` are the scalar
+statement of these rules.  Every reader (the trajectory builder, the
+engine) evaluates arrays of counters through the vector twins below,
+which tests hold to the scalar functions bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,58 +107,9 @@ def unit_from_u64(v: int) -> float:
     return (v >> 11) * _INV_2_53
 
 
-class Stream:
-    """One stream's uniforms, addressed by counter: ``unit_at(c)`` is
-    the uniform at counter ``c``, whatever was read before.
-
-    Uniforms come from a cached block of ``_BLOCK`` counters, filled by
-    ``units_vec`` on a miss; counters past the uint64 range fall back
-    to ``stream_value``.
-    """
-
-    __slots__ = ("key", "_block")
-
-    def __init__(self, key: int):
-        self.key = key & MASK64
-        self._block = [0, []]  # first counter of the cached block, its uniforms
-
-    def unit_at(self, counter: int) -> float:
-        lo, units = self._block
-        i = counter - lo
-        if 0 <= i < len(units):
-            return units[i]
-        return self._fill(counter)
-
-    def _fill(self, counter: int) -> float:
-        # Cache the block holding ``counter``; blocks are aligned, so a
-        # counter below 2**64 lies in a block the uint64 path can hold.
-        if counter < 0:
-            raise ValueError("stream counter must be nonnegative")
-        lo = counter - counter % _BLOCK
-        if lo > MASK64:
-            return unit_from_u64(stream_value(self.key, counter))
-        units = units_vec(np.uint64(self.key), _BLOCK_COUNTERS + np.uint64(lo)).tolist()
-        self._block[:] = lo, units
-        return units[counter - lo]
-
-    def __repr__(self) -> str:
-        return f"Stream(key=0x{self.key:016x})"
-
-
 def rep_key(master_seed: int, rep: int) -> int:
-    if rep < 0:
-        raise ValueError("replication index must be nonnegative")
+    """The key of replication ``rep``, which callers check is in [0, 2**64)."""
     return derive_key(master_seed, "rep", rep)
-
-
-@dataclass(frozen=True)
-class UrnStreams:
-    """The three streams one urn step reads: its draw size, its
-    extraction and its reinforcement."""
-
-    draw: Stream
-    extract: Stream
-    reinforce: Stream
 
 
 # Vectorized twins.  These evaluate the same functions elementwise on
@@ -173,8 +121,6 @@ _V30 = np.uint64(30)
 _V27 = np.uint64(27)
 _V31 = np.uint64(31)
 _V11 = np.uint64(11)
-_BLOCK = 1024
-_BLOCK_COUNTERS = np.arange(_BLOCK, dtype=np.uint64)
 
 
 def mix64_vec(x: np.ndarray) -> np.ndarray:

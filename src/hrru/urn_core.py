@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import (
-    DEFAULT_LABEL, DRAW, EXTRACT, REINFORCE, Stream, UrnStreams, derive_key, rep_key, units_vec,
+    DEFAULT_LABEL, DRAW, EXTRACT, MASK64, REINFORCE, derive_key, rep_key, units_vec,
 )
 
 # Ball counts land in the int64 columns of a ``Trajectory``; keep a
@@ -66,6 +66,15 @@ def _master_seed(seed) -> int:
     if not (_is_int(seed) or isinstance(seed, np.integer)):
         raise ParameterError(f"master seed must be an integer, got {seed!r}")
     return int(seed)
+
+
+def _rep_index(rep) -> int:
+    """``rep`` as a Python int in [0, 2**64), numpy integers included:
+    the key tree reads a replication index as a 64-bit word, so a larger
+    one would run another replication's streams."""
+    if not (_is_int(rep) or isinstance(rep, np.integer)) or not 0 <= int(rep) <= MASK64:
+        raise ParameterError(f"replication index must be an integer in [0, 2**64), got {rep!r}")
+    return int(rep)
 
 
 class ParameterError(ValueError):
@@ -171,10 +180,11 @@ class IntegerDistribution:
 # lane) and ``n_prev`` the previous draw size (an int or one per lane).
 # ``stream_lag`` says which counter that uniform sits at: step ``t``
 # reads counter ``t - stream_lag``, and ``None`` means no stream is
-# read.  Both ``urn_rule`` and the batch engine read the uniform there
-# and hand it in, so a policy never sees a stream.  A float ``u`` gets a
-# Python int back; an array gets a float64 array holding exact integers,
-# the engine's dtype, or an int when the policy reads no stream.
+# read.  Both the trajectory builder and the batch engine read the
+# uniform there and hand it in, so a policy never sees a stream.  A
+# float ``u`` gets a Python int back; an array gets a float64 array
+# holding exact integers, the engine's dtype, or an int when the policy
+# reads no stream.
 
 
 def _scaled(u, low: int, span: int):
@@ -455,13 +465,6 @@ def _chain(units, total: int, marked: int) -> int:
     return marked - h_rem
 
 
-def _unit(policy, stream: Stream, t: int) -> float | None:
-    # The uniform a policy reads at step t: counter t - stream_lag of
-    # its stream, or none without a lag or before that counter.
-    lag = policy.stream_lag
-    return None if lag is None or t < lag else stream.unit_at(t - lag)
-
-
 def _check_step(t: int, S: int, n_draw: int, r) -> None:
     # A step's emissions the urn can take: a draw in [1, S], a
     # reinforcement that is an integer >= 1, and a total within capacity.
@@ -473,49 +476,6 @@ def _check_step(t: int, S: int, n_draw: int, r) -> None:
         raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
     if S + r * n_draw > CAPACITY_LIMIT:
         raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
-
-
-def sample_hypergeometric(stream: Stream, first: int, n_draw: int, total: int,
-                          marked: int) -> int:
-    """Exact count of marked balls in a without-replacement sample.
-
-    Sequentially decides each of the ``n_draw`` extractions with one
-    uniform: ball ``i`` reads counter ``first + i`` of ``stream`` and is
-    marked with probability (marked remaining) / (balls remaining).
-    """
-    if not (1 <= n_draw <= total):
-        raise ParameterError(f"draw size must satisfy 1 <= N <= {total}, got {n_draw}")
-    if not (0 <= marked <= total):
-        raise ParameterError(f"marked count must satisfy 0 <= H <= {total}, got {marked}")
-    return _chain(map(stream.unit_at, range(first, first + n_draw)), total, marked)
-
-
-def urn_rule(
-    t: int,
-    H: int,
-    S: int,
-    draw_policy: DrawSizePolicy,
-    reinf_policy: ReinforcementPolicy,
-    streams: UrnStreams,
-    stride: int,
-    n_prev: int | None,
-) -> tuple[int, int, int]:
-    """The urn rule for step ``t`` from ``H`` A-balls of ``S``: (N_t, X_t, R_t).
-
-    Emit N_t and R_t, check them, then draw X_t without replacement
-    (ball ``i`` reads extraction counter ``t * stride + i``).  Each
-    policy is handed the uniform at counter ``t - stream_lag`` of its
-    stream, as in the batch engine, and the draw-size policy also the
-    previous draw size ``n_prev`` (None at step 0).  The caller
-    reinforces, to ``H + R_t X_t`` of ``S + R_t N_t`` balls; that total
-    is checked against ``CAPACITY_LIMIT`` here.
-    """
-    n_draw = draw_policy.emit_vec(t, _unit(draw_policy, streams.draw, t), n_prev)
-    r = reinf_policy.emit_vec(t, _unit(reinf_policy, streams.reinforce, t))
-    _check_step(t, S, n_draw, r)
-    first = t * stride
-    hits = _chain(map(streams.extract.unit_at, range(first, first + n_draw)), S, H)
-    return n_draw, hits, r
 
 
 def increment_identity_check(record: StepRecord, h_before: int, s_before: int) -> bool:
@@ -651,15 +611,14 @@ def lockstep_trajectories(
     factor share its stream.  Every uniform is addressed by counter, so
     a slot's path does not depend on the other slots' and each slot
     runs to the end in turn, a window of steps at a time (``_windows``).
-    The values, checks and chain are ``urn_rule``'s, so the columns are
-    the ones a loop of ``urn_rule`` gives.  H and S are the running
-    integer sums, Z is the exact ``H / S`` of Python ints (counts may
-    pass 2**53) and M the running mean of X/N in step order.
+    H and S are the running integer sums, Z is the exact ``H / S`` of
+    Python ints (counts may pass 2**53) and M the running mean of X/N
+    in step order.
     """
     if not _is_int(steps) or steps < 1:
         raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     seed = _master_seed(master_seed)
-    rk = rep_key(seed, rep)
+    rk = rep_key(seed, _rep_index(rep))
     keys = {p: derive_key(rk, *p) for slot in slots
             for p in (slot.draw_stream, slot.extract_stream, slot.reinforce_stream)}
     out = []

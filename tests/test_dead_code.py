@@ -5,7 +5,8 @@ in the package's table is defined where the table says and is in
 lives outside the JSON menus.  And no live code goes missing: every
 name the benchmark in ``perfbench/`` reads from the package still
 exists, since its tracer skips a target it cannot find instead of
-failing.
+failing.  The contract oracle stays clean-room: it imports neither
+the package nor numpy.
 
 Static, stdlib ``ast`` only, except the menu check, which imports the
 policy type unions, and the export check, which reads ``hrru.__all__``.
@@ -18,6 +19,7 @@ from typing import get_args
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hrru"
 PERFBENCH = ROOT / "perfbench"
+ORACLE = ROOT / "tests" / "contract_oracle.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -178,6 +180,22 @@ def perfbench_problems() -> list[str]:
     return found
 
 
+def oracle_imports() -> list[str]:
+    # Every import of hrru or numpy in the oracle, at any depth: one
+    # would let it share code with what it checks.
+    found = []
+    for node in ast.walk(_tree(ORACLE)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if m.split(".")[0] in ("hrru", "numpy")]
+    return found
+
+
 def test_no_unused_module_imports():
     assert unused_imports() == []
 
@@ -207,3 +225,7 @@ def test_every_policy_is_on_a_json_menu():
 
 def test_perfbench_reads_only_names_that_exist():
     assert perfbench_problems() == []
+
+
+def test_contract_oracle_imports_neither_the_package_nor_numpy():
+    assert oracle_imports() == []

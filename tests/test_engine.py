@@ -1,11 +1,13 @@
 """Batch engine: every lane must equal its replication run alone.
 
-The reference is the readable scalar path: ``run_trajectory`` (or
+Here the reference is the scalar path: ``run_trajectory`` (or
 ``run_system``) for one replication at a time, reduced by
 ``trajectory_snapshot``, which performs the engine's Kahan accumulation
 in the same order.  Every policy combination and system shape is
 compared field by field for exact equality, which is what makes
-chunking and multiprocessing safe.  The golden pins in test_golden.py
+chunking and multiprocessing safe.  The README's contract, not either
+path, is the spec: test_contract_oracle.py holds both paths to an
+oracle written from it alone, and the golden pins in test_golden.py
 catch changes that would move both paths together.
 """
 
@@ -14,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hrru import rng
+import contract_oracle as oracle
 from hrru.engine import (
     SNAPSHOT_FIELDS,
     _Layout,
@@ -38,7 +40,6 @@ from hrru.urn_core import (
     UniformReinforcement,
     UrnConfig,
     run_trajectory,
-    sample_hypergeometric,
 )
 
 UNIFORM3 = IntegerDistribution((0, 1, 2), (1 / 3, 1 / 3, 1 / 3))
@@ -336,14 +337,11 @@ def test_snapshot_fields_are_consistent():
 
 
 def test_sample_hypergeometric_batch_matches_scalar_views():
-    key = rng.derive_key(3, "urn", "u0", "extract")
+    # sample j is the contract oracle's chain from counter j * n_draw
+    key = oracle.derive_key(3, "urn", "u0", "extract")
     n_draw, total, marked = 4, 11, 5
     batch = sample_hypergeometric_batch(key, n_draw, total, marked, 100)
-    stream = rng.Stream(key)
-    direct = [
-        sample_hypergeometric(stream, j * n_draw, n_draw, total, marked)
-        for j in range(100)
-    ]
+    direct = [oracle.chain(key, j * n_draw, n_draw, marked, total) for j in range(100)]
     assert batch.dtype == np.int64
     assert batch.tolist() == direct
 

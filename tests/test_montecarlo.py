@@ -564,9 +564,10 @@ def test_hitting_probability_check_small_case():
     assert abs(est.estimate - p) < 4 * se
 
 
-def test_hitting_probability_respects_step_cap():
+def test_hitting_probability_respects_step_cap(monkeypatch):
     # a one-step cap leaves roughly half the walkers unabsorbed, and
     # those must be reported as cap hits, not dropped
-    est = mc.hitting_probability_check(2, 4, 50, master_seed=0, step_cap=1)
+    monkeypatch.setattr(mc, "_WALK_STEP_CAP", 1)
+    est = mc.hitting_probability_check(2, 4, 50, master_seed=0)
     assert est.cap_hits > 0
     assert est.absorbed_low + est.absorbed_high + est.cap_hits == 50

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from hrru import rng
 from hrru.estimators import FROM_MN, FROM_ZN, plugin_estimates
 from hrru.multi_urn import (
     CommonFactors,
@@ -16,7 +15,7 @@ from hrru.multi_urn import (
     run_system,
 )
 from hrru.urn_core import ConfigError, ParameterError, run_trajectory
-from test_urn_core import assert_columns, past_one_window, rule_columns
+from test_urn_core import assert_columns, oracle_columns, past_one_window
 
 UNIFORM3 = dict(values=(0, 1, 2), probs=(1 / 3, 1 / 3, 1 / 3))
 
@@ -97,9 +96,9 @@ def test_shared_factors_are_identical_across_urns():
     assert len(set(traj.factor_draw.tolist())) > 1
 
 
-# run_system's column builder against a test-local loop of urn_rule per
-# urn, on streams derived here along the README key tree: the shared
-# factor streams and the urn's own extraction stream.
+# run_system's column builder against the contract oracle, which derives
+# the shared factor streams and each urn's own extraction stream along
+# the README's key tree.
 
 BUILDER_SYSTEMS = {
     "full-factors": UrnSystem(
@@ -112,15 +111,6 @@ BUILDER_SYSTEMS = {
 }
 
 
-def _system_streams(seed, rep, label):
-    rk = rng.derive_key(seed, "rep", rep)
-    return rng.UrnStreams(
-        draw=rng.Stream(rng.derive_key(rk, "factor-draw")),
-        extract=rng.Stream(rng.derive_key(rk, "urn", label, "extract")),
-        reinforce=rng.Stream(rng.derive_key(rk, "factor-reinforce")),
-    )
-
-
 @pytest.mark.parametrize("name,seam", [
     pytest.param(name, seam, id=name + ("-seam" if seam else ""))
     for name in BUILDER_SYSTEMS for seam in (False, True)
@@ -129,11 +119,10 @@ def test_run_system_matches_system_step_loop(name, seam):
     system = BUILDER_SYSTEMS[name]
     steps = past_one_window(system.draw_stride) if seam else 60
     traj = run_system(system, steps, master_seed=4, rep=2)
-    slots, stride = system.lockstep
-    assert stride == system.draw_stride
-    for spec, slot in zip(system.urns, slots):
-        cols = rule_columns(slot.config, stride, _system_streams(4, 2, spec.label), steps)
-        assert_columns(traj.urn(spec.label), cols)
+    want = oracle_columns(system, 4, 2, steps)
+    assert list(want) == list(system.labels)
+    for label, cols in want.items():
+        assert_columns(traj.urn(label), cols)
     first = system.urns[0]
     assert traj.factor_draw.dtype == traj.factor_reinforce.dtype == np.int64
     assert (traj.factor_draw + first.draw_base).tolist() == traj.urn(first.label).N.tolist()

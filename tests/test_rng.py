@@ -1,7 +1,10 @@
 """Stream and key-derivation contract tests.
 
-The scalar path defines the contract; the vector twins must match it
-bit for bit, because the batch engine's reproducibility rests on that.
+The README's randomness contract defines the streams, and
+``tests/contract_oracle.py`` implements it from the text alone.  Here
+``mix64`` and ``stream_value`` are pinned to frozen values, and the
+vector twins every reader uses must match these scalar references bit
+for bit, because the package's reproducibility rests on that.
 """
 
 from dataclasses import replace
@@ -34,13 +37,20 @@ def test_mix64_wraps_input():
     assert rng.mix64(1 << 64) == rng.mix64(0)
 
 
+def _unit(key, counter):
+    return rng.unit_from_u64(rng.stream_value(key, counter))
+
+
 def test_stream_value_is_positional():
     key = rng.derive_key(123, "rep", 0)
-    direct = [rng.unit_from_u64(rng.stream_value(key, c)) for c in range(10)]
-    # a read depends on its counter only, not on the reads before it
-    assert [rng.Stream(key).unit_at(c) for c in range(10)] == direct
-    s = rng.Stream(key)
-    assert [s.unit_at(c) for c in (7, 3, 9, 0)] == [direct[c] for c in (7, 3, 9, 0)]
+    direct = [_unit(key, c) for c in range(10)]
+    one = np.array([key], dtype=np.uint64)
+    # a read depends on its counter only, not on the reads before it or
+    # on the batch it is read in
+    for order in ([7, 3, 9, 0], list(range(10)), [9]):
+        got = rng.units_vec(one, np.array(order, dtype=np.uint64))
+        assert got.tolist() == [direct[c] for c in order]
+        assert [rng.units_vec(one, c)[0] for c in order] == got.tolist()
 
 
 def test_stream_rejects_negative_counter():
@@ -49,8 +59,8 @@ def test_stream_rejects_negative_counter():
 
 
 def test_units_in_unit_interval():
-    s = rng.Stream(rng.derive_key(7, "urn", "u0", "draw"))
-    us = [s.unit_at(c) for c in range(1000)]
+    key = rng.derive_key(7, "urn", "u0", "draw")
+    us = rng.units_vec(np.uint64(key), np.arange(1000, dtype=np.uint64)).tolist()
     assert all(0.0 <= u < 1.0 for u in us)
     # 53-bit mantissas exactly: u * 2**53 is integral
     assert all(float(u * 2**53).is_integer() for u in us)
@@ -123,7 +133,7 @@ def test_stream_values_vec_matches_scalar():
 def test_units_vec_matches_scalar():
     keys = np.array([rng.rep_key(2, r) for r in range(16)], dtype=np.uint64)
     vec = rng.units_vec(keys, 3)
-    assert vec.tolist() == [rng.Stream(int(k)).unit_at(3) for k in keys]
+    assert vec.tolist() == [_unit(int(k), 3) for k in keys]
 
 
 def test_units_from_states_vec_matches_direct():
@@ -180,46 +190,15 @@ def test_no_numpy_warnings_on_vector_paths():
         rng.stream_values_vec(keys, np.arange(4, dtype=np.uint64))
 
 
-def _unit(key, counter):
-    return rng.unit_from_u64(rng.stream_value(key, counter))
-
-
-def test_stream_blocks_match_scalar_in_any_order():
-    # Uniforms are cached a block at a time; the block edges must not
-    # show in any read order.
-    key = rng.derive_key(5, "rep", 2)
-    B = rng._BLOCK
-    edges = [B - 1, B, B + 1, 3 * B + 5, 0]
-    spread = np.random.default_rng(1).integers(0, 8 * B, 300).tolist()
-    for order in (edges, edges[::-1], sorted(spread), sorted(spread, reverse=True), spread):
-        s = rng.Stream(key)
-        for c in order:
-            u = s.unit_at(c)
-            assert type(u) is float
-            assert u == _unit(key, c), c
-
-
-def test_unit_at_rejects_negative_counter():
-    s = rng.Stream(3)
-    with pytest.raises(ValueError):
-        s.unit_at(-1)
-    s.unit_at(0)  # a cached block must not admit negative counters either
-    with pytest.raises(ValueError):
-        s.unit_at(-1)
-    with pytest.raises(ValueError):
-        s.unit_at(-rng._BLOCK)
-
-
 def test_stream_counters_at_and_past_the_vector_range():
-    # Counters up to 2**64 - 1 come from uint64 blocks (the last block
-    # wraps c + 1 to 0); later ones fall back to stream_value.
+    # Counter arrays are uint64, in which c + 1 wraps to 0 at 2**64 - 1,
+    # as (c + 1) * GOLDEN does mod 2**64; a scalar counter may pass 2**64.
     key = rng.derive_key(9, "rep", 0)
-    B = rng._BLOCK
-    counters = [2**63 - 1, 2**63, 2**64 - B - 1, 2**64 - B, 2**64 - 1, 2**64, 2**64 + 5]
-    s = rng.Stream(key)
-    for c in counters:
-        u = s.unit_at(c)
-        assert type(u) is float
-        assert u == _unit(key, c), c
-    assert [s.unit_at(2**64 - 3 + i) for i in range(6)] == \
-        [_unit(key, 2**64 - 3 + i) for i in range(6)]
+    counters = [2**63 - 1, 2**63, 2**64 - 1025, 2**64 - 1024, 2**64 - 2, 2**64 - 1]
+    values = rng.stream_values_vec(np.uint64(key), np.array(counters, dtype=np.uint64))
+    assert values.tolist() == [rng.stream_value(key, c) for c in counters]
+    units = rng.units_vec(np.uint64(key), np.array(counters, dtype=np.uint64))
+    assert units.tolist() == [_unit(key, c) for c in counters]
+    one = np.array([key], dtype=np.uint64)
+    for c in (*counters, 2**64, 2**64 + 5):
+        assert rng.units_vec(one, c)[0] == _unit(key, c), c

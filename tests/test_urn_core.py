@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contract_oracle as oracle
 from hrru import rng, urn_core
+from hrru.cli import ExperimentConfig, config_to_json_dict
+from hrru.engine import sample_hypergeometric_batch
 from hrru.montecarlo import ReplicationPlan, hitting_probability_check, replicate
-from hrru.multi_urn import UrnSpec, UrnSystem
+from hrru.multi_urn import UrnSpec, UrnSystem, run_system
 from hrru.urn_core import (
     _COMPARE_LANES,
     _COMPARE_MAX,
@@ -31,17 +34,13 @@ from hrru.urn_core import (
     UrnConfig,
     increment_identity_check,
     run_trajectory,
-    sample_hypergeometric,
-    urn_rule,
     walk_move,
 )
 
 
-def _streams(seed=0, rep=0, label="u0"):
-    # An urn's own streams, straight from the README key tree.
-    rk = rng.derive_key(seed, "rep", rep)
-    return rng.UrnStreams(*(rng.Stream(rng.derive_key(rk, "urn", label, purpose))
-                            for purpose in ("draw", "extract", "reinforce")))
+def _key(purpose, seed=0, rep=0, label="u0"):
+    # An urn's own stream key, from the contract oracle's key tree.
+    return oracle.derive_key(oracle.derive_key(seed, "rep", rep), "urn", label, purpose)
 
 
 # Draw distribution: exact probabilities against the closed form.
@@ -66,40 +65,29 @@ def test_value_example_two_of_four():
 
 
 def test_sample_hypergeometric_support():
-    s = _streams().extract
+    # sample j * 200 + i reads counters from (j * 200 + i) * n_draw on
+    key = _key("extract")
     for j, (n_draw, total, marked) in enumerate([(3, 7, 2), (5, 5, 3), (2, 9, 0), (4, 6, 6)]):
-        for i in range(200):
-            x = sample_hypergeometric(s, (j * 200 + i) * n_draw, n_draw, total, marked)
-            assert max(0, n_draw - (total - marked)) <= x <= min(n_draw, marked)
+        xs = sample_hypergeometric_batch(key, n_draw, total, marked, (j + 1) * 200)[j * 200:]
+        assert max(0, n_draw - (total - marked)) <= xs.min()
+        assert xs.max() <= min(n_draw, marked)
 
 
 def test_sample_hypergeometric_exhaustive_draw():
     # drawing the whole urn returns exactly the marked count
-    s = _streams().extract
-    assert sample_hypergeometric(s, 0, 6, 6, 4) == 4
+    assert sample_hypergeometric_batch(_key("extract"), 6, 6, 4, 50).tolist() == [4] * 50
 
 
 def test_sample_hypergeometric_frequencies():
     n_draw, total, marked = 3, 10, 4
     pmf = exact_pmf(n_draw, total, marked)
-    s = _streams(seed=5).extract
-    counts = {x: 0 for x in pmf}
     reps = 20000
-    for j in range(reps):
-        counts[sample_hypergeometric(s, j * n_draw, n_draw, total, marked)] += 1
+    xs = sample_hypergeometric_batch(_key("extract", seed=5), n_draw, total, marked, reps)
+    counts = np.bincount(xs, minlength=n_draw + 1)
+    assert counts.sum() == sum(counts[x] for x in pmf) == reps
     for x, p in pmf.items():
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(counts[x] / reps - p) < 5 * se
-
-
-def test_sample_hypergeometric_validation():
-    s = _streams().extract
-    with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 0, 0, 5, 2)
-    with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 0, 6, 5, 2)
-    with pytest.raises(ParameterError):
-        sample_hypergeometric(s, 0, 2, 5, 6)
 
 
 # Policy objects.
@@ -167,15 +155,15 @@ def test_integer_distribution_rejects_non_finite_probabilities(bad):
             law((1, 2, 3), probs)
 
 
-def _emissions(pol, stream, steps):
-    # A stream policy run alone, as urn_rule runs it: step t hands
-    # emit_vec the stream's uniform at counter t - stream_lag (none
-    # without a lag or before that counter) and, for a draw-size
-    # policy, the previous emission.
+def _emissions(pol, key, steps):
+    # A policy run alone on the contract oracle's stream ``key``: step t
+    # hands emit_vec the uniform at counter t - stream_lag (none without
+    # a lag or before that counter) and, for a draw-size policy, the
+    # previous emission.
     out = []
     for t in range(steps):
         lag = pol.stream_lag
-        u = None if lag is None or t < lag else stream.unit_at(t - lag)
+        u = None if lag is None or t < lag else oracle.uniform(key, t - lag)
         if type(pol) in REINFORCEMENT_POLICIES.values():
             out.append(pol.emit_vec(t, u))
         else:
@@ -185,7 +173,7 @@ def _emissions(pol, stream, steps):
 
 def test_deterministic_schedule_repeats_last():
     pol = DeterministicSchedule((1, 3, 2))
-    assert _emissions(pol, _streams().draw, 6) == [1, 3, 2, 2, 2, 2]
+    assert _emissions(pol, _key("draw"), 6) == [1, 3, 2, 2, 2, 2]
     assert pol.bound == 3
     assert not pol.iid_draws
     assert DeterministicSchedule((2, 2, 2)).iid_draws
@@ -193,7 +181,7 @@ def test_deterministic_schedule_repeats_last():
 
 def test_iid_uniform_range_and_mean():
     pol = IidUniform(4)
-    vals = _emissions(pol, _streams(seed=9).draw, 8000)
+    vals = _emissions(pol, _key("draw", seed=9), 8000)
     assert set(vals) == {1, 2, 3, 4}
     assert abs(sum(vals) / len(vals) - 2.5) < 0.05
     assert pol.bound == 4 and pol.iid_draws
@@ -208,7 +196,7 @@ def test_uniform_draw_hits_top_value_even_at_power_of_two():
 
 def test_absorbing_walk_dynamics():
     pol = AbsorbingRandomWalk(start=3, high=5)
-    walk = _emissions(pol, _streams(seed=2).draw, 200)
+    walk = _emissions(pol, _key("draw", seed=2), 200)
     assert walk[0] == 3
     for prev, n in zip(walk, walk[1:]):
         if prev in (1, 5):
@@ -224,16 +212,16 @@ def test_absorbing_walk_replays_without_history():
     traj = run_trajectory(_basic_config(a=3, b=3, draw=pol), 50, 4)
     # the same walk rebuilt from the urn's draw stream alone: step t
     # reads counter t - 1
-    s = _streams(seed=4).draw
+    key = _key("draw", seed=4)
     prev = pol.start
     assert traj.N[0] == prev
     for t in range(1, 50):
-        prev = walk_move(prev, s.unit_at(t - 1), pol.high)
+        prev = walk_move(prev, oracle.uniform(key, t - 1), pol.high)
         assert traj.N[t] == prev
 
 
 def test_reinforcement_policies():
-    s = _streams(seed=3).reinforce
+    s = _key("reinforce", seed=3)
     vals = _emissions(UniformReinforcement(1, 3), s, 6000)
     assert set(vals) == {1, 2, 3}
     assert abs(sum(vals) / len(vals) - 2.0) < 0.05
@@ -271,9 +259,9 @@ EDGE_UNITS = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]
 @pytest.mark.parametrize("cls", [*DRAW_POLICIES.values(), *REINFORCEMENT_POLICIES.values()],
                          ids=lambda c: c.__name__)
 def test_scalar_emission_matches_vector_lane(cls, t):
-    # urn_rule calls emit_vec with one float, the engine with one
-    # uniform per lane: lane i must equal the float call on u[i], which
-    # returns a Python int.
+    # The trajectory builder calls emit_vec with one float for a step
+    # that emits alone, the engine with one uniform per lane: lane i
+    # must equal the float call on u[i], which returns a Python int.
     pol = POLICY_EXAMPLES[cls]
     draw = cls in DRAW_POLICIES.values()
     # previous draw sizes: absorbed low, inside and absorbed high
@@ -312,10 +300,9 @@ def test_step_updates_both_colors():
 
 
 def test_step_rejects_oversized_draw():
-    # the rule's own guard, behind the config's k <= a + b check
+    # the builder's own guard, behind the config's k <= a + b check
     with pytest.raises(ModelViolationError, match="outside \\[1, 2\\]"):
-        urn_rule(0, 1, 2, DeterministicSchedule((3,)), ConstantReinforcement(1),
-                 _streams(), 3, None)
+        urn_core._check_step(0, 2, 3, 1)
 
 
 def test_run_trajectory_shapes_and_echo():
@@ -352,27 +339,24 @@ def test_trajectory_determinism_and_rep_independence():
     assert not np.array_equal(t1.X, t3.X)
 
 
-# run_trajectory's column builder against a test-local loop of urn_rule
-# on streams derived here, so the slot's key paths are pinned too.
+# run_trajectory's column builder against the contract oracle, which
+# reads the config's JSON echo and derives the streams along the
+# README's key tree, so the slot's key paths are pinned too.
 
-COLUMNS = "NXRHSZM"
 STEPS = 300
 
 
-def rule_columns(cfg, stride, streams, steps):
-    h, s, n, xsum = cfg.a, cfg.a + cfg.b, None, 0.0
-    cols = {f: [] for f in COLUMNS}
-    for t in range(steps):
-        n, x, r = urn_rule(t, h, s, cfg.draw, cfg.reinforce, streams, stride, n)
-        h, s = h + r * x, s + r * n
-        xsum += x / n
-        for f, v in zip(COLUMNS, (n, x, r, h, s, h / s, xsum / (t + 1))):
-            cols[f].append(v)
-    return cols
+def oracle_columns(config, seed, rep, steps):
+    # The oracle's columns per urn label for a library urn or system.
+    urn = isinstance(config, UrnConfig)
+    echo = config_to_json_dict(ExperimentConfig(
+        kind="simulate" if urn else "coverage", urn=config if urn else None,
+        system=None if urn else config, seed=seed))
+    return oracle.trajectories(echo, rep, steps)
 
 
 def assert_columns(traj, cols):
-    for f in COLUMNS:
+    for f in oracle.COLUMNS:
         got = getattr(traj, f)
         assert got.dtype == (np.float64 if f in "ZM" else np.int64), f
         assert got.tolist() == cols[f], f
@@ -406,7 +390,7 @@ def past_one_window(stride):
 ])
 def test_run_trajectory_matches_step_loop(cfg, steps):
     traj = run_trajectory(cfg, steps, 11, rep=3)
-    assert_columns(traj, rule_columns(cfg, cfg.draw.bound, _streams(seed=11, rep=3), steps))
+    assert_columns(traj, oracle_columns(cfg, 11, 3, steps)[cfg.label])
     assert cfg.draw.bound < 1000 or 1000 in traj.N
 
 
@@ -472,13 +456,17 @@ BOOL_FIELDS = {
     "ReplicationPlan.master_seed": lambda: ReplicationPlan(_URN, reps=2, n=1, master_seed=True),
     "hitting_probability_check.master_seed": lambda: hitting_probability_check(
         2, 4, 8, master_seed=True),
+    "run_trajectory.rep": lambda: run_trajectory(_URN, 5, 1, rep=True),
+    "run_system.rep": lambda: run_system(UrnSystem(urns=(UrnSpec("A", 3, 3, 1, 1),)), 5, 1,
+                                         rep=True),
 }
 
 
 @pytest.mark.parametrize("build", BOOL_FIELDS.values(), ids=BOOL_FIELDS.keys())
 def test_integer_fields_reject_bools(build):
-    # Each of these ran with True as 1 (or failed only at a later step),
-    # while the CLI and IntegerDistribution reject it.
+    # Each of these ran with True as 1 (or failed only at a later step,
+    # or with rng's TypeError), while the CLI and IntegerDistribution
+    # reject it.
     with pytest.raises((ConfigError, ParameterError), match="integer"):
         build()
 
@@ -492,6 +480,20 @@ def test_master_seed_rejects_floats(build):
     # int() would run 1.7 as seed 1, and derive_key cannot mask a float
     with pytest.raises(ParameterError, match="master seed must be an integer"):
         build()
+
+
+@pytest.mark.parametrize("rep", [2**64, -1, 1.5, "2", np.bool_(True)], ids=repr)
+def test_rep_outside_the_key_range_is_refused(rep):
+    # the key tree reads rep as a 64-bit word: 2**64 ran as rep 0, and
+    # -1, 1.5 and "2" failed with a TypeError or ValueError of rng's
+    with pytest.raises(ParameterError, match="replication index must be an integer"):
+        run_trajectory(_URN, 5, 7, rep=rep)
+
+
+@pytest.mark.parametrize("rep", [np.int64(2), np.uint64(2), 2**64 - 1], ids=repr)
+def test_rep_accepts_every_integer_in_the_key_range(rep):
+    traj = run_trajectory(_URN, 50, 7, rep=rep)
+    assert traj.X.tolist() == oracle_columns(_URN, 7, int(rep), 50)["u0"]["X"]
 
 
 @pytest.mark.parametrize("seed", [-3, np.int64(5), np.uint64(5)], ids=repr)
