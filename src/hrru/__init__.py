@@ -20,10 +20,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "estimators": (
-        "FROM_MN", "FROM_ZN", "ConfidenceInterval", "PlugInEstimates",
-        "VarianceEstimates", "confidence_interval", "mean_interval", "normal_cdf",
-        "normal_quantile", "plugin_estimates", "proportion_interval",
-        "trajectory_variances", "variance_estimates", "variance_terms",
+        "FROM_MN", "FROM_ZN", "ConfidenceInterval", "PlugInEstimates", "confidence_interval",
+        "mean_interval", "normal_cdf", "normal_quantile", "plugin_estimates",
+        "proportion_interval", "trajectory_variances", "variance_terms",
     ),
     "gof": ("ks_distance", "ks_two_sample", "max_ecdf_jump"),
     "montecarlo": (
@@ -36,8 +35,7 @@ _EXPORTS = {
     "multi_urn": (
         "CommonFactors", "CrossIncrementStat", "MeanReinforcementTest",
         "SystemTrajectory", "UrnSpec", "UrnSystem", "conditional_independence_stat",
-        "linear_combination_ci", "mean_reinforcement_test", "per_urn_summary",
-        "run_system",
+        "linear_combination_ci", "mean_reinforcement_test", "run_system",
     ),
     "rng": ("derive_key", "mix64", "stream_value"),
     "urn_core": (

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig
+from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _horizon, _is_integer
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -281,13 +281,16 @@ def _mean(total, h: int, lanes: int) -> np.ndarray:
     return total / h if isinstance(total, np.ndarray) else np.full(lanes, total / h)
 
 
-def trajectory_snapshot(traj: Trajectory, horizon: int) -> dict[str, float]:
-    """One lane's snapshot at ``horizon``, reduced from a scalar trajectory.
+def trajectory_snapshot(traj: Trajectory, horizon: int | None = None) -> dict[str, float]:
+    """One lane's snapshot at ``horizon`` (the whole trajectory when
+    None), reduced from a scalar trajectory.
 
     Integer sums, and Kahan sums of X/N and 1/N in step order: the
-    vector path's reduction, so the two agree bit for bit.
+    vector path's reduction, so the two agree bit for bit.  Every
+    per-trajectory statistic reads its steps through here, so this is
+    where a horizon outside [1, len(traj)] is refused.
     """
-    h = horizon
+    h = _horizon(horizon, len(traj))
     n, x, r = traj.N[:h].tolist(), traj.X[:h].tolist(), traj.R[:h].tolist()
     h_balls, s_balls = int(traj.H[h - 1]), int(traj.S[h - 1])
     return {
@@ -325,10 +328,14 @@ def run_chunk(
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
     Returns {label: [snapshot dict per horizon]}; horizons must be
-    strictly increasing.
+    strictly increasing.  The range holds the replication indices the
+    key tree reads as 64-bit words: integers, numpy's included but no
+    bool, with 0 <= rep_lo < rep_hi <= 2**64.
     """
-    if rep_hi <= rep_lo:
-        raise ParameterError(f"empty replication range [{rep_lo}, {rep_hi})")
+    if not (_is_integer(rep_lo) and _is_integer(rep_hi) and 0 <= rep_lo < rep_hi <= 1 << 64):
+        raise ParameterError(f"replication range must be integers with "
+                             f"0 <= rep_lo < rep_hi <= 2**64, got [{rep_lo!r}, {rep_hi!r})")
+    rep_lo, rep_hi = int(rep_lo), int(rep_hi)
     if not horizons or any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
         raise ParameterError(f"horizons must be strictly increasing, got {horizons}")
     if horizons[0] < 1:

@@ -14,7 +14,9 @@ with m_n, q_n the reinforcement mean and mean square, mu_n the mean
 draw size and eta_n the mean reciprocal draw size.  The variance
 formulas assume draw sizes and reinforcements are i.i.d. across steps;
 ``PlugInEstimates.iid_assumptions_met`` carries whether the draw-size
-policy guarantees that.
+policy guarantees that.  The functions on a trajectory read its one-rep
+record block (``montecarlo.trajectory_block``), so they give the values
+``replicate`` records for that replication.
 """
 
 from __future__ import annotations
@@ -39,30 +41,21 @@ class PlugInEstimates:
     iid_assumptions_met: bool
 
 
-@dataclass(frozen=True)
-class VarianceEstimates:
-    """Plug-in asymptotic variances for the three normal limits."""
+def _block(traj: Trajectory, n: int | None):
+    # The one-rep record block of ``traj``: montecarlo imports this
+    # module, so it is imported here, on first use.
+    from .montecarlo import trajectory_block
 
-    v_n: float      # proportion limit
-    w_n: float      # empirical-mean limit around the proportion
-    u_n: float      # gap between empirical mean and proportion
+    return trajectory_block(traj, n)
 
 
 def plugin_estimates(traj: Trajectory, n: int | None = None) -> PlugInEstimates:
-    """Averages of R, R^2, N and 1/N over steps 0..n-1."""
-    total = len(traj)
-    if n is None:
-        n = total
-    if not _is_int(n) or not (1 <= n <= total):
-        raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
-    r = traj.R[:n]
-    nn = traj.N[:n]
-    m_n = int(np.sum(r, dtype=np.int64)) / n
-    q_n = int(np.sum(r * r, dtype=np.int64)) / n
-    mu_n = int(np.sum(nn, dtype=np.int64)) / n
-    eta_n = math.fsum((1.0 / nn).tolist()) / n
+    """Averages of R, R^2, N and 1/N over steps 0..n-1, as the records
+    of ``replicate`` hold them for this replication."""
+    blk = _block(traj, n)
     return PlugInEstimates(
-        m_n=m_n, q_n=q_n, mu_n=mu_n, eta_n=eta_n, n=n,
+        m_n=float(blk.reinf_mean[0]), q_n=float(blk.reinf_sqmean[0]),
+        mu_n=float(blk.draw_mean[0]), eta_n=float(blk.draw_recipmean[0]), n=blk.horizon,
         iid_assumptions_met=traj.config.draw.iid_draws,
     )
 
@@ -78,21 +71,9 @@ def variance_terms(
     return core * zz, (core + bracket) * mm, bracket * zz
 
 
-def variance_estimates(z_n: float, m_emp_n: float, est: PlugInEstimates) -> VarianceEstimates:
-    """Assemble v_n, w_n, u_n at the observed proportion and mean."""
-    if not (0.0 <= z_n <= 1.0):
-        raise ParameterError(f"proportion must lie in [0, 1], got {z_n!r}")
-    if not (0.0 <= m_emp_n <= 1.0):
-        raise ParameterError(f"empirical mean must lie in [0, 1], got {m_emp_n!r}")
-    v, w, u = variance_terms(z_n, m_emp_n, est.m_n, est.q_n, est.mu_n, est.eta_n)
-    return VarianceEstimates(v_n=v, w_n=w, u_n=u)
-
-
-def trajectory_variances(traj: Trajectory, n: int | None = None) -> VarianceEstimates:
-    """Convenience: plug-in variances straight from a trajectory."""
-    est = plugin_estimates(traj, n)
-    m = est.n
-    return variance_estimates(float(traj.Z[m - 1]), float(traj.M[m - 1]), est)
+def trajectory_variances(traj: Trajectory, n: int | None = None) -> tuple[float, float, float]:
+    """The plug-in variances (v_n, w_n, u_n) of ``traj`` at horizon ``n``."""
+    return tuple(float(var[0]) for var in _block(traj, n).variances())
 
 
 # Rational approximation for the standard normal quantile (Wichura's
@@ -198,6 +179,13 @@ class ConfidenceInterval:
         return self.lower <= x <= self.upper
 
 
+def half_width(variance, n: int, alpha: float):
+    """``z_{1 - alpha/2} sqrt(variance / n)``, for a variance or an array
+    of them: every interval's half-width, the records' and a
+    trajectory's."""
+    return normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variance / n)
+
+
 def confidence_interval(
     basis: str, point: float, variance: float, n: int, alpha: float
 ) -> ConfidenceInterval:
@@ -210,24 +198,22 @@ def confidence_interval(
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (variance >= 0.0):
         raise ParameterError(f"variance must be nonnegative, got {variance!r}")
-    zq = normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceInterval(
-        center=point, half_width=zq * math.sqrt(variance / n),
+        center=point, half_width=float(half_width(variance, n, alpha)),
         level=1.0 - alpha, basis=basis, n=n,
     )
 
 
 def proportion_interval(traj: Trajectory, alpha: float, n: int | None = None) -> ConfidenceInterval:
     """Interval for the limiting proportion, centered at Z_n."""
-    est = plugin_estimates(traj, n)
-    m = est.n
-    var = variance_estimates(float(traj.Z[m - 1]), float(traj.M[m - 1]), est)
-    return confidence_interval(FROM_ZN, float(traj.Z[m - 1]), var.v_n, m, alpha)
+    blk = _block(traj, n)
+    v, _, _ = blk.variances()
+    return confidence_interval(FROM_ZN, float(blk.z[0]), float(v[0]), blk.horizon, alpha)
 
 
 def mean_interval(traj: Trajectory, alpha: float, n: int | None = None) -> ConfidenceInterval:
-    """Interval for the limiting proportion, centered at M_n."""
-    est = plugin_estimates(traj, n)
-    m = est.n
-    var = variance_estimates(float(traj.Z[m - 1]), float(traj.M[m - 1]), est)
-    return confidence_interval(FROM_MN, float(traj.M[m - 1]), var.w_n, m, alpha)
+    """Interval for the limiting proportion, centered at M_n, the
+    records' Kahan mean of X/N (not the plain running ``traj.M``)."""
+    blk = _block(traj, n)
+    _, w, _ = blk.variances()
+    return confidence_interval(FROM_MN, float(blk.m_emp[0]), float(w[0]), blk.horizon, alpha)

@@ -34,15 +34,17 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, gof, rng
-from .estimators import normal_cdf, normal_quantile, variance_terms
+from .estimators import half_width, normal_cdf, normal_quantile, variance_terms
 from .multi_urn import UrnSystem, combination_problems, level_problems, mtest_problems
 from .urn_core import (
     ConstantReinforcement,
     DiscreteReinforcement,
     ParameterError,
+    Trajectory,
     UniformReinforcement,
     UrnConfig,
     _is_int,
+    _is_integer,
     _master_seed,
     _raise_problems,
     walk_move,
@@ -92,7 +94,12 @@ class ReplicationPlan:
 
 @dataclass(frozen=True)
 class HorizonBlock:
-    """Per-rep summaries of one urn at one horizon (aligned arrays)."""
+    """Per-rep summaries of one urn at one horizon (aligned arrays).
+
+    Each statistic below is written once, on these arrays: the record
+    diagnostics read every rep, and a trajectory's statistics read the
+    one-rep block of ``trajectory_block``.
+    """
 
     horizon: int
     z: np.ndarray
@@ -116,6 +123,44 @@ class HorizonBlock:
             self.reinf_mean, self.reinf_sqmean,
             self.draw_mean, self.draw_recipmean,
         )
+
+
+def trajectory_block(traj: Trajectory, n: int | None = None) -> HorizonBlock:
+    """The one-rep block of ``traj`` at horizon ``n`` (its length when
+    None): ``engine.trajectory_snapshot``, the reduction every lane of
+    ``replicate`` makes, so replication r's block holds its records."""
+    snap = engine.trajectory_snapshot(traj, n)
+    return HorizonBlock(horizon=len(traj) if n is None else n,
+                        **{f: np.array([snap[f]]) for f in engine.SNAPSHOT_FIELDS})
+
+
+def combination(coeffs: dict[str, float], blocks: dict[str, HorizonBlock], basis: str):
+    """Center and variance of the combination ``coeffs`` of the urns'
+    Z_n (basis "Z") or M_n (basis "M"), per rep: the weighted sum of the
+    centers, and of V_n or W_n with squared weights, each added in the
+    order of ``coeffs``."""
+    center = variance = 0.0
+    for lab, c in coeffs.items():
+        blk = blocks[lab]
+        center = center + c * (blk.z if basis == "Z" else blk.m_emp)
+        variance = variance + (c * c) * blk.variances()[0 if basis == "Z" else 1]
+    return center, variance
+
+
+def mean_reinforcement(target: HorizonBlock, reference: list[HorizonBlock], level: float):
+    """Each rep's mean-reinforcement statistic, whether it applies
+    (U_n > 0) and whether it rejects at ``level``:
+    ``sqrt(ref m_n / m_n) sqrt(n) |M_n - Z_n| / sqrt(U_n)`` against
+    ``z_{1 - level/2}``, with ref m_n the reference urns' mean of m_n."""
+    _, _, u_n = target.variances()
+    ref_mean = sum(blk.reinf_mean for blk in reference) / len(reference)
+    applicable = u_n > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = (
+            np.sqrt(ref_mean) / np.sqrt(target.reinf_mean)
+            * math.sqrt(target.horizon) * np.abs(target.m_emp - target.z) / np.sqrt(u_n)
+        )
+    return stat, applicable, applicable & (stat > normal_quantile(1.0 - level / 2.0))
 
 
 @dataclass(frozen=True)
@@ -239,7 +284,7 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
     usable = _usable_cpus()
     if workers is None:
         workers = usable
-    elif not (_is_int(workers) or isinstance(workers, np.integer)) or workers < 1:
+    elif not _is_integer(workers) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     nworkers = int(workers)
     horizons = plan.horizons if proxy else (plan.n,)
@@ -358,8 +403,7 @@ def _normal_diag(
     coverage = level = None
     if gap is not None:
         level = CLT_COVERAGE_LEVEL
-        zq = normal_quantile(0.5 + level / 2.0)
-        coverage = float(np.count_nonzero(np.abs(gap) <= zq * np.sqrt(var / n))) / reps
+        coverage = float(np.count_nonzero(np.abs(gap) <= half_width(var, n, 1.0 - level))) / reps
     return CltDiagnostics(
         kind=kind,
         samples=samples,
@@ -511,9 +555,8 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     v, w, _ = u.at_n.variances()
     n = plan.n
     truth = _at_proxy(u).z
-    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    hit_z = np.abs(u.at_n.z - truth) <= zq * np.sqrt(v / n)
-    hit_m = np.abs(u.at_n.m_emp - truth) <= zq * np.sqrt(w / n)
+    hit_z = np.abs(u.at_n.z - truth) <= half_width(v, n, 1.0 - level)
+    hit_m = np.abs(u.at_n.m_emp - truth) <= half_width(w, n, 1.0 - level)
     return CoverageReport(
         level=level,
         n=n,
@@ -537,25 +580,12 @@ def linear_combination_coverage(
     """
     labels = tuple(records.urns)
     _raise_problems(level_problems(level) + combination_problems(coeffs, basis, labels))
-    reps = plan.reps
-    n = plan.n
-    center = np.zeros(reps)
-    truth = np.zeros(reps)
-    variance = np.zeros(reps)
-    for lab, c in coeffs.items():
-        u = records.urns[lab]
-        v, w, _ = u.at_n.variances()
-        if basis == "Z":
-            center = center + c * u.at_n.z
-            variance = variance + (c * c) * v
-        else:
-            center = center + c * u.at_n.m_emp
-            variance = variance + (c * c) * w
-        truth = truth + c * _at_proxy(u).z
-    zq = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    hits = np.abs(center - truth) <= zq * np.sqrt(variance / n)
+    center, variance = combination(coeffs, {lab: u.at_n for lab, u in records.urns.items()},
+                                   basis)
+    truth = sum(c * _at_proxy(records.urns[lab]).z for lab, c in coeffs.items())
+    hits = np.abs(center - truth) <= half_width(variance, plan.n, 1.0 - level)
     tag = "lincomb_Z" if basis == "Z" else "lincomb_M"
-    return _coverage_result(tag, hits, reps)
+    return _coverage_result(tag, hits, plan.reps)
 
 
 @dataclass(frozen=True)
@@ -584,21 +614,8 @@ def mtest_rejection(
     """Rejection frequency of the mean-reinforcement test over reps."""
     refs = tuple(reference)
     _raise_problems(level_problems(level) + mtest_problems(target, refs, tuple(records.urns)))
-    tgt = records.urns[target].at_n
-    _, _, u_n = tgt.variances()
-    ref_mean = np.zeros(plan.reps)
-    for lab in refs:
-        ref_mean = ref_mean + records.urns[lab].at_n.reinf_mean
-    ref_mean = ref_mean / len(refs)
-    applicable = u_n > 0.0
-    rootn = math.sqrt(plan.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = (
-            np.sqrt(ref_mean) / np.sqrt(tgt.reinf_mean)
-            * rootn * np.abs(tgt.m_emp - tgt.z) / np.sqrt(u_n)
-        )
-    threshold = normal_quantile(1.0 - level / 2.0)
-    reject = applicable & (stat > threshold)
+    _, applicable, reject = mean_reinforcement(
+        records.urns[target].at_n, [records.urns[lab].at_n for lab in refs], level)
     return MTestFrequency(
         target=target,
         reference=refs,

@@ -34,17 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimators import (
-    FROM_MN,
-    FROM_ZN,
-    ConfidenceInterval,
-    PlugInEstimates,
-    VarianceEstimates,
-    confidence_interval,
-    normal_quantile,
-    plugin_estimates,
-    variance_estimates,
-)
+from .estimators import FROM_MN, FROM_ZN, ConfidenceInterval, confidence_interval
 from .rng import FACTOR_DRAW, FACTOR_REINFORCE
 from .urn_core import (
     ConfigError,
@@ -57,6 +47,7 @@ from .urn_core import (
     Trajectory,
     UrnConfig,
     UrnSlot,
+    _horizon,
     _is_int,
     _raise_problems,
     lockstep_trajectories,
@@ -287,11 +278,7 @@ def conditional_independence_stat(
     if u == v:
         raise ParameterError("labels must name two distinct urns")
     tu, tv = traj.urn(u), traj.urn(v)
-    total = len(traj)
-    if n is None:
-        n = total
-    if not _is_int(n) or not (1 <= n <= total):
-        raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
+    n = _horizon(n, len(traj))
 
     def centered(t: Trajectory) -> np.ndarray:
         xp = t.X[:n] / t.N[:n]
@@ -304,33 +291,6 @@ def conditional_independence_stat(
     mean = float(np.mean(prod))
     sd = float(np.std(prod, ddof=1)) if n > 1 else 0.0
     return CrossIncrementStat(mean=mean, std_error=sd / math.sqrt(n), steps=n)
-
-
-@dataclass(frozen=True)
-class UrnLimitSummary:
-    """Per-urn plug-in state at one horizon."""
-
-    label: str
-    z_n: float
-    m_emp_n: float
-    estimates: PlugInEstimates
-    variances: VarianceEstimates
-
-
-def per_urn_summary(traj: SystemTrajectory, n: int | None = None) -> dict[str, UrnLimitSummary]:
-    out = {}
-    for lab in traj.labels:
-        t = traj.urn(lab)
-        est = plugin_estimates(t, n)
-        m = est.n
-        z_n = float(t.Z[m - 1])
-        m_emp = float(t.M[m - 1])
-        out[lab] = UrnLimitSummary(
-            label=lab, z_n=z_n, m_emp_n=m_emp,
-            estimates=est,
-            variances=variance_estimates(z_n, m_emp, est),
-        )
-    return out
 
 
 def level_problems(level: float) -> list[str]:
@@ -384,20 +344,17 @@ def linear_combination_ci(
     weighted sum of Z_n (basis "Z") or M_n (basis "M"), and the
     variance adds per-urn contributions with squared weights, using
     the proportion-limit variance for basis Z and the empirical-mean
-    variance for basis M.
+    variance for basis M: ``montecarlo.combination`` on each urn's
+    one-rep block, so the records of ``replicate`` give the same values.
     """
+    from . import montecarlo as mc
+
     _raise_problems(level_problems(level) + combination_problems(coeffs, basis, traj.labels))
-    summaries = per_urn_summary(traj, n)
-    m = next(iter(summaries.values())).estimates.n
-    if basis == "Z":
-        center = math.fsum(c * summaries[lab].z_n for lab, c in coeffs.items())
-        variance = math.fsum(c * c * summaries[lab].variances.v_n for lab, c in coeffs.items())
-        tag = FROM_ZN
-    else:
-        center = math.fsum(c * summaries[lab].m_emp_n for lab, c in coeffs.items())
-        variance = math.fsum(c * c * summaries[lab].variances.w_n for lab, c in coeffs.items())
-        tag = FROM_MN
-    return confidence_interval(tag, center, variance, m, 1.0 - level)
+    blocks = {lab: mc.trajectory_block(traj.urn(lab), n) for lab in coeffs}
+    center, variance = mc.combination(coeffs, blocks, basis)
+    return confidence_interval(FROM_ZN if basis == "Z" else FROM_MN, float(center[0]),
+                               float(variance[0]), next(iter(blocks.values())).horizon,
+                               1.0 - level)
 
 
 @dataclass(frozen=True)
@@ -429,28 +386,17 @@ def mean_reinforcement_test(
     level: float,
 ) -> MeanReinforcementTest:
     """Asymptotic test of H0: the target urn's mean reinforcement is
-    no larger than the reference urns' common mean."""
+    no larger than the reference urns' common mean
+    (``montecarlo.mean_reinforcement`` on the urns' one-rep blocks)."""
+    from . import montecarlo as mc
+
     refs = tuple(reference)
     _raise_problems(level_problems(level) + mtest_problems(u, refs, traj.labels))
-    summaries = per_urn_summary(traj, n)
-    s_u = summaries[u]
-    m = s_u.estimates.n
-    u_n = s_u.variances.u_n
-    if u_n <= 0.0:
-        return MeanReinforcementTest(
-            target=u, reference=refs, alpha=level,
-            statistic=None, reject=False, applicable=False, n=m,
-        )
-    ref_mean = math.fsum(summaries[v].estimates.m_n for v in refs) / len(refs)
-    statistic = (
-        math.sqrt(ref_mean)
-        / math.sqrt(s_u.estimates.m_n)
-        * math.sqrt(m)
-        * abs(s_u.m_emp_n - s_u.z_n)
-        / math.sqrt(u_n)
-    )
-    reject = statistic > normal_quantile(1.0 - level / 2.0)
+    target = mc.trajectory_block(traj.urn(u), n)
+    stat, applicable, reject = mc.mean_reinforcement(
+        target, [mc.trajectory_block(traj.urn(v), n) for v in refs], level)
     return MeanReinforcementTest(
         target=u, reference=refs, alpha=level,
-        statistic=statistic, reject=reject, applicable=True, n=m,
+        statistic=float(stat[0]) if applicable[0] else None,
+        reject=bool(reject[0]), applicable=bool(applicable[0]), n=target.horizon,
     )

@@ -60,10 +60,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an int or a numpy integer, but no bool (numpy's
+    bool is no numpy integer) and no float."""
+    return _is_int(v) or isinstance(v, np.integer)
+
+
 def _master_seed(seed) -> int:
     """``seed`` as a Python int: any integer, numpy's included, but no
     bool or float (``int`` would run 1.7 as seed 1)."""
-    if not (_is_int(seed) or isinstance(seed, np.integer)):
+    if not _is_integer(seed):
         raise ParameterError(f"master seed must be an integer, got {seed!r}")
     return int(seed)
 
@@ -72,9 +78,19 @@ def _rep_index(rep) -> int:
     """``rep`` as a Python int in [0, 2**64), numpy integers included:
     the key tree reads a replication index as a 64-bit word, so a larger
     one would run another replication's streams."""
-    if not (_is_int(rep) or isinstance(rep, np.integer)) or not 0 <= int(rep) <= MASK64:
+    if not _is_integer(rep) or not 0 <= int(rep) <= MASK64:
         raise ParameterError(f"replication index must be an integer in [0, 2**64), got {rep!r}")
     return int(rep)
+
+
+def _horizon(n, total: int) -> int:
+    """``n`` steps of a trajectory of ``total``: the whole of it when
+    ``n`` is None, else an int in [1, total]."""
+    if n is None:
+        return total
+    if not _is_int(n) or not 1 <= n <= total:
+        raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
+    return n
 
 
 class ParameterError(ValueError):

@@ -235,6 +235,44 @@ def test_run_chunk_rejects_bad_ranges():
         run_chunk(cfg, 0, 0, 2, (0, 10))
 
 
+@pytest.mark.parametrize("rep_lo, rep_hi", [
+    (True, 3), (-1, 2), (2**64 - 1, 2**64 + 1), (0.5, 2), (0, 2.0),
+], ids=repr)
+def test_run_chunk_refuses_a_range_outside_the_key_tree(rep_lo, rep_hi):
+    # a bool ran as rep 1; the others failed in numpy or rng with an
+    # OverflowError or a TypeError
+    cfg = UrnConfig(a=2, b=2, draw=ConstantOne(), reinforce=ConstantReinforcement(1))
+    with pytest.raises(ParameterError, match="replication range must be integers"):
+        run_chunk(cfg, 7, rep_lo, rep_hi, (5,))
+
+
+def test_run_chunk_takes_numpy_integer_bounds():
+    # numpy bounds run the lanes of the same ints; an int64 with a
+    # uint64 bound (a float64 difference) ended in a TypeError, and a
+    # uint64 below 2**64 in an OverflowError
+    cfg = UrnConfig(a=3, b=4, draw=IidUniform(3), reinforce=UniformReinforcement(1, 3))
+    for lo, hi in ((np.int64(2), np.int64(6)), (np.int64(2), np.uint64(6)),
+                   (np.uint64(2**64 - 2), 2**64)):
+        want = run_chunk(cfg, 7, int(lo), int(hi), (5, 9))
+        got = run_chunk(cfg, 7, lo, hi, (5, 9))
+        for want_h, got_h in zip(want["u0"], got["u0"], strict=True):
+            for f in SNAPSHOT_FIELDS:
+                assert np.array_equal(want_h[f], got_h[f]), f
+    # the last lane of the key tree is its replication run alone
+    top = run_chunk(cfg, 7, 2**64 - 2, 2**64, (5,))["u0"][0]
+    assert [top["z"][1]] == [trajectory_snapshot(run_trajectory(cfg, 5, 7, 2**64 - 1), 5)["z"]]
+
+
+@pytest.mark.parametrize("horizon", [-1, 0, 11, True, 2.0], ids=repr)
+def test_trajectory_snapshot_refuses_a_horizon_outside_the_trajectory(horizon):
+    # -1 gave m_emp = -2.5 and s_over_n = -20.0, 0 a ZeroDivisionError,
+    # 11 an IndexError, and True ran as 1
+    traj = run_trajectory(UrnConfig(a=2, b=2, draw=ConstantOne(),
+                                    reinforce=ConstantReinforcement(1)), 10, 0)
+    with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
+        trajectory_snapshot(traj, horizon)
+
+
 def test_run_chunk_rejects_capacity_overflow():
     cfg = UrnConfig(a=2, b=2, draw=DeterministicSchedule((4,)),
                     reinforce=ConstantReinforcement(10**15))

@@ -19,9 +19,9 @@ from hrru.estimators import (
     plugin_estimates,
     proportion_interval,
     trajectory_variances,
-    variance_estimates,
     variance_terms,
 )
+from hrru.engine import trajectory_snapshot
 from hrru.urn_core import (
     IidUniform,
     ParameterError,
@@ -84,30 +84,33 @@ def test_variance_decomposition_identity():
     # W - U * (M(1-M) / Z(1-Z)) == (q / m^2 mu) * M(1-M)
     traj = _traj(steps=80, seed=3)
     est = plugin_estimates(traj)
-    z, m_emp = traj.Z[-1], traj.M[-1]
-    var = variance_estimates(z, m_emp, est)
+    snap = trajectory_snapshot(traj)
+    z, m_emp = snap["z"], snap["m_emp"]
+    _, w_n, u_n = trajectory_variances(traj)
     core = est.q_n / (est.m_n ** 2 * est.mu_n)
-    lhs = var.w_n - var.u_n * (m_emp * (1 - m_emp)) / (z * (1 - z))
+    lhs = w_n - u_n * (m_emp * (1 - m_emp)) / (z * (1 - z))
     rhs = core * m_emp * (1 - m_emp)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_variance_estimates_validation():
-    est = plugin_estimates(_traj())
-    with pytest.raises(ParameterError):
-        variance_estimates(-0.1, 0.5, est)
-    with pytest.raises(ParameterError):
-        variance_estimates(0.5, 1.5, est)
-
-
 def test_trajectory_variances_match_manual():
+    # variance_terms of the snapshot's Z_n, Kahan M_n and plug-in means
     traj = _traj(steps=50, seed=9)
     est = plugin_estimates(traj)
     var = trajectory_variances(traj)
-    v, w, u = variance_terms(traj.Z[-1], traj.M[-1], est.m_n, est.q_n,
-                             est.mu_n, est.eta_n)
-    assert (var.v_n, var.w_n, var.u_n) == (v, w, u)
-    assert var.v_n >= 0 and var.w_n >= 0
+    snap = trajectory_snapshot(traj)
+    assert var == variance_terms(snap["z"], snap["m_emp"], est.m_n, est.q_n,
+                                 est.mu_n, est.eta_n)
+    assert var[0] >= 0 and var[1] >= 0
+
+
+def test_plugin_statistics_refuse_a_horizon_outside_the_trajectory():
+    traj = _traj(steps=10)
+    for f in (plugin_estimates, trajectory_variances,
+              lambda t, n: proportion_interval(t, 0.05, n)):
+        for n in (0, 11, True, 2.0):
+            with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
+                f(traj, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,10 +219,13 @@ def test_proportion_and_mean_interval_wrappers():
     ci_z = proportion_interval(traj, 0.05)
     ci_m = mean_interval(traj, 0.05)
     assert ci_z.basis == FROM_ZN and ci_m.basis == FROM_MN
+    # M_n is the snapshot's Kahan mean, which may differ from traj.M[-1]
+    # in the last bits
     assert ci_z.center == traj.Z[-1]
-    assert ci_m.center == traj.M[-1]
+    assert ci_m.center == trajectory_snapshot(traj)["m_emp"]
+    assert ci_m.center == pytest.approx(traj.M[-1], rel=1e-14)
     assert ci_z.n == 64
-    var = trajectory_variances(traj)
+    v_n, w_n, _ = trajectory_variances(traj)
     q = normal_quantile(0.975)
-    assert ci_z.half_width == pytest.approx(q * math.sqrt(var.v_n / 64), rel=1e-12)
-    assert ci_m.half_width == pytest.approx(q * math.sqrt(var.w_n / 64), rel=1e-12)
+    assert ci_z.half_width == pytest.approx(q * math.sqrt(v_n / 64), rel=1e-12)
+    assert ci_m.half_width == pytest.approx(q * math.sqrt(w_n / 64), rel=1e-12)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hrru.estimators import FROM_MN, FROM_ZN, plugin_estimates
+from hrru.engine import trajectory_snapshot
+from hrru.estimators import FROM_MN, FROM_ZN, trajectory_variances
 from hrru.multi_urn import (
     CommonFactors,
     UrnSpec,
@@ -11,7 +12,6 @@ from hrru.multi_urn import (
     conditional_independence_stat,
     linear_combination_ci,
     mean_reinforcement_test,
-    per_urn_summary,
     run_system,
 )
 from hrru.urn_core import ConfigError, ParameterError, run_trajectory
@@ -173,16 +173,8 @@ def test_conditional_independence_stat_centers_near_zero():
     assert abs(stat.in_units_of_se) < 4.0
     with pytest.raises(ParameterError):
         conditional_independence_stat(straj, "A", "missing")
-
-
-def test_per_urn_summary_matches_single_urn_estimators():
-    sys2 = _system(factors=CommonFactors(draw=_dist()))
-    straj = run_system(sys2, 50, 7)
-    summaries = per_urn_summary(straj)
-    for lab in ("A", "B"):
-        est = plugin_estimates(straj.urns[lab])
-        assert summaries[lab].estimates == est
-        assert summaries[lab].z_n == straj.urns[lab].Z[-1]
+    with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 4000\]"):
+        conditional_independence_stat(straj, "A", "B", 4001)
 
 
 def test_singleton_combination_equals_plain_interval():
@@ -204,12 +196,10 @@ def test_singleton_combination_equals_plain_interval():
 def test_difference_combination_variance_adds():
     sys2 = _system(factors=CommonFactors(reinforce=_dist()))
     straj = run_system(sys2, 60, 2)
-    from hrru.multi_urn import per_urn_summary as pus
-
-    s = pus(straj)
     ci = linear_combination_ci(straj, {"A": 1.0, "B": -1.0}, "Z", 60, 0.95)
-    assert ci.center == pytest.approx(s["A"].z_n - s["B"].z_n, rel=1e-15)
-    var = s["A"].variances.v_n + s["B"].variances.v_n
+    z = {lab: trajectory_snapshot(straj.urns[lab])["z"] for lab in ("A", "B")}
+    assert ci.center == pytest.approx(z["A"] - z["B"], rel=1e-15)
+    var = trajectory_variances(straj.urns["A"])[0] + trajectory_variances(straj.urns["B"])[0]
     from hrru.estimators import normal_quantile
 
     assert ci.half_width == pytest.approx(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import contract_oracle as oracle
 from hrru import rng, urn_core
 from hrru.cli import ExperimentConfig, config_to_json_dict
-from hrru.engine import sample_hypergeometric_batch
+from hrru.engine import run_chunk, sample_hypergeometric_batch, trajectory_snapshot
 from hrru.montecarlo import ReplicationPlan, hitting_probability_check, replicate
 from hrru.multi_urn import UrnSpec, UrnSystem, run_system
 from hrru.urn_core import (
@@ -459,6 +459,9 @@ BOOL_FIELDS = {
     "run_trajectory.rep": lambda: run_trajectory(_URN, 5, 1, rep=True),
     "run_system.rep": lambda: run_system(UrnSystem(urns=(UrnSpec("A", 3, 3, 1, 1),)), 5, 1,
                                          rep=True),
+    "run_chunk.rep_lo": lambda: run_chunk(_URN, 1, True, 3, (5,)),
+    "run_chunk.rep_hi": lambda: run_chunk(_URN, 1, 0, True, (5,)),
+    "trajectory_snapshot.horizon": lambda: trajectory_snapshot(run_trajectory(_URN, 5, 1), True),
 }
 
 
