@@ -436,7 +436,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             if None not in out.coeffs.values():
                 col.problems += combination_problems(out.coeffs, out.basis, out.system.labels)
 
-    # The plan checks its own bounds: the n_proxy floor and 2**53.
+    # The plan checks its own bounds: the n_proxy floor, and 2**53 at
+    # the last horizon it simulates.
     if not simulate and plan_fields_ok and (out.urn is not None or out.system is not None):
         try:
             _plan_for(out)
@@ -567,12 +568,14 @@ def _report_skeleton(cfg: ExperimentConfig) -> dict:
 def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
     from .montecarlo import ReplicationPlan
 
+    # mtest reads n alone: n_proxy is validated and echoed, never simulated.
     return ReplicationPlan(
         config=cfg.urn if cfg.urn is not None else cfg.system,
         reps=cfg.reps,
         n=cfg.n,
         n_proxy=cfg.n_proxy,
         master_seed=cfg.seed,
+        horizons=(cfg.n,) if cfg.kind == "mtest" else None,
     )
 
 
@@ -690,10 +693,8 @@ def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) ->
 def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     from . import montecarlo as mc
 
-    # The test reads horizon n alone: n_proxy is validated and echoed,
-    # never simulated.
     plan = _plan_for(cfg)
-    records = mc.replicate(plan, workers, proxy=False)
+    records = mc.replicate(plan, workers)
     res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
     report = _report_skeleton(cfg)
     report["results"] = {**dataclasses.asdict(res), "frequency": res.frequency}

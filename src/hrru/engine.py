@@ -20,7 +20,9 @@ The urns are stacked on axis 0: ball counts, the Bernoulli chain and
 the sum of X/N are ``(urns, lanes)`` arrays, and one step is one pass
 over all urns.  An emission read by every urn broadcasts; otherwise
 each urn's emission is copied into its row, an int one only on a step
-where it changes.  Each step finalizes one
+where it changes.  A chunk runs to the last of its horizons (a strictly
+increasing tuple, ``check_horizons``: a plan's ``horizons``) and
+snapshots every lane at each of them.  Each step finalizes one
 fused ``(rows, lanes)`` matrix of uniforms, whose extraction rows are
 laid out ball by ball so that ball ``j`` of every urn is one ``(urns,
 lanes)`` view.  The sums of N and 1/N, and of R and R^2, are kept once
@@ -37,8 +39,9 @@ use Kahan compensation in a fixed step order: ``_kahan_add`` on the
 lane rows, in one call over X/N of every urn and 1/N of every
 lane-shaped draw, and ``_kahan_step`` on a float sum, the same four
 operations in the same order.  ``trajectory_snapshot`` reduces one
-scalar trajectory by ``_kahan_step`` too, so it reproduces a lane bit
-for bit: the tests use it as their reference.
+scalar trajectory at the same horizon tuple, in one pass, by
+``_kahan_step`` too, so it reproduces a lane bit for bit: the tests use
+it as their reference.
 
 Ball counts, draw sizes, reinforcements and the integer sums are
 float64 holding exact integers: a policy's ``emit_vec`` returns float64
@@ -53,8 +56,8 @@ sum of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
 
 A chunk's arrays (its step workspace and the snapshots it keeps) grow
 with its lanes, its urns and the rows of its uniform matrix;
-``lane_cap`` is the lane count whose arrays fit ``WORKSPACE_BUDGET``,
-and ``montecarlo`` never plans a larger chunk.
+``lane_cap`` is the lane count whose arrays fit ``WORKSPACE_BUDGET``.
+``run_chunk`` refuses a larger chunk, and ``montecarlo`` never plans one.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _horizon, _is_integer
+from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _is_integer
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -101,6 +104,17 @@ def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
             f"worst-case sum of R^2 over {steps} steps exceeds 2**53 "
             f"(largest reinforcement {r_max}); shrink steps or the reinforcement bound"
         )
+
+
+def check_horizons(horizons, last: float = float("inf")) -> tuple[int, ...]:
+    """``horizons``, a tuple or list of strictly increasing integers
+    (numpy's too, but no bool) in [1, last], as a tuple of ints."""
+    hs = tuple(horizons) if isinstance(horizons, (tuple, list)) else ()
+    if not (hs and all(map(_is_integer, hs)) and 1 <= hs[0] and hs[-1] <= last
+            and all(h1 < h2 for h1, h2 in zip(hs, hs[1:]))):
+        raise ParameterError(f"horizons must be strictly increasing integers in "
+                             f"[1, {last}], got {horizons!r}")
+    return tuple(map(int, hs))
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
@@ -269,39 +283,32 @@ def _kahan_step(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, (t - total) - y
 
 
-def _kahan_sum(xs) -> float:
-    total = comp = 0.0
-    for x in xs:
-        total, comp = _kahan_step(total, comp, x)
-    return total
-
-
 def _mean(total, h: int, lanes: int) -> np.ndarray:
     # A fresh (lanes,) array of total / h, for a row or a float sum.
     return total / h if isinstance(total, np.ndarray) else np.full(lanes, total / h)
 
 
-def trajectory_snapshot(traj: Trajectory, horizon: int | None = None) -> dict[str, float]:
-    """One lane's snapshot at ``horizon`` (the whole trajectory when
-    None), reduced from a scalar trajectory.
-
-    Integer sums, and Kahan sums of X/N and 1/N in step order: the
-    vector path's reduction, so the two agree bit for bit.  Every
-    per-trajectory statistic reads its steps through here, so this is
-    where a horizon outside [1, len(traj)] is refused.
-    """
-    h = _horizon(horizon, len(traj))
-    n, x, r = traj.N[:h].tolist(), traj.X[:h].tolist(), traj.R[:h].tolist()
-    h_balls, s_balls = int(traj.H[h - 1]), int(traj.S[h - 1])
-    return {
-        "z": h_balls / s_balls,
-        "m_emp": _kahan_sum(xi / ni for xi, ni in zip(x, n)) / h,
-        "s_over_n": s_balls / h,
-        "reinf_mean": sum(r) / h,
-        "reinf_sqmean": sum(ri * ri for ri in r) / h,
-        "draw_mean": sum(n) / h,
-        "draw_recipmean": _kahan_sum(1.0 / ni for ni in n) / h,
-    }
+def trajectory_snapshot(traj: Trajectory, horizons: tuple[int, ...]) -> list[dict[str, float]]:
+    """One lane's snapshot at each of ``horizons`` (in [1, len(traj)]),
+    reduced from a scalar trajectory in one pass: integer sums, and
+    Kahan sums of X/N and 1/N in step order, as ``run_chunk`` reduces
+    a lane, so the two agree bit for bit."""
+    horizons = check_horizons(horizons, len(traj))
+    n, x, r = (col[:horizons[-1]].tolist() for col in (traj.N, traj.X, traj.R))
+    n_sum = r_sum = r_sqsum = 0
+    m_tot = m_comp = recip_tot = recip_comp = 0.0
+    snaps, t = [], 0
+    for h in horizons:
+        for ni, xi in zip(n[t:h], x[t:h]):
+            m_tot, m_comp = _kahan_step(m_tot, m_comp, xi / ni)
+            recip_tot, recip_comp = _kahan_step(recip_tot, recip_comp, 1.0 / ni)
+        n_sum, r_sum = n_sum + sum(n[t:h]), r_sum + sum(r[t:h])
+        r_sqsum += sum(ri * ri for ri in r[t:h])
+        t, h_balls, s_balls = h, int(traj.H[h - 1]), int(traj.S[h - 1])
+        snaps.append(dict(zip(SNAPSHOT_FIELDS, (
+            h_balls / s_balls, m_tot / h, s_balls / h,
+            r_sum / h, r_sqsum / h, n_sum / h, recip_tot / h))))
+    return snaps
 
 
 def _row_keys(master_seed: int, rep_lo: int, rep_hi: int, rows: list) -> np.ndarray:
@@ -327,22 +334,23 @@ def run_chunk(
 ) -> dict[str, list[dict[str, np.ndarray]]]:
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
-    Returns {label: [snapshot dict per horizon]}; horizons must be
-    strictly increasing.  The range holds the replication indices the
+    Returns {label: [snapshot dict per horizon]}; horizons pass
+    ``check_horizons``.  The range holds the replication indices the
     key tree reads as 64-bit words: integers, numpy's included but no
-    bool, with 0 <= rep_lo < rep_hi <= 2**64.
+    bool, with 0 <= rep_lo < rep_hi <= 2**64, and at most ``lane_cap``
+    of them.
     """
     if not (_is_integer(rep_lo) and _is_integer(rep_hi) and 0 <= rep_lo < rep_hi <= 1 << 64):
         raise ParameterError(f"replication range must be integers with "
                              f"0 <= rep_lo < rep_hi <= 2**64, got [{rep_lo!r}, {rep_hi!r})")
     rep_lo, rep_hi = int(rep_lo), int(rep_hi)
-    if not horizons or any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
-        raise ParameterError(f"horizons must be strictly increasing, got {horizons}")
-    if horizons[0] < 1:
-        raise ParameterError(f"horizons must be >= 1, got {horizons}")
+    horizons = check_horizons(horizons)
     check_int64_range(config, horizons[-1])
+    lanes, cap = rep_hi - rep_lo, lane_cap(config, len(horizons))
+    if lanes > cap:
+        raise ParameterError(f"a chunk of {lanes} lanes exceeds lane_cap = {cap} "
+                             f"for horizons {horizons}")
 
-    lanes = rep_hi - rep_lo
     layout = _Layout(config)
     urns, rows, draws, reinfs = layout.urns, layout.rows, layout.draws, layout.reinfs
     key_matrix = _row_keys(master_seed, rep_lo, rep_hi, rows)
@@ -387,9 +395,7 @@ def run_chunk(
     n_now: list = [None] * len(draws)
     n_written: list = [None] * nu
     r_written: list = [None] * nu
-    next_h = 0
-    total = horizons[-1]
-    for t in range(total):
+    for t in range(horizons[-1]):
         np.multiply(slope, np.uint64(t), out=step_off)
         np.add(key_matrix, step_off[:, None], out=states)
         rng.units_from_states_vec(states, out=units)
@@ -420,8 +426,8 @@ def run_chunk(
             r_tot[i] += r_now[i]
             r_sqtot[i] += r_now[i] * r_now[i]
 
-        if t + 1 == horizons[next_h]:
-            h = t + 1
+        h = t + 1
+        if h in horizons:
             z, m_emp, s_over_n = H / S, sums[:nu] / h, S / h
             for u, (c, d, e) in enumerate(zip(urns, layout.draw_of, layout.reinf_of)):
                 out[c.label].append(dict(zip(SNAPSHOT_FIELDS, (
@@ -429,9 +435,6 @@ def run_chunk(
                     _mean(r_tot[e], h, lanes), _mean(r_sqtot[e], h, lanes),
                     _mean(n_tot[d], h, lanes), _mean(recip_tot[d], h, lanes),
                 ))))
-            next_h += 1
-            if next_h == len(horizons):
-                break
     return out
 
 

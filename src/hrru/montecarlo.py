@@ -1,8 +1,9 @@
 """Deterministic parallel replication and limit-theorem diagnostics.
 
 A ReplicationPlan names a configuration, a replication count, an
-evaluation horizon ``n``, a long proxy horizon ``n_proxy``, and a
-master seed.  Replication ``r`` is a pure function of
+evaluation horizon ``n``, a long proxy horizon ``n_proxy``, a master
+seed and the horizons it simulates and records, ``(n, proxy)`` unless
+named.  Replication ``r`` is a pure function of
 (master_seed, r): the engine derives every stream from that pair, so
 results are bit-identical whatever the chunking, worker count, or
 execution order.  ``replicate`` picks the chunks: one equal share of
@@ -43,6 +44,7 @@ from .urn_core import (
     Trajectory,
     UniformReinforcement,
     UrnConfig,
+    _horizon,
     _is_int,
     _is_integer,
     _master_seed,
@@ -57,13 +59,18 @@ CLT_COVERAGE_LEVEL = 0.95
 
 @dataclass(frozen=True)
 class ReplicationPlan:
-    """What to simulate, how many times, and under which seed."""
+    """What to simulate, how many times, and under which seed.
+
+    ``horizons`` (``engine.check_horizons``, holding ``n``; by default
+    ``(n, proxy_horizon)``) are where every rep is recorded; the engine
+    runs to the last, where the 2**53 bound is checked."""
 
     config: UrnConfig | UrnSystem
     reps: int
     n: int
     n_proxy: int | None = None
     master_seed: int = 0
+    horizons: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not _is_int(self.reps) or self.reps < 1:
@@ -76,16 +83,16 @@ class ReplicationPlan:
                     f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
                 )
         object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
-        engine.check_int64_range(self.config, self.proxy_horizon)
+        horizons = ((self.n, self.proxy_horizon) if self.horizons is None
+                    else engine.check_horizons(self.horizons))
+        if self.n not in horizons:
+            raise ParameterError(f"horizons must hold n = {self.n}, got {horizons}")
+        object.__setattr__(self, "horizons", horizons)
+        engine.check_int64_range(self.config, horizons[-1])
 
     @property
     def proxy_horizon(self) -> int:
         return self.n_proxy if self.n_proxy is not None else DEFAULT_PROXY_FACTOR * self.n
-
-    @property
-    def horizons(self) -> tuple[int, int]:
-        """The engine's snapshot horizons: ``n`` and the proxy horizon."""
-        return (self.n, self.proxy_horizon)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -129,9 +136,9 @@ def trajectory_block(traj: Trajectory, n: int | None = None) -> HorizonBlock:
     """The one-rep block of ``traj`` at horizon ``n`` (its length when
     None): ``engine.trajectory_snapshot``, the reduction every lane of
     ``replicate`` makes, so replication r's block holds its records."""
-    snap = engine.trajectory_snapshot(traj, n)
-    return HorizonBlock(horizon=len(traj) if n is None else n,
-                        **{f: np.array([snap[f]]) for f in engine.SNAPSHOT_FIELDS})
+    h = _horizon(n, len(traj))
+    snap = engine.trajectory_snapshot(traj, (h,))[0]
+    return HorizonBlock(horizon=h, **{f: np.array([snap[f]]) for f in engine.SNAPSHOT_FIELDS})
 
 
 def combination(coeffs: dict[str, float], blocks: dict[str, HorizonBlock], basis: str):
@@ -163,10 +170,35 @@ def mean_reinforcement(target: HorizonBlock, reference: list[HorizonBlock], leve
     return stat, applicable, applicable & (stat > normal_quantile(1.0 - level / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UrnRecords:
-    at_n: HorizonBlock
-    at_proxy: HorizonBlock | None  # None when replicate ran with proxy=False
+    """One urn's per-rep records: a block per simulated horizon, and views
+    of those at the plan's ``n`` and ``proxy``.  ``UrnRecords(at_n=...,
+    at_proxy=...)`` holds just those two blocks."""
+
+    blocks: dict[int, HorizonBlock]
+    n: int
+    proxy: int
+
+    def __init__(self, blocks=None, n=None, proxy=None, *, at_n=None, at_proxy=None):
+        if blocks is None:
+            blocks = {b.horizon: b for b in (at_n, at_proxy)}
+            n, proxy = at_n.horizon, at_proxy.horizon
+        for name, value in (("blocks", blocks), ("n", n), ("proxy", proxy)):
+            object.__setattr__(self, name, value)
+
+    def at(self, horizon: int) -> HorizonBlock:
+        """The block at ``horizon``, or a ``ParameterError`` naming it."""
+        if horizon not in self.blocks:
+            raise ParameterError(f"these records hold no block at horizon {horizon}; "
+                                 f"they hold horizons {tuple(self.blocks)}")
+        return self.blocks[horizon]
+
+    at_n = property(lambda self: self.at(self.n))
+    at_proxy = property(lambda self: self.at(self.proxy))
+
+    def take(self, m: int) -> "UrnRecords":
+        return UrnRecords({h: b.take(m) for h, b in self.blocks.items()}, self.n, self.proxy)
 
 
 @dataclass(frozen=True)
@@ -190,14 +222,8 @@ class RepRecords:
     def take(self, m: int) -> "RepRecords":
         if not (1 <= m <= len(self)):
             raise ParameterError(f"cannot take {m} of {len(self)} reps")
-        return RepRecords(
-            plan=replace(self.plan, reps=m),
-            urns={
-                lab: UrnRecords(at_n=u.at_n.take(m),
-                                at_proxy=None if u.at_proxy is None else u.at_proxy.take(m))
-                for lab, u in self.urns.items()
-            },
-        )
+        return RepRecords(plan=replace(self.plan, reps=m),
+                          urns={lab: u.take(m) for lab, u in self.urns.items()})
 
 
 # A plan gets no more equal shares than it has this many lane-steps.
@@ -207,19 +233,16 @@ class RepRecords:
 _SHARE_LANE_STEPS = 1 << 19
 
 
-def _chunk_bounds(plan: ReplicationPlan, workers: int,
-                  horizons: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
+def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
     """The plan's reps as contiguous ranges of sizes differing by at most one.
 
     Up to ``workers`` equal shares (no more than the plan has
-    ``_SHARE_LANE_STEPS`` lane-steps to the last of ``horizons``), each
-    split into as few chunks as keep every chunk, with one snapshot per
-    horizon, within ``engine.lane_cap`` lanes.  ``horizons`` are the
-    ones simulated, ``plan.horizons`` by default.
+    ``_SHARE_LANE_STEPS`` lane-steps to its last horizon), each split
+    into as few chunks as keep every chunk, with one snapshot per
+    horizon, within ``engine.lane_cap`` lanes.
     """
-    horizons = plan.horizons if horizons is None else horizons
-    cap = engine.lane_cap(plan.config, len(horizons))
-    lane_steps = plan.reps * horizons[-1] * len(plan.labels)
+    cap = engine.lane_cap(plan.config, len(plan.horizons))
+    lane_steps = plan.reps * plan.horizons[-1] * len(plan.labels)
     shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
     chunks = min(shares * -(-plan.reps // (shares * cap)), plan.reps)
     return [(plan.reps * i // chunks, plan.reps * (i + 1) // chunks) for i in range(chunks)]
@@ -265,16 +288,13 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def replicate(plan: ReplicationPlan, workers: int | None = None, *,
-              proxy: bool = True) -> RepRecords:
+def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
     This is the one place a plan is simulated: every diagnostic below
-    takes the records it returns.  With ``proxy=False`` the reps stop
-    at ``n`` and every ``at_proxy`` is None, for a caller that reads
-    horizon ``n`` alone (``mtest_rejection``).  The chunks
-    (``_chunk_bounds`` of the horizons simulated, the only chunking)
-    run on ``min(workers, chunks, usable CPUs)`` processes, with
+    takes the records it returns, one block per urn and horizon of
+    ``plan.horizons``.  The chunks (``_chunk_bounds``, the only
+    chunking) run on ``min(workers, chunks, usable CPUs)`` processes, with
     ``workers`` defaulting to the usable CPUs.  A plan gets no more
     shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one
     runs in this process whatever ``workers`` says.  The per-rep values
@@ -287,9 +307,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
     elif not _is_integer(workers) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     nworkers = int(workers)
-    horizons = plan.horizons if proxy else (plan.n,)
-    bounds = _chunk_bounds(plan, min(nworkers, usable), horizons)
-    tasks = [(plan.config, plan.master_seed, lo, hi, horizons) for lo, hi in bounds]
+    bounds = _chunk_bounds(plan, min(nworkers, usable))
+    tasks = [(plan.config, plan.master_seed, lo, hi, plan.horizons) for lo, hi in bounds]
     nworkers = min(nworkers, len(tasks), usable)
     if nworkers == 1:
         chunk_results = [_run_one_chunk(t) for t in tasks]
@@ -300,16 +319,16 @@ def replicate(plan: ReplicationPlan, workers: int | None = None, *,
 
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             chunk_results = list(pool.map(_run_one_chunk, tasks))
-    urns = {}
-    for label in plan.labels:
-        blocks = []
-        for hidx, horizon in enumerate(horizons):
-            fields = {
+    urns = {
+        label: UrnRecords({
+            h: HorizonBlock(horizon=h, **{
                 f: np.concatenate([cr[label][hidx][f] for cr in chunk_results])
                 for f in engine.SNAPSHOT_FIELDS
-            }
-            blocks.append(HorizonBlock(horizon=horizon, **fields))
-        urns[label] = UrnRecords(at_n=blocks[0], at_proxy=blocks[1] if proxy else None)
+            })
+            for hidx, h in enumerate(plan.horizons)
+        }, plan.n, plan.proxy_horizon)
+        for label in plan.labels
+    }
     return RepRecords(plan=plan, urns=urns)
 
 
@@ -327,14 +346,8 @@ class CltDiagnostics:
     aux: dict[str, float]
 
 
-def _at_proxy(urn: UrnRecords) -> HorizonBlock:
-    if urn.at_proxy is None:
-        raise ParameterError("these records stop at n; replicate with proxy=True")
-    return urn.at_proxy
-
-
 def _proxy_aux(urn: UrnRecords) -> dict[str, float]:
-    blk = _at_proxy(urn)
+    blk = urn.at_proxy
     target = blk.draw_mean * blk.reinf_mean
     abs_err = np.abs(blk.s_over_n - target)
     return {
@@ -373,7 +386,7 @@ def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
     """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
     u = records.single
     v, w, uu = u.at_n.variances()
-    zp = _at_proxy(u).z
+    zp = u.at_proxy.z
     gap_zp = u.at_n.z - zp
     gap_mz = u.at_n.m_emp - u.at_n.z
     gap_mp = u.at_n.m_emp - zp
@@ -554,7 +567,7 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     u = records.single
     v, w, _ = u.at_n.variances()
     n = plan.n
-    truth = _at_proxy(u).z
+    truth = u.at_proxy.z
     hit_z = np.abs(u.at_n.z - truth) <= half_width(v, n, 1.0 - level)
     hit_m = np.abs(u.at_n.m_emp - truth) <= half_width(w, n, 1.0 - level)
     return CoverageReport(
@@ -582,7 +595,7 @@ def linear_combination_coverage(
     _raise_problems(level_problems(level) + combination_problems(coeffs, basis, labels))
     center, variance = combination(coeffs, {lab: u.at_n for lab, u in records.urns.items()},
                                    basis)
-    truth = sum(c * _at_proxy(records.urns[lab]).z for lab, c in coeffs.items())
+    truth = sum(c * records.urns[lab].at_proxy.z for lab, c in coeffs.items())
     hits = np.abs(center - truth) <= half_width(variance, plan.n, 1.0 - level)
     tag = "lincomb_Z" if basis == "Z" else "lincomb_M"
     return _coverage_result(tag, hits, plan.reps)

@@ -19,6 +19,7 @@ pure function of its streams.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -135,6 +136,9 @@ class IntegerDistribution:
             problems.append("support values must be integers")
         elif len(set(self.values)) != len(self.values):
             problems.append("support values must be distinct")
+        else:
+            problems += [f"values[{i}]: integer is too large for a float"
+                         for i, v in enumerate(self.values) if abs(v) > sys.float_info.max]
         if any(not math.isfinite(p) or p < 0.0 for p in self.probs):
             problems.append(f"probabilities must be finite and nonnegative, got {self.probs}")
         elif self.probs and abs(math.fsum(self.probs) - 1.0) > 1e-9:

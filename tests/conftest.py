@@ -10,11 +10,10 @@ def cap_lanes(monkeypatch):
     """``cap_lanes(plan, lanes)`` shrinks ``engine.WORKSPACE_BUDGET`` so a
     chunk of ``plan`` holds at most ``lanes`` lanes: the real chunking
     policy then splits the plan, as it does a plan too big for the
-    budget.  ``horizons`` are the ones the run simulates, by default
-    ``plan.horizons``."""
+    budget."""
 
-    def cap(plan, lanes, horizons=None):
-        count = len(plan.horizons if horizons is None else horizons)
+    def cap(plan, lanes):
+        count = len(plan.horizons)
         lane_bytes = engine._Layout(plan.config).lane_bytes(count)
         monkeypatch.setattr(engine, "WORKSPACE_BUDGET", lanes * lane_bytes)
         assert engine.lane_cap(plan.config, count) == lanes

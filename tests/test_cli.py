@@ -385,7 +385,7 @@ def test_mtest_bytes_hold_across_workers_and_chunks(tmp_path, monkeypatch, cap_l
     reports, chunks = set(), []
     for lanes in (None, 3):
         if lanes is not None:
-            cap_lanes(plan, lanes, (plan.n,))
+            cap_lanes(plan, lanes)
         for workers in (1, 2):
             calls.clear()
             out = tmp_path / f"c{lanes}w{workers}"
@@ -396,8 +396,27 @@ def test_mtest_bytes_hold_across_workers_and_chunks(tmp_path, monkeypatch, cap_l
                 chunks.append(calls[:])
     assert len(reports) == 1
     assert [len(c) for c in chunks] == [1, 7]
+    assert plan.horizons == (plan.n,)
     assert chunks[1][0] == (0, 2, (plan.n,))
-    assert len(mc._chunk_bounds(plan, 2, (plan.n,))) == 8
+    assert len(mc._chunk_bounds(plan, 2)) == 8
+
+
+def test_mtest_is_not_refused_for_a_horizon_it_never_simulates(tmp_path):
+    # R up to 2**23 keeps the sum of R^2 within 2**53 for 100 steps but
+    # not for the default proxy horizon of 5000, which mtest never runs;
+    # clt simulates that horizon and is refused for it.
+    cfg = {
+        "urns": [{"label": lab, "a": 2**22, "b": 2**22, "draw_base": 1,
+                  "reinforce_base": 2**23} for lab in ("A", "B")],
+        "target": "A", "reference": ["B"],
+        "plan": {"reps": 4, "n": 100, "seed": 1},
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["mtest", "--config", str(tmp_path / "c.json")]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["results"]["reps"] == 4
+    with pytest.raises(ConfigError, match="plan: worst-case sum of R\\^2 over 5000 steps"):
+        parse_config(json.dumps(cfg), kind="coverage")
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -638,11 +657,33 @@ def _huge_factor_prob(out):
     return "coverage", cfg, "factors.draw.probs[0]"
 
 
+def _huge_draw_value(out):
+    cfg = _clt_config(out)
+    cfg["urn"]["draw"] = {"policy": "discrete", "values": [1, HUGE], "probs": [0.5, 0.5]}
+    return "clt", cfg, "urn.draw: values[1]"
+
+
+def _huge_reinforcement_value(out):
+    cfg = _clt_config(out)
+    cfg["urn"]["reinforce"] = {"policy": "discrete", "values": [HUGE, 2], "probs": [0.5, 0.5]}
+    return "clt", cfg, "urn.reinforce: values[0]"
+
+
+def _huge_factor_value(out):
+    cfg = dict(_mtest_config(), outputs={"dir": str(out)})
+    cfg["factors"] = {"reinforce": {"values": [0, HUGE], "probs": [0.5, 0.5]}}
+    return "mtest", cfg, "factors.reinforce: values[1]"
+
+
 @pytest.mark.parametrize("make", [_huge_level, _huge_coeff, _huge_draw_prob,
-                                  _huge_reinforcement_prob, _huge_factor_prob])
+                                  _huge_reinforcement_prob, _huge_factor_prob,
+                                  _huge_draw_value, _huge_reinforcement_value,
+                                  _huge_factor_value])
 def test_exit_code_2_on_integers_past_the_float_range(tmp_path, capsys, make):
     # float() raises OverflowError on such an integer; it is a
-    # configuration problem at its key path.
+    # configuration problem at its key path.  A law's support value is
+    # checked by the law (IntegerDistribution), so its line names the
+    # policy or factor, then the value.
     kind, cfg, path = make(tmp_path / "out")
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main([kind, "--config", str(tmp_path / "c.json")]) == 2
@@ -700,7 +741,7 @@ def test_mtest_reports_every_broken_rule_as_the_library_states_it(tmp_path, caps
     assert not (tmp_path / "out").exists()
     valid = parse_config(json.dumps(_mtest_config()), kind="mtest")
     plan = _plan_for(valid)
-    records = mc.replicate(plan, 1, proxy=False)
+    records = mc.replicate(plan, 1)
     with pytest.raises(ParameterError) as ei:
         mc.mtest_rejection(plan, "Q", ["B", "B"], 1.5, records)
     mtest_lines = [p for p, k in zip(problems, keys) if k in ("level", "target", "reference")]

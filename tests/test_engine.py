@@ -21,6 +21,7 @@ from hrru.engine import (
     SNAPSHOT_FIELDS,
     _Layout,
     check_int64_range,
+    lane_cap,
     run_chunk,
     sample_hypergeometric_batch,
     trajectory_snapshot,
@@ -57,10 +58,10 @@ def assert_paths_agree(config, seed=0, lo=0, hi=7, horizons=(13, 37)):
     assert set(got) == set(alone[0])
     for label in got:
         assert len(got[label]) == len(horizons)
-        for hidx, h in enumerate(horizons):
-            want = [trajectory_snapshot(trajs[label], h) for trajs in alone]
+        want = [trajectory_snapshot(trajs[label], horizons) for trajs in alone]
+        for hidx in range(len(horizons)):
             for f in SNAPSHOT_FIELDS:
-                a, b = got[label][hidx][f], np.array([w[f] for w in want])
+                a, b = got[label][hidx][f], np.array([w[hidx][f] for w in want])
                 assert np.array_equal(a, b), (label, hidx, f, a, b)
 
 
@@ -235,6 +236,26 @@ def test_run_chunk_rejects_bad_ranges():
         run_chunk(cfg, 0, 0, 2, (0, 10))
 
 
+def test_run_chunk_refuses_the_key_tree_in_one_chunk():
+    # This ended in numpy's "Maximum allowed size exceeded"; it is
+    # refused at the lane cap, before any allocation.
+    cfg = UrnConfig(a=3, b=4, draw=IidUniform(3), reinforce=UniformReinforcement(1, 3))
+    cap = lane_cap(cfg, 1)
+    with pytest.raises(ParameterError, match=rf"exceeds lane_cap = {cap} for horizons \(5,\)"):
+        run_chunk(cfg, 7, np.uint64(3), 2**64, (5,))
+
+
+def test_run_chunk_refuses_more_lanes_than_its_cap():
+    # lane_cap + 1 lanes ran over the workspace budget; the cap runs.
+    reference = UrnConfig(a=10, b=10, draw=IidUniform(4), reinforce=UniformReinforcement(1, 3))
+    for horizons in ((1,), (1, 2)):
+        cap = lane_cap(reference, len(horizons))
+        with pytest.raises(ParameterError, match=f"a chunk of {cap + 1} lanes exceeds "
+                                                 f"lane_cap = {cap}"):
+            run_chunk(reference, 0, 0, cap + 1, horizons)
+        assert len(run_chunk(reference, 0, 0, cap, horizons)["u0"][-1]["z"]) == cap
+
+
 @pytest.mark.parametrize("rep_lo, rep_hi", [
     (True, 3), (-1, 2), (2**64 - 1, 2**64 + 1), (0.5, 2), (0, 2.0),
 ], ids=repr)
@@ -260,7 +281,8 @@ def test_run_chunk_takes_numpy_integer_bounds():
                 assert np.array_equal(want_h[f], got_h[f]), f
     # the last lane of the key tree is its replication run alone
     top = run_chunk(cfg, 7, 2**64 - 2, 2**64, (5,))["u0"][0]
-    assert [top["z"][1]] == [trajectory_snapshot(run_trajectory(cfg, 5, 7, 2**64 - 1), 5)["z"]]
+    alone = run_trajectory(cfg, 5, 7, 2**64 - 1)
+    assert [top["z"][1]] == [trajectory_snapshot(alone, (5,))[0]["z"]]
 
 
 @pytest.mark.parametrize("horizon", [-1, 0, 11, True, 2.0], ids=repr)
@@ -269,8 +291,9 @@ def test_trajectory_snapshot_refuses_a_horizon_outside_the_trajectory(horizon):
     # 11 an IndexError, and True ran as 1
     traj = run_trajectory(UrnConfig(a=2, b=2, draw=ConstantOne(),
                                     reinforce=ConstantReinforcement(1)), 10, 0)
-    with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
-        trajectory_snapshot(traj, horizon)
+    with pytest.raises(ParameterError, match=r"horizons must be strictly increasing integers "
+                                             r"in \[1, 10\]"):
+        trajectory_snapshot(traj, (horizon,))
 
 
 def test_run_chunk_rejects_capacity_overflow():
@@ -305,7 +328,7 @@ def test_reinforcement_square_bound_is_tight():
         check_int64_range(cfg, 3)
     assert_paths_agree(cfg, hi=3, horizons=(1, 2))
     # the reduction the engine would otherwise wrap
-    snap = trajectory_snapshot(run_trajectory(SQUARE_OVERFLOW[0], 1000, 0), 1000)
+    snap = trajectory_snapshot(run_trajectory(SQUARE_OVERFLOW[0], 1000, 0), (1000,))[0]
     assert snap["reinf_sqmean"] == float(2**62)
 
 

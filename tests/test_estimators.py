@@ -84,7 +84,7 @@ def test_variance_decomposition_identity():
     # W - U * (M(1-M) / Z(1-Z)) == (q / m^2 mu) * M(1-M)
     traj = _traj(steps=80, seed=3)
     est = plugin_estimates(traj)
-    snap = trajectory_snapshot(traj)
+    snap = trajectory_snapshot(traj, (len(traj),))[0]
     z, m_emp = snap["z"], snap["m_emp"]
     _, w_n, u_n = trajectory_variances(traj)
     core = est.q_n / (est.m_n ** 2 * est.mu_n)
@@ -98,7 +98,7 @@ def test_trajectory_variances_match_manual():
     traj = _traj(steps=50, seed=9)
     est = plugin_estimates(traj)
     var = trajectory_variances(traj)
-    snap = trajectory_snapshot(traj)
+    snap = trajectory_snapshot(traj, (len(traj),))[0]
     assert var == variance_terms(snap["z"], snap["m_emp"], est.m_n, est.q_n,
                                  est.mu_n, est.eta_n)
     assert var[0] >= 0 and var[1] >= 0
@@ -222,7 +222,7 @@ def test_proportion_and_mean_interval_wrappers():
     # M_n is the snapshot's Kahan mean, which may differ from traj.M[-1]
     # in the last bits
     assert ci_z.center == traj.Z[-1]
-    assert ci_m.center == trajectory_snapshot(traj)["m_emp"]
+    assert ci_m.center == trajectory_snapshot(traj, (len(traj),))[0]["m_emp"]
     assert ci_m.center == pytest.approx(traj.M[-1], rel=1e-14)
     assert ci_z.n == 64
     v_n, w_n, _ = trajectory_variances(traj)

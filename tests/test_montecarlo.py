@@ -12,7 +12,7 @@ import pytest
 
 from hrru import montecarlo as mc
 from hrru.gof import ks_two_sample, ks_two_sample_threshold
-from hrru.multi_urn import CommonFactors, UrnSpec, UrnSystem
+from hrru.multi_urn import CommonFactors, UrnSpec, UrnSystem, run_system
 from hrru.urn_core import (
     ConstantOne,
     ConstantReinforcement,
@@ -33,9 +33,9 @@ def _cfg():
                      reinforce=UniformReinforcement(1, 3))
 
 
-def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None):
+def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None, horizons=None):
     return mc.ReplicationPlan(config=config or _cfg(), reps=reps, n=n,
-                              n_proxy=n_proxy, master_seed=seed)
+                              n_proxy=n_proxy, master_seed=seed, horizons=horizons)
 
 
 def test_plan_validation():
@@ -47,6 +47,29 @@ def test_plan_validation():
         _plan(n=100, n_proxy=500)
     plan = _plan(n_proxy=None)
     assert plan.proxy_horizon == 50 * plan.n
+    assert plan.horizons == (plan.n, plan.proxy_horizon)
+
+
+@pytest.mark.parametrize("horizons", [(), (10,), (50, 50), (50, 40), (0, 50), (50.0,),
+                                      [True, 50], 50], ids=repr)
+def test_plan_horizons_are_increasing_integers_holding_n(horizons):
+    with pytest.raises(ParameterError, match="horizons must"):
+        _plan(horizons=horizons)
+
+
+def test_plan_checks_2_53_at_its_last_horizon():
+    # Two urns of 2**22 balls reinforced by up to 2**23: 100 steps stay
+    # within 2**53, the default proxy horizon of 5000 does not.  A plan
+    # that simulates n alone is not refused for a horizon it never runs.
+    system = UrnSystem(urns=(UrnSpec("A", 2**22, 2**22, 1, 2**23),
+                             UrnSpec("B", 2**22, 2**22, 1, 2**23)))
+    with pytest.raises(ParameterError, match="over 5000 steps exceeds 2\\*\\*53"):
+        _plan(reps=4, n=100, n_proxy=None, config=system)
+    plan = _plan(reps=4, n=100, n_proxy=None, config=system, horizons=(100,))
+    mc.engine.check_int64_range(system, 100)
+    rec = mc.replicate(plan, workers=1)
+    assert [tuple(u.blocks) for u in rec.urns.values()] == [(100,), (100,)]
+    assert mc.mtest_rejection(plan, "A", ["B"], 0.05, rec).reps == 4
 
 
 def test_plan_rejects_reinforcement_square_overflow():
@@ -290,13 +313,10 @@ def test_chunks_follow_the_horizons_simulated():
     # Shares and lanes are sized from the horizons a run simulates: to n
     # alone a chunk keeps one snapshot, so more lanes fit the budget,
     # and the plan has a tenth of its lane-steps.
-    plan = _plan(reps=22000)
-    assert mc._chunk_bounds(plan, 1) == mc._chunk_bounds(plan, 1, plan.horizons) == \
-        [(0, 11000), (11000, 22000)]
-    assert mc._chunk_bounds(plan, 1, (plan.n,)) == [(0, 22000)]
-    plan = _plan(reps=5000)
-    assert mc._chunk_bounds(plan, 2) == [(0, 2500), (2500, 5000)]
-    assert mc._chunk_bounds(plan, 2, (plan.n,)) == [(0, 5000)]
+    assert mc._chunk_bounds(_plan(reps=22000), 1) == [(0, 11000), (11000, 22000)]
+    assert mc._chunk_bounds(_plan(reps=22000, horizons=(50,)), 1) == [(0, 22000)]
+    assert mc._chunk_bounds(_plan(reps=5000), 2) == [(0, 2500), (2500, 5000)]
+    assert mc._chunk_bounds(_plan(reps=5000, horizons=(50,)), 2) == [(0, 5000)]
 
 
 def test_chunks_stay_within_the_workspace_budget():
@@ -337,23 +357,68 @@ def test_take_prefix():
 
 
 def test_replicate_without_the_proxy_stops_at_n():
-    plan = _plan(reps=20)
-    full = mc.replicate(plan)
-    assert full.single.at_proxy.horizon == plan.proxy_horizon
-    short = mc.replicate(plan, proxy=False)
-    assert short.single.at_proxy is None
-    assert short.single.at_n.horizon == plan.n
+    full = mc.replicate(_plan(reps=20))
+    assert full.single.at_proxy.horizon == full.plan.proxy_horizon == 500
+    plan = _plan(reps=20, horizons=(50,))
+    short = mc.replicate(plan)
+    assert tuple(short.single.blocks) == (50,) and short.single.at_n.horizon == 50
     for fld in mc.engine.SNAPSHOT_FIELDS:
         assert np.array_equal(getattr(short.single.at_n, fld), getattr(full.single.at_n, fld))
     head = short.take(5)
-    assert len(head) == 5 and head.plan.reps == 5
-    assert head.single.at_proxy is None
+    assert len(head) == 5 and head.plan.reps == 5 and tuple(head.single.blocks) == (50,)
     assert np.array_equal(head.single.at_n.z, full.single.at_n.z[:5])
-    # the diagnostics that read the proxy say so
+    # a lookup of a horizon the records lack names it, and so does every
+    # diagnostic that reads the proxy
+    with pytest.raises(ParameterError, match="no block at horizon 500; they hold horizons "
+                                             "\\(50,\\)"):
+        _ = short.single.at_proxy
+    with pytest.raises(ParameterError, match="no block at horizon 7;"):
+        full.single.at(7)
     for diag in (mc.clt_check_zn, mc.clt_check_mn, mc.limit_law_suite,
-                 lambda p, r: mc.coverage_experiment(p, 0.9, r)):
-        with pytest.raises(ParameterError, match="proxy=True"):
+                 lambda p, r: mc.coverage_experiment(p, 0.9, r),
+                 lambda p, r: mc.linear_combination_coverage(p, {"u0": 1.0}, "Z", 0.9, r)):
+        with pytest.raises(ParameterError, match="no block at horizon 500"):
             diag(plan, short)
+
+
+def _assert_same_blocks(got: mc.RepRecords, want: mc.RepRecords, horizons):
+    assert set(got.urns) == set(want.urns)
+    for lab in want.urns:
+        for h in horizons:
+            for fld in mc.engine.SNAPSHOT_FIELDS:
+                assert np.array_equal(getattr(got.urns[lab].at(h), fld),
+                                      getattr(want.urns[lab].at(h), fld)), (lab, h, fld)
+
+
+SYSTEM3 = UrnSystem(
+    urns=(UrnSpec("A", 10, 10, 2, 1), UrnSpec("B", 8, 12, 1, 2), UrnSpec("C", 9, 9, 3, 1)),
+    factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3),
+)
+
+
+@pytest.mark.parametrize("config", [_cfg(), SYSTEM3], ids=["urn", "system"])
+def test_records_at_a_horizon_do_not_depend_on_the_others(config):
+    # (k, n, m) records (n, m) bit for bit, and (k, n) records k as a
+    # plan of k alone does: a snapshot reads its own steps only.
+    k, n, m = 7, 20, 200
+    pair = mc.replicate(_plan(reps=9, n=n, n_proxy=m, config=config), workers=1)
+    triple = mc.replicate(_plan(reps=9, n=n, n_proxy=m, config=config, horizons=(k, n, m)),
+                          workers=1)
+    assert [tuple(u.blocks) for u in triple.urns.values()] == [(k, n, m)] * len(triple.urns)
+    _assert_same_blocks(triple, pair, (n, m))
+    alone = mc.replicate(_plan(reps=9, n=k, n_proxy=10 * k, config=config, horizons=(k,)),
+                         workers=1)
+    _assert_same_blocks(triple, alone, (k,))
+    # the scalar twin reduces every horizon in one pass, to the same bits
+    for r in (0, 8):
+        trajs = ({"u0": run_trajectory(config, m, 0, r)} if isinstance(config, UrnConfig)
+                 else run_system(config, m, 0, r).urns)
+        for lab, traj in trajs.items():
+            snaps = mc.engine.trajectory_snapshot(traj, (k, n, m))
+            for h, snap in zip((k, n, m), snaps):
+                assert snap == mc.engine.trajectory_snapshot(traj, (h,))[0]
+                assert snap == {f: getattr(triple.urns[lab].at(h), f)[r]
+                                for f in mc.engine.SNAPSHOT_FIELDS}
 
 
 def test_rep_records_single_requires_one_urn():

@@ -197,7 +197,7 @@ def test_difference_combination_variance_adds():
     sys2 = _system(factors=CommonFactors(reinforce=_dist()))
     straj = run_system(sys2, 60, 2)
     ci = linear_combination_ci(straj, {"A": 1.0, "B": -1.0}, "Z", 60, 0.95)
-    z = {lab: trajectory_snapshot(straj.urns[lab])["z"] for lab in ("A", "B")}
+    z = {lab: trajectory_snapshot(straj.urns[lab], (60,))[0]["z"] for lab in ("A", "B")}
     assert ci.center == pytest.approx(z["A"] - z["B"], rel=1e-15)
     var = trajectory_variances(straj.urns["A"])[0] + trajectory_variances(straj.urns["B"])[0]
     from hrru.estimators import normal_quantile

@@ -51,8 +51,8 @@ SINGLE = {name: _parsed(config) for name, config in URNS.items() if name != "wid
 
 
 def _records(config, reps, n, seed):
-    plan = mc.ReplicationPlan(config=config, reps=reps, n=n, master_seed=seed)
-    return plan, mc.replicate(plan, workers=1, proxy=False)
+    plan = mc.ReplicationPlan(config=config, reps=reps, n=n, master_seed=seed, horizons=(n,))
+    return plan, mc.replicate(plan, workers=1)
 
 
 def assert_single_urn(traj, cfg, blk, r):

@@ -155,6 +155,17 @@ def test_integer_distribution_rejects_non_finite_probabilities(bad):
             law((1, 2, 3), probs)
 
 
+def test_integer_distribution_rejects_values_past_the_float_range():
+    # np.asarray(values, dtype=float64) raised OverflowError before any
+    # range rule ran; the law names the value instead, as a policy does.
+    # The largest float's integer still samples exactly.
+    for law in (IntegerDistribution, DiscreteDraw, DiscreteReinforcement):
+        with pytest.raises(ParameterError, match=r"values\[1\]: integer is too large for a float"):
+            law((1, 10**400), (0.5, 0.5))
+    top = int(np.finfo(np.float64).max)
+    assert IntegerDistribution((1, top), (0.5, 0.5)).sample(0.75) == top
+
+
 def _emissions(pol, key, steps):
     # A policy run alone on the contract oracle's stream ``key``: step t
     # hands emit_vec the uniform at counter t - stream_lag (none without
@@ -454,6 +465,7 @@ BOOL_FIELDS = {
     "ReplicationPlan.n": lambda: ReplicationPlan(_URN, reps=2, n=True),
     "ReplicationPlan.n_proxy": lambda: ReplicationPlan(_URN, reps=2, n=1, n_proxy=True),
     "ReplicationPlan.master_seed": lambda: ReplicationPlan(_URN, reps=2, n=1, master_seed=True),
+    "ReplicationPlan.horizons": lambda: ReplicationPlan(_URN, reps=2, n=1, horizons=(True,)),
     "hitting_probability_check.master_seed": lambda: hitting_probability_check(
         2, 4, 8, master_seed=True),
     "run_trajectory.rep": lambda: run_trajectory(_URN, 5, 1, rep=True),
@@ -461,7 +473,8 @@ BOOL_FIELDS = {
                                          rep=True),
     "run_chunk.rep_lo": lambda: run_chunk(_URN, 1, True, 3, (5,)),
     "run_chunk.rep_hi": lambda: run_chunk(_URN, 1, 0, True, (5,)),
-    "trajectory_snapshot.horizon": lambda: trajectory_snapshot(run_trajectory(_URN, 5, 1), True),
+    "trajectory_snapshot.horizon": lambda: trajectory_snapshot(run_trajectory(_URN, 5, 1),
+                                                                       (True,)),
 }
 
 
