@@ -38,6 +38,8 @@ from .urn_core import (
     ParameterError,
     UrnConfig,
     _is_int,
+    count_problems,
+    urn_problems,
 )
 
 # montecarlo and multi_urn are imported where a kind needs them, so
@@ -99,6 +101,16 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
+    def extend(self, path: str, problems: list[str]) -> None:
+        """The library's ``"key: message"`` problems of the object at
+        ``path``, each at ``path.key``; a key already refused here (as
+        missing, or of the wrong JSON type) keeps its first problem."""
+        refused = {p.partition(": ")[0] for p in self.problems}
+        for p in problems:
+            key, _, message = p.partition(": ")
+            if self.at(path, key) not in refused:
+                self.add(self.at(path, key), message)
+
     @staticmethod
     def at(path: str, key: str) -> str:
         """The path of ``key`` inside ``path``; "" is the top level."""
@@ -111,8 +123,7 @@ class _Collector:
             if key not in known:
                 self.add(self.at(path, key), "unknown field")
 
-    def expect_int(self, obj: dict, path: str, key: str, minimum: int | None = None,
-                   required: bool = True, default=None):
+    def expect_int(self, obj: dict, path: str, key: str, required: bool = True, default=None):
         if key not in obj:
             if required:
                 self.add(self.at(path, key), "required field is missing")
@@ -120,9 +131,6 @@ class _Collector:
         v = obj[key]
         if not _is_int(v):
             self.add(self.at(path, key), f"must be an integer, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.add(self.at(path, key), f"must be >= {minimum}, got {v}")
             return default
         return v
 
@@ -192,8 +200,8 @@ _FIELD_PARSERS = {
 
 def _parse_fields(col: _Collector, cls, obj: dict, path: str, extra: tuple[str, ...] = ()):
     """``cls`` built from its dataclass fields; its constructor checks
-    ranges.  Keys of ``obj`` other than the fields and ``extra`` are
-    reported as unknown."""
+    ranges, and each of its problems is about one field.  Keys of ``obj``
+    other than the fields and ``extra`` are reported as unknown."""
     fields = dataclasses.fields(cls)
     col.unknown(obj, path, {*extra, *(f.name for f in fields)})
     kwargs = {f.name: _FIELD_PARSERS[f.type](col, obj, path, f.name) for f in fields}
@@ -202,7 +210,7 @@ def _parse_fields(col: _Collector, cls, obj: dict, path: str, extra: tuple[str, 
     try:
         return cls(**kwargs)
     except ParameterError as exc:
-        col.add(path, str(exc))
+        col.extend(path, exc.problems)
         return None
 
 
@@ -224,9 +232,11 @@ def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
         col.add(path, f"must be an object, got {obj!r}")
         return None
     col.unknown(obj, path, ("a", "b", "label", "draw", "reinforce"))
-    a = col.expect_int(obj, path, "a", minimum=1)
-    b = col.expect_int(obj, path, "b", minimum=1)
+    a = col.expect_int(obj, path, "a")
+    b = col.expect_int(obj, path, "b")
     label = col.expect_str(obj, path, "label", required=False, default="u0")
+    problems = urn_problems(a, b, label)
+    col.extend(path, problems)
     draw = reinforce = None
     if "draw" in obj:
         draw = _parse_policy(col, obj["draw"], f"{path}.draw", DRAW_POLICIES, "draw")
@@ -238,11 +248,11 @@ def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
         )
     else:
         col.add(f"{path}.reinforce", "required field is missing")
-    if None in (a, b, draw, reinforce):
+    if problems or None in (draw, reinforce):
         return None
     try:
         return UrnConfig(a=a, b=b, draw=draw, reinforce=reinforce, label=label)
-    except ConfigError as exc:
+    except ConfigError as exc:  # the whole urn's rule, k <= a + b
         for p in exc.problems:
             col.add(path, p)
         return None
@@ -288,8 +298,7 @@ def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
     try:
         return UrnSystem(urns=tuple(specs), factors=CommonFactors(**factors))
     except ConfigError as exc:
-        for p in exc.problems:
-            col.add("urns", p)
+        col.extend("", exc.problems)
         return None
 
 
@@ -350,16 +359,14 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         if not isinstance(walk, dict):
             col.add("walk", "hitting experiments need a 'walk' object (start, high, reps)")
         else:
+            from .montecarlo import walk_problems
+
             col.unknown(walk, "walk", ("start", "high", "reps", "seed"))
             out.walk_start = col.expect_int(walk, "walk", "start")
             out.walk_high = col.expect_int(walk, "walk", "high")
-            out.walk_reps = col.expect_int(walk, "walk", "reps", minimum=1)
+            out.walk_reps = col.expect_int(walk, "walk", "reps")
             out.seed = col.expect_int(walk, "walk", "seed", required=False, default=0)
-            if out.walk_start is not None and out.walk_high is not None:
-                from .montecarlo import walk_problems
-
-                problems = walk_problems(out.walk_start, out.walk_high)
-                col.problems += [f"walk.{p}" for p in problems]
+            col.extend("walk", walk_problems(out.walk_start, out.walk_high, out.walk_reps))
         if col.problems:
             raise ConfigError(col.problems)
         return out
@@ -374,12 +381,16 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     col.unknown(plan, "plan", reads)
     before = len(col.problems)
     if not simulate:
-        out.reps = col.expect_int(plan, "plan", "reps", minimum=1) or 1
+        out.reps = col.expect_int(plan, "plan", "reps")
         out.n_proxy = col.expect_int(plan, "plan", "n_proxy", required=False)
-    out.n = col.expect_int(plan, "plan", "n", minimum=1) or 1
-    out.seed = col.expect_int(plan, "plan", "seed")
-    if out.seed is None:
-        out.seed = 0
+    out.n = col.expect_int(plan, "plan", "n")
+    out.seed = col.expect_int(plan, "plan", "seed", default=0)
+    if simulate:
+        col.extend("plan", count_problems(n=out.n))  # run_trajectory's steps
+    else:
+        from .montecarlo import plan_problems
+
+        col.extend("plan", plan_problems(out.reps, out.n, out.n_proxy))
     plan_fields_ok = len(col.problems) == before
 
     system_kinds = ("mtest",)
@@ -398,14 +409,14 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     else:
         col.add("urn", f"an experiment of kind {resolved_kind!r} needs an urn section")
 
-    # Each rule on these values is stated once, in the library: here the
-    # JSON types are checked and the library's problems collected.
+    # Each rule on a value is stated once, in the library: here the JSON
+    # types are checked and the library's problems collected at their keys.
     if resolved_kind in ("coverage", "mtest"):
         from .multi_urn import level_problems
 
         out.level = col.expect_number(raw, "", "level", required=False,
                                       default=0.95 if resolved_kind == "coverage" else 0.05)
-        col.problems += level_problems(out.level)
+        col.extend("", level_problems(out.level))
 
     if resolved_kind == "mtest":
         out.target = col.expect_str(raw, "", "target")
@@ -416,7 +427,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             from .multi_urn import mtest_problems
 
             out.reference = tuple(ref)
-            col.problems += mtest_problems(out.target, out.reference, out.system.labels)
+            col.extend("", mtest_problems(out.target, out.reference, out.system.labels))
 
     system_coverage = resolved_kind == "coverage" and has_urns
     for name in ("coeffs", "basis"):
@@ -434,15 +445,15 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
 
             out.coeffs = {k: col.to_float(f"coeffs.{k}", v) for k, v in coeffs.items()}
             if None not in out.coeffs.values():
-                col.problems += combination_problems(out.coeffs, out.basis, out.system.labels)
+                col.extend("", combination_problems(out.coeffs, out.basis, out.system.labels))
 
-    # The plan checks its own bounds: the n_proxy floor, and 2**53 at
-    # the last horizon it simulates.
+    # The whole plan's rule: 2**53 at the last horizon it simulates.
     if not simulate and plan_fields_ok and (out.urn is not None or out.system is not None):
         try:
             _plan_for(out)
         except ParameterError as exc:
-            col.add("plan", str(exc))
+            for p in exc.problems:
+                col.add("plan", p)
     if col.problems:
         raise ConfigError(col.problems)
     return out
@@ -555,16 +566,6 @@ def _write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _report_skeleton(cfg: ExperimentConfig) -> dict:
-    return {
-        "tool": "hrru",
-        "version": __version__,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "config": config_to_json_dict(cfg),
-    }
-
-
 def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
     from .montecarlo import ReplicationPlan
 
@@ -594,28 +595,27 @@ def _diag_to_dict(d: CltDiagnostics) -> dict:
     return out
 
 
-def _run_simulate(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+# Each runner computes and returns its ``results`` object and its tables,
+# {name: (header, columns)}; ``run`` writes them.
+
+
+def _run_simulate(cfg: ExperimentConfig, workers: int | None):
     from .urn_core import run_trajectory
 
     traj = run_trajectory(cfg.urn, cfg.n, cfg.seed)
-    steps = np.arange(1, len(traj) + 1)
-    write_table(
-        out_dir / f"trajectory.{cfg.table_format}",
-        ["n", "N", "X", "R", "H", "S", "Z", "M"],
-        [steps, traj.N, traj.X, traj.R, traj.H, traj.S, traj.Z, traj.M],
-        cfg.table_format,
-    )
-    report = _report_skeleton(cfg)
-    report["results"] = {
+    results = {
         "steps": len(traj),
         "final_z": float(traj.Z[-1]),
         "final_m": float(traj.M[-1]),
         "final_s": int(traj.S[-1]),
     }
-    return report
+    return results, {"trajectory": (
+        ["n", "N", "X", "R", "H", "S", "Z", "M"],
+        [np.arange(1, len(traj) + 1), traj.N, traj.X, traj.R, traj.H, traj.S, traj.Z, traj.M],
+    )}
 
 
-def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+def _run_clt(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
     plan = _plan_for(cfg)
@@ -623,98 +623,78 @@ def _run_clt(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
     mn = mc.clt_check_mn(plan, records)
     stats = mn.stats
     u = records.single
-    write_table(
-        out_dir / f"samples.{cfg.table_format}",
-        ["rep", "z_n", "m_emp", "z_proxy", "v_n", "w_n", "u_n",
-         "t_prop", "t_gap", "t_mean"],
-        [np.arange(plan.reps), u.at_n.z, u.at_n.m_emp, u.at_proxy.z,
-         stats.v, stats.w, stats.u, stats.t_prop, stats.t_gap, stats.t_mean],
-        cfg.table_format,
-    )
-    report = _report_skeleton(cfg)
-    report["results"] = {
+    results = {
         "proportion": _diag_to_dict(mn.proportion),
         "gap": _diag_to_dict(mn.gap),
         "mean": _diag_to_dict(mn.mean),
         "corr_gap_proportion": mn.corr_gap_proportion,
         "median_abs_gap": mn.median_abs_gap,
     }
-    return report
+    return results, {"samples": (
+        ["rep", "z_n", "m_emp", "z_proxy", "v_n", "w_n", "u_n", "t_prop", "t_gap", "t_mean"],
+        [np.arange(plan.reps), u.at_n.z, u.at_n.m_emp, u.at_proxy.z,
+         stats.v, stats.w, stats.u, stats.t_prop, stats.t_gap, stats.t_mean],
+    )}
 
 
-def _run_coverage(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+def _run_coverage(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
-    report = _report_skeleton(cfg)
     if cfg.urn is not None:
         cov = mc.coverage_experiment(plan, cfg.level, records)
-        report["results"] = {
+        return {
             "level": cov.level,
             "n": cov.n,
             "proxy_horizon": cov.proxy_horizon,
             "from_Zn": dataclasses.asdict(cov.from_zn),
             "from_Mn": dataclasses.asdict(cov.from_mn),
-        }
-    else:
-        res = mc.linear_combination_coverage(
-            plan, cfg.coeffs, cfg.basis, cfg.level, records
-        )
-        report["results"] = {
-            "level": cfg.level,
-            "n": plan.n,
-            "proxy_horizon": plan.proxy_horizon,
-            "basis": cfg.basis,
-            "coeffs": cfg.coeffs,
-            "combination": dataclasses.asdict(res),
-        }
-    return report
+        }, {}
+    res = mc.linear_combination_coverage(plan, cfg.coeffs, cfg.basis, cfg.level, records)
+    return {
+        "level": cfg.level,
+        "n": plan.n,
+        "proxy_horizon": plan.proxy_horizon,
+        "basis": cfg.basis,
+        "coeffs": cfg.coeffs,
+        "combination": dataclasses.asdict(res),
+    }, {}
 
 
-def _run_limit_law(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+def _run_limit_law(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     rep = mc.limit_law_suite(plan, records)
     blk = records.single.at_proxy
-    write_table(
-        out_dir / f"proxy.{cfg.table_format}",
-        ["rep", "z_proxy", "s_over_n"],
-        [np.arange(plan.reps), blk.z, blk.s_over_n],
-        cfg.table_format,
-    )
-    report = _report_skeleton(cfg)
-    report["results"] = dataclasses.asdict(rep)
-    return report
+    return dataclasses.asdict(rep), {"proxy": (
+        ["rep", "z_proxy", "s_over_n"], [np.arange(plan.reps), blk.z, blk.s_over_n],
+    )}
 
 
-def _run_mtest(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+def _run_mtest(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
     plan = _plan_for(cfg)
     records = mc.replicate(plan, workers)
     res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
-    report = _report_skeleton(cfg)
-    report["results"] = {**dataclasses.asdict(res), "frequency": res.frequency}
-    return report
+    return {**dataclasses.asdict(res), "frequency": res.frequency}, {}
 
 
-def _run_hitting(cfg: ExperimentConfig, out_dir: Path, workers: int | None) -> dict:
+def _run_hitting(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
     est = mc.hitting_probability_check(
         cfg.walk_start, cfg.walk_high, cfg.walk_reps, master_seed=cfg.seed
     )
     expected = mc.walk_absorption_probability(cfg.walk_start, cfg.walk_high)
-    report = _report_skeleton(cfg)
-    report["results"] = {
+    return {
         **dataclasses.asdict(est),
         "expected": expected,
         "abs_error": abs(est.estimate - expected),
-    }
-    return report
+    }, {}
 
 
 _RUNNERS = {
@@ -732,17 +712,24 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
 
     ``workers`` goes to ``montecarlo.replicate``; None means its default.
 
-    Every file is replaced whole, and ``report.json`` last, so a run
-    that fails part-way leaves the previous report in place.
+    The output directory is made once the run has computed, so a failed
+    computation leaves no directory behind.  Every file is replaced
+    whole, and ``report.json`` last, so a run that fails part-way
+    leaves the previous report in place.
     """
+    results, tables = _RUNNERS[cfg.kind](cfg, workers)
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
-    report = _RUNNERS[cfg.kind](cfg, out_dir, workers)
+    for name, (header, columns) in tables.items():
+        write_table(out_dir / f"{name}.{cfg.table_format}", header, columns, cfg.table_format)
     report_path = out_dir / "report.json"
-    write_report(report_path, report)
+    write_report(report_path, {
+        "tool": "hrru", "version": __version__, "kind": cfg.kind, "seed": cfg.seed,
+        "config": config_to_json_dict(cfg), "results": results,
+    })
     return report_path
 
 

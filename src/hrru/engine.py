@@ -66,7 +66,9 @@ import numpy as np
 
 from . import rng
 from .multi_urn import UrnSystem
-from .urn_core import _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _is_integer
+from .urn_core import (
+    _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _is_integer, check_horizons,
+)
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon
@@ -104,17 +106,6 @@ def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
             f"worst-case sum of R^2 over {steps} steps exceeds 2**53 "
             f"(largest reinforcement {r_max}); shrink steps or the reinforcement bound"
         )
-
-
-def check_horizons(horizons, last: float = float("inf")) -> tuple[int, ...]:
-    """``horizons``, a tuple or list of strictly increasing integers
-    (numpy's too, but no bool) in [1, last], as a tuple of ints."""
-    hs = tuple(horizons) if isinstance(horizons, (tuple, list)) else ()
-    if not (hs and all(map(_is_integer, hs)) and 1 <= hs[0] and hs[-1] <= last
-            and all(h1 < h2 for h1, h2 in zip(hs, hs[1:]))):
-        raise ParameterError(f"horizons must be strictly increasing integers in "
-                             f"[1, {last}], got {horizons!r}")
-    return tuple(map(int, hs))
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,

@@ -49,6 +49,8 @@ from .urn_core import (
     _is_integer,
     _master_seed,
     _raise_problems,
+    check_horizons,
+    count_problems,
     walk_move,
 )
 
@@ -57,11 +59,20 @@ DEFAULT_PROXY_FACTOR = 50
 CLT_COVERAGE_LEVEL = 0.95
 
 
+def plan_problems(reps, n, n_proxy) -> list[str]:
+    """The ``"key: message"`` problems of a plan's counts ``reps`` and
+    ``n``, and its ``n_proxy``: None (50 n) or an integer >= 10 n."""
+    problems = count_problems(reps=reps, n=n)
+    if n_proxy is not None and _is_int(n) and not (_is_int(n_proxy) and n_proxy >= 10 * n):
+        problems.append(f"n_proxy: must be an integer >= 10 n = {10 * n}, got {n_proxy!r}")
+    return problems
+
+
 @dataclass(frozen=True)
 class ReplicationPlan:
     """What to simulate, how many times, and under which seed.
 
-    ``horizons`` (``engine.check_horizons``, holding ``n``; by default
+    ``horizons`` (``check_horizons``, holding ``n``; by default
     ``(n, proxy_horizon)``) are where every rep is recorded; the engine
     runs to the last, where the 2**53 bound is checked."""
 
@@ -73,18 +84,10 @@ class ReplicationPlan:
     horizons: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not _is_int(self.reps) or self.reps < 1:
-            raise ParameterError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not _is_int(self.n) or self.n < 1:
-            raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.n_proxy is not None:
-            if not _is_int(self.n_proxy) or self.n_proxy < 10 * self.n:
-                raise ParameterError(
-                    f"n_proxy must be an integer >= 10 n = {10 * self.n}, got {self.n_proxy!r}"
-                )
+        _raise_problems(plan_problems(self.reps, self.n, self.n_proxy))
         object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         horizons = ((self.n, self.proxy_horizon) if self.horizons is None
-                    else engine.check_horizons(self.horizons))
+                    else check_horizons(self.horizons))
         if self.n not in horizons:
             raise ParameterError(f"horizons must hold n = {self.n}, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
@@ -439,6 +442,14 @@ class MeanCltDiagnostics:
     stats: CltStatistics       # every rep's variances and statistics
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty array of numbers, whose first call would
+    import ``numpy.ma``: the middle value, or the mean of the two."""
+    s = np.sort(x)
+    mid = len(s) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnostics:
     """Normal-law checks for the empirical mean at horizon n.
 
@@ -460,7 +471,7 @@ def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnosti
         proportion=_normal_diag("proportion", s.t_prop, s.v, plan, aux, s.gap_zp),
         mean=_normal_diag("mean", s.t_mean, s.w, plan, aux, s.gap_mp),
         corr_gap_proportion=corr,
-        median_abs_gap=float(np.median(math.sqrt(plan.n) * np.abs(s.gap_mz))),
+        median_abs_gap=_median(math.sqrt(plan.n) * np.abs(s.gap_mz)),
         stats=s,
     )
 
@@ -639,16 +650,17 @@ def mtest_rejection(
     )
 
 
-def walk_problems(start: int, high: int) -> list[str]:
-    """The ``"key: message"`` problems of the absorbed walk's barriers:
-    integers with 2 <= start <= high - 1, so high >= 3."""
+def walk_problems(start: int, high: int, reps: int = 1) -> list[str]:
+    """The ``"key: message"`` problems of ``reps`` walks between absorbing
+    barriers: integers with 2 <= start <= high - 1, so high >= 3, and a
+    count ``reps``."""
     problems = [f"{key}: must be an integer, got {v!r}"
                 for key, v in (("start", start), ("high", high)) if not _is_int(v)]
     if not problems and not 2 <= start <= high - 1:
         problems.append(
             f"start: must satisfy 2 <= start <= high - 1, got start={start}, high={high}"
         )
-    return problems
+    return problems + count_problems(reps=reps)
 
 
 def walk_absorption_probability(start: int, high: int) -> float:
@@ -686,9 +698,7 @@ def hitting_probability_check(
     in ``cap_hits`` (absorption is almost sure, so the cap is a guard,
     not a tuning knob).
     """
-    walk_absorption_probability(start, high)  # validates the barriers
-    if not _is_int(reps) or reps < 1:
-        raise ParameterError(f"reps must be an integer >= 1, got {reps!r}")
+    _raise_problems(walk_problems(start, high, reps))
     reps_arr = np.arange(reps, dtype=np.uint64)
     rkeys = rng.rep_keys_vec(_master_seed(master_seed), reps_arr)
     keys = rng.derive_keys_each(rkeys, "walk")

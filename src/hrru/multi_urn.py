@@ -48,9 +48,10 @@ from .urn_core import (
     UrnConfig,
     UrnSlot,
     _horizon,
-    _is_int,
     _raise_problems,
+    count_problems,
     lockstep_trajectories,
+    urn_problems,
 )
 
 
@@ -106,47 +107,35 @@ class UrnSystem:
     factors: CommonFactors = NO_FACTORS
 
     def __post_init__(self):
-        problems = []
-        if not self.urns:
-            problems.append("system needs at least one urn")
+        # Keyed as a config writes the system: "urns[i].key" for an urn's
+        # field, "urns[i]" or "urns" for a rule across fields.
+        problems = [] if self.urns else ["urns: must hold at least one urn"]
         labels = [u.label for u in self.urns]
         if len(set(labels)) != len(labels):
-            problems.append(f"urn labels must be distinct, got {labels}")
-        for u in self.urns:
-            if not isinstance(u.label, str) or not u.label:
-                problems.append(f"urn {u.label!r}: label must be a nonempty string")
-            if not _is_int(u.a) or u.a < 1:
-                problems.append(f"urn {u.label!r}: a must be an integer >= 1, got {u.a!r}")
-            if not _is_int(u.b) or u.b < 1:
-                problems.append(f"urn {u.label!r}: b must be an integer >= 1, got {u.b!r}")
-            if not _is_int(u.draw_base) or u.draw_base < 1:
-                problems.append(
-                    f"urn {u.label!r}: draw base must be an integer >= 1, got {u.draw_base!r}"
-                )
-            if not _is_int(u.reinforce_base) or u.reinforce_base < 1:
-                problems.append(
-                    f"urn {u.label!r}: reinforcement base must be an integer >= 1, "
-                    f"got {u.reinforce_base!r}"
-                )
+            problems.append(f"urns: labels must be distinct, got {labels}")
+        for i, u in enumerate(self.urns):
+            own = urn_problems(u.a, u.b, u.label) + count_problems(
+                draw_base=u.draw_base, reinforce_base=u.reinforce_base)
+            problems += [f"urns[{i}].{p}" for p in own]
         if problems:
             raise ConfigError(problems)
         f = self.factors
-        for u in self.urns:
+        for i, u in enumerate(self.urns):
             if u.draw_base + f.draw_low < 1:
                 problems.append(
-                    f"urn {u.label!r}: factor can push draw size to "
+                    f"urns[{i}].draw_base: factor can push draw size to "
                     f"{u.draw_base + f.draw_low} < 1; h(u) + min F' >= 1 is required"
                 )
             if u.reinforce_base + f.reinforce_low < 1:
                 problems.append(
-                    f"urn {u.label!r}: factor can push reinforcement to "
+                    f"urns[{i}].reinforce_base: factor can push reinforcement to "
                     f"{u.reinforce_base + f.reinforce_low} < 1; r(u) + min F'' >= 1 is required"
                 )
         k = self.k
-        for u in self.urns:
+        for i, u in enumerate(self.urns):
             if k > u.a + u.b:
                 problems.append(
-                    f"urn {u.label!r}: global bound k = {k} exceeds a + b = {u.a + u.b}; "
+                    f"urns[{i}]: global bound k = {k} exceeds a + b = {u.a + u.b}; "
                     f"k <= a + b is required for every urn"
                 )
         if problems:

@@ -84,33 +84,61 @@ def _rep_index(rep) -> int:
     return int(rep)
 
 
+def check_horizons(horizons, last: float = float("inf")) -> tuple[int, ...]:
+    """``horizons``, a tuple or list of strictly increasing integers
+    (numpy's too, but no bool) in [1, last], as a tuple of ints."""
+    hs = tuple(horizons) if isinstance(horizons, (tuple, list)) else ()
+    if not (hs and all(map(_is_integer, hs)) and 1 <= hs[0] and hs[-1] <= last
+            and all(h1 < h2 for h1, h2 in zip(hs, hs[1:]))):
+        raise ParameterError(f"horizons must be strictly increasing integers in "
+                             f"[1, {last}], got {horizons!r}")
+    return tuple(map(int, hs))
+
+
 def _horizon(n, total: int) -> int:
     """``n`` steps of a trajectory of ``total``: the whole of it when
-    ``n`` is None, else an int in [1, total]."""
-    if n is None:
-        return total
-    if not _is_int(n) or not 1 <= n <= total:
-        raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}")
-    return n
+    ``n`` is None, else the one horizon ``check_horizons`` accepts."""
+    try:
+        return total if n is None else check_horizons((n,), total)[0]
+    except ParameterError:
+        raise ParameterError(f"n must be an integer in [1, {total}], got {n!r}") from None
 
 
 class ParameterError(ValueError):
-    """Arguments or fields out of their documented range, one problem or
-    several joined by "; "."""
+    """Arguments or fields out of their documented range: ``problems``,
+    each ``"key: message"`` about one field (the key is the field's JSON
+    name, such as ``values[1]``) or a message about the whole object;
+    ``str`` joins them with "; "."""
 
-
-class ConfigError(ValueError):
-    """One or more configuration problems, collected before raising."""
-
-    def __init__(self, problems: Sequence[str]):
-        self.problems = list(problems)
+    def __init__(self, problems: str | Sequence[str]):
+        self.problems = [problems] if isinstance(problems, str) else list(problems)
         super().__init__("; ".join(self.problems))
 
 
+class ConfigError(ParameterError):
+    """An urn's or a config's problems, collected before raising."""
+
+
 def _raise_problems(problems: Sequence[str]) -> None:
-    """Raise one ``ParameterError`` joining ``problems``, if there are any."""
+    """Raise one ``ParameterError`` holding ``problems``, if there are any."""
     if problems:
-        raise ParameterError("; ".join(problems))
+        raise ParameterError(problems)
+
+
+def count_problems(**counts) -> list[str]:
+    """The ``"key: message"`` problems of ``counts``, each of which must be
+    an integer >= 1: an urn's a and b, a plan's reps and n, a run's steps."""
+    return [f"{key}: must be an integer >= 1, got {v!r}"
+            for key, v in counts.items() if not _is_int(v) or v < 1]
+
+
+def urn_problems(a, b, label) -> list[str]:
+    """The ``"key: message"`` problems of an urn's own fields: the counts
+    ``a`` and ``b``, and a nonempty string ``label``."""
+    problems = count_problems(a=a, b=b)
+    if not isinstance(label, str) or not label:
+        problems.append(f"label: must be a nonempty string, got {label!r}")
+    return problems
 
 
 class ModelViolationError(RuntimeError):
@@ -125,24 +153,21 @@ class IntegerDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        problems = []
-        if len(self.values) == 0:
-            problems.append("distribution needs at least one value")
+        problems = [] if self.values else ["values: must hold at least one value"]
         if len(self.values) != len(self.probs):
-            problems.append(
-                f"{len(self.values)} values but {len(self.probs)} probabilities"
-            )
+            problems.append(f"probs: must hold one probability per value, "
+                            f"got {len(self.probs)} for {len(self.values)} values")
         if not all(map(_is_int, self.values)):
-            problems.append("support values must be integers")
+            problems.append("values: must be integers")
         elif len(set(self.values)) != len(self.values):
-            problems.append("support values must be distinct")
+            problems.append("values: must be distinct")
         else:
             problems += [f"values[{i}]: integer is too large for a float"
                          for i, v in enumerate(self.values) if abs(v) > sys.float_info.max]
         if any(not math.isfinite(p) or p < 0.0 for p in self.probs):
-            problems.append(f"probabilities must be finite and nonnegative, got {self.probs}")
+            problems.append(f"probs: must be finite and nonnegative, got {self.probs}")
         elif self.probs and abs(math.fsum(self.probs) - 1.0) > 1e-9:
-            problems.append(f"probabilities sum to {math.fsum(self.probs)!r}, not 1")
+            problems.append(f"probs: sum to {math.fsum(self.probs)!r}, not 1")
         _raise_problems(problems)
         cdf = list(accumulate(self.probs))
         cdf[-1] = 1.0
@@ -205,6 +230,9 @@ class IntegerDistribution:
 # float ``u`` gets a Python int back; an array gets a float64 array
 # holding exact integers, the engine's dtype, or an int when the policy
 # reads no stream.
+#
+# A policy's or a finite law's problems are each ``"key: message"`` about
+# one of its fields, so a config reader reports them at the field.
 
 
 def _scaled(u, low: int, span: int):
@@ -261,10 +289,10 @@ class DeterministicSchedule:
 
     def __post_init__(self):
         if not self.values:
-            raise ParameterError("schedule must contain at least one draw size")
+            raise ParameterError("values: must hold at least one draw size")
         bad = [v for v in self.values if not _is_int(v) or v < 1]
         if bad:
-            raise ParameterError(f"draw sizes must be integers >= 1, got {bad}")
+            raise ParameterError(f"values: draw sizes must be integers >= 1, got {bad}")
 
     @property
     def bound(self) -> int:
@@ -286,8 +314,7 @@ class IidUniform:
     stream_lag = 0
 
     def __post_init__(self):
-        if not _is_int(self.high) or self.high < 1:
-            raise ParameterError(f"uniform draw bound must be an integer >= 1, got {self.high!r}")
+        _raise_problems(count_problems(high=self.high))
 
     @property
     def bound(self) -> int:
@@ -312,7 +339,7 @@ class DiscreteDraw:
     def __post_init__(self):
         dist = IntegerDistribution(self.values, self.probs)
         if dist.low < 1:
-            raise ParameterError(f"draw-size support must be >= 1, got min {dist.low}")
+            raise ParameterError(f"values: draw sizes must be >= 1, got min {dist.low}")
         object.__setattr__(self, "_dist", dist)
 
     @property
@@ -345,9 +372,9 @@ class AbsorbingRandomWalk:
     def __post_init__(self):
         problems = []
         if not _is_int(self.high) or self.high < 2:
-            problems.append(f"walk ceiling must be an integer >= 2, got {self.high!r}")
+            problems.append(f"high: must be an integer >= 2, got {self.high!r}")
         if not _is_int(self.start) or not (1 <= self.start <= (self.high if _is_int(self.high) else self.start)):
-            problems.append(f"walk start must be an integer in [1, high], got {self.start!r}")
+            problems.append(f"start: must be an integer in [1, high], got {self.start!r}")
         _raise_problems(problems)
 
     @property
@@ -378,8 +405,7 @@ class ConstantReinforcement:
     stream_lag = None
 
     def __post_init__(self):
-        if not _is_int(self.value) or self.value < 1:
-            raise ParameterError(f"reinforcement must be an integer >= 1, got {self.value!r}")
+        _raise_problems(count_problems(value=self.value))
 
     @property
     def bound(self) -> int:
@@ -401,11 +427,9 @@ class UniformReinforcement:
     stream_lag = 0
 
     def __post_init__(self):
-        problems = []
-        if not _is_int(self.low) or self.low < 1:
-            problems.append(f"low must be an integer >= 1, got {self.low!r}")
+        problems = count_problems(low=self.low)
         if not _is_int(self.high) or (_is_int(self.low) and self.high < self.low):
-            problems.append(f"high must be an integer >= low, got {self.high!r}")
+            problems.append(f"high: must be an integer >= low, got {self.high!r}")
         _raise_problems(problems)
 
     @property
@@ -430,7 +454,7 @@ class DiscreteReinforcement:
     def __post_init__(self):
         dist = IntegerDistribution(self.values, self.probs)
         if dist.low < 1:
-            raise ParameterError(f"reinforcement support must be >= 1, got min {dist.low}")
+            raise ParameterError(f"values: reinforcements must be >= 1, got min {dist.low}")
         object.__setattr__(self, "_dist", dist)
 
     @property
@@ -524,13 +548,7 @@ class UrnConfig:
     label: str = DEFAULT_LABEL
 
     def __post_init__(self):
-        problems = []
-        if not _is_int(self.a) or self.a < 1:
-            problems.append(f"a must be an integer >= 1, got {self.a!r}")
-        if not _is_int(self.b) or self.b < 1:
-            problems.append(f"b must be an integer >= 1, got {self.b!r}")
-        if not self.label:
-            problems.append("label must be a nonempty string")
+        problems = urn_problems(self.a, self.b, self.label)
         if not problems and self.draw.bound > self.a + self.b:
             problems.append(
                 f"draw-size bound {self.draw.bound} exceeds a + b = {self.a + self.b}; "
@@ -635,8 +653,7 @@ def lockstep_trajectories(
     Python ints (counts may pass 2**53) and M the running mean of X/N
     in step order.
     """
-    if not _is_int(steps) or steps < 1:
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
+    _raise_problems(count_problems(steps=steps))
     seed = _master_seed(master_seed)
     rk = rep_key(seed, _rep_index(rep))
     keys = {p: derive_key(rk, *p) for slot in slots

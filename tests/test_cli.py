@@ -1,6 +1,7 @@
 """Config parsing, table and report emission, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -589,7 +590,7 @@ def _system_coverage_config(out_dir, coeffs):
 def test_empty_system_label_exits_2_before_any_output(tmp_path, capsys):
     cfg = _system_coverage_config(tmp_path / "out", {"A": 1})
     cfg["urns"][0]["label"] = ""
-    problem = "urns: urn '': label must be a nonempty string"
+    problem = "urns[0].label: must be a nonempty string, got ''"
     with pytest.raises(ConfigError) as ei:
         parse_config(json.dumps(cfg), kind="coverage")
     assert problem in ei.value.problems
@@ -620,11 +621,11 @@ def test_exit_code_2_on_nan_probabilities(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert "NaN" in cfg_path.read_text()
     assert main(["clt", "--config", str(cfg_path)]) == 2
-    assert "urn.draw: probabilities must be finite" in capsys.readouterr().err
+    assert "urn.draw.probs: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
     factor = _system_coverage_config(tmp_path, {"A": 1})
     factor["factors"] = {"draw": {"values": [0, 1], "probs": [float("nan"), 1.0]}}
-    with pytest.raises(ConfigError, match="factors.draw: probabilities must be finite"):
+    with pytest.raises(ConfigError, match="factors.draw.probs: must be finite"):
         parse_config(json.dumps(factor), kind="coverage")
 
 
@@ -660,19 +661,19 @@ def _huge_factor_prob(out):
 def _huge_draw_value(out):
     cfg = _clt_config(out)
     cfg["urn"]["draw"] = {"policy": "discrete", "values": [1, HUGE], "probs": [0.5, 0.5]}
-    return "clt", cfg, "urn.draw: values[1]"
+    return "clt", cfg, "urn.draw.values[1]"
 
 
 def _huge_reinforcement_value(out):
     cfg = _clt_config(out)
     cfg["urn"]["reinforce"] = {"policy": "discrete", "values": [HUGE, 2], "probs": [0.5, 0.5]}
-    return "clt", cfg, "urn.reinforce: values[0]"
+    return "clt", cfg, "urn.reinforce.values[0]"
 
 
 def _huge_factor_value(out):
     cfg = dict(_mtest_config(), outputs={"dir": str(out)})
     cfg["factors"] = {"reinforce": {"values": [0, HUGE], "probs": [0.5, 0.5]}}
-    return "mtest", cfg, "factors.reinforce: values[1]"
+    return "mtest", cfg, "factors.reinforce.values[1]"
 
 
 @pytest.mark.parametrize("make", [_huge_level, _huge_coeff, _huge_draw_prob,
@@ -681,9 +682,8 @@ def _huge_factor_value(out):
                                   _huge_factor_value])
 def test_exit_code_2_on_integers_past_the_float_range(tmp_path, capsys, make):
     # float() raises OverflowError on such an integer; it is a
-    # configuration problem at its key path.  A law's support value is
-    # checked by the law (IntegerDistribution), so its line names the
-    # policy or factor, then the value.
+    # configuration problem at its key path, whether the CLI refuses it
+    # (a probability) or the law does (IntegerDistribution's values).
     kind, cfg, path = make(tmp_path / "out")
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main([kind, "--config", str(tmp_path / "c.json")]) == 2
@@ -736,8 +736,8 @@ def test_mtest_reports_every_broken_rule_as_the_library_states_it(tmp_path, caps
     assert err[0] == "configuration errors:"
     problems = [line.removeprefix("  - ") for line in err[1:]]
     keys = [p.split(":", 1)[0] for p in problems]
-    assert sorted(keys) == ["level", "plan", "reference", "target"]
-    assert any(p.startswith("plan: n_proxy must be") for p in problems)
+    assert sorted(keys) == ["level", "plan.n_proxy", "reference", "target"]
+    assert "plan.n_proxy: must be an integer >= 10 n = 100, got 50" in problems
     assert not (tmp_path / "out").exists()
     valid = parse_config(json.dumps(_mtest_config()), kind="mtest")
     plan = _plan_for(valid)
@@ -796,3 +796,109 @@ def test_typos_and_keys_of_other_kinds_exit_2(tmp_path, capsys):
     hitting = {"walk": {"start": 3, "high": 6, "reps": 10}, "plan": {"n": 5}}
     with pytest.raises(ConfigError, match="plan: unknown field"):
         parse_config(json.dumps(hitting), kind="hitting")
+
+
+def _edit(cfg, path, value):
+    # cfg with the value at path (a key tuple) set
+    obj = cfg
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+    return cfg
+
+
+def _clt_with(path, value):
+    return "clt", _edit(_clt_config("somewhere"), path, value)
+
+
+def _mtest_with(path, value):
+    return "mtest", _edit(_mtest_config(), path, value)
+
+
+_AT_ONE = "must be an integer >= 1, got 0"
+_TOO_LARGE = "integer is too large for a float"
+
+# (kind, config, one problem its parse must report): each rule is the
+# library's, reported at the key the config wrote, so a = 0 reads the
+# same under "urn" and under "urns[1]".
+KEYED_PROBLEMS = {
+    "urn.a": (*_clt_with(("urn", "a"), 0), f"urn.a: {_AT_ONE}"),
+    "urns[1].a": (*_mtest_with(("urns", 1, "a"), 0), f"urns[1].a: {_AT_ONE}"),
+    "iid-uniform high": (*_clt_with(("urn", "draw", "high"), 0), f"urn.draw.high: {_AT_ONE}"),
+    "uniform-range low": (*_clt_with(("urn", "reinforce", "low"), 0),
+                          f"urn.reinforce.low: {_AT_ONE}"),
+    "uniform-range high": (*_clt_with(("urn", "reinforce", "high"), 0),
+                           "urn.reinforce.high: must be an integer >= low, got 0"),
+    "constant value": (*_clt_with(("urn", "reinforce"), {"policy": "constant", "value": 0}),
+                       f"urn.reinforce.value: {_AT_ONE}"),
+    "walk start": (*_clt_with(("urn", "draw"), {"policy": "absorbing-walk", "start": 0,
+                                                "high": 3}),
+                   "urn.draw.start: must be an integer in [1, high], got 0"),
+    "schedule values": (*_clt_with(("urn", "draw"), {"policy": "schedule", "values": [1, 0]}),
+                        "urn.draw.values: draw sizes must be integers >= 1, got [0]"),
+    "draw values[1]": (*_clt_with(("urn", "draw"), {"policy": "discrete", "values": [1, HUGE],
+                                                    "probs": [0.5, 0.5]}),
+                       f"urn.draw.values[1]: {_TOO_LARGE}"),
+    "draw probs[1]": (*_clt_with(("urn", "draw"), {"policy": "discrete", "values": [1, 2],
+                                                   "probs": [0.5, HUGE]}),
+                      f"urn.draw.probs[1]: {_TOO_LARGE}"),
+    "factor values[1]": (*_mtest_with(("factors", "reinforce", "values"), [0, HUGE]),
+                         f"factors.reinforce.values[1]: {_TOO_LARGE}"),
+    "factor probs[1]": (*_mtest_with(("factors", "reinforce", "probs"), [0.5, HUGE]),
+                        f"factors.reinforce.probs[1]: {_TOO_LARGE}"),
+    "hitting start": ("hitting", {"walk": {"start": 1, "high": 6, "reps": 10}},
+                      "walk.start: must satisfy 2 <= start <= high - 1, got start=1, high=6"),
+    "hitting high": ("hitting", {"walk": {"start": 3, "high": "6", "reps": 10}},
+                     "walk.high: must be an integer, got '6'"),
+    "hitting reps": ("hitting", {"walk": {"start": 3, "high": 6, "reps": 0}},
+                     f"walk.reps: {_AT_ONE}"),
+    "plan reps": (*_clt_with(("plan", "reps"), 0), f"plan.reps: {_AT_ONE}"),
+    "plan n": (*_clt_with(("plan", "n"), 0), f"plan.n: {_AT_ONE}"),
+    "simulate n": ("simulate", _edit(json.loads(json.dumps(MINIMAL_SIM)), ("plan", "n"), 0),
+                   f"plan.n: {_AT_ONE}"),
+    "plan n_proxy": (*_clt_with(("plan", "n_proxy"), 299),
+                     "plan.n_proxy: must be an integer >= 10 n = 300, got 299"),
+    "urn k": (*_clt_with(("urn", "draw", "high"), 21),
+              "urn: draw-size bound 21 exceeds a + b = 20; "
+              "draws are without replacement so k <= a + b is required"),
+    "system k": (*_mtest_with(("urns", 1, "draw_base"), 21),
+                 "urns[1]: global bound k = 21 exceeds a + b = 20; "
+                 "k <= a + b is required for every urn"),
+}
+_KEY_PATH = re.compile(r"[a-z_]+(\[\d+\])?(\.[a-z_]+(\[\d+\])?)*: ")
+
+
+@pytest.mark.parametrize("kind,cfg,problem", KEYED_PROBLEMS.values(), ids=KEYED_PROBLEMS.keys())
+def test_each_rule_is_reported_once_at_its_key_path(kind, cfg, problem):
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(cfg), kind=kind)
+    assert problem in ei.value.problems
+    assert all(_KEY_PATH.match(p) for p in ei.value.problems)
+    path = problem.split(": ", 1)[0]
+    assert [p for p in ei.value.problems if p.startswith(path + ": ")] == [problem]
+
+
+def _overflowing_simulate(out_dir):
+    # valid, but a reinforcement of 2**70 passes the ball capacity 2**62
+    cfg = json.loads(json.dumps(MINIMAL_SIM))
+    cfg["urn"]["reinforce"] = {"policy": "discrete", "values": [1, 2**70], "probs": [0.5, 0.5]}
+    cfg["plan"]["n"] = 50
+    cfg["outputs"] = {"dir": str(out_dir)}
+    return cfg
+
+
+def test_a_failed_run_makes_no_output_directory(tmp_path, capsys):
+    (tmp_path / "c.json").write_text(json.dumps(_overflowing_simulate(tmp_path / "out" / "sub")))
+    assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 3
+    assert "exceeds the supported capacity 2**62" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_run_leaves_an_existing_directory_as_it_was(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    (tmp_path / "c.json").write_text(json.dumps(_overflowing_simulate(out)))
+    assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"

@@ -22,6 +22,7 @@ from hrru.estimators import (
     variance_terms,
 )
 from hrru.engine import trajectory_snapshot
+from hrru.multi_urn import UrnSpec, UrnSystem, conditional_independence_stat, run_system
 from hrru.urn_core import (
     IidUniform,
     ParameterError,
@@ -111,6 +112,24 @@ def test_plugin_statistics_refuse_a_horizon_outside_the_trajectory():
         for n in (0, 11, True, 2.0):
             with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
                 f(traj, n)
+
+
+def test_plugin_statistics_take_a_numpy_integer_horizon():
+    # the one horizon rule (check_horizons) accepts numpy integers, as
+    # trajectory_snapshot did, and still refuses a bool
+    traj = _traj(steps=10)
+    straj = run_system(UrnSystem(urns=(UrnSpec("A", 4, 4, 2, 1), UrnSpec("B", 5, 3, 1, 2))),
+                       10, 3)
+    for f in (plugin_estimates, trajectory_variances,
+              lambda t, n: proportion_interval(t, 0.05, n),
+              lambda t, n: mean_interval(t, 0.05, n)):
+        assert f(traj, np.int64(7)) == f(traj, 7)
+        with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
+            f(traj, np.bool_(True))
+    stat = lambda n: conditional_independence_stat(straj, "A", "B", n)  # noqa: E731
+    assert stat(np.int32(7)) == stat(7)
+    with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 10\]"):
+        stat(True)
 
 
 @settings(max_examples=150, deadline=None)

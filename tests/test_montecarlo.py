@@ -216,6 +216,30 @@ def test_simulate_loads_neither_the_engine_nor_montecarlo(tmp_path):
     assert _fresh(code, str(tmp_path / "sim.json")) == [[], []]
 
 
+def test_clt_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call; the median of the
+    # clt report is taken without it.
+    cfg = {"urn": {"a": 2, "b": 3, "draw": {"policy": "iid-uniform", "high": 2},
+                   "reinforce": {"policy": "constant", "value": 1}},
+           "plan": {"reps": 8, "n": 5, "seed": 1}, "outputs": {"dir": str(tmp_path / "out")}}
+    (tmp_path / "clt.json").write_text(json.dumps(cfg))
+    code = """
+        import json, sys
+        from hrru.cli import main
+        assert main(["clt", "--config", sys.argv[1], "--workers", "1"]) == 0
+        print(json.dumps("numpy.ma" in sys.modules))
+    """
+    assert _fresh(code, str(tmp_path / "clt.json")) is False
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000])
+def test_median_equals_numpys(size):
+    rs = np.random.default_rng(size)
+    for x in (rs.standard_normal(size), rs.integers(0, 3, size).astype(float),
+              rs.random(size) * 1e300):
+        assert mc._median(x) == np.median(x)
+
+
 def test_package_exports_resolve_on_first_use():
     code = """
         import importlib, json

@@ -51,7 +51,7 @@ def test_system_validation_collects_everything():
     assert len(problems) >= 4
     joined = " | ".join(problems)
     assert "distinct" in joined
-    assert "a must" in joined and "b must" in joined
+    assert "urns[0].a: must" in joined and "urns[1].b: must" in joined
 
 
 def test_system_validation_cross_checks_after_basics():
