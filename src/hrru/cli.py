@@ -41,6 +41,7 @@ from .urn_core import (
     count_problems,
     urn_problems,
 )
+from .rng import DEFAULT_LABEL
 
 # montecarlo and multi_urn are imported where a kind needs them, so
 # ``hrru simulate`` loads neither (nor the engine they import).
@@ -102,13 +103,16 @@ class _Collector:
         self.problems.append(f"{path}: {message}")
 
     def extend(self, path: str, problems: list[str]) -> None:
-        """The library's ``"key: message"`` problems of the object at
-        ``path``, each at ``path.key``; a key already refused here (as
-        missing, or of the wrong JSON type) keeps its first problem."""
+        """The library's problems of the object at ``path``: a ``"key:
+        message"`` at ``path.key``, unless that key was already refused
+        here (as missing, or of the wrong JSON type), and a problem of
+        the whole object, with no key, at ``path``."""
         refused = {p.partition(": ")[0] for p in self.problems}
         for p in problems:
-            key, _, message = p.partition(": ")
-            if self.at(path, key) not in refused:
+            key, sep, message = p.partition(": ")
+            if not sep:
+                self.add(path, p)
+            elif self.at(path, key) not in refused:
                 self.add(self.at(path, key), message)
 
     @staticmethod
@@ -174,131 +178,97 @@ class _Collector:
 def _parse_list(col: _Collector, obj: dict, path: str, key: str, kind: type) -> tuple | None:
     """A nonempty list of ``kind`` (int, or float accepting ints) as a tuple."""
     what = "integers" if kind is int else "numbers"
-    if key not in obj:
-        col.add(f"{path}.{key}", "required field is missing")
-        return None
-    v = obj[key]
+    path, v = col.at(path, key), obj[key]
     if not isinstance(v, list) or not v:
-        col.add(f"{path}.{key}", f"must be a nonempty list of {what}, got {v!r}")
+        col.add(path, f"must be a nonempty list of {what}, got {v!r}")
         return None
     if any(isinstance(x, bool) or not isinstance(x, (int, kind)) for x in v):
-        col.add(f"{path}.{key}", f"must contain only {what}, got {v!r}")
+        col.add(path, f"must contain only {what}, got {v!r}")
         return None
-    values = tuple(x if kind is int else col.to_float(f"{path}.{key}[{i}]", x)
+    values = tuple(x if kind is int else col.to_float(f"{path}[{i}]", x)
                    for i, x in enumerate(v))
     return None if None in values else values
 
 
-# How each dataclass field type of a policy, factor law or urn spec is read.
+def _parse_policy(col: _Collector, obj: dict, path: str, key: str, menu: dict, what: str):
+    """The policy at ``key``: the class of ``menu`` its "policy" names,
+    read from its fields (``_parse_fields`` reports a non-object)."""
+    path, v = col.at(path, key), obj[key]
+    cls = None
+    if isinstance(v, dict):
+        name = col.expect_str(v, path, "policy")
+        cls = menu.get(name)
+        if cls is None:
+            if name is not None:
+                col.add(f"{path}.policy",
+                        f"unknown {what} policy {name!r}; supported: {tuple(menu)}")
+            return None
+    return _parse_fields(col, cls, v, path, extra=("policy",))
+
+
+def _parse_factors(col: _Collector, obj: dict, path: str, key: str):
+    from .multi_urn import CommonFactors
+
+    return _parse_fields(col, CommonFactors, obj[key], col.at(path, key))
+
+
+def _parse_urns(col: _Collector, obj: dict, path: str, key: str) -> tuple | None:
+    from .multi_urn import UrnSpec
+
+    path, v = col.at(path, key), obj[key]
+    if not isinstance(v, list) or not v:
+        col.add(path, f"must be a nonempty list, got {v!r}")
+        return None
+    specs = tuple(_parse_fields(col, UrnSpec, x, f"{path}[{i}]") for i, x in enumerate(v))
+    return None if None in specs else specs
+
+
+# How each dataclass field type of a config object is read from
+# ``obj[key]``, a key ``obj`` holds.
 _FIELD_PARSERS = {
     "str": lambda col, obj, path, key: col.expect_str(obj, path, key),
     "int": lambda col, obj, path, key: col.expect_int(obj, path, key),
     "tuple[int, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, int),
     "tuple[float, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, float),
+    "DrawSizePolicy": lambda col, obj, path, key: _parse_policy(
+        col, obj, path, key, DRAW_POLICIES, "draw"),
+    "ReinforcementPolicy": lambda col, obj, path, key: _parse_policy(
+        col, obj, path, key, REINFORCEMENT_POLICIES, "reinforcement"),
+    "IntegerDistribution | None": lambda col, obj, path, key: _parse_fields(
+        col, IntegerDistribution, obj[key], col.at(path, key)),
+    "CommonFactors": _parse_factors,
+    "tuple[UrnSpec, ...]": _parse_urns,
 }
 
 
-def _parse_fields(col: _Collector, cls, obj: dict, path: str, extra: tuple[str, ...] = ()):
-    """``cls`` built from its dataclass fields; its constructor checks
-    ranges, and each of its problems is about one field.  Keys of ``obj``
-    other than the fields and ``extra`` are reported as unknown."""
+def _parse_fields(col: _Collector, cls, obj, path: str, extra: tuple[str, ...] = (),
+                  own_rules=None):
+    """``cls`` built from the object ``obj`` by its dataclass fields, a
+    field with a default being optional; its constructor checks ranges.
+    Keys of ``obj`` other than the fields and ``extra`` are reported as
+    unknown.  Where a field fails, ``own_rules`` gets the fields read and
+    returns the problems of their own rules."""
+    if not isinstance(obj, dict):
+        col.add(path, f"must be an object, got {obj!r}")
+        return None
     fields = dataclasses.fields(cls)
     col.unknown(obj, path, {*extra, *(f.name for f in fields)})
-    kwargs = {f.name: _FIELD_PARSERS[f.type](col, obj, path, f.name) for f in fields}
-    if None in kwargs.values():
+    kwargs, ok = {}, True
+    for f in fields:
+        if f.name in obj:
+            kwargs[f.name] = _FIELD_PARSERS[f.type](col, obj, path, f.name)
+            ok = ok and kwargs[f.name] is not None
+        elif f.default is dataclasses.MISSING:
+            col.add(col.at(path, f.name), "required field is missing")
+            ok = False
+    if not ok:
+        if own_rules is not None:
+            col.extend(path, own_rules(**kwargs))
         return None
     try:
         return cls(**kwargs)
     except ParameterError as exc:
         col.extend(path, exc.problems)
-        return None
-
-
-def _parse_policy(col: _Collector, obj, path: str, menu: dict, what: str):
-    if not isinstance(obj, dict):
-        col.add(path, f"must be an object, got {obj!r}")
-        return None
-    name = col.expect_str(obj, path, "policy")
-    if name is None:
-        return None
-    if name not in menu:
-        col.add(f"{path}.policy", f"unknown {what} policy {name!r}; supported: {tuple(menu)}")
-        return None
-    return _parse_fields(col, menu[name], obj, path, extra=("policy",))
-
-
-def _parse_single_urn(col: _Collector, obj, path: str) -> UrnConfig | None:
-    if not isinstance(obj, dict):
-        col.add(path, f"must be an object, got {obj!r}")
-        return None
-    col.unknown(obj, path, ("a", "b", "label", "draw", "reinforce"))
-    a = col.expect_int(obj, path, "a")
-    b = col.expect_int(obj, path, "b")
-    label = col.expect_str(obj, path, "label", required=False, default="u0")
-    problems = urn_problems(a, b, label)
-    col.extend(path, problems)
-    draw = reinforce = None
-    if "draw" in obj:
-        draw = _parse_policy(col, obj["draw"], f"{path}.draw", DRAW_POLICIES, "draw")
-    else:
-        col.add(f"{path}.draw", "required field is missing")
-    if "reinforce" in obj:
-        reinforce = _parse_policy(
-            col, obj["reinforce"], f"{path}.reinforce", REINFORCEMENT_POLICIES, "reinforcement"
-        )
-    else:
-        col.add(f"{path}.reinforce", "required field is missing")
-    if problems or None in (draw, reinforce):
-        return None
-    try:
-        return UrnConfig(a=a, b=b, draw=draw, reinforce=reinforce, label=label)
-    except ConfigError as exc:  # the whole urn's rule, k <= a + b
-        for p in exc.problems:
-            col.add(path, p)
-        return None
-
-
-def _parse_factor_dist(col: _Collector, obj, path: str) -> IntegerDistribution | None:
-    if not isinstance(obj, dict):
-        col.add(path, f"must be an object, got {obj!r}")
-        return None
-    return _parse_fields(col, IntegerDistribution, obj, path)
-
-
-def _parse_system(col: _Collector, urns_obj, factors_obj) -> UrnSystem | None:
-    from .multi_urn import CommonFactors, UrnSpec, UrnSystem
-
-    if not isinstance(urns_obj, list) or not urns_obj:
-        col.add("urns", f"must be a nonempty list, got {urns_obj!r}")
-        return None
-    specs = []
-    ok = True
-    for i, item in enumerate(urns_obj):
-        path = f"urns[{i}]"
-        if not isinstance(item, dict):
-            col.add(path, f"must be an object, got {item!r}")
-            ok = False
-            continue
-        spec = _parse_fields(col, UrnSpec, item, path)
-        ok = ok and spec is not None
-        specs.append(spec)
-    factors = {}
-    if factors_obj is not None:
-        if not isinstance(factors_obj, dict):
-            col.add("factors", f"must be an object, got {factors_obj!r}")
-            ok = False
-        else:
-            col.unknown(factors_obj, "factors", ("draw", "reinforce"))
-            for name in ("draw", "reinforce"):
-                if name in factors_obj:
-                    factors[name] = _parse_factor_dist(col, factors_obj[name], f"factors.{name}")
-                    ok = ok and factors[name] is not None
-    if not ok:
-        return None
-    try:
-        return UrnSystem(urns=tuple(specs), factors=CommonFactors(**factors))
-    except ConfigError as exc:
-        col.extend("", exc.problems)
         return None
 
 
@@ -325,14 +295,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     if cfg_kind is not None and cfg_kind not in KINDS:
         col.add("kind", f"must be one of {KINDS}, got {cfg_kind!r}")
         cfg_kind = None
-    if kind is None:
-        if cfg_kind is None:
-            col.add("kind", f"required (or pass a subcommand); one of {KINDS}")
-        resolved_kind = cfg_kind
-    else:
-        if cfg_kind is not None and cfg_kind != kind:
-            col.add("kind", f"config says {cfg_kind!r} but the subcommand is {kind!r}")
-        resolved_kind = kind
+    elif cfg_kind is None and kind is None:
+        col.add("kind", f"required (or pass a subcommand); one of {KINDS}")
+    elif cfg_kind is not None and kind is not None and cfg_kind != kind:
+        col.add("kind", f"config says {cfg_kind!r} but the subcommand is {kind!r}")
+    resolved_kind = kind or cfg_kind
     if resolved_kind is not None:
         col.unknown(raw, "", ("kind", "outputs", *_TOP_LEVEL[resolved_kind]))
 
@@ -401,11 +368,17 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         col.add("urn", f"{resolved_kind} experiments need a multi-urn system; use 'urns'")
 
     if has_urns and resolved_kind not in single_kinds:
-        out.system = _parse_system(col, raw.get("urns"), raw.get("factors"))
+        from .multi_urn import UrnSystem
+
+        system = {key: raw[key] for key in ("urns", "factors") if key in raw}
+        out.system = _parse_fields(col, UrnSystem, system, "")
     elif has_urn:
         if "factors" in raw:
             col.add("factors", "common factors apply to multi-urn systems only")
-        out.urn = _parse_single_urn(col, raw.get("urn"), "urn")
+        # An urn whose policy fails still reports its own fields' rules.
+        out.urn = _parse_fields(
+            col, UrnConfig, raw["urn"], "urn",
+            own_rules=lambda a=None, b=None, label=DEFAULT_LABEL, **_: urn_problems(a, b, label))
     else:
         col.add("urn", f"an experiment of kind {resolved_kind!r} needs an urn section")
 
@@ -452,8 +425,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         try:
             _plan_for(out)
         except ParameterError as exc:
-            for p in exc.problems:
-                col.add("plan", p)
+            col.extend("plan", exc.problems)
     if col.problems:
         raise ConfigError(col.problems)
     return out
@@ -462,18 +434,24 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
 # Serialization back to the JSON form (the config echo).
 
 
-def _fields_to_json(obj) -> dict:
-    return {
-        f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
-        for f in dataclasses.fields(obj)
-    }
+_POLICY_NAMES = {cls: name for menu in (DRAW_POLICIES, REINFORCEMENT_POLICIES)
+                 for name, cls in menu.items()}
 
 
-def _policy_to_json(policy, menu: dict) -> dict:
-    for name, cls in menu.items():
-        if type(policy) is cls:
-            return {"policy": name, **_fields_to_json(policy)}
-    raise ParameterError(f"policy {type(policy).__name__} has no JSON form")
+def _to_json(obj):
+    """A config object as JSON: a policy's menu name, then the dataclass
+    fields in declaration order, leaving out a None or empty one; a tuple
+    as a list."""
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    out = {"policy": _POLICY_NAMES[type(obj)]} if type(obj) in _POLICY_NAMES else {}
+    for f in dataclasses.fields(obj):
+        v = _to_json(getattr(obj, f.name))
+        if v is not None and v != {}:
+            out[f.name] = v
+    return out
 
 
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
@@ -487,25 +465,9 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
         out["outputs"] = {"table_format": cfg.table_format}
         return out
     if cfg.urn is not None:
-        out["urn"] = {
-            "a": cfg.urn.a, "b": cfg.urn.b, "label": cfg.urn.label,
-            "draw": _policy_to_json(cfg.urn.draw, DRAW_POLICIES),
-            "reinforce": _policy_to_json(cfg.urn.reinforce, REINFORCEMENT_POLICIES),
-        }
+        out["urn"] = _to_json(cfg.urn)
     if cfg.system is not None:
-        out["urns"] = [
-            {"label": u.label, "a": u.a, "b": u.b,
-             "draw_base": u.draw_base, "reinforce_base": u.reinforce_base}
-            for u in cfg.system.urns
-        ]
-        factors = {
-            name: _fields_to_json(d)
-            for name, d in (("draw", cfg.system.factors.draw),
-                            ("reinforce", cfg.system.factors.reinforce))
-            if d is not None
-        }
-        if factors:
-            out["factors"] = factors
+        out.update(_to_json(cfg.system))  # "urns", and "factors" unless absent
     plan: dict = {"n": cfg.n, "seed": cfg.seed}
     if cfg.kind != "simulate":
         plan = {"reps": cfg.reps, **plan}

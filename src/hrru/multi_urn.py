@@ -92,6 +92,12 @@ class UrnSpec:
     draw_base: int
     reinforce_base: int
 
+    def __post_init__(self):
+        problems = urn_problems(self.a, self.b, self.label) + count_problems(
+            draw_base=self.draw_base, reinforce_base=self.reinforce_base)
+        if problems:
+            raise ConfigError(problems)
+
 
 @dataclass(frozen=True)
 class UrnSystem:
@@ -107,18 +113,14 @@ class UrnSystem:
     factors: CommonFactors = NO_FACTORS
 
     def __post_init__(self):
-        # Keyed as a config writes the system: "urns[i].key" for an urn's
+        # Each urn checked its own fields; these are the rules across urns,
+        # keyed as a config writes the system: "urns[i].key" for an urn's
         # field, "urns[i]" or "urns" for a rule across fields.
-        problems = [] if self.urns else ["urns: must hold at least one urn"]
+        if not self.urns:
+            raise ConfigError(["urns: must hold at least one urn"])
         labels = [u.label for u in self.urns]
-        if len(set(labels)) != len(labels):
-            problems.append(f"urns: labels must be distinct, got {labels}")
-        for i, u in enumerate(self.urns):
-            own = urn_problems(u.a, u.b, u.label) + count_problems(
-                draw_base=u.draw_base, reinforce_base=u.reinforce_base)
-            problems += [f"urns[{i}].{p}" for p in own]
-        if problems:
-            raise ConfigError(problems)
+        problems = ([] if len(set(labels)) == len(labels)
+                    else [f"urns: labels must be distinct, got {labels}"])
         f = self.factors
         for i, u in enumerate(self.urns):
             if u.draw_base + f.draw_low < 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -211,9 +211,6 @@ class IntegerDistribution:
             step *= d
             out += step
         return out
-
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
 
 # Draw-size policies.  Each declares a hard bound (the extraction
@@ -414,9 +411,6 @@ class ConstantReinforcement:
     def emit_vec(self, t: int, u) -> int:
         return self.value
 
-    def mean(self) -> float:
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class UniformReinforcement:
@@ -439,9 +433,6 @@ class UniformReinforcement:
     def emit_vec(self, t: int, u):
         return _scaled(u, self.low, self.high - self.low + 1)
 
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
 
 @dataclass(frozen=True)
 class DiscreteReinforcement:
@@ -463,9 +454,6 @@ class DiscreteReinforcement:
 
     def emit_vec(self, t: int, u):
         return self._dist.sample(u)
-
-    def mean(self) -> float:
-        return self._dist.mean()
 
 
 ReinforcementPolicy = ConstantReinforcement | UniformReinforcement | DiscreteReinforcement
@@ -543,9 +531,10 @@ class UrnConfig:
 
     a: int
     b: int
+    # keyword-only, declared here so the config echo writes it after b
+    label: str = field(default=DEFAULT_LABEL, kw_only=True)
     draw: DrawSizePolicy
     reinforce: ReinforcementPolicy
-    label: str = DEFAULT_LABEL
 
     def __post_init__(self):
         problems = urn_problems(self.a, self.b, self.label)

@@ -12,6 +12,7 @@ from hrru import engine
 from hrru import montecarlo as mc
 from hrru.cli import (
     _TABLE_BLOCK,
+    KINDS,
     ExperimentConfig,
     _plan_for,
     build_parser,
@@ -902,3 +903,91 @@ def test_a_failed_run_leaves_an_existing_directory_as_it_was(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 3
     assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
     assert (out / "keep.txt").read_text() == "kept"
+
+
+def test_a_system_urn_is_reported_beside_its_factor_problems(tmp_path, capsys):
+    # Each urn checks its own fields, whether or not the factors parse.
+    cfg = dict(_mtest_config(), outputs={"dir": str(tmp_path / "out")})
+    cfg["urns"][1]["a"] = 0
+    cfg["factors"]["reinforce"]["probs"] = [0.25, float("nan")]
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(cfg), kind="mtest")
+    assert ei.value.problems == [
+        f"urns[1].a: {_AT_ONE}",
+        "factors.reinforce.probs: must be finite and nonnegative, got (0.25, nan)",
+    ]
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["mtest", "--config", str(tmp_path / "c.json")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_kind_is_reported_once():
+    # The key was given: it is not also "required".
+    cfg = dict(MINIMAL_SIM, kind=["clt"])
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(cfg))
+    assert [p for p in ei.value.problems if p.startswith("kind: ")] == [
+        f"kind: must be one of {KINDS}, got ['clt']"]
+    with pytest.raises(ConfigError, match=r"kind: required \(or pass a subcommand\)"):
+        parse_config(json.dumps(MINIMAL_SIM))
+
+
+_LAW = {"values": [0, 1], "probs": [0.5, 0.5]}
+_DRAWS = [{"policy": "constant-one"}, {"policy": "schedule", "values": [1, 3, 2]},
+          {"policy": "iid-uniform", "high": 3},
+          {"policy": "discrete", "values": [1, 2], "probs": [0.25, 0.75]},
+          {"policy": "absorbing-walk", "start": 2, "high": 4}]
+_REINFORCEMENTS = [{"policy": "constant", "value": 2},
+                   {"policy": "uniform-range", "low": 1, "high": 3},
+                   {"policy": "discrete", "values": [1, 4], "probs": [0.5, 0.5]}]
+# (kind, config) of each JSON policy, and of each shape of system factors
+ECHO_CASES = {
+    **{f"draw {d['policy']}": ("clt", {"urn": {"a": 6, "b": 5, "draw": d,
+                                               "reinforce": _REINFORCEMENTS[0]},
+                                       "plan": {"reps": 4, "n": 10, "seed": 2}})
+       for d in _DRAWS},
+    **{f"reinforce {r['policy']}": ("simulate", {"urn": {"a": 6, "b": 5, "label": "x",
+                                                         "draw": _DRAWS[2], "reinforce": r},
+                                                 "plan": {"n": 5, "seed": 1}})
+       for r in _REINFORCEMENTS},
+    **{f"factors {name}": ("mtest", dict(_mtest_config(), factors=factors))
+       for name, factors in [("draw", {"draw": _LAW}), ("reinforce", {"reinforce": _LAW}),
+                             ("both", {"draw": _LAW, "reinforce": _LAW})]},
+    "factors none": ("mtest", {k: v for k, v in _mtest_config().items() if k != "factors"}),
+}
+
+
+@pytest.mark.parametrize("kind,raw", ECHO_CASES.values(), ids=ECHO_CASES.keys())
+def test_every_config_object_echoes_to_an_equal_config(kind, raw):
+    cfg = parse_config(json.dumps(raw), kind=kind)
+    echo = config_to_json_dict(cfg)
+    assert parse_config(json.dumps(echo)) == cfg
+    if "urn" in raw:
+        assert echo["urn"] == {"label": "u0", **raw["urn"]}
+    else:
+        assert (echo["urns"], echo.get("factors")) == (raw["urns"], raw.get("factors"))
+
+
+def test_the_echo_writes_config_objects_in_field_order():
+    # A policy's menu name first, then its fields; an urn's label (by
+    # default "u0") after b; absent factors left out.
+    urn = config_to_json_dict(parse_config(json.dumps(CLI_CONFIGS["clt"]), kind="clt"))
+    assert json.dumps(urn) == json.dumps({
+        "kind": "clt",
+        "urn": {"a": 6, "b": 5, "label": "u0",
+                "draw": {"policy": "absorbing-walk", "start": 3, "high": 5},
+                "reinforce": {"policy": "uniform-range", "low": 1, "high": 3}},
+        "plan": {"reps": 24, "n": 20, "seed": 5, "n_proxy": 200},
+        "outputs": {"table_format": "tsv"},
+    })
+    raw = dict(_mtest_config(), factors={"draw": {"probs": [1.0], "values": [0]}})
+    system = config_to_json_dict(parse_config(json.dumps(raw), kind="mtest"))
+    assert json.dumps(system) == json.dumps({
+        "kind": "mtest",
+        "urns": [{"label": "A", "a": 10, "b": 10, "draw_base": 2, "reinforce_base": 1},
+                 {"label": "B", "a": 10, "b": 10, "draw_base": 2, "reinforce_base": 1}],
+        "factors": {"draw": {"values": [0], "probs": [1.0]}},
+        "plan": {"reps": 8, "n": 10, "seed": 3, "n_proxy": 100},
+        "level": 0.05, "target": "A", "reference": ["B"],
+        "outputs": {"table_format": "tsv"},
+    })

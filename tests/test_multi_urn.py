@@ -38,20 +38,14 @@ def _system(labels=("A", "B"), a=10, b=10, draw_base=2, reinforce_base=1,
 
 
 def test_system_validation_collects_everything():
+    # An urn checks its own fields, all in one pass; the system keeps the
+    # rules across urns, such as distinct labels.
     with pytest.raises(ConfigError) as ei:
-        UrnSystem(
-            urns=(
-                UrnSpec(label="A", a=0, b=5, draw_base=1, reinforce_base=1),
-                UrnSpec(label="A", a=3, b=-2, draw_base=1, reinforce_base=0),
-            ),
-            factors=CommonFactors(),
-        )
-    problems = ei.value.problems
-    # duplicate labels, a, b, reinforce_base: all reported in one pass
-    assert len(problems) >= 4
-    joined = " | ".join(problems)
-    assert "distinct" in joined
-    assert "urns[0].a: must" in joined and "urns[1].b: must" in joined
+        UrnSpec(label="A", a=0, b=-2, draw_base=1, reinforce_base=0)
+    assert [p.split(":", 1)[0] for p in ei.value.problems] == ["a", "b", "reinforce_base"]
+    with pytest.raises(ConfigError) as ei:
+        _system(labels=("A", "B", "A"))
+    assert ei.value.problems == ["urns: labels must be distinct, got ['A', 'B', 'A']"]
 
 
 def test_system_validation_cross_checks_after_basics():
