@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+import statistics
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -361,10 +362,6 @@ def _proxy_aux(urn: UrnRecords) -> dict[str, float]:
     }
 
 
-def _ks_vs_normal(samples: np.ndarray) -> float:
-    return gof.ks_distance(samples, normal_cdf)
-
-
 @dataclass(frozen=True)
 class CltStatistics:
     """Every rep's plug-in variances, gaps and standardized statistics at n.
@@ -385,8 +382,16 @@ class CltStatistics:
     t_mean: np.ndarray
 
 
+def _check_plan(plan: ReplicationPlan, records: RepRecords) -> None:
+    """Refuse records another plan made: a diagnostic reads n, reps, the
+    proxy horizon and the config from ``plan``, not from the records."""
+    _raise_problems([f"{f.name}: differs from that of the plan that made these records"
+                     for f in fields(plan) if getattr(plan, f.name) != getattr(records.plan, f.name)])
+
+
 def clt_statistics(plan: ReplicationPlan, records: RepRecords) -> CltStatistics:
     """T_prop, T_gap and T_mean of every rep, from one variance evaluation."""
+    _check_plan(plan, records)
     u = records.single
     v, w, uu = u.at_n.variances()
     zp = u.at_proxy.z
@@ -423,7 +428,7 @@ def _normal_diag(
     return CltDiagnostics(
         kind=kind,
         samples=samples,
-        ks_distance=_ks_vs_normal(samples) if len(samples) else math.nan,
+        ks_distance=gof.ks_distance(samples, normal_cdf) if len(samples) else math.nan,
         coverage=coverage,
         coverage_level=level,
         excluded=int(reps - np.count_nonzero(included)),
@@ -440,14 +445,6 @@ class MeanCltDiagnostics:
     corr_gap_proportion: float | None
     median_abs_gap: float      # median of sqrt(n)|M_n - Z_n|, all reps
     stats: CltStatistics       # every rep's variances and statistics
-
-
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a nonempty array of numbers, whose first call would
-    import ``numpy.ma``: the middle value, or the mean of the two."""
-    s = np.sort(x)
-    mid = len(s) // 2
-    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnostics:
@@ -471,7 +468,7 @@ def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnosti
         proportion=_normal_diag("proportion", s.t_prop, s.v, plan, aux, s.gap_zp),
         mean=_normal_diag("mean", s.t_mean, s.w, plan, aux, s.gap_mp),
         corr_gap_proportion=corr,
-        median_abs_gap=_median(math.sqrt(plan.n) * np.abs(s.gap_mz)),
+        median_abs_gap=statistics.median((math.sqrt(plan.n) * np.abs(s.gap_mz)).tolist()),
         stats=s,
     )
 
@@ -513,6 +510,7 @@ def limit_law_suite(plan: ReplicationPlan, records: RepRecords) -> LimitLawRepor
     proportion has the Beta(a/k, b/k) law, so the proxy sample is also
     tested against that reference CDF.
     """
+    _check_plan(plan, records)
     urn = records.single
     aux = _proxy_aux(urn)
     beta_params = None
@@ -574,6 +572,7 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     Raw (unclipped) intervals are scored; a zero-width interval counts
     as a miss unless it equals the truth exactly.
     """
+    _check_plan(plan, records)
     _raise_problems(level_problems(level))
     u = records.single
     v, w, _ = u.at_n.variances()
@@ -602,6 +601,7 @@ def linear_combination_coverage(
     The truth is the same weighted combination of proxy proportions;
     weights are applied in the map's iteration order.
     """
+    _check_plan(plan, records)
     labels = tuple(records.urns)
     _raise_problems(level_problems(level) + combination_problems(coeffs, basis, labels))
     center, variance = combination(coeffs, {lab: u.at_n for lab, u in records.urns.items()},
@@ -636,6 +636,7 @@ def mtest_rejection(
     records: RepRecords,
 ) -> MTestFrequency:
     """Rejection frequency of the mean-reinforcement test over reps."""
+    _check_plan(plan, records)
     refs = tuple(reference)
     _raise_problems(level_problems(level) + mtest_problems(target, refs, tuple(records.urns)))
     _, applicable, reject = mean_reinforcement(

@@ -162,6 +162,32 @@ def test_normal_quantile_against_oracle_table():
         assert got == pytest.approx(q, abs=1e-13, rel=1e-13), p_repr
 
 
+def _around(p):
+    return [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+
+
+# repr of the quantile at its branch edges (|p - 0.5| = 0.425 and
+# min(p, 1 - p) = exp(-25)), one ulp on each side, and its extremes:
+# frozen from the hand-written PPND16 code that statistics.NormalDist
+# replaced, so the bytes of every interval stay as they were.
+QUANTILE_PINS = list(zip(
+    _around(0.075) + _around(0.925) + _around(math.exp(-25)) + _around(1 - math.exp(-25))
+    + [1e-300, 5e-324, 1 - 2**-53, 0.975, 1 - 0.05 / 2, 0.5],
+    ["-1.4395314709384555", "-1.4395314709384557", "-1.4395314709384557",
+     "1.4395314709384552", "1.439531470938456", "1.4395314709384568",
+     "-6.6579046435011024", "-6.6579046435011024", "-6.6579046435011024",
+     "6.657904029578415", "6.657905204845547", "6.657906380121875",
+     "-37.0470962993612", "-38.46740561714434", "8.209536151601386",
+     "1.9599639845400536", "1.9599639845400536", "0.0"],
+))
+
+
+@pytest.mark.parametrize("p, want", QUANTILE_PINS)
+def test_normal_quantile_bits_are_pinned(p, want):
+    assert repr(normal_quantile(p)) == want
+    assert repr(float(normal_quantile(np.float64(p)))) == want
+
+
 def test_normal_quantile_key_values():
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.975) == pytest.approx(1.959964, abs=5e-7)
@@ -174,7 +200,7 @@ def test_normal_quantile_symmetry():
 
 
 def test_normal_quantile_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
+    for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
         with pytest.raises(ParameterError):
             normal_quantile(bad)
 

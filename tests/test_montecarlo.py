@@ -3,9 +3,11 @@
 import concurrent.futures
 import json
 import math
+import statistics
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +212,7 @@ def test_simulate_loads_neither_the_engine_nor_montecarlo(tmp_path):
         from hrru.cli import main
         assert main(["simulate", "--config", sys.argv[1]]) == 0
         heavy = ("hrru.montecarlo", "hrru.engine", "hrru.multi_urn", "hrru.estimators",
-                 "hrru.gof", "concurrent.futures")
+                 "hrru.gof", "concurrent.futures", "statistics")
         print(json.dumps([after_import, [m for m in heavy if m in sys.modules]]))
     """
     assert _fresh(code, str(tmp_path / "sim.json")) == [[], []]
@@ -234,10 +236,12 @@ def test_clt_leaves_numpy_ma_unloaded(tmp_path):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000])
 def test_median_equals_numpys(size):
+    # The clt report's median is statistics.median of the array's list.
     rs = np.random.default_rng(size)
     for x in (rs.standard_normal(size), rs.integers(0, 3, size).astype(float),
               rs.random(size) * 1e300):
-        assert mc._median(x) == np.median(x)
+        got = statistics.median(x.tolist())
+        assert type(got) is float and got == np.median(x)
 
 
 def test_package_exports_resolve_on_first_use():
@@ -489,6 +493,38 @@ def test_clt_checks_run_and_expose_masks():
     assert mn.corr_gap_proportion is not None
     assert abs(mn.corr_gap_proportion) <= 1.0
     assert mn.median_abs_gap > 0.0
+    assert mn.median_abs_gap == np.median(math.sqrt(plan.n) * np.abs(mn.stats.gap_mz))
+
+
+def test_a_diagnostic_refuses_records_made_by_another_plan():
+    # Each diagnostic reads n, reps, the proxy horizon and the config from
+    # its plan: given another plan's records it would count 10 reps out of
+    # 40, or scale records made at n = 50 by sqrt(40).
+    system = UrnSystem(urns=(UrnSpec("A", 10, 10, 2, 1), UrnSpec("B", 10, 10, 2, 1)),
+                       factors=CommonFactors(reinforce=UNIFORM3))
+    cases = [
+        (_plan(reps=40, seed=3), (
+            mc.clt_check_zn, mc.clt_check_mn,
+            lambda p, r: mc.coverage_experiment(p, 0.95, r), mc.limit_law_suite)),
+        (_plan(reps=40, seed=3, config=system), (
+            lambda p, r: mc.linear_combination_coverage(p, {"A": 1.0, "B": -1.0}, "Z", 0.95, r),
+            lambda p, r: mc.mtest_rejection(p, "A", ("B",), 0.05, r))),
+    ]
+    for plan, diags in cases:
+        rec = mc.replicate(plan, workers=1)
+        head = rec.take(10)
+        mismatched = [(plan, head, ["reps"]),
+                      (replace(plan, n=40, horizons=None), rec, ["n", "horizons"]),
+                      (replace(plan, master_seed=4), rec, ["master_seed"])]
+        for diag in diags:
+            for other, records, differ in mismatched:
+                with pytest.raises(ParameterError) as ei:
+                    diag(other, records)
+                assert str(ei.value) == "; ".join(
+                    f"{key}: differs from that of the plan that made these records"
+                    for key in differ)
+        scored = [diag(head.plan, head) for diag in diags]
+        assert scored[0].reps == scored[-1].reps == 10
 
 
 def test_clt_exclusions_are_counted_not_silent():
