@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .urn_core import (
     count_problems,
     urn_problems,
 )
-from .rng import DEFAULT_LABEL
 
 # montecarlo and multi_urn are imported where a kind needs them, so
 # ``hrru simulate`` loads neither (nor the engine they import).
@@ -52,45 +53,150 @@ if TYPE_CHECKING:
 WORKERS_ENV = "HRRU_WORKERS"
 _TABLE_BLOCK = 1024  # rows formatted per % operation
 
-# The top-level keys each kind reads besides "kind" and "outputs".  A
-# key named here may still be refused with its own message, such as
-# "factors" beside a single urn.
-_URN_KEYS = ("plan", "urn", "urns", "factors", "coeffs", "basis")
-_TOP_LEVEL = {
-    "simulate": _URN_KEYS,
-    "clt": _URN_KEYS,
-    "coverage": (*_URN_KEYS, "level"),
-    "limit-law": _URN_KEYS,
-    "mtest": (*_URN_KEYS, "level", "target", "reference"),
-    "hitting": ("walk",),
+
+def _lib(name: str):
+    """The package module ``name``, imported on first use."""
+    return import_module(f".{name}", __package__)
+
+
+# The config sections the CLI declares; the urn (``UrnConfig``) and the
+# system (``UrnSystem``) are the library's.  Each holds its JSON values
+# as read; ``_RULES`` states their ranges.
+
+
+@dataclass
+class Steps:
+    """``simulate``'s plan: one trajectory of ``n`` steps."""
+
+    n: int
+    seed: int
+
+
+@dataclass
+class Plan:
+    """``reps`` replications to the horizon ``n`` and the proxy horizon
+    ``n_proxy`` (None: 50 n)."""
+
+    reps: int
+    n: int
+    seed: int
+    n_proxy: int | None = None
+
+
+@dataclass
+class Walk:
+    """``hitting``'s plan: ``reps`` walks from ``start`` between 1 and ``high``."""
+
+    start: int
+    high: int
+    reps: int
+    seed: int = 0
+
+
+@dataclass
+class Outputs:
+    # The directory is delivery location, not experiment identity: out of
+    # equality and of the echo, so reports are the same wherever written.
+    dir: str = field(default=".", compare=False)
+    table_format: Literal["tsv", "csv"] = "tsv"
+
+
+@dataclass
+class Coverage:
+    """The level of coverage's intervals."""
+
+    level: float = 0.95
+
+
+@dataclass
+class Combination(Coverage):
+    """Coverage of a weighted sum of a system's limit proportions."""
+
+    coeffs: dict[str, float] = field(default_factory=dict)
+    basis: str = "Z"
+
+
+@dataclass
+class MTest:
+    """mtest's mean-reinforcement test of ``target`` against ``reference``."""
+
+    level: float = field(default=0.05, kw_only=True)
+    target: str
+    reference: tuple[str, ...]
+
+
+# The experiment kinds: each kind's shapes, each shape its sections in
+# echo order.  A section maps its role (the ExperimentConfig attribute
+# it fills) to its JSON key and its dataclass; the key "" reads the
+# dataclass's fields at the top level.  The system is named, not
+# imported, so that ``hrru simulate`` never loads multi_urn.  A kind
+# with two shapes runs the second where the config holds the key that
+# shape leads with ("urns"); ``_FORMS`` names what each lead runs on.
+_URN = ("urn", UrnConfig)
+_SYSTEM = ("", "UrnSystem")
+_PLAN = ("plan", Plan)
+_OUTPUTS = ("outputs", Outputs)
+SHAPES = {
+    "simulate": ({"urn": _URN, "plan": ("plan", Steps), "outputs": _OUTPUTS},),
+    "clt": ({"urn": _URN, "plan": _PLAN, "outputs": _OUTPUTS},),
+    "coverage": ({"urn": _URN, "plan": _PLAN, "options": ("", Coverage), "outputs": _OUTPUTS},
+                 {"system": _SYSTEM, "plan": _PLAN, "options": ("", Combination),
+                  "outputs": _OUTPUTS}),
+    "limit-law": ({"urn": _URN, "plan": _PLAN, "outputs": _OUTPUTS},),
+    "mtest": ({"system": _SYSTEM, "plan": _PLAN, "options": ("", MTest), "outputs": _OUTPUTS},),
+    "hitting": ({"plan": ("walk", Walk), "outputs": _OUTPUTS},),
 }
-KINDS = tuple(_TOP_LEVEL)
+KINDS = tuple(SHAPES)
+_FORMS = {"urn": "a single urn", "urns": "a multi-urn system"}
+
+
+def _dataclass(cls):
+    """``cls``, or the multi_urn dataclass it names (imported on use)."""
+    return getattr(_lib("multi_urn"), cls) if isinstance(cls, str) else cls
+
+
+def _keys(shape: dict) -> list[str]:
+    """The top-level keys ``shape`` reads, in echo order."""
+    return [k for key, cls in shape.values()
+            for k in ([key] if key else [f.name for f in dataclasses.fields(_dataclass(cls))])]
+
+
+def _refusal(kind: str, key: str) -> str:
+    """Why a top-level ``key`` that the config's shape of ``kind`` does not
+    read is refused.  A key by which a kind's shapes differ ("urn";
+    "urns", "factors"; "coeffs", "basis") is refused in an urn kind with
+    where it applies ("urns: clt experiments run on a single urn; use
+    'urn'", "coeffs: applies to coverage on a multi-urn system only");
+    any other key is unknown."""
+    lead = _keys(SHAPES[kind][0])[0]
+    differ = {k for shapes in SHAPES.values() if len(shapes) > 1
+              for k in set(_keys(shapes[0])) ^ set(_keys(shapes[1]))}
+    if lead not in _FORMS or key not in differ:
+        return "unknown field"
+    readers = [(k, s) for k, shapes in SHAPES.items() for s in shapes if key in _keys(s)]
+    own = [(k, s) for k, s in readers if k == kind]
+    if not own and key in _FORMS:
+        return f"{kind} experiments run on {_FORMS[lead]}; use '{lead}'"
+    return "applies to " + " and ".join(
+        k if len(SHAPES[k]) == 1 else f"{k} on {_FORMS[_keys(s)[0]]}"
+        for k, s in own or readers) + " only"
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated, normalized description of one experiment."""
+    """A validated experiment: its kind and the sections of its shape."""
 
     kind: str
     urn: UrnConfig | None = None
     system: UrnSystem | None = None
-    reps: int = 1
-    n: int = 1
-    n_proxy: int | None = None
-    seed: int = 0
-    level: float | None = None
-    target: str | None = None
-    reference: tuple[str, ...] = ()
-    coeffs: dict[str, float] = field(default_factory=dict)
-    basis: str = "Z"
-    walk_start: int | None = None
-    walk_high: int | None = None
-    walk_reps: int | None = None
-    # Delivery location, not experiment identity: excluded from equality
-    # and from the config echo so reports stay byte-identical wherever
-    # they are written.
-    out_dir: str = field(default=".", compare=False)
-    table_format: str = "tsv"
+    plan: Steps | Plan | Walk | None = None
+    options: Coverage | MTest | None = None
+    outputs: Outputs = field(default_factory=Outputs)
+
+    # the options by name, as readers of an mtest config take them
+    level = property(lambda self: getattr(self.options, "level", None))
+    target = property(lambda self: getattr(self.options, "target", None))
+    reference = property(lambda self: getattr(self.options, "reference", ()))
 
 
 class _Collector:
@@ -120,74 +226,58 @@ class _Collector:
         """The path of ``key`` inside ``path``; "" is the top level."""
         return f"{path}.{key}" if path else key
 
-    def unknown(self, obj: dict, path: str, known) -> None:
-        """Report every key of ``obj`` outside ``known``, so a typo never
-        falls back to a default."""
-        for key in obj:
-            if key not in known:
-                self.add(self.at(path, key), "unknown field")
-
-    def expect_int(self, obj: dict, path: str, key: str, required: bool = True, default=None):
-        if key not in obj:
-            if required:
-                self.add(self.at(path, key), "required field is missing")
-            return default
-        v = obj[key]
-        if not _is_int(v):
-            self.add(self.at(path, key), f"must be an integer, got {v!r}")
-            return default
-        return v
-
-    def expect_number(self, obj: dict, path: str, key: str, required: bool = True,
-                      default=None):
-        if key not in obj:
-            if required:
-                self.add(self.at(path, key), "required field is missing")
-            return default
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.add(self.at(path, key), f"must be a number, got {v!r}")
-            return default
-        return self.to_float(self.at(path, key), v, default)
-
-    def to_float(self, path: str, v: int | float, default=None):
+    def to_float(self, path: str, v: int | float):
         """A JSON number as a float; an integer past the float range is
         reported at ``path`` instead of raising OverflowError."""
         try:
             return float(v)
         except OverflowError:
             self.add(path, "integer is too large for a float")
-            return default
-
-    def expect_str(self, obj: dict, path: str, key: str, required: bool = True,
-                   default=None, choices: tuple[str, ...] | None = None):
-        if key not in obj:
-            if required:
-                self.add(self.at(path, key), "required field is missing")
-            return default
-        v = obj[key]
-        if not isinstance(v, str):
-            self.add(self.at(path, key), f"must be a string, got {v!r}")
-            return default
-        if choices is not None and v not in choices:
-            self.add(self.at(path, key), f"must be one of {choices}, got {v!r}")
-            return default
-        return v
+            return None
 
 
-def _parse_list(col: _Collector, obj: dict, path: str, key: str, kind: type) -> tuple | None:
-    """A nonempty list of ``kind`` (int, or float accepting ints) as a tuple."""
-    what = "integers" if kind is int else "numbers"
-    path, v = col.at(path, key), obj[key]
-    if not isinstance(v, list) or not v:
-        col.add(path, f"must be a nonempty list of {what}, got {v!r}")
-        return None
-    if any(isinstance(x, bool) or not isinstance(x, (int, kind)) for x in v):
-        col.add(path, f"must contain only {what}, got {v!r}")
-        return None
-    values = tuple(x if kind is int else col.to_float(f"{path}[{i}]", x)
-                   for i, x in enumerate(v))
+def _value(what: str, test, convert=None):
+    """The parser of a JSON value ``test`` accepts (else "must be
+    ``what``"), passed through ``convert(col, path, value)``; without
+    one, a list is read as a tuple."""
+    def parse(col: _Collector, obj: dict, path: str, key: str):
+        path, v = col.at(path, key), obj[key]
+        if not test(v):
+            col.add(path, f"must be {what}, got {v!r}")
+            return None
+        if convert is None:
+            return tuple(v) if isinstance(v, list) else v
+        return convert(col, path, v)
+    return parse
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(test, nonempty: bool = True):
+    """A test of a list (nonempty) whose every item ``test`` accepts."""
+    return lambda v: isinstance(v, list) and (v != [] or not nonempty) and all(map(test, v))
+
+
+def _floats(col: _Collector, path: str, v: list) -> tuple | None:
+    values = tuple(col.to_float(f"{path}[{i}]", x) for i, x in enumerate(v))
     return None if None in values else values
+
+
+def _weights(col: _Collector, path: str, v: dict) -> dict | None:
+    weights = {lab: col.to_float(f"{path}.{lab}", x) for lab, x in v.items()}
+    return None if None in weights.values() else weights
+
+
+def _urn_specs(col: _Collector, path: str, v: list) -> tuple | None:
+    specs = tuple(_parse_fields(col, _dataclass("UrnSpec"), x, f"{path}[{i}]")
+                  for i, x in enumerate(v))
+    return None if None in specs else specs
+
+
+_STR = _value("a string", lambda v: isinstance(v, str))
+_INT = _value("an integer", _is_int)
 
 
 def _parse_policy(col: _Collector, obj: dict, path: str, key: str, menu: dict, what: str):
@@ -196,7 +286,9 @@ def _parse_policy(col: _Collector, obj: dict, path: str, key: str, menu: dict, w
     path, v = col.at(path, key), obj[key]
     cls = None
     if isinstance(v, dict):
-        name = col.expect_str(v, path, "policy")
+        if "policy" not in v:
+            col.add(f"{path}.policy", "required field is missing")
+        name = _STR(col, v, path, "policy") if "policy" in v else None
         cls = menu.get(name)
         if cls is None:
             if name is not None:
@@ -206,67 +298,97 @@ def _parse_policy(col: _Collector, obj: dict, path: str, key: str, menu: dict, w
     return _parse_fields(col, cls, v, path, extra=("policy",))
 
 
-def _parse_factors(col: _Collector, obj: dict, path: str, key: str):
-    from .multi_urn import CommonFactors
-
-    return _parse_fields(col, CommonFactors, obj[key], col.at(path, key))
-
-
-def _parse_urns(col: _Collector, obj: dict, path: str, key: str) -> tuple | None:
-    from .multi_urn import UrnSpec
-
-    path, v = col.at(path, key), obj[key]
-    if not isinstance(v, list) or not v:
-        col.add(path, f"must be a nonempty list, got {v!r}")
-        return None
-    specs = tuple(_parse_fields(col, UrnSpec, x, f"{path}[{i}]") for i, x in enumerate(v))
-    return None if None in specs else specs
+def _nested(cls):
+    """The parser of a field holding an object of the dataclass ``cls``."""
+    return lambda col, obj, path, key: _parse_fields(
+        col, _dataclass(cls), obj[key], col.at(path, key))
 
 
 # How each dataclass field type of a config object is read from
 # ``obj[key]``, a key ``obj`` holds.
 _FIELD_PARSERS = {
-    "str": lambda col, obj, path, key: col.expect_str(obj, path, key),
-    "int": lambda col, obj, path, key: col.expect_int(obj, path, key),
-    "tuple[int, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, int),
-    "tuple[float, ...]": lambda col, obj, path, key: _parse_list(col, obj, path, key, float),
+    "str": _STR,
+    "int": _INT,
+    "int | None": _INT,
+    "float": _value("a number", _is_number, _Collector.to_float),
+    "Literal['tsv', 'csv']": _value("one of ('tsv', 'csv')", lambda v: v in ("tsv", "csv")),
+    "tuple[int, ...]": _value("a nonempty list of integers", _list_of(_is_int)),
+    "tuple[float, ...]": _value("a nonempty list of numbers", _list_of(_is_number), _floats),
+    "tuple[str, ...]": _value("a list of urn labels",
+                              _list_of(lambda x: isinstance(x, str), nonempty=False)),
+    "dict[str, float]": _value("an object of label: weight (a number)",
+                               lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+                               _weights),
     "DrawSizePolicy": lambda col, obj, path, key: _parse_policy(
         col, obj, path, key, DRAW_POLICIES, "draw"),
     "ReinforcementPolicy": lambda col, obj, path, key: _parse_policy(
         col, obj, path, key, REINFORCEMENT_POLICIES, "reinforcement"),
-    "IntegerDistribution | None": lambda col, obj, path, key: _parse_fields(
-        col, IntegerDistribution, obj[key], col.at(path, key)),
-    "CommonFactors": _parse_factors,
-    "tuple[UrnSpec, ...]": _parse_urns,
+    "IntegerDistribution | None": _nested(IntegerDistribution),
+    "CommonFactors": _nested("CommonFactors"),
+    "tuple[UrnSpec, ...]": _value("a nonempty list", _list_of(lambda item: True), _urn_specs),
 }
 
 
+def _level_rule(level):
+    return [] if level is None else _lib("multi_urn").level_problems(level)
+
+
+# The rules on each section's fields, each stated once, in the library:
+# given the config so far and every field's value (None where it failed,
+# its default where left out), the problems as "key: message".  A rule
+# across sections reads the system, parsed before the options.
+_RULES = {
+    UrnConfig: lambda cfg, a, b, label, **_: urn_problems(a, b, label),
+    Steps: lambda cfg, n, **_: count_problems(n=n),  # run_trajectory's steps
+    Plan: lambda cfg, reps, n, n_proxy, **_: _lib("montecarlo").plan_problems(reps, n, n_proxy),
+    Walk: lambda cfg, start, high, reps, **_: _lib("montecarlo").walk_problems(start, high, reps),
+    Coverage: lambda cfg, level: _level_rule(level),
+    Combination: lambda cfg, level, coeffs, basis: _level_rule(level) + (
+        [] if cfg.system is None or coeffs is None
+        else _lib("multi_urn").combination_problems(coeffs, basis, cfg.system.labels)),
+    MTest: lambda cfg, level, target, reference: _level_rule(level) + (
+        [] if cfg.system is None or None in (target, reference)
+        else _lib("multi_urn").mtest_problems(target, reference, cfg.system.labels)),
+}
+
+
+def _default(f: dataclasses.Field):
+    """A field's default, or MISSING where the field is required."""
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+
 def _parse_fields(col: _Collector, cls, obj, path: str, extra: tuple[str, ...] = (),
-                  own_rules=None):
+                  rules=None):
     """``cls`` built from the object ``obj`` by its dataclass fields, a
     field with a default being optional; its constructor checks ranges.
     Keys of ``obj`` other than the fields and ``extra`` are reported as
-    unknown.  Where a field fails, ``own_rules`` gets the fields read and
-    returns the problems of their own rules."""
+    unknown.  ``rules`` gets every field's value (None where it failed,
+    its default where left out) and returns the problems of its rules;
+    ``cls`` is built only where every field parsed and no rule failed."""
     if not isinstance(obj, dict):
         col.add(path, f"must be an object, got {obj!r}")
         return None
     fields = dataclasses.fields(cls)
-    col.unknown(obj, path, {*extra, *(f.name for f in fields)})
-    kwargs, ok = {}, True
+    known = {*extra, *(f.name for f in fields)}
+    for key in obj:
+        if key not in known:
+            col.add(col.at(path, key), "unknown field")
+    values, ok = {f.name: _default(f) for f in fields}, True
     for f in fields:
         if f.name in obj:
-            kwargs[f.name] = _FIELD_PARSERS[f.type](col, obj, path, f.name)
-            ok = ok and kwargs[f.name] is not None
-        elif f.default is dataclasses.MISSING:
+            values[f.name] = _FIELD_PARSERS[f.type](col, obj, path, f.name)
+            ok = ok and values[f.name] is not None
+        elif values[f.name] is dataclasses.MISSING:
             col.add(col.at(path, f.name), "required field is missing")
-            ok = False
+            values[f.name], ok = None, False
+    if rules is not None:
+        problems = rules(**values)
+        col.extend(path, problems)
+        ok = ok and not problems
     if not ok:
-        if own_rules is not None:
-            col.extend(path, own_rules(**kwargs))
         return None
     try:
-        return cls(**kwargs)
+        return cls(**values)
     except ParameterError as exc:
         col.extend(path, exc.problems)
         return None
@@ -291,144 +413,48 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError(["top level: must be a JSON object"])
     col = _Collector()
 
-    cfg_kind = raw.get("kind")
-    if cfg_kind is not None and cfg_kind not in KINDS:
-        col.add("kind", f"must be one of {KINDS}, got {cfg_kind!r}")
-        cfg_kind = None
-    elif cfg_kind is None and kind is None:
+    given = raw.get("kind")
+    if given is None and kind is None:
         col.add("kind", f"required (or pass a subcommand); one of {KINDS}")
-    elif cfg_kind is not None and kind is not None and cfg_kind != kind:
-        col.add("kind", f"config says {cfg_kind!r} but the subcommand is {kind!r}")
-    resolved_kind = kind or cfg_kind
-    if resolved_kind is not None:
-        col.unknown(raw, "", ("kind", "outputs", *_TOP_LEVEL[resolved_kind]))
+    elif given is not None and given not in KINDS:
+        col.add("kind", f"must be one of {KINDS}, got {given!r}")
+    elif kind is not None and given not in (None, kind):
+        col.add("kind", f"config says {given!r} but the subcommand is {kind!r}")
+    kind = kind or (given if given in KINDS else None)
+    if kind is None:  # no shape to read the rest by
+        raise ConfigError(col.problems)
 
-    out = ExperimentConfig(kind=resolved_kind or "simulate")
-
-    outputs = raw.get("outputs", {})
-    if not isinstance(outputs, dict):
-        col.add("outputs", f"must be an object, got {outputs!r}")
-        outputs = {}
-    col.unknown(outputs, "outputs", ("dir", "table_format"))
-    out.out_dir = col.expect_str(outputs, "outputs", "dir", required=False, default=".")
-    out.table_format = col.expect_str(
-        outputs, "outputs", "table_format", required=False, default="tsv",
-        choices=("tsv", "csv"),
-    )
-
-    has_urn = "urn" in raw
-    has_urns = "urns" in raw
-    if has_urn and has_urns:
-        col.add("urn", "give either a single 'urn' or a multi-urn 'urns' list, not both")
-
-    if resolved_kind == "hitting":
-        walk = raw.get("walk")
-        if not isinstance(walk, dict):
-            col.add("walk", "hitting experiments need a 'walk' object (start, high, reps)")
+    shapes = SHAPES[kind]
+    shape = shapes[-1] if _keys(shapes[-1])[0] in raw else shapes[0]
+    reads = _keys(shape)
+    for key in raw:
+        if key != "kind" and key not in reads:
+            col.add(key, _refusal(kind, key))
+    cfg = ExperimentConfig(kind)
+    for role, (key, cls) in shape.items():
+        cls = _dataclass(cls)
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        if not key:
+            obj = {k: raw[k] for k in names if k in raw}
+        elif key in raw or dataclasses.MISSING not in map(_default, fields):
+            obj = raw.get(key, {})
         else:
-            from .montecarlo import walk_problems
-
-            col.unknown(walk, "walk", ("start", "high", "reps", "seed"))
-            out.walk_start = col.expect_int(walk, "walk", "start")
-            out.walk_high = col.expect_int(walk, "walk", "high")
-            out.walk_reps = col.expect_int(walk, "walk", "reps")
-            out.seed = col.expect_int(walk, "walk", "seed", required=False, default=0)
-            col.extend("walk", walk_problems(out.walk_start, out.walk_high, out.walk_reps))
-        if col.problems:
-            raise ConfigError(col.problems)
-        return out
-
-    # simulate runs one trajectory to n: it reads no reps or n_proxy.
-    simulate = resolved_kind == "simulate"
-    reads = ("n", "seed") if simulate else ("reps", "n", "n_proxy", "seed")
-    plan = raw.get("plan")
-    if not isinstance(plan, dict):
-        col.add("plan", f"required object ({', '.join(reads)})")
-        plan = {}
-    col.unknown(plan, "plan", reads)
-    before = len(col.problems)
-    if not simulate:
-        out.reps = col.expect_int(plan, "plan", "reps")
-        out.n_proxy = col.expect_int(plan, "plan", "n_proxy", required=False)
-    out.n = col.expect_int(plan, "plan", "n")
-    out.seed = col.expect_int(plan, "plan", "seed", default=0)
-    if simulate:
-        col.extend("plan", count_problems(n=out.n))  # run_trajectory's steps
-    else:
-        from .montecarlo import plan_problems
-
-        col.extend("plan", plan_problems(out.reps, out.n, out.n_proxy))
-    plan_fields_ok = len(col.problems) == before
-
-    system_kinds = ("mtest",)
-    single_kinds = ("simulate", "clt", "limit-law")
-    if resolved_kind in single_kinds and has_urns:
-        col.add("urns", f"{resolved_kind} experiments run on a single urn; use 'urn'")
-    if resolved_kind in system_kinds and has_urn:
-        col.add("urn", f"{resolved_kind} experiments need a multi-urn system; use 'urns'")
-
-    if has_urns and resolved_kind not in single_kinds:
-        from .multi_urn import UrnSystem
-
-        system = {key: raw[key] for key in ("urns", "factors") if key in raw}
-        out.system = _parse_fields(col, UrnSystem, system, "")
-    elif has_urn:
-        if "factors" in raw:
-            col.add("factors", "common factors apply to multi-urn systems only")
-        # An urn whose policy fails still reports its own fields' rules.
-        out.urn = _parse_fields(
-            col, UrnConfig, raw["urn"], "urn",
-            own_rules=lambda a=None, b=None, label=DEFAULT_LABEL, **_: urn_problems(a, b, label))
-    else:
-        col.add("urn", f"an experiment of kind {resolved_kind!r} needs an urn section")
-
-    # Each rule on a value is stated once, in the library: here the JSON
-    # types are checked and the library's problems collected at their keys.
-    if resolved_kind in ("coverage", "mtest"):
-        from .multi_urn import level_problems
-
-        out.level = col.expect_number(raw, "", "level", required=False,
-                                      default=0.95 if resolved_kind == "coverage" else 0.05)
-        col.extend("", level_problems(out.level))
-
-    if resolved_kind == "mtest":
-        out.target = col.expect_str(raw, "", "target")
-        ref = raw.get("reference")
-        if not isinstance(ref, list) or not all(isinstance(x, str) for x in ref):
-            col.add("reference", f"must be a list of urn labels, got {ref!r}")
-        elif out.system is not None and out.target is not None:
-            from .multi_urn import mtest_problems
-
-            out.reference = tuple(ref)
-            col.extend("", mtest_problems(out.target, out.reference, out.system.labels))
-
-    system_coverage = resolved_kind == "coverage" and has_urns
-    for name in ("coeffs", "basis"):
-        if name in raw and not system_coverage:
-            col.add(name, "applies to coverage on a multi-urn system only")
-    if system_coverage:
-        out.basis = col.expect_str(raw, "", "basis", required=False, default="Z")
-        coeffs = raw.get("coeffs", {})
-        if not isinstance(coeffs, dict) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in coeffs.values()
-        ):
-            col.add("coeffs", f"must be an object of label: weight (a number), got {coeffs!r}")
-        elif out.system is not None:
-            from .multi_urn import combination_problems
-
-            out.coeffs = {k: col.to_float(f"coeffs.{k}", v) for k, v in coeffs.items()}
-            if None not in out.coeffs.values():
-                col.extend("", combination_problems(out.coeffs, out.basis, out.system.labels))
+            col.add(key, f"required object ({', '.join(names)})")
+            continue
+        rules = _RULES.get(cls)
+        setattr(cfg, role, _parse_fields(col, cls, obj, key,
+                                         rules=rules and functools.partial(rules, cfg)))
 
     # The whole plan's rule: 2**53 at the last horizon it simulates.
-    if not simulate and plan_fields_ok and (out.urn is not None or out.system is not None):
+    if isinstance(cfg.plan, Plan) and (cfg.urn is not None or cfg.system is not None):
         try:
-            _plan_for(out)
+            _plan_for(cfg)
         except ParameterError as exc:
             col.extend("plan", exc.problems)
     if col.problems:
         raise ConfigError(col.problems)
-    return out
+    return cfg
 
 
 # Serialization back to the JSON form (the config echo).
@@ -440,8 +466,8 @@ _POLICY_NAMES = {cls: name for menu in (DRAW_POLICIES, REINFORCEMENT_POLICIES)
 
 def _to_json(obj):
     """A config object as JSON: a policy's menu name, then the dataclass
-    fields in declaration order, leaving out a None or empty one; a tuple
-    as a list."""
+    fields in declaration order, leaving out a None or empty one and one
+    outside equality (the output directory); a tuple as a list."""
     if isinstance(obj, tuple):
         return [_to_json(v) for v in obj]
     if not dataclasses.is_dataclass(obj):
@@ -449,7 +475,7 @@ def _to_json(obj):
     out = {"policy": _POLICY_NAMES[type(obj)]} if type(obj) in _POLICY_NAMES else {}
     for f in dataclasses.fields(obj):
         v = _to_json(getattr(obj, f.name))
-        if v is not None and v != {}:
+        if f.compare and v is not None and v != {}:
             out[f.name] = v
     return out
 
@@ -457,32 +483,11 @@ def _to_json(obj):
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     """The config echo: parses back to an equal ExperimentConfig."""
     out: dict = {"kind": cfg.kind}
-    if cfg.kind == "hitting":
-        out["walk"] = {
-            "start": cfg.walk_start, "high": cfg.walk_high,
-            "reps": cfg.walk_reps, "seed": cfg.seed,
-        }
-        out["outputs"] = {"table_format": cfg.table_format}
-        return out
-    if cfg.urn is not None:
-        out["urn"] = _to_json(cfg.urn)
-    if cfg.system is not None:
-        out.update(_to_json(cfg.system))  # "urns", and "factors" unless absent
-    plan: dict = {"n": cfg.n, "seed": cfg.seed}
-    if cfg.kind != "simulate":
-        plan = {"reps": cfg.reps, **plan}
-    if cfg.n_proxy is not None:
-        plan["n_proxy"] = cfg.n_proxy
-    out["plan"] = plan
-    if cfg.level is not None:
-        out["level"] = cfg.level
-    if cfg.target is not None:
-        out["target"] = cfg.target
-        out["reference"] = list(cfg.reference)
-    if cfg.coeffs:
-        out["coeffs"] = cfg.coeffs
-        out["basis"] = cfg.basis
-    out["outputs"] = {"table_format": cfg.table_format}
+    # the shape whose leading section the config holds
+    shape = next(s for s in SHAPES[cfg.kind] if getattr(cfg, next(iter(s))) is not None)
+    for role, (key, _) in shape.items():
+        section = _to_json(getattr(cfg, role))
+        out.update({key: section} if key else section)
     return out
 
 
@@ -510,7 +515,7 @@ def write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
 
 def write_report(path: Path, payload: dict) -> None:
     def dump(fh):
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)  # NaN is not JSON
         fh.write("\n")
 
     _write_atomic(path, dump)
@@ -529,17 +534,11 @@ def _write_atomic(path: Path, write) -> None:
 
 
 def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
-    from .montecarlo import ReplicationPlan
-
+    p = cfg.plan
     # mtest reads n alone: n_proxy is validated and echoed, never simulated.
-    return ReplicationPlan(
-        config=cfg.urn if cfg.urn is not None else cfg.system,
-        reps=cfg.reps,
-        n=cfg.n,
-        n_proxy=cfg.n_proxy,
-        master_seed=cfg.seed,
-        horizons=(cfg.n,) if cfg.kind == "mtest" else None,
-    )
+    return _lib("montecarlo").ReplicationPlan(
+        cfg.urn if cfg.urn is not None else cfg.system, p.reps, p.n, p.n_proxy, p.seed,
+        (p.n,) if cfg.kind == "mtest" else None)
 
 
 def _diag_to_dict(d: CltDiagnostics) -> dict:
@@ -564,7 +563,7 @@ def _diag_to_dict(d: CltDiagnostics) -> dict:
 def _run_simulate(cfg: ExperimentConfig, workers: int | None):
     from .urn_core import run_trajectory
 
-    traj = run_trajectory(cfg.urn, cfg.n, cfg.seed)
+    traj = run_trajectory(cfg.urn, cfg.plan.n, cfg.plan.seed)
     results = {
         "steps": len(traj),
         "final_z": float(traj.Z[-1]),
@@ -602,10 +601,10 @@ def _run_clt(cfg: ExperimentConfig, workers: int | None):
 def _run_coverage(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
-    plan = _plan_for(cfg)
+    plan, opt = _plan_for(cfg), cfg.options
     records = mc.replicate(plan, workers)
     if cfg.urn is not None:
-        cov = mc.coverage_experiment(plan, cfg.level, records)
+        cov = mc.coverage_experiment(plan, opt.level, records)
         return {
             "level": cov.level,
             "n": cov.n,
@@ -613,15 +612,9 @@ def _run_coverage(cfg: ExperimentConfig, workers: int | None):
             "from_Zn": dataclasses.asdict(cov.from_zn),
             "from_Mn": dataclasses.asdict(cov.from_mn),
         }, {}
-    res = mc.linear_combination_coverage(plan, cfg.coeffs, cfg.basis, cfg.level, records)
-    return {
-        "level": cfg.level,
-        "n": plan.n,
-        "proxy_horizon": plan.proxy_horizon,
-        "basis": cfg.basis,
-        "coeffs": cfg.coeffs,
-        "combination": dataclasses.asdict(res),
-    }, {}
+    res = mc.linear_combination_coverage(plan, opt.coeffs, opt.basis, opt.level, records)
+    return {"level": opt.level, "n": plan.n, "proxy_horizon": plan.proxy_horizon,
+            "basis": opt.basis, "coeffs": opt.coeffs, "combination": dataclasses.asdict(res)}, {}
 
 
 def _run_limit_law(cfg: ExperimentConfig, workers: int | None):
@@ -648,15 +641,11 @@ def _run_mtest(cfg: ExperimentConfig, workers: int | None):
 def _run_hitting(cfg: ExperimentConfig, workers: int | None):
     from . import montecarlo as mc
 
-    est = mc.hitting_probability_check(
-        cfg.walk_start, cfg.walk_high, cfg.walk_reps, master_seed=cfg.seed
-    )
-    expected = mc.walk_absorption_probability(cfg.walk_start, cfg.walk_high)
-    return {
-        **dataclasses.asdict(est),
-        "expected": expected,
-        "abs_error": abs(est.estimate - expected),
-    }, {}
+    w = cfg.plan
+    est = mc.hitting_probability_check(w.start, w.high, w.reps, master_seed=w.seed)
+    expected = mc.walk_absorption_probability(w.start, w.high)
+    return {**dataclasses.asdict(est), "expected": expected,
+            "abs_error": abs(est.estimate - expected)}, {}
 
 
 _RUNNERS = {
@@ -680,16 +669,17 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
     leaves the previous report in place.
     """
     results, tables = _RUNNERS[cfg.kind](cfg, workers)
-    out_dir = Path(cfg.out_dir)
+    fmt = cfg.outputs.table_format
+    out_dir = Path(cfg.outputs.dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
     for name, (header, columns) in tables.items():
-        write_table(out_dir / f"{name}.{cfg.table_format}", header, columns, cfg.table_format)
+        write_table(out_dir / f"{name}.{fmt}", header, columns, fmt)
     report_path = out_dir / "report.json"
     write_report(report_path, {
-        "tool": "hrru", "version": __version__, "kind": cfg.kind, "seed": cfg.seed,
+        "tool": "hrru", "version": __version__, "kind": cfg.kind, "seed": cfg.plan.seed,
         "config": config_to_json_dict(cfg), "results": results,
     })
     return report_path
@@ -744,9 +734,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {p}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.plan.seed = args.seed
     if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+        cfg.outputs.dir = args.out_dir
     try:
         workers = _resolve_workers(args.workers)
     except ValueError:

@@ -342,7 +342,7 @@ class CltDiagnostics:
 
     kind: str
     samples: np.ndarray
-    ks_distance: float
+    ks_distance: float | None  # None over no reps
     coverage: float | None
     coverage_level: float | None
     excluded: int
@@ -428,7 +428,7 @@ def _normal_diag(
     return CltDiagnostics(
         kind=kind,
         samples=samples,
-        ks_distance=gof.ks_distance(samples, normal_cdf) if len(samples) else math.nan,
+        ks_distance=gof.ks_distance(samples, normal_cdf) if len(samples) else None,
         coverage=coverage,
         coverage_level=level,
         excluded=int(reps - np.count_nonzero(included)),
@@ -459,10 +459,11 @@ def clt_check_mn(plan: ReplicationPlan, records: RepRecords) -> MeanCltDiagnosti
     s = clt_statistics(plan, records)
     aux = _proxy_aux(records.single)
     both = (s.u > 0.0) & (s.v > 0.0)
-    if np.count_nonzero(both) >= 2:
-        corr = float(np.corrcoef(s.t_gap[both], s.t_prop[both])[0, 1])
-    else:
-        corr = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = (float(np.corrcoef(s.t_gap[both], s.t_prop[both])[0, 1])
+                if np.count_nonzero(both) >= 2 else math.nan)
+    # None below 2 reps, or where either statistic has no spread
+    corr = corr if math.isfinite(corr) else None
     return MeanCltDiagnostics(
         gap=_normal_diag("gap", s.t_gap, s.u, plan, {}),
         proportion=_normal_diag("proportion", s.t_prop, s.v, plan, aux, s.gap_zp),
@@ -653,14 +654,16 @@ def mtest_rejection(
 
 def walk_problems(start: int, high: int, reps: int = 1) -> list[str]:
     """The ``"key: message"`` problems of ``reps`` walks between absorbing
-    barriers: integers with 2 <= start <= high - 1, so high >= 3, and a
-    count ``reps``."""
+    barriers: integers with 2 <= start <= high - 1, so high >= 3, and
+    high <= 2**63 - 1, the walk's int64 state; and a count ``reps``."""
     problems = [f"{key}: must be an integer, got {v!r}"
                 for key, v in (("start", start), ("high", high)) if not _is_int(v)]
     if not problems and not 2 <= start <= high - 1:
         problems.append(
             f"start: must satisfy 2 <= start <= high - 1, got start={start}, high={high}"
         )
+    if _is_int(high) and high >= 2**63:
+        problems.append(f"high: must be at most 2**63 - 1 (the walk's int64 state), got {high}")
     return problems + count_problems(reps=reps)
 
 

@@ -132,6 +132,13 @@ def count_problems(**counts) -> list[str]:
             for key, v in counts.items() if not _is_int(v) or v < 1]
 
 
+def _past_float(**ints) -> list[str]:
+    """The ``"key: message"`` problems of integers too large for a float,
+    which a law's float64 support or a uniform's scaling would overflow."""
+    return [f"{key}: integer is too large for a float"
+            for key, v in ints.items() if _is_int(v) and abs(v) > sys.float_info.max]
+
+
 def urn_problems(a, b, label) -> list[str]:
     """The ``"key: message"`` problems of an urn's own fields: the counts
     ``a`` and ``b``, and a nonempty string ``label``."""
@@ -162,8 +169,7 @@ class IntegerDistribution:
         elif len(set(self.values)) != len(self.values):
             problems.append("values: must be distinct")
         else:
-            problems += [f"values[{i}]: integer is too large for a float"
-                         for i, v in enumerate(self.values) if abs(v) > sys.float_info.max]
+            problems += _past_float(**{f"values[{i}]": v for i, v in enumerate(self.values)})
         if any(not math.isfinite(p) or p < 0.0 for p in self.probs):
             problems.append(f"probs: must be finite and nonnegative, got {self.probs}")
         elif self.probs and abs(math.fsum(self.probs) - 1.0) > 1e-9:
@@ -311,7 +317,7 @@ class IidUniform:
     stream_lag = 0
 
     def __post_init__(self):
-        _raise_problems(count_problems(high=self.high))
+        _raise_problems(count_problems(high=self.high) + _past_float(high=self.high))
 
     @property
     def bound(self) -> int:
@@ -424,7 +430,7 @@ class UniformReinforcement:
         problems = count_problems(low=self.low)
         if not _is_int(self.high) or (_is_int(self.low) and self.high < self.low):
             problems.append(f"high: must be an integer >= low, got {self.high!r}")
-        _raise_problems(problems)
+        _raise_problems(problems + _past_float(high=self.high))
 
     @property
     def bound(self) -> int:

@@ -1,9 +1,12 @@
 """Config parsing, table and report emission, exit codes."""
 
+import dataclasses
 import json
 import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,12 @@ from hrru import montecarlo as mc
 from hrru.cli import (
     _TABLE_BLOCK,
     KINDS,
+    SHAPES,
     ExperimentConfig,
+    Steps,
+    Walk,
+    _dataclass,
+    _keys,
     _plan_for,
     build_parser,
     config_to_json_dict,
@@ -53,8 +61,7 @@ def test_parse_minimal_simulate():
     assert cfg.kind == "simulate"
     assert cfg.urn is not None
     assert cfg.urn.a == 2 and cfg.urn.b == 3
-    assert cfg.n == 5 and cfg.seed == 1
-    assert cfg.reps == 1
+    assert cfg.plan == Steps(n=5, seed=1)
 
 
 def test_parse_collects_all_errors():
@@ -161,7 +168,7 @@ def test_stray_basis_is_rejected_and_a_read_basis_round_trips():
         parse_config(json.dumps(_clt_config("somewhere", basis="M")), kind="clt")
     cfg = parse_config(json.dumps(dict(_system_coverage_config("somewhere", {"A": 1}),
                                        basis="M")), kind="coverage")
-    assert cfg.basis == "M"
+    assert cfg.options.basis == "M"
     again = parse_config(json.dumps(config_to_json_dict(cfg)))
     assert again == cfg
 
@@ -169,8 +176,7 @@ def test_stray_basis_is_rejected_and_a_read_basis_round_trips():
 def test_parse_hitting():
     cfg = {"walk": {"start": 3, "high": 6, "reps": 100, "seed": 4}}
     parsed = parse_config(json.dumps(cfg), kind="hitting")
-    assert (parsed.walk_start, parsed.walk_high, parsed.walk_reps) == (3, 6, 100)
-    assert parsed.seed == 4
+    assert parsed.plan == Walk(start=3, high=6, reps=100, seed=4)
     bad = {"walk": {"start": 5, "high": 5, "reps": 10}}
     with pytest.raises(ConfigError, match="start <= high - 1"):
         parse_config(json.dumps(bad), kind="hitting")
@@ -677,10 +683,17 @@ def _huge_factor_value(out):
     return "mtest", cfg, "factors.reinforce.values[1]"
 
 
+def _huge_uniform_high(out):
+    # simulate checks no 2**53 plan bound: the scaling would overflow
+    cfg = dict(json.loads(json.dumps(MINIMAL_SIM)), outputs={"dir": str(out)})
+    cfg["urn"]["reinforce"]["high"] = HUGE
+    return "simulate", cfg, "urn.reinforce.high"
+
+
 @pytest.mark.parametrize("make", [_huge_level, _huge_coeff, _huge_draw_prob,
                                   _huge_reinforcement_prob, _huge_factor_prob,
                                   _huge_draw_value, _huge_reinforcement_value,
-                                  _huge_factor_value])
+                                  _huge_factor_value, _huge_uniform_high])
 def test_exit_code_2_on_integers_past_the_float_range(tmp_path, capsys, make):
     # float() raises OverflowError on such an integer; it is a
     # configuration problem at its key path, whether the CLI refuses it
@@ -781,6 +794,34 @@ def test_unknown_fields_are_reported_at_every_level(kind, make, path, where):
     assert ei.value.problems == [f"{where}: unknown field"]
 
 
+_URNS = {"urns": _system_coverage_config("x", {})["urns"]}
+
+
+@pytest.mark.parametrize("kind,make,key,problem", [
+    ("clt", lambda: dict(_clt_config("x"), **_URNS), "urns",
+     "clt experiments run on a single urn; use 'urn'"),
+    ("mtest", lambda: dict(_mtest_config(), urn=MINIMAL_SIM["urn"]), "urn",
+     "mtest experiments run on a multi-urn system; use 'urns'"),
+    ("coverage", lambda: dict(_clt_config("x"), factors=_mtest_config()["factors"]), "factors",
+     "applies to coverage on a multi-urn system only"),
+    ("coverage", lambda: dict(_system_coverage_config("x", {"A": 1}), urn=MINIMAL_SIM["urn"]),
+     "urn", "applies to coverage on a single urn only"),
+    ("limit-law", lambda: dict(_clt_config("x"), factors=_mtest_config()["factors"]), "factors",
+     "applies to coverage on a multi-urn system and mtest only"),
+    ("mtest", lambda: dict(_mtest_config(), basis="Z"), "basis",
+     "applies to coverage on a multi-urn system only"),
+    ("hitting", lambda: {"walk": {"start": 3, "high": 6, "reps": 10}, **_URNS}, "urns",
+     "unknown field"),
+], ids=["clt-urns", "mtest-urn", "coverage-factors", "coverage-urn", "limit-law-factors",
+        "mtest-basis", "hitting-urns"])
+def test_a_key_of_another_shape_is_refused_with_where_it_applies(kind, make, key, problem):
+    # The reason comes from the kinds' shapes (cli.SHAPES), not from a
+    # branch per kind.
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(make()), kind=kind)
+    assert f"{key}: {problem}" in ei.value.problems
+
+
 def test_typos_and_keys_of_other_kinds_exit_2(tmp_path, capsys):
     # A misspelled n_proxy would otherwise run with the default 50 n.
     cfg = _clt_config(tmp_path / "out")
@@ -843,6 +884,8 @@ KEYED_PROBLEMS = {
     "draw probs[1]": (*_clt_with(("urn", "draw"), {"policy": "discrete", "values": [1, 2],
                                                    "probs": [0.5, HUGE]}),
                       f"urn.draw.probs[1]: {_TOO_LARGE}"),
+    "iid-uniform high past the float range": (*_clt_with(("urn", "draw", "high"), HUGE),
+                                              f"urn.draw.high: {_TOO_LARGE}"),
     "factor values[1]": (*_mtest_with(("factors", "reinforce", "values"), [0, HUGE]),
                          f"factors.reinforce.values[1]: {_TOO_LARGE}"),
     "factor probs[1]": (*_mtest_with(("factors", "reinforce", "probs"), [0.5, HUGE]),
@@ -991,3 +1034,68 @@ def test_the_echo_writes_config_objects_in_field_order():
         "level": 0.05, "target": "A", "reference": ["B"],
         "outputs": {"table_format": "tsv"},
     })
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_CONSTANT_ONE = {"policy": "constant-one"}
+_UNIT = {"policy": "constant", "value": 1}
+# (config, the results that read null): a classical Polya urn, whose
+# every rep has a zero gap and mean variance estimate, and an urn with
+# almost no B balls, whose statistics have no spread.
+NULL_REPORTS = {
+    "polya": ({"urn": {"a": 1, "b": 100, "draw": _CONSTANT_ONE, "reinforce": _UNIT},
+               "plan": {"reps": 16, "n": 5, "n_proxy": 50, "seed": 1}},
+              ["gap.ks_distance", "mean.ks_distance"]),
+    "no spread": ({"urn": {"a": 2**52, "b": 3, "draw": {"policy": "iid-uniform", "high": 2},
+                           "reinforce": _UNIT},
+                   "plan": {"reps": 64, "n": 20, "n_proxy": 400, "seed": 1}},
+                  ["mean.ks_distance", "corr_gap_proportion"]),
+}
+
+
+@pytest.mark.parametrize("cfg,nulls", NULL_REPORTS.values(), ids=NULL_REPORTS.keys())
+def test_a_statistic_over_no_reps_reports_null_in_strict_json(tmp_path, cfg, nulls):
+    (tmp_path / "c.json").write_text(json.dumps(dict(cfg, outputs={"dir": str(tmp_path)})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["clt", "--config", str(tmp_path / "c.json"), "--workers", "1"]) == 0
+    results = json.loads((tmp_path / "report.json").read_text(), parse_constant=_refuse)["results"]
+    for name in nulls:
+        key, _, stat = name.partition(".")
+        assert (results[key][stat] if stat else results[key]) is None, name
+    assert results["proportion"]["ks_distance"] is not None
+
+
+@pytest.mark.parametrize("walk", [{"start": 2**63, "high": 2**63 + 1, "reps": 3},
+                                  {"start": 3, "high": 10**400, "reps": 3}],
+                         ids=["start", "high"])
+def test_exit_code_2_on_a_walk_past_int64(tmp_path, capsys, walk):
+    (tmp_path / "c.json").write_text(json.dumps({"walk": walk,
+                                                 "outputs": {"dir": str(tmp_path / "out")}}))
+    assert main(["hitting", "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert err[1:] == [f"  - walk.high: must be at most 2**63 - 1 (the walk's int64 state), "
+                       f"got {walk['high']}"]
+    assert not (tmp_path / "out").exists()
+    # the walk's int64 state holds the bound itself
+    at_bound = {"walk": {"start": 2**63 - 2, "high": 2**63 - 1, "reps": 3},
+                "outputs": {"dir": str(tmp_path / "out")}}
+    (tmp_path / "c.json").write_text(json.dumps(at_bound))
+    assert main(["hitting", "--config", str(tmp_path / "c.json")]) == 0
+
+
+def test_the_readme_schema_block_is_the_table():
+    # The README's config schema holds every key the kinds' sections read,
+    # and no other, at the top level and in plan, walk and outputs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    schema = json.loads(re.sub(r"//.*", "", block))
+    shapes = [shape for kind_shapes in SHAPES.values() for shape in kind_shapes]
+    assert set(schema) == {"kind", *(key for shape in shapes for key in _keys(shape))}
+    for key in ("plan", "walk", "outputs"):
+        assert set(schema[key]) == {f.name for shape in shapes for k, cls in shape.values()
+                                    if k == key for f in dataclasses.fields(_dataclass(cls))}

@@ -81,7 +81,7 @@ HORIZONS = (13, 120)
 def _parsed(config):
     kind = "simulate" if "urn" in config else "coverage"
     parsed = parse_config(json.dumps(config), kind)
-    return parsed.urn or parsed.system, parsed.seed
+    return parsed.urn or parsed.system, parsed.plan.seed
 
 
 def assert_trajectory(traj, cols):

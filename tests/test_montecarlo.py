@@ -689,6 +689,13 @@ def test_hitting_probability_check_small_case():
     assert abs(est.estimate - p) < 4 * se
 
 
+@pytest.mark.parametrize("start,high", [(2**63, 2**63 + 1), (3, 10**400)])
+def test_a_walk_past_int64_is_refused(start, high):
+    # The walk's state is int64: high is at most 2**63 - 1.
+    with pytest.raises(ParameterError, match=r"^high: must be at most 2\*\*63 - 1"):
+        mc.hitting_probability_check(start, high, 4, master_seed=1)
+
+
 def test_hitting_probability_respects_step_cap(monkeypatch):
     # a one-step cap leaves roughly half the walkers unabsorbed, and
     # those must be reported as cap hits, not dropped

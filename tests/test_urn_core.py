@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import contract_oracle as oracle
 from hrru import rng, urn_core
-from hrru.cli import ExperimentConfig, config_to_json_dict
+from hrru.cli import ExperimentConfig, MTest, Plan, Steps, config_to_json_dict
 from hrru.engine import run_chunk, sample_hypergeometric_batch, trajectory_snapshot
 from hrru.montecarlo import ReplicationPlan, hitting_probability_check, replicate
 from hrru.multi_urn import UrnSpec, UrnSystem, run_system
@@ -359,9 +359,10 @@ STEPS = 300
 def oracle_columns(config, seed, rep, steps):
     # The oracle's columns per urn label for a library urn or system.
     urn = isinstance(config, UrnConfig)
-    echo = config_to_json_dict(ExperimentConfig(
-        kind="simulate" if urn else "coverage", urn=config if urn else None,
-        system=None if urn else config, seed=seed))
+    echo = config_to_json_dict(
+        ExperimentConfig("simulate", urn=config, plan=Steps(n=1, seed=seed)) if urn else
+        ExperimentConfig("mtest", system=config, plan=Plan(reps=1, n=1, seed=seed),
+                         options=MTest(target="", reference=())))
     return oracle.trajectories(echo, rep, steps)
 
 
