@@ -41,9 +41,8 @@ _EXPORTS = {
     "urn_core": (
         "AbsorbingRandomWalk", "ConfigError", "ConstantOne", "ConstantReinforcement",
         "DeterministicSchedule", "DiscreteDraw", "DiscreteReinforcement", "IidUniform",
-        "IntegerDistribution", "ModelViolationError", "ParameterError", "StepRecord",
-        "Trajectory", "UniformReinforcement", "UrnConfig", "increment_identity_check",
-        "run_trajectory",
+        "IntegerDistribution", "ParameterError", "StepRecord", "Trajectory",
+        "UniformReinforcement", "UrnConfig", "increment_identity_check", "run_trajectory",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,9 +20,12 @@ them against the standard normal law:
     T_gap  = sqrt(n) (M_n - Z_n)     / sqrt(U_n)
     T_mean = sqrt(n) (M_n - Z_proxy) / sqrt(W_n)
 
-``Z_proxy``, the proportion at the far horizon, stands in for the
-almost-sure limit; ``n_proxy >= 10 n`` keeps the resulting variance
-distortion within the acceptance tolerances.
+``Z_proxy``, the proportion at the far horizon m = ``n_proxy``, stands
+in for the almost-sure limit.  Z_n is a martingale, so T_prop's variance
+is about 1 - n/m: it understates the variance by at most 10% at the
+floor m = 10 n and by 2% at the 50 n default, which the CLT acceptance
+fixtures use.  At 10 n with 8000 reps of the reference urn, its KS
+distance read 0.017 against a 5% threshold of 0.0152.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from . import engine, gof, rng
 from .estimators import half_width, normal_cdf, normal_quantile, variance_terms
 from .multi_urn import UrnSystem, combination_problems, level_problems, mtest_problems
 from .urn_core import (
+    _EXACT_LIMIT,
     ConstantReinforcement,
     DiscreteReinforcement,
     ParameterError,
@@ -655,15 +659,16 @@ def mtest_rejection(
 def walk_problems(start: int, high: int, reps: int = 1) -> list[str]:
     """The ``"key: message"`` problems of ``reps`` walks between absorbing
     barriers: integers with 2 <= start <= high - 1, so high >= 3, and
-    high <= 2**63 - 1, the walk's int64 state; and a count ``reps``."""
+    high <= 2**53, within which the walk's float64 state moves exactly;
+    and a count ``reps``."""
     problems = [f"{key}: must be an integer, got {v!r}"
                 for key, v in (("start", start), ("high", high)) if not _is_int(v)]
     if not problems and not 2 <= start <= high - 1:
         problems.append(
             f"start: must satisfy 2 <= start <= high - 1, got start={start}, high={high}"
         )
-    if _is_int(high) and high >= 2**63:
-        problems.append(f"high: must be at most 2**63 - 1 (the walk's int64 state), got {high}")
+    if _is_int(high) and high > _EXACT_LIMIT:
+        problems.append(f"high: must be at most 2**53 (the walk's float64 state), got {high}")
     return problems + count_problems(reps=reps)
 
 
@@ -706,7 +711,7 @@ def hitting_probability_check(
     reps_arr = np.arange(reps, dtype=np.uint64)
     rkeys = rng.rep_keys_vec(_master_seed(master_seed), reps_arr)
     keys = rng.derive_keys_each(rkeys, "walk")
-    w = np.full(reps, start, dtype=np.int64)
+    w = np.full(reps, start, dtype=np.float64)
     t = 1
     while t <= _WALK_STEP_CAP and np.any((w > 1) & (w < high)):
         w = walk_move(w, rng.units_vec(keys, t - 1), high)

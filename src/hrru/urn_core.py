@@ -148,10 +148,6 @@ def urn_problems(a, b, label) -> list[str]:
     return problems
 
 
-class ModelViolationError(RuntimeError):
-    """A policy emitted a value the urn dynamics cannot accept."""
-
-
 @dataclass(frozen=True)
 class IntegerDistribution:
     """Finite distribution on integers, sampled by inverse CDF."""
@@ -503,19 +499,6 @@ def _chain(units, total: int, marked: int) -> int:
     return marked - h_rem
 
 
-def _check_step(t: int, S: int, n_draw: int, r) -> None:
-    # A step's emissions the urn can take: a draw in [1, S], a
-    # reinforcement that is an integer >= 1, and a total within capacity.
-    if not (1 <= n_draw <= S):
-        raise ModelViolationError(
-            f"draw size {n_draw} at step {t} is outside [1, {S}]"
-        )
-    if not _is_int(r) or r < 1:
-        raise ModelViolationError(f"reinforcement {r!r} at step {t} is not an integer >= 1")
-    if S + r * n_draw > CAPACITY_LIMIT:
-        raise OverflowError(f"ball count {S + r * n_draw} exceeds the supported capacity 2**62")
-
-
 def increment_identity_check(record: StepRecord, h_before: int, s_before: int) -> bool:
     """Exact integer form of the one-step proportion increment.
 
@@ -533,7 +516,12 @@ def increment_identity_check(record: StepRecord, h_before: int, s_before: int) -
 
 @dataclass(frozen=True)
 class UrnConfig:
-    """One urn: initial counts plus the two policies."""
+    """One urn: initial counts plus the two policies.
+
+    Each policy must be of a class on its JSON menu, whose emissions
+    are integers >= 1 within its ``bound``; with ``bound <= a + b`` every
+    step exists (1 <= N_t <= S_{t-1}, R_t >= 1), so no path re-checks one.
+    """
 
     a: int
     b: int
@@ -543,7 +531,13 @@ class UrnConfig:
     reinforce: ReinforcementPolicy
 
     def __post_init__(self):
-        problems = urn_problems(self.a, self.b, self.label)
+        problems = urn_problems(self.a, self.b, self.label) + [
+            f"{key}: must be a policy on the JSON menu ({', '.join(menu)}), "
+            f"got a {type(policy).__name__}"
+            for key, policy, menu in (("draw", self.draw, DRAW_POLICIES),
+                                      ("reinforce", self.reinforce, REINFORCEMENT_POLICIES))
+            if type(policy) not in menu.values()
+        ]
         if not problems and self.draw.bound > self.a + self.b:
             problems.append(
                 f"draw-size bound {self.draw.bound} exceeds a + b = {self.a + self.b}; "
@@ -687,7 +681,8 @@ def _windows(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key
     # (t0, N, X, R) for windows of at most _WINDOW_READS // stride steps.
     # A window emits its draw sizes and reinforcements before any ball
     # is drawn, reads exactly the extraction counters its draws use, and
-    # then runs the chain and the integer update step by step.
+    # then runs the chain and the integer update step by step, whose one
+    # check is the capacity: the config proves every step exists.
     draw, reinforce = cfg.draw, cfg.reinforce
     batch_draws = draw.iid_draws and draw.bound <= _EXACT_LIMIT
     batch_reinforce = reinforce.bound <= _EXACT_LIMIT
@@ -702,10 +697,9 @@ def _windows(cfg: UrnConfig, stride: int, steps: int, draw_key: int, extract_key
         units = _extraction_units(extract_key, stride, t0, ns)
         xs = []
         first = 0
-        for t, n, r in zip(range(t0, t1), ns, rs):
-            if not (1 <= n <= s and type(r) is int and r >= 1
-                    and s + r * n <= CAPACITY_LIMIT):
-                _check_step(t, s, n, r)  # raises the first check that fails
+        for n, r in zip(ns, rs):
+            if s + r * n > CAPACITY_LIMIT:
+                raise OverflowError(f"ball count {s + r * n} exceeds the supported capacity 2**62")
             x = _chain(units[first:first + n], s, h)
             first += n
             h += r * x
@@ -740,12 +734,10 @@ def _emissions(emit, lag, key: int, t0: int, t1: int, prev, batch: bool) -> list
 def _extraction_units(key: int, stride: int, t0: int, ns: list[int]) -> memoryview:
     # The uniforms balls i < N_t of steps t0, t0 + 1, ... read, in step
     # order: counters t * stride + i, in uint64 arithmetic that wraps as
-    # the generator's state does.  Negative draws read nothing (the
-    # step check rejects them).
-    counts = np.maximum(ns, 0)
-    ends = np.cumsum(counts)
+    # the generator's state does.
+    ends = np.cumsum(ns)
     starts = np.arange(t0, t0 + len(ns), dtype=np.uint64) * np.uint64(stride)
-    starts -= (ends - counts).astype(np.uint64)
-    counters = np.repeat(starts, counts)
+    starts -= (ends - ns).astype(np.uint64)
+    counters = np.repeat(starts, ns)
     counters += np.arange(ends[-1], dtype=np.uint64)
     return memoryview(units_vec(np.uint64(key), counters))

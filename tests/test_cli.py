@@ -1069,20 +1069,22 @@ def test_a_statistic_over_no_reps_reports_null_in_strict_json(tmp_path, cfg, nul
     assert results["proportion"]["ks_distance"] is not None
 
 
-@pytest.mark.parametrize("walk", [{"start": 2**63, "high": 2**63 + 1, "reps": 3},
+@pytest.mark.parametrize("walk", [{"start": 2**53 + 2, "high": 2**53 + 6, "reps": 3},
+                                  {"start": 2**63, "high": 2**63 + 1, "reps": 3},
                                   {"start": 3, "high": 10**400, "reps": 3}],
-                         ids=["start", "high"])
+                         ids=["past-2**53", "start", "high"])
 def test_exit_code_2_on_a_walk_past_int64(tmp_path, capsys, walk):
+    # past int64, and past 2**53, where the walk's float64 moves round
     (tmp_path / "c.json").write_text(json.dumps({"walk": walk,
                                                  "outputs": {"dir": str(tmp_path / "out")}}))
     assert main(["hitting", "--config", str(tmp_path / "c.json")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "configuration errors:"
-    assert err[1:] == [f"  - walk.high: must be at most 2**63 - 1 (the walk's int64 state), "
+    assert err[1:] == [f"  - walk.high: must be at most 2**53 (the walk's float64 state), "
                        f"got {walk['high']}"]
     assert not (tmp_path / "out").exists()
-    # the walk's int64 state holds the bound itself
-    at_bound = {"walk": {"start": 2**63 - 2, "high": 2**63 - 1, "reps": 3},
+    # the walk's float64 state moves exactly up to the bound itself
+    at_bound = {"walk": {"start": 2**53 - 2, "high": 2**53, "reps": 3},
                 "outputs": {"dir": str(tmp_path / "out")}}
     (tmp_path / "c.json").write_text(json.dumps(at_bound))
     assert main(["hitting", "--config", str(tmp_path / "c.json")]) == 0

@@ -1,8 +1,9 @@
 """No dead code: every module-level import is used, every private
 module-level function or class is referenced somewhere, every export
 in the package's table is defined where the table says and is in
-``__all__``, no JSON policy grows a second way to emit, and no policy
-lives outside the JSON menus.  And no live code goes missing: every
+``__all__``, no JSON policy grows a second way to emit, no policy
+lives outside the JSON menus, and every exception class the package
+defines is raised somewhere in it.  And no live code goes missing: every
 name the benchmark in ``perfbench/`` reads from the package still
 exists, since its tracer skips a target it cannot find instead of
 failing.  The contract oracle stays clean-room: it imports neither
@@ -13,6 +14,7 @@ policy type unions, and the export check, which reads ``hrru.__all__``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 from typing import get_args
 
@@ -133,6 +135,30 @@ def policy_problems() -> list[str]:
     return found
 
 
+def _name(node: ast.expr) -> str | None:
+    # The name a ``Name`` or an ``Attribute`` ends in.
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def unraised_exceptions() -> list[str]:
+    # Every class deriving, directly or through another such class, from
+    # a builtin exception, against the names every ``raise`` in the
+    # package raises (``raise X`` or ``raise X(...)``).
+    trees = [(path.stem, _tree(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    classes = {(stem, node.name): {_name(b) for b in node.bases}
+               for stem, tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    for _ in classes:  # one pass per class reaches every depth
+        errors |= {name for (_, name), bases in classes.items() if bases & errors}
+    raised = {_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for _, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    return [f"{stem}.{name}" for stem, name in classes
+            if name in errors and name not in raised]
+
+
 def _package_names(module: str) -> set[str] | None:
     # The top-level names of hrru.<module> ("" is the package), or None
     # when there is no such module.
@@ -221,6 +247,10 @@ def test_every_policy_is_on_a_json_menu():
 
     assert set(get_args(DrawSizePolicy)) == set(DRAW_POLICIES.values())
     assert set(get_args(ReinforcementPolicy)) == set(REINFORCEMENT_POLICIES.values())
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions() == []
 
 
 def test_perfbench_reads_only_names_that_exist():

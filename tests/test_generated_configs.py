@@ -1,10 +1,12 @@
 """Generated configs against the validator: no config ends in a traceback.
 
 Each kind's valid config is built from ``cli.SHAPES``, one valid object
-per section dataclass; a generated config replaces one of its leaves or
-sections with an edge value.  ``parse_config`` must return or raise
-``ConfigError``, and a small accepted config must run through
+per section dataclass; a generated config replaces one to three of its
+leaves or sections with edge values.  ``parse_config`` must return or
+raise ``ConfigError``, and a small accepted config must run through
 ``cli.main`` to exit 0 or 2, leaving no output directory on 2.
+``parse_config`` must refuse every valid config with a key added to any
+of its objects, naming the key, or with a label repeated.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -84,15 +87,24 @@ def _paths(obj, prefix=()):
             yield from _paths(v, prefix + (k,))
 
 
+def _at(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def _key_path(path) -> str:
+    # a path as the CLI reports it: urns[0].label
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
 @st.composite
 def mutated_configs(draw):
     kind = draw(st.sampled_from(cli.KINDS))
     cfg = copy.deepcopy(draw(st.sampled_from([c for k, c in VALID if k == kind])))
-    path = draw(st.sampled_from(list(_paths(cfg))))
-    obj = cfg
-    for step in path[:-1]:
-        obj = obj[step]
-    obj[path[-1]] = copy.deepcopy(draw(st.sampled_from(EDGES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        _at(cfg, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(EDGES)))
     return kind, cfg
 
 
@@ -147,3 +159,35 @@ def test_generated_configs_exit_0_or_2(kind_cfg):
         parsed = None
     if parsed is None or _small(parsed):
         _exit_code(kind, text, parsed)
+
+
+def _refused(kind: str, cfg) -> list[str]:
+    # the problems parse_config lists for cfg, which it must refuse
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(json.dumps(cfg), kind)
+    return info.value.problems
+
+
+def test_a_key_no_section_reads_is_refused_at_its_path():
+    # at the top level and in every object; coeffs' keys are urn labels
+    for kind, valid in VALID:
+        for path in [()] + [p for p in _paths(valid) if isinstance(_at(valid, p), dict)]:
+            cfg = copy.deepcopy(valid)
+            _at(cfg, path)["zz_unknown"] = 1
+            named = ("coeffs: no urn labeled 'zz_unknown'" if path == ("coeffs",)
+                     else f"{_key_path(path + ('zz_unknown',))}: unknown field")
+            assert any(p.startswith(named) for p in _refused(kind, cfg)), (kind, path)
+
+
+def test_a_repeated_label_is_refused():
+    # a system's second urn under the first's label; mtest's target in
+    # its reference set
+    for kind, valid in VALID:
+        if "urns" in valid:
+            cfg = copy.deepcopy(valid)
+            cfg["urns"][1]["label"] = cfg["urns"][0]["label"]
+            _refused(kind, cfg)
+        if "target" in valid:
+            cfg = copy.deepcopy(valid)
+            cfg["reference"] = [*cfg["reference"], cfg["target"]]
+            _refused(kind, cfg)

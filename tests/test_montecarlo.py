@@ -689,10 +689,12 @@ def test_hitting_probability_check_small_case():
     assert abs(est.estimate - p) < 4 * se
 
 
-@pytest.mark.parametrize("start,high", [(2**63, 2**63 + 1), (3, 10**400)])
+@pytest.mark.parametrize("start,high", [(2**53 + 2, 2**53 + 6), (2**63, 2**63 + 1),
+                                        (3, 10**400)])
 def test_a_walk_past_int64_is_refused(start, high):
-    # The walk's state is int64: high is at most 2**63 - 1.
-    with pytest.raises(ParameterError, match=r"^high: must be at most 2\*\*63 - 1"):
+    # The walk's state is float64, whose +/-1 moves are exact up to 2**53,
+    # so a walk past int64 or past 2**53 alone is refused.
+    with pytest.raises(ParameterError, match=r"^high: must be at most 2\*\*53 \(the walk's"):
         mc.hitting_probability_check(start, high, 4, master_seed=1)
 
 

@@ -28,7 +28,6 @@ from hrru.urn_core import (
     DiscreteReinforcement,
     IidUniform,
     IntegerDistribution,
-    ModelViolationError,
     ParameterError,
     UniformReinforcement,
     UrnConfig,
@@ -309,12 +308,6 @@ def test_step_updates_both_colors():
     assert increment_identity_check(rec, 3, 7)
 
 
-def test_step_rejects_oversized_draw():
-    # the builder's own guard, behind the config's k <= a + b check
-    with pytest.raises(ModelViolationError, match="outside \\[1, 2\\]"):
-        urn_core._check_step(0, 2, 3, 1)
-
-
 def test_run_trajectory_shapes_and_echo():
     cfg = _basic_config()
     traj = run_trajectory(cfg, 25, 7)
@@ -441,6 +434,33 @@ def test_config_error_collects_all_problems():
 def test_config_rejects_draw_bound_above_capacity():
     with pytest.raises(ConfigError, match="k <= a \\+ b"):
         UrnConfig(a=1, b=1, draw=IidUniform(3), reinforce=ConstantReinforcement(1))
+
+
+class _ZeroDraw:
+    # Off the draw menu: a bound within a + b, and a draw size of 0.
+    bound = 2
+    stream_lag = None
+
+    def emit_vec(self, t, u, n_prev):
+        return 0
+
+
+class _ZeroReinforcement(ConstantReinforcement):
+    # A subclass is off the menu too: it can override the menu's rule.
+    def emit_vec(self, t, u):
+        return 0
+
+
+def test_config_refuses_a_policy_off_the_json_menu():
+    # The config proves every step exists, so neither path re-checks one.
+    with pytest.raises(ConfigError) as ei:
+        UrnConfig(a=3, b=3, draw=_ZeroDraw(), reinforce=_ZeroReinforcement(1))
+    assert [p.split(":")[0] for p in ei.value.problems] == ["draw", "reinforce"]
+    assert "constant-one, schedule, iid-uniform" in ei.value.problems[0]
+    assert "constant, uniform-range, discrete" in ei.value.problems[1]
+    # refused before its bound is read
+    with pytest.raises(ConfigError, match="^draw: must be a policy on the JSON menu"):
+        UrnConfig(a=3, b=3, draw=object(), reinforce=ConstantReinforcement(1))
 
 
 _URN = UrnConfig(a=3, b=3, draw=IidUniform(2), reinforce=ConstantReinforcement(2))
