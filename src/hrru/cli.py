@@ -24,6 +24,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
@@ -394,15 +395,45 @@ def _parse_fields(col: _Collector, cls, obj, path: str, extra: tuple[str, ...] =
         return None
 
 
+class _Object(dict):
+    """A JSON object, and the keys its text repeats (of which ``json``
+    keeps the last value)."""
+
+    repeated: tuple[str, ...] = ()
+
+
+def _object(pairs: list) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        obj.repeated = tuple(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+    return obj
+
+
+def _repeated_keys(col: _Collector, raw) -> None:
+    """Report each key an object of ``raw`` repeats, at its key path, an
+    object's before those of the objects it holds; iterative, as the
+    nesting may be deep."""
+    todo = [("", raw)]
+    while todo:
+        path, v = todo.pop()
+        if isinstance(v, dict):
+            for key in v.repeated:
+                col.add(col.at(path, key), "repeated key; an object names each key once")
+            todo += reversed([(col.at(path, k), x) for k, x in v.items()])
+        elif isinstance(v, list):
+            todo += reversed([(f"{path}[{i}]", x) for i, x in enumerate(v)])
+
+
 def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
-    Collects every validation problem before failing; syntax errors
-    carry line and column.  ``kind`` (from the subcommand) fills in or
-    cross-checks the config's own "kind" field.
+    Collects every validation problem before failing, a key an object
+    repeats among them; syntax errors carry line and column.  ``kind``
+    (from the subcommand) fills in or cross-checks the config's own
+    "kind" field.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"syntax: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
@@ -412,6 +443,7 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: must be a JSON object"])
     col = _Collector()
+    _repeated_keys(col, raw)
 
     given = raw.get("kind")
     if given is None and kind is None:
@@ -534,11 +566,16 @@ def _write_atomic(path: Path, write) -> None:
 
 
 def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
-    p = cfg.plan
-    # mtest reads n alone: n_proxy is validated and echoed, never simulated.
+    p, opt = cfg.plan, cfg.options
+    # mtest reads n and the target urn alone: n_proxy is validated and
+    # echoed, never simulated, and the references enter through their
+    # mean reinforcement.  A combination simulates the urns it weighs.
+    # Options that failed validation are None: every urn, for the 2**53 rule.
+    labels = ((opt.target,) if isinstance(opt, MTest)
+              else tuple(opt.coeffs) if isinstance(opt, Combination) else None)
     return _lib("montecarlo").ReplicationPlan(
         cfg.urn if cfg.urn is not None else cfg.system, p.reps, p.n, p.n_proxy, p.seed,
-        (p.n,) if cfg.kind == "mtest" else None)
+        (p.n,) if cfg.kind == "mtest" else None, labels)
 
 
 def _diag_to_dict(d: CltDiagnostics) -> dict:

@@ -10,8 +10,11 @@ worker counts, and execution order.
 
 A single urn and a multi-urn system take the same path: both are a
 list of one-urn slots (``config.lockstep``), each naming the key paths
-of the three streams it reads, plus the shared extraction stride.  The
-scalar path (``urn_core.lockstep_trajectories``) reads the same paths,
+of the three streams it reads, plus the shared extraction stride.  A
+chunk simulates the slots its ``labels`` name (``check_labels``: every
+urn by default) at the config's stride, each on its own streams, so an
+urn's snapshots are the same bits whichever other urns run beside it.
+The scalar path (``urn_core.lockstep_trajectories``) reads the same paths,
 so neither spells a path of its own.  Each policy emits through its
 own ``emit_vec``, once per distinct (policy, stream) pair and step, so
 a shared factor is drawn once for all urns.
@@ -108,6 +111,26 @@ def check_int64_range(config: UrnConfig | UrnSystem, steps: int) -> None:
         )
 
 
+def check_labels(config: UrnConfig | UrnSystem, labels=None) -> tuple[str, ...]:
+    """The urns of ``config`` that ``labels`` names, in the config's urn
+    order: every urn when None, else a tuple or list naming at least one
+    urn, each once; otherwise a ``ParameterError`` keyed ``labels``."""
+    every = tuple(slot.config.label for slot in config.lockstep[0])
+    if labels is None:
+        return every
+    labs = list(labels) if isinstance(labels, (tuple, list)) else []
+    if not (labs and all(isinstance(lab, str) for lab in labs)):
+        problems = [f"labels: must be a nonempty tuple of urn labels, got {labels!r}"]
+    else:
+        problems = ([] if len(set(labs)) == len(labs)
+                    else [f"labels: must be distinct, got {tuple(labs)}"])
+        problems += [f"labels: no urn labeled {lab!r}; labels are {every}"
+                     for lab in labs if lab not in every]
+    if problems:
+        raise ParameterError(problems)
+    return tuple(lab for lab in every if lab in labs)
+
+
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
                scratch: np.ndarray) -> None:
     # Classic compensated add, elementwise and in place: x is consumed
@@ -175,11 +198,14 @@ class _Layout:
     ``ex0 + j * len(urns) + u`` is ball ``j`` of urn ``u``.  ``draws``
     and ``reinfs`` hold one (policy, stream, row) emission per distinct
     (policy, stream) pair, and ``draw_of``/``reinf_of`` map each urn to
-    the emission it reads.
+    the emission it reads.  Only the slots ``labels`` names are laid
+    out (all when None), at the config's stride.
     """
 
-    def __init__(self, config: UrnConfig | UrnSystem):
+    def __init__(self, config: UrnConfig | UrnSystem, labels: tuple[str, ...] | None = None):
         slots, self.stride = config.lockstep
+        if labels is not None:
+            slots = [slot for slot in slots if slot.config.label in labels]
         self.urns = [slot.config for slot in slots]
         self.rows: list[tuple[tuple[str, ...], int, int]] = []
         self.draws: list = []
@@ -242,11 +268,12 @@ _REINF_ROWS = 2
 WORKSPACE_BUDGET = 8 << 20
 
 
-def lane_cap(config: UrnConfig | UrnSystem, horizons: int) -> int:
+def lane_cap(config: UrnConfig | UrnSystem, horizons: int,
+             labels: tuple[str, ...] | None = None) -> int:
     """The most lanes (at least 1) whose ``run_chunk`` arrays, with
-    ``horizons`` snapshots, fit ``WORKSPACE_BUDGET``; wide draw strides
-    get fewer lanes."""
-    return max(1, WORKSPACE_BUDGET // _Layout(config).lane_bytes(horizons))
+    ``horizons`` snapshots of the urns ``labels`` names (all when None),
+    fit ``WORKSPACE_BUDGET``; wide draw strides get fewer lanes."""
+    return max(1, WORKSPACE_BUDGET // _Layout(config, labels).lane_bytes(horizons))
 
 
 def _per_urn(values: list, index: list[int], rows: np.ndarray | None, written: list):
@@ -322,27 +349,31 @@ def run_chunk(
     rep_lo: int,
     rep_hi: int,
     horizons: tuple[int, ...],
+    *,
+    labels: tuple[str, ...] | None = None,
 ) -> dict[str, list[dict[str, np.ndarray]]]:
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
-    Returns {label: [snapshot dict per horizon]}; horizons pass
+    Returns {label: [snapshot dict per horizon]} for the urns ``labels``
+    names (``check_labels``; every urn by default); horizons pass
     ``check_horizons``.  The range holds the replication indices the
     key tree reads as 64-bit words: integers, numpy's included but no
     bool, with 0 <= rep_lo < rep_hi <= 2**64, and at most ``lane_cap``
-    of them.
+    of them.  The 2**53 bound covers every urn of the config.
     """
     if not (_is_integer(rep_lo) and _is_integer(rep_hi) and 0 <= rep_lo < rep_hi <= 1 << 64):
         raise ParameterError(f"replication range must be integers with "
                              f"0 <= rep_lo < rep_hi <= 2**64, got [{rep_lo!r}, {rep_hi!r})")
     rep_lo, rep_hi = int(rep_lo), int(rep_hi)
     horizons = check_horizons(horizons)
+    labels = check_labels(config, labels)
     check_int64_range(config, horizons[-1])
-    lanes, cap = rep_hi - rep_lo, lane_cap(config, len(horizons))
+    lanes, cap = rep_hi - rep_lo, lane_cap(config, len(horizons), labels)
     if lanes > cap:
         raise ParameterError(f"a chunk of {lanes} lanes exceeds lane_cap = {cap} "
                              f"for horizons {horizons}")
 
-    layout = _Layout(config)
+    layout = _Layout(config, labels)
     urns, rows, draws, reinfs = layout.urns, layout.rows, layout.draws, layout.reinfs
     key_matrix = _row_keys(master_seed, rep_lo, rep_hi, rows)
     slope = np.array([(m * rng.GOLDEN) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)

@@ -2,15 +2,22 @@
 
 A ReplicationPlan names a configuration, a replication count, an
 evaluation horizon ``n``, a long proxy horizon ``n_proxy``, a master
-seed and the horizons it simulates and records, ``(n, proxy)`` unless
-named.  Replication ``r`` is a pure function of
-(master_seed, r): the engine derives every stream from that pair, so
-results are bit-identical whatever the chunking, worker count, or
-execution order.  ``replicate`` picks the chunks: one equal share of
+seed, the horizons it simulates and records, ``(n, proxy)`` unless
+named, and the urns it simulates and records, every urn unless named.
+Replication ``r`` is a pure function of
+(master_seed, r): the engine derives every stream from that pair, and
+each urn reads its own extraction stream, so results are bit-identical
+whatever the chunking, worker count, execution order or the other urns
+simulated.  ``replicate`` picks the chunks: one equal share of
 the reps per worker (fewer for a plan too small to pay for a worker),
 split further only where a share's arrays would exceed the engine's
 budget (``engine.lane_cap``).  Chunk outputs are reassembled in index
 order.
+
+The mean-reinforcement test reads the target urn's records alone: every
+urn of a system reinforces by its own base plus the common factor, so a
+reference urn's mean reinforcement is the target's shifted by the
+difference of their bases, and ``hrru mtest`` simulates the target only.
 
 The diagnostics take the records of one ``replicate`` call, standardize
 per-rep statistics with each rep's own plug-in variance and compare
@@ -79,7 +86,9 @@ class ReplicationPlan:
 
     ``horizons`` (``check_horizons``, holding ``n``; by default
     ``(n, proxy_horizon)``) are where every rep is recorded; the engine
-    runs to the last, where the 2**53 bound is checked."""
+    runs to the last, where the 2**53 bound is checked for every urn.
+    ``labels`` (``engine.check_labels``, in the config's urn order; by
+    default every urn) are the urns simulated and recorded."""
 
     config: UrnConfig | UrnSystem
     reps: int
@@ -87,6 +96,7 @@ class ReplicationPlan:
     n_proxy: int | None = None
     master_seed: int = 0
     horizons: tuple[int, ...] | None = None
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         _raise_problems(plan_problems(self.reps, self.n, self.n_proxy))
@@ -96,15 +106,12 @@ class ReplicationPlan:
         if self.n not in horizons:
             raise ParameterError(f"horizons must hold n = {self.n}, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "labels", engine.check_labels(self.config, self.labels))
         engine.check_int64_range(self.config, horizons[-1])
 
     @property
     def proxy_horizon(self) -> int:
         return self.n_proxy if self.n_proxy is not None else DEFAULT_PROXY_FACTOR * self.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(slot.config.label for slot in self.config.lockstep[0])
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,14 @@ def combination(coeffs: dict[str, float], blocks: dict[str, HorizonBlock], basis
     return center, variance
 
 
-def mean_reinforcement(target: HorizonBlock, reference: list[HorizonBlock], level: float):
+def mean_reinforcement(target: HorizonBlock, reference: list[np.ndarray], level: float):
     """Each rep's mean-reinforcement statistic, whether it applies
     (U_n > 0) and whether it rejects at ``level``:
     ``sqrt(ref m_n / m_n) sqrt(n) |M_n - Z_n| / sqrt(U_n)`` against
-    ``z_{1 - level/2}``, with ref m_n the reference urns' mean of m_n."""
+    ``z_{1 - level/2}``, with ref m_n the mean of the reference urns'
+    m_n arrays ``reference``, added in their order."""
     _, _, u_n = target.variances()
-    ref_mean = sum(blk.reinf_mean for blk in reference) / len(reference)
+    ref_mean = sum(reference) / len(reference)
     applicable = u_n > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = (
@@ -245,11 +253,11 @@ def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
     """The plan's reps as contiguous ranges of sizes differing by at most one.
 
     Up to ``workers`` equal shares (no more than the plan has
-    ``_SHARE_LANE_STEPS`` lane-steps to its last horizon), each split
+    ``_SHARE_LANE_STEPS`` lane-steps of its urns to its last horizon), each split
     into as few chunks as keep every chunk, with one snapshot per
     horizon, within ``engine.lane_cap`` lanes.
     """
-    cap = engine.lane_cap(plan.config, len(plan.horizons))
+    cap = engine.lane_cap(plan.config, len(plan.horizons), plan.labels)
     lane_steps = plan.reps * plan.horizons[-1] * len(plan.labels)
     shares = max(1, min(workers, lane_steps // _SHARE_LANE_STEPS))
     chunks = min(shares * -(-plan.reps // (shares * cap)), plan.reps)
@@ -257,8 +265,8 @@ def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_one_chunk(args):
-    config, master_seed, lo, hi, horizons = args
-    return engine.run_chunk(config, master_seed, lo, hi, horizons)
+    config, master_seed, lo, hi, horizons, labels = args
+    return engine.run_chunk(config, master_seed, lo, hi, horizons, labels=labels)
 
 
 # The cgroup file system: v2 keeps the CPU quota in cpu.max, v1 in
@@ -300,8 +308,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     """Run every replication of the plan; output is worker-independent.
 
     This is the one place a plan is simulated: every diagnostic below
-    takes the records it returns, one block per urn and horizon of
-    ``plan.horizons``.  The chunks (``_chunk_bounds``, the only
+    takes the records it returns, one block per urn of ``plan.labels``
+    and horizon of ``plan.horizons``.  The chunks (``_chunk_bounds``, the only
     chunking) run on ``min(workers, chunks, usable CPUs)`` processes, with
     ``workers`` defaulting to the usable CPUs.  A plan gets no more
     shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one
@@ -316,7 +324,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     nworkers = int(workers)
     bounds = _chunk_bounds(plan, min(nworkers, usable))
-    tasks = [(plan.config, plan.master_seed, lo, hi, plan.horizons) for lo, hi in bounds]
+    tasks = [(plan.config, plan.master_seed, lo, hi, plan.horizons, plan.labels)
+             for lo, hi in bounds]
     nworkers = min(nworkers, len(tasks), usable)
     if nworkers == 1:
         chunk_results = [_run_one_chunk(t) for t in tasks]
@@ -640,12 +649,25 @@ def mtest_rejection(
     level: float,
     records: RepRecords,
 ) -> MTestFrequency:
-    """Rejection frequency of the mean-reinforcement test over reps."""
+    """Rejection frequency of the mean-reinforcement test over reps.
+
+    The records need hold the target urn alone: each reference urn's
+    mean reinforcement is the target's plus the difference of their
+    ``reinforce_base``, as every urn of a system adds the same common
+    factor to its base."""
     _check_plan(plan, records)
     refs = tuple(reference)
-    _raise_problems(level_problems(level) + mtest_problems(target, refs, tuple(records.urns)))
+    every = engine.check_labels(plan.config)
+    problems = level_problems(level) + mtest_problems(target, refs, every)
+    if not problems and target not in plan.labels:
+        problems.append(f"target: the plan does not simulate urn {target!r}; "
+                        f"it simulates {plan.labels}")
+    _raise_problems(problems)
+    blk = records.urns[target].at_n
+    base = plan.config.urn(target).reinforce_base
     _, applicable, reject = mean_reinforcement(
-        records.urns[target].at_n, [records.urns[lab].at_n for lab in refs], level)
+        blk, [blk.reinf_mean + (plan.config.urn(lab).reinforce_base - base) for lab in refs],
+        level)
     return MTestFrequency(
         target=target,
         reference=refs,

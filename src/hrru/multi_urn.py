@@ -378,14 +378,16 @@ def mean_reinforcement_test(
 ) -> MeanReinforcementTest:
     """Asymptotic test of H0: the target urn's mean reinforcement is
     no larger than the reference urns' common mean
-    (``montecarlo.mean_reinforcement`` on the urns' one-rep blocks)."""
+    (``montecarlo.mean_reinforcement`` on the target's one-rep block and
+    each reference's mean R at its horizon, the bits of its block)."""
     from . import montecarlo as mc
 
     refs = tuple(reference)
     _raise_problems(level_problems(level) + mtest_problems(u, refs, traj.labels))
     target = mc.trajectory_block(traj.urn(u), n)
+    h = target.horizon
     stat, applicable, reject = mc.mean_reinforcement(
-        target, [mc.trajectory_block(traj.urn(v), n) for v in refs], level)
+        target, [np.array([sum(traj.urn(v).R[:h].tolist()) / h]) for v in refs], level)
     return MeanReinforcementTest(
         target=u, reference=refs, alpha=level,
         statistic=float(stat[0]) if applicable[0] else None,

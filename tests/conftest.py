@@ -14,8 +14,8 @@ def cap_lanes(monkeypatch):
 
     def cap(plan, lanes):
         count = len(plan.horizons)
-        lane_bytes = engine._Layout(plan.config).lane_bytes(count)
+        lane_bytes = engine._Layout(plan.config, plan.labels).lane_bytes(count)
         monkeypatch.setattr(engine, "WORKSPACE_BUDGET", lanes * lane_bytes)
-        assert engine.lane_cap(plan.config, count) == lanes
+        assert engine.lane_cap(plan.config, count, plan.labels) == lanes
 
     return cap

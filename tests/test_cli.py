@@ -326,14 +326,14 @@ def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path, cap_lanes):
 
 
 def _recorded_chunks(monkeypatch) -> list:
-    # (rep_lo, rep_hi, horizons) of every engine.run_chunk call made in
-    # this process, as --workers 1 runs every chunk.
+    # (rep_lo, rep_hi, horizons, labels) of every engine.run_chunk call
+    # made in this process, as --workers 1 runs every chunk.
     calls = []
     run_chunk = engine.run_chunk
 
-    def recording(config, master_seed, rep_lo, rep_hi, horizons):
-        calls.append((rep_lo, rep_hi, tuple(horizons)))
-        return run_chunk(config, master_seed, rep_lo, rep_hi, horizons)
+    def recording(config, master_seed, rep_lo, rep_hi, horizons, *, labels=None):
+        calls.append((rep_lo, rep_hi, tuple(horizons), labels))
+        return run_chunk(config, master_seed, rep_lo, rep_hi, horizons, labels=labels)
 
     monkeypatch.setattr(engine, "run_chunk", recording)
     return calls
@@ -346,20 +346,25 @@ def _limit_law_config(out_dir):
     return cfg
 
 
-@pytest.mark.parametrize("kind,make,horizons", [
-    ("mtest", lambda d: dict(_mtest_config(), outputs={"dir": str(d)}), (10,)),
-    ("clt", _clt_config, (30, 300)),
-    ("coverage", lambda d: _clt_config(d, level=0.9), (30, 300)),
-    ("coverage", lambda d: _system_coverage_config(d, {"A": 1.0, "B": -1.0}), (10, 100)),
-    ("limit-law", _limit_law_config, (30, 300)),
-], ids=["mtest", "clt", "coverage-urn", "coverage-system", "limit-law"])
-def test_each_kind_simulates_the_horizons_it_reads(tmp_path, monkeypatch, kind, make, horizons):
-    # mtest reads horizon n alone; the other kinds also read the proxy.
+@pytest.mark.parametrize("kind,make,horizons,labels", [
+    ("mtest", lambda d: dict(_mtest_config(), outputs={"dir": str(d)}), (10,), ("A",)),
+    ("clt", _clt_config, (30, 300), ("u0",)),
+    ("coverage", lambda d: _clt_config(d, level=0.9), (30, 300), ("u0",)),
+    ("coverage", lambda d: _system_coverage_config(d, {"A": 1.0, "B": -1.0}), (10, 100),
+     ("A", "B")),
+    ("coverage", lambda d: _system_coverage_config(d, {"B": 1.0}), (10, 100), ("B",)),
+    ("limit-law", _limit_law_config, (30, 300), ("u0",)),
+], ids=["mtest", "clt", "coverage-urn", "coverage-system", "coverage-system-subset",
+        "limit-law"])
+def test_each_kind_simulates_the_horizons_it_reads(tmp_path, monkeypatch, kind, make, horizons,
+                                                   labels):
+    # mtest reads horizon n and its target alone; a combination reads
+    # the urns it weighs; the other kinds also read the proxy.
     calls = _recorded_chunks(monkeypatch)
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(make(tmp_path / "out")))
     assert main([kind, "--config", str(cfg_path), "--workers", "1"]) == 0
-    assert calls and {h for _, _, h in calls} == {horizons}
+    assert calls and {(h, labs) for _, _, h, labs in calls} == {(horizons, labels)}
 
 
 def test_mtest_results_do_not_depend_on_n_proxy(tmp_path):
@@ -405,7 +410,7 @@ def test_mtest_bytes_hold_across_workers_and_chunks(tmp_path, monkeypatch, cap_l
     assert len(reports) == 1
     assert [len(c) for c in chunks] == [1, 7]
     assert plan.horizons == (plan.n,)
-    assert chunks[1][0] == (0, 2, (plan.n,))
+    assert chunks[1][0] == (0, 2, (plan.n,), ("A",))
     assert len(mc._chunk_bounds(plan, 2)) == 8
 
 
@@ -936,6 +941,32 @@ def test_a_failed_run_makes_no_output_directory(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 3
     assert "exceeds the supported capacity 2**62" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_key_is_refused_at_its_path_beside_every_other_problem(tmp_path, capsys):
+    # json keeps the last value of a repeated key; the config is refused
+    # instead, at each repeated key's path, before any output is made.
+    out = json.dumps(str(tmp_path / "out"))
+    text = ('{"urn": {"a": 3, "b": 0, "a": 9, "draw": {"policy": "constant-one"}, '
+            '"reinforce": {"policy": "constant", "value": 1}}, '
+            '"plan": {"n": 5, "seed": 1}, "plan": {"n": 7, "seed": 2}, '
+            f'"outputs": {{"dir": {out}, "dir": {out}}}}}')
+    (tmp_path / "c.json").write_text(text)
+    assert main(["simulate", "--config", str(tmp_path / "c.json")]) == 2
+    repeated = "repeated key; an object names each key once"
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration errors:",
+        f"  - plan: {repeated}",
+        f"  - urn.a: {repeated}",
+        f"  - outputs.dir: {repeated}",
+        f"  - urn.b: {_AT_ONE}",
+    ]
+    assert not (tmp_path / "out").exists()
+    system = dict(_mtest_config())
+    text = json.dumps(system)[:-1] + ', "reference": ["B"]}'
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text.replace('"label": "B",', '"label": "B", "a": 4,'), kind="mtest")
+    assert ei.value.problems == [f"reference: {repeated}", f"urns[1].a: {repeated}"]
 
 
 def test_a_failed_run_leaves_an_existing_directory_as_it_was(tmp_path):

@@ -6,7 +6,8 @@ as the CLI parses it; the oracle reads the same dict.  Together they
 cover every JSON draw and reinforcement policy, the wide 1000-ball draw,
 counts past 2**53 (which only the scalar path admits: it divides
 Python ints), system shapes with both factors, one factor or none,
-and a run that crosses a trajectory-builder window.
+each system urn run alone as well as with the others, and a run that
+crosses a trajectory-builder window.
 """
 
 import json
@@ -88,12 +89,13 @@ def assert_trajectory(traj, cols):
     assert {c: getattr(traj, c).tolist() for c in oracle.COLUMNS} == cols
 
 
-def assert_snapshots(config, horizons=HORIZONS, lanes=LANES, want=None):
-    # run_chunk over the lanes at both horizons, against the oracle's
-    # reduction of each rep's columns (``want``, if already run).
-    got = run_chunk(*_parsed(config), *lanes, horizons)
+def assert_snapshots(config, horizons=HORIZONS, lanes=LANES, want=None, labels=None):
+    # run_chunk over the lanes at both horizons, for the urns ``labels``
+    # names (every urn when None), against the oracle's reduction of each
+    # rep's columns (``want``, if already run).
+    got = run_chunk(*_parsed(config), *lanes, horizons, labels=labels)
     want = want or [oracle.trajectories(config, rep, horizons[-1]) for rep in range(*lanes)]
-    assert set(got) == set(want[0])
+    assert list(got) == list(labels or want[0])
     for label, snaps in got.items():
         for snap, h in zip(snaps, horizons, strict=True):
             for f in SNAPSHOT_FIELDS:
@@ -123,6 +125,13 @@ def test_run_system_matches_the_oracle(config):
                          ids=[*URNS, *SYSTEMS])
 def test_run_chunk_matches_the_oracle(config):
     assert_snapshots(config)
+
+
+@pytest.mark.parametrize("config", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_each_system_urn_run_alone_matches_the_oracle(config):
+    want = [oracle.trajectories(config, rep, HORIZONS[-1]) for rep in range(*LANES)]
+    for label in want[0]:
+        assert_snapshots(config, want=want, labels=(label,))
 
 
 def test_a_builder_window_seam_matches_the_oracle():

@@ -10,6 +10,9 @@ together, so these tests compare against digests recorded once:
   for each JSON draw x reinforcement policy pair and three system shapes;
 - ``derive_key`` values along the README's key tree.
 
+Each urn of those systems, and of a three-urn system with distinct
+bases, is also run alone, which must give the bits of the whole run.
+
 A pin may only be re-frozen together with a CHANGES.md line saying why.
 ``python tests/test_golden.py`` prints the current values in the form
 used below.
@@ -135,6 +138,15 @@ SYSTEMS = {
     ),
 }
 
+# Every base differs, so urn B runs alone at the system's stride (5),
+# not at its own (3).
+THREE_BASES = UrnSystem(
+    urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=2),
+          UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=1),
+          UrnSpec(label="C", a=6, b=9, draw_base=3, reinforce_base=3)),
+    factors=CommonFactors(draw=_U3, reinforce=_U3),
+)
+
 CHUNK_PINS = {
     "constant-one/constant": "a6fa40bda2b2f327d71eae818996d901555721c999de0f4856c2b4486c478f35",
     "constant-one/uniform-range": "8648d69770d93b28e3c2b2eb32f26b12642b81b83b01917e6929b543cbeb055c",
@@ -188,8 +200,11 @@ def cli_digests(kind: str, out_dir) -> dict[str, str]:
     return out
 
 
+CHUNK = (11, 3, 12, (13, 37))  # master seed, rep_lo, rep_hi, horizons
+
+
 def chunk_digest(config) -> str:
-    out = run_chunk(config, 11, 3, 12, (13, 37))
+    out = run_chunk(config, *CHUNK)
     h = hashlib.sha256()
     for label in sorted(out):
         for snap in out[label]:
@@ -229,6 +244,18 @@ def test_cli_outputs_match_pins(kind, tmp_path):
 @pytest.mark.parametrize("name", sorted(chunk_configs()))
 def test_run_chunk_snapshots_match_pins(name):
     assert chunk_digest(chunk_configs()[name]) == CHUNK_PINS[name]
+
+
+@pytest.mark.parametrize("name", [*SYSTEMS, "three-bases"])
+def test_each_urn_alone_runs_the_bits_of_the_whole_system(name):
+    system = SYSTEMS.get(name, THREE_BASES)
+    whole = run_chunk(system, *CHUNK)
+    for lab in system.labels:
+        alone = run_chunk(system, *CHUNK, labels=(lab,))
+        assert list(alone) == [lab]
+        for got, want in zip(alone[lab], whole[lab], strict=True):
+            assert {f: got[f].tobytes() for f in SNAPSHOT_FIELDS} == {
+                f: want[f].tobytes() for f in SNAPSHOT_FIELDS}, lab
 
 
 def test_key_tree_matches_pins():

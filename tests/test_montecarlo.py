@@ -35,9 +35,9 @@ def _cfg():
                      reinforce=UniformReinforcement(1, 3))
 
 
-def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None, horizons=None):
-    return mc.ReplicationPlan(config=config or _cfg(), reps=reps, n=n,
-                              n_proxy=n_proxy, master_seed=seed, horizons=horizons)
+def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None, horizons=None, labels=None):
+    return mc.ReplicationPlan(config=config or _cfg(), reps=reps, n=n, n_proxy=n_proxy,
+                              master_seed=seed, horizons=horizons, labels=labels)
 
 
 def test_plan_validation():
@@ -447,6 +447,61 @@ def test_records_at_a_horizon_do_not_depend_on_the_others(config):
                 assert snap == mc.engine.trajectory_snapshot(traj, (h,))[0]
                 assert snap == {f: getattr(triple.urns[lab].at(h), f)[r]
                                 for f in mc.engine.SNAPSHOT_FIELDS}
+
+
+# mtest's shape: the target A's reinforcement base (2) lies between
+# its references' (1 and 3).
+BASES_2_1_3 = UrnSystem(
+    urns=(UrnSpec("A", 10, 10, 2, 2), UrnSpec("B", 8, 12, 1, 1), UrnSpec("C", 9, 9, 3, 3)),
+    factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3),
+)
+
+
+def test_plan_labels_are_the_config_urns_it_names_in_their_order():
+    assert _plan(config=SYSTEM3).labels == ("A", "B", "C")
+    assert _plan(config=SYSTEM3, labels=["C", "A"]).labels == ("A", "C")
+    assert _plan().labels == ("u0",)
+
+
+@pytest.mark.parametrize("labels,problem", [
+    ((), "labels: must be a nonempty tuple of urn labels, got ()"),
+    ("A", "labels: must be a nonempty tuple of urn labels, got 'A'"),
+    (("A", 1), "labels: must be a nonempty tuple of urn labels, got ('A', 1)"),
+    (("A", "B", "A"), "labels: must be distinct, got ('A', 'B', 'A')"),
+    (("A", "Q"), "labels: no urn labeled 'Q'; labels are ('A', 'B', 'C')"),
+], ids=["empty", "string", "not-a-string", "repeated", "not-an-urn"])
+def test_plan_refuses_labels_that_name_no_urn_once(labels, problem):
+    with pytest.raises(ParameterError) as ei:
+        _plan(config=SYSTEM3, labels=labels)
+    assert ei.value.problems == [problem]
+
+
+def test_mtest_reads_the_target_urn_alone():
+    # Each urn reinforces by its base plus the common factor, so a
+    # reference's mean R is the target's shifted by the difference of
+    # their bases: within one ulp of the simulated mean.  The records of
+    # the target alone are the whole run's bits, and give the same counts.
+    plan = _plan(reps=300, n=40, config=BASES_2_1_3, horizons=(40,), seed=5)
+    whole = mc.replicate(plan, workers=1)
+    target = whole.urns["A"].at_n
+    for lab, shift in (("B", -1), ("C", 1)):
+        simulated = whole.urns[lab].at_n.reinf_mean
+        assert np.all(np.abs(target.reinf_mean + shift - simulated) <= np.spacing(simulated))
+    alone_plan = replace(plan, labels=("A",))
+    alone = mc.replicate(alone_plan, workers=1)
+    assert tuple(alone.urns) == ("A",)
+    _assert_same_blocks(alone, mc.RepRecords(plan, {"A": whole.urns["A"]}), (40,))
+    for level in (0.05, 0.5):
+        got = mc.mtest_rejection(alone_plan, "A", ("C", "B"), level, alone)
+        assert got == mc.mtest_rejection(plan, "A", ("C", "B"), level, whole)
+        # and the counts of the references' simulated means
+        _, applicable, reject = mc.mean_reinforcement(
+            target, [whole.urns["C"].at_n.reinf_mean, whole.urns["B"].at_n.reinf_mean], level)
+        assert (got.rejections, got.applicable) == (np.count_nonzero(reject),
+                                                    np.count_nonzero(applicable))
+    with pytest.raises(ParameterError, match="target: the plan does not simulate urn 'B'; "
+                                             "it simulates \\('A',\\)"):
+        mc.mtest_rejection(alone_plan, "B", ("A",), 0.05, alone)
 
 
 def test_rep_records_single_requires_one_urn():

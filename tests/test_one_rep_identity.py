@@ -93,7 +93,8 @@ def test_system_statistics_are_the_records_of_their_rep():
     at_n = {lab: u.at_n for lab, u in records.urns.items()}
     coeffs = {"C": 0.5, "A": -1.25, "B": 2.0}
     centers = {basis: mc.combination(coeffs, at_n, basis) for basis in ("Z", "M")}
-    stat, applicable, reject = mc.mean_reinforcement(at_n["A"], [at_n["C"], at_n["B"]], 0.5)
+    stat, applicable, reject = mc.mean_reinforcement(
+        at_n["A"], [at_n["C"].reinf_mean, at_n["B"].reinf_mean], 0.5)
     tests = []
     for r in range(reps):
         straj = run_system(SYSTEM, n, seed, r)
