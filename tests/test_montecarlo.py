@@ -50,6 +50,10 @@ def test_plan_validation():
     plan = _plan(n_proxy=None)
     assert plan.proxy_horizon == 50 * plan.n
     assert plan.horizons == (plan.n, plan.proxy_horizon)
+    # every urn by default; the urns named, in the config's order
+    assert plan.labels == ("u0",)
+    assert _plan(config=SYSTEM3).labels == ("A", "B", "C")
+    assert _plan(config=SYSTEM3, labels=["C", "A"]).labels == ("A", "C")
 
 
 @pytest.mark.parametrize("horizons", [(), (10,), (50, 50), (50, 40), (0, 50), (50.0,),
@@ -457,12 +461,6 @@ BASES_2_1_3 = UrnSystem(
 )
 
 
-def test_plan_labels_are_the_config_urns_it_names_in_their_order():
-    assert _plan(config=SYSTEM3).labels == ("A", "B", "C")
-    assert _plan(config=SYSTEM3, labels=["C", "A"]).labels == ("A", "C")
-    assert _plan().labels == ("u0",)
-
-
 @pytest.mark.parametrize("labels,problem", [
     ((), "labels: must be a nonempty tuple of urn labels, got ()"),
     ("A", "labels: must be a nonempty tuple of urn labels, got 'A'"),
@@ -491,12 +489,12 @@ def test_mtest_reads_the_target_urn_alone():
     alone = mc.replicate(alone_plan, workers=1)
     assert tuple(alone.urns) == ("A",)
     _assert_same_blocks(alone, mc.RepRecords(plan, {"A": whole.urns["A"]}), (40,))
-    for level in (0.05, 0.5):
-        got = mc.mtest_rejection(alone_plan, "A", ("C", "B"), level, alone)
-        assert got == mc.mtest_rejection(plan, "A", ("C", "B"), level, whole)
+    for refs, level in ((("C", "B"), 0.05), (("C", "B"), 0.5), (("B",), 0.5), (("C",), 0.5)):
+        got = mc.mtest_rejection(alone_plan, "A", refs, level, alone)
+        assert got == mc.mtest_rejection(plan, "A", refs, level, whole)
         # and the counts of the references' simulated means
         _, applicable, reject = mc.mean_reinforcement(
-            target, [whole.urns["C"].at_n.reinf_mean, whole.urns["B"].at_n.reinf_mean], level)
+            target, [whole.urns[lab].at_n.reinf_mean for lab in refs], level)
         assert (got.rejections, got.applicable) == (np.count_nonzero(reject),
                                                     np.count_nonzero(applicable))
     with pytest.raises(ParameterError, match="target: the plan does not simulate urn 'B'; "
