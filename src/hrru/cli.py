@@ -424,8 +424,9 @@ def _repeated_keys(col: _Collector, raw) -> None:
             todo += reversed([(f"{path}[{i}]", x) for i, x in enumerate(v)])
 
 
-def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
+def parse_config(text: str | bytes, kind: str | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config, given as text or as
+    UTF-8 bytes.
 
     Collects every validation problem before failing, a key an object
     repeats among them; syntax errors carry line and column.  ``kind``
@@ -433,13 +434,19 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
     "kind" field.
     """
     try:
-        raw = json.loads(text, object_pairs_hook=_object)
+        raw = json.loads(text if isinstance(text, str) else text.decode("utf-8"),
+                         object_pairs_hook=_object)
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"encoding: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                           f"at offset {exc.start} ({exc.reason})"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"syntax: {exc.msg} at line {exc.lineno}, column {exc.colno}"]
         ) from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ConfigError([f"syntax: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ConfigError(["syntax: arrays and objects nested too deeply to parse"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level: must be a JSON object"])
     col = _Collector()
@@ -759,12 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        cfg = parse_config(Path(args.config).read_bytes(), kind=args.kind)
     except OSError as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 3
-    try:
-        cfg = parse_config(text, kind=args.kind)
     except ConfigError as exc:
         print("configuration errors:", file=sys.stderr)
         for p in exc.problems:

@@ -22,20 +22,20 @@ a shared factor is drawn once for all urns.
 The urns are stacked on axis 0: ball counts, the Bernoulli chain and
 the sum of X/N are ``(urns, lanes)`` arrays, and one step is one pass
 over all urns.  An emission read by every urn broadcasts; otherwise
-each urn's emission is copied into its row, an int one only on a step
-where it changes.  A chunk runs to the last of its horizons (a strictly
-increasing tuple, ``check_horizons``: a plan's ``horizons``) and
-snapshots every lane at each of them.  Each step finalizes one
-fused ``(rows, lanes)`` matrix of uniforms, whose extraction rows are
-laid out ball by ball so that ball ``j`` of every urn is one ``(urns,
-lanes)`` view.  The sums of N and 1/N, and of R and R^2, are kept once
-per distinct emission, at its own shape: a ``(lanes,)`` row for one
-read from a stream, a Python float for one that is the same int on
-every lane (a constant or a schedule).  A snapshot hands each urn the
-sums of the emissions it reads.  A chunk allocates its workspace
-(states, uniforms, chain, sums and Kahan buffers) once, and the step's
-array operations write into it; snapshots are fresh arrays, never
-views of it or of another urn's snapshot.
+each urn's emission is copied into its row on every step.  A chunk
+runs to the last of its horizons (a strictly increasing tuple,
+``check_horizons``: a plan's ``horizons``) and snapshots every lane at
+each of them.  Each step finalizes one fused ``(rows, lanes)`` matrix
+of uniforms, whose extraction rows are laid out ball by ball so that
+ball ``j`` of every urn is one ``(urns, lanes)`` view.  The sums of N
+and 1/N, and of R and R^2, are kept once per distinct emission, at its
+own shape: a ``(lanes,)`` row for one read from a stream, a Python
+float for one that is the same int on every lane (a constant or a
+schedule).  A snapshot hands each urn the sums of the emissions it
+reads.  A chunk allocates its workspace (``_workspace``: states,
+uniforms, chain, sums and Kahan buffers) once, and the step's array
+operations write into it; snapshots are fresh arrays, never views of
+it or of another urn's snapshot.
 
 Floating-point accumulations across steps (mean of X/N, mean of 1/N)
 use Kahan compensation in a fixed step order: ``_kahan_add`` on the
@@ -57,10 +57,12 @@ the integers stay at most 2**53.  So ``check_int64_range`` bounds every
 urn's worst-case total (a + b + steps * draw_bound * reinf_bound) and
 sum of R^2 (steps * reinf_bound^2) at 2**53 before a chunk starts.
 
-A chunk's arrays (its step workspace and the snapshots it keeps) grow
-with its lanes, its urns and the rows of its uniform matrix;
-``lane_cap`` is the lane count whose arrays fit ``WORKSPACE_BUDGET``.
-``run_chunk`` refuses a larger chunk, and ``montecarlo`` never plans one.
+A chunk's arrays grow with its lanes, its urns and the rows of its
+uniform matrix.  Their bytes per lane are read off a one-lane
+``_workspace``, plus the rows it does not hold: the key matrix, the
+emissions read from a stream and the snapshots.  ``lane_cap`` is the
+lane count whose arrays fit ``WORKSPACE_BUDGET``.  ``run_chunk``
+refuses a larger chunk, and ``montecarlo`` never plans one.
 """
 
 from __future__ import annotations
@@ -156,17 +158,8 @@ class _Chain:
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.h_rem = np.empty(shape)
-        self.s_rem = np.empty(shape)
-        self.ratio = np.empty(shape)
-        self.take = np.empty(shape, dtype=bool)
-        self.active = np.empty(shape, dtype=bool)
-        self.x = np.empty(shape)
-
-    @staticmethod
-    def lane_bytes() -> int:
-        """Bytes the buffers take per lane, read off a one-lane chain."""
-        return sum(buf.nbytes for buf in vars(_Chain((1,))).values())
+        self.h_rem, self.s_rem, self.ratio, self.x = np.empty((4, *shape))
+        self.take, self.active = np.empty((2, *shape), dtype=bool)
 
     def draw(self, units, H: np.ndarray, S: np.ndarray, n) -> np.ndarray:
         """Marked balls among ``n`` drawn from ``S`` holding ``H``, into ``self.x``.
@@ -240,30 +233,38 @@ class _Layout:
 
     def lane_bytes(self, horizons: int) -> int:
         """Bytes per lane of the arrays a ``run_chunk`` with this many
-        horizons holds at once.
-
-        Three (rows, lanes) matrices (keys, counter states, uniforms);
-        per urn the chain, the ``_WORK_ROWS`` float64 rows, the rows of
-        copied emissions and the snapshot fields kept from every
-        horizon; and per emission read from a stream its value and its
-        ``_DRAW_ROWS`` or ``_REINF_ROWS`` sums.  An emission that is a
-        Python int holds no lane row.  The peak comes at the last
-        horizon, when the snapshots outweigh any emission's temporaries.
-        """
-        per_urn = _Chain.lane_bytes() + 8 * (
-            _WORK_ROWS + self.copy_draws + self.copy_reinfs + len(SNAPSHOT_FIELDS) * horizons)
-        emissions = ((1 + _DRAW_ROWS) * len(self.lane_draws)
-                     + (1 + _REINF_ROWS) * len(self.lane_reinfs))
-        return 8 * (3 * len(self.rows) + emissions) + per_urn * len(self.urns)
+        horizons holds at once: a one-lane ``_workspace``, plus a float64
+        for each key-matrix row, each emission read from a stream (an int
+        one holds no lane row) and each snapshot field of each horizon
+        and urn.  The peak comes at the last horizon, when the snapshots
+        outweigh any emission's temporaries."""
+        chain, *arrays = _workspace(self, 1)
+        held = [*vars(chain).values(), *(a for a in arrays if a is not None)]
+        rows = (len(self.rows) + len(self.lane_draws) + len(self.lane_reinfs)
+                + len(SNAPSHOT_FIELDS) * horizons * len(self.urns))
+        return sum(a.nbytes for a in held) + 8 * rows
 
 
-# run_chunk's float64 lane rows: per urn H, S, a product scratch and the
-# Kahan sum of X/N (total, compensation, term, scratch); per draw read
-# from a stream the sum of N and the Kahan sum of 1/N; per reinforcement
-# read from a stream the sums of R and R^2.
-_WORK_ROWS = 7
-_DRAW_ROWS = 5
-_REINF_ROWS = 2
+def _workspace(layout: _Layout, lanes: int) -> tuple:
+    """Every lane array a ``run_chunk`` of ``lanes`` lanes steps in; urns
+    are stacked on axis 0, and a lane draw or reinforcement is one read
+    from a stream."""
+    nu, rows, ld = len(layout.urns), len(layout.rows), len(layout.lane_draws)
+    return (
+        _Chain((nu, lanes)),
+        np.empty((rows, lanes), dtype=np.uint64),  # counter states
+        np.empty((rows, lanes)),  # uniforms
+        np.zeros((3, nu, lanes)),  # H, S and a product scratch
+        # the copy rows of draws and of reinforcements, for urns reading distinct emissions
+        np.empty((nu, lanes)) if layout.copy_draws else None,
+        np.empty((nu, lanes)) if layout.copy_reinfs else None,
+        # Kahan total, compensation, term, scratch: X/N of each urn, then 1/N of each lane draw
+        np.zeros((4, nu + ld, lanes)),
+        np.zeros((ld, lanes)),  # the sum of N of each lane draw
+        np.zeros((2, len(layout.lane_reinfs), lanes)),  # sums of R, R^2 of each lane reinforcement
+    )
+
+
 # A chunk's arrays are kept within this many bytes; see lane_cap.
 WORKSPACE_BUDGET = 8 << 20
 
@@ -272,25 +273,20 @@ def lane_cap(config: UrnConfig | UrnSystem, horizons: int,
              labels: tuple[str, ...] | None = None) -> int:
     """The most lanes (at least 1) whose ``run_chunk`` arrays, with
     ``horizons`` snapshots of the urns ``labels`` names (all when None),
-    fit ``WORKSPACE_BUDGET``; wide draw strides get fewer lanes."""
+    fit ``WORKSPACE_BUDGET``: ``_Layout.lane_bytes``, read off
+    ``_workspace``, per lane.  Wide draw strides get fewer lanes."""
     return max(1, WORKSPACE_BUDGET // _Layout(config, labels).lane_bytes(horizons))
 
 
-def _per_urn(values: list, index: list[int], rows: np.ndarray | None, written: list):
+def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
     # The step's emissions laid out for the stacked urns.  Without
     # ``rows`` every urn reads one emission, used as it is: an int stays
     # a scalar and a float64 (lanes,) array broadcasts against (urns,
-    # lanes).  Otherwise each urn's emission is copied into its row: an
-    # array on every step, an int only when it differs from the int
-    # ``written`` last put in that row (in a system, on step 0 alone).
+    # lanes).  Otherwise each urn's emission is copied into its row.
     if rows is None:
         return values[index[0]]
     for u, i in enumerate(index):
-        value = values[i]
-        if isinstance(value, np.ndarray):
-            rows[u] = value
-        elif value != written[u]:
-            rows[u] = written[u] = value
+        rows[u] = values[i]
     return rows
 
 
@@ -379,22 +375,14 @@ def run_chunk(
     slope = np.array([(m * rng.GOLDEN) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
 
     # The chunk's workspace; a step writes into it and allocates no
-    # lane-sized array of its own.  Urns are stacked on axis 0.
-    # Every count, sum and emission in it is float64 holding an exact
-    # integer, so no step operation mixes dtypes.
+    # lane-sized array of its own.  Every count, sum and emission in it
+    # is float64 holding an exact integer, so no step operation mixes
+    # dtypes.  One _kahan_add sums the whole Kahan block.
+    (chain, states, units, (H, S, grow), n_rows, r_rows, (sums, comps, terms, spare),
+     n_sums, r_sums) = _workspace(layout, lanes)
     nu, lane_draws, lane_reinfs = len(urns), layout.lane_draws, layout.lane_reinfs
-    shape = (nu, lanes)
-    states = np.empty_like(key_matrix)
-    units = np.empty(key_matrix.shape, dtype=np.float64)
-    balls = units[layout.ex0:].reshape(layout.stride, *shape)
+    balls = units[layout.ex0:].reshape(layout.stride, nu, lanes)
     step_off = np.empty_like(slope)
-    chain = _Chain(shape)
-    H, S, grow = np.zeros((3, *shape))
-    n_rows = np.empty(shape) if layout.copy_draws else None
-    r_rows = np.empty(shape) if layout.copy_reinfs else None
-    # The Kahan sums kept per lane, one block for one _kahan_add: X/N of
-    # each urn, then 1/N of each draw read from a stream.
-    sums, comps, terms, spare = np.zeros((4, nu + len(lane_draws), lanes))
     H[...] = [[c.a] for c in urns]
     S[...] = [[c.a + c.b] for c in urns]
 
@@ -404,9 +392,9 @@ def run_chunk(
     n_tot, recip_tot, recip_comp = ([0.0] * len(draws) for _ in range(3))
     r_tot, r_sqtot = ([0.0] * len(reinfs) for _ in range(2))
     for j, i in enumerate(lane_draws):
-        n_tot[i], recip_tot[i] = np.zeros(lanes), sums[nu + j]
-    for i in lane_reinfs:
-        r_tot[i], r_sqtot[i] = np.zeros(lanes), np.zeros(lanes)
+        n_tot[i], recip_tot[i] = n_sums[j], sums[nu + j]
+    for j, i in enumerate(lane_reinfs):
+        r_tot[i], r_sqtot[i] = r_sums[:, j]
     draw_rows = [(i, n_tot[i], terms[nu + j]) for j, i in enumerate(lane_draws)]
     reinf_rows = [(i, r_tot[i], r_sqtot[i]) for i in lane_reinfs]
     int_draws = [i for i in range(len(draws)) if i not in lane_draws]
@@ -415,8 +403,6 @@ def run_chunk(
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
-    n_written: list = [None] * nu
-    r_written: list = [None] * nu
     for t in range(horizons[-1]):
         np.multiply(slope, np.uint64(t), out=step_off)
         np.add(key_matrix, step_off[:, None], out=states)
@@ -426,8 +412,8 @@ def run_chunk(
             for (p, _, r), prev in zip(draws, n_now)
         ]
         r_now = [p.emit_vec(t, None if r is None else units[r]) for p, _, r in reinfs]
-        n = _per_urn(n_now, layout.draw_of, n_rows, n_written)
-        r = _per_urn(r_now, layout.reinf_of, r_rows, r_written)
+        n = _per_urn(n_now, layout.draw_of, n_rows)
+        r = _per_urn(r_now, layout.reinf_of, r_rows)
 
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)

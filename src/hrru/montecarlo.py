@@ -603,6 +603,12 @@ def coverage_experiment(plan: ReplicationPlan, level: float, records: RepRecords
     )
 
 
+def _unsimulated(plan: ReplicationPlan, key: str, labels) -> list[str]:
+    # The problems of the urns among ``labels`` that the plan does not simulate.
+    return [f"{key}: the plan does not simulate urn {lab!r}; it simulates {plan.labels}"
+            for lab in labels if lab not in plan.labels]
+
+
 def linear_combination_coverage(
     plan: ReplicationPlan,
     coeffs: dict[str, float],
@@ -616,8 +622,9 @@ def linear_combination_coverage(
     weights are applied in the map's iteration order.
     """
     _check_plan(plan, records)
-    labels = tuple(records.urns)
-    _raise_problems(level_problems(level) + combination_problems(coeffs, basis, labels))
+    problems = level_problems(level) + combination_problems(
+        coeffs, basis, engine.check_labels(plan.config))
+    _raise_problems(problems or _unsimulated(plan, "coeffs", coeffs))
     center, variance = combination(coeffs, {lab: u.at_n for lab, u in records.urns.items()},
                                    basis)
     truth = sum(c * records.urns[lab].at_proxy.z for lab, c in coeffs.items())
@@ -659,10 +666,7 @@ def mtest_rejection(
     refs = tuple(reference)
     every = engine.check_labels(plan.config)
     problems = level_problems(level) + mtest_problems(target, refs, every)
-    if not problems and target not in plan.labels:
-        problems.append(f"target: the plan does not simulate urn {target!r}; "
-                        f"it simulates {plan.labels}")
-    _raise_problems(problems)
+    _raise_problems(problems or _unsimulated(plan, "target", (target,)))
     blk = records.urns[target].at_n
     base = plan.config.urn(target).reinforce_base
     _, applicable, reject = mean_reinforcement(

@@ -141,10 +141,13 @@ def _past_float(**ints) -> list[str]:
 
 def urn_problems(a, b, label) -> list[str]:
     """The ``"key: message"`` problems of an urn's own fields: the counts
-    ``a`` and ``b``, and a nonempty string ``label``."""
+    ``a`` and ``b``, and a nonempty string ``label`` that UTF-8 encodes,
+    as the key tree hashes its bytes."""
     problems = count_problems(a=a, b=b)
     if not isinstance(label, str) or not label:
         problems.append(f"label: must be a nonempty string, got {label!r}")
+    elif any("\ud800" <= ch <= "\udfff" for ch in label):
+        problems.append(f"label: must be UTF-8 encodable (no lone surrogate), got {label!r}")
     return problems
 
 

@@ -442,6 +442,49 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "urn.draw" in err
 
 
+def _deep_nesting(out):
+    return ("simulate", ("[" * 995 + "]" * 995).encode(),
+            "syntax: arrays and objects nested too deeply")
+
+
+def _not_utf8(out):
+    text = json.dumps({**MINIMAL_SIM, "outputs": {"dir": str(out)}}).encode()
+    return ("simulate", text[:10] + b"\xff" + text[10:],
+            "encoding: not UTF-8: byte 0xff at offset 10")
+
+
+def _surrogate_label(out):
+    # json reads the escape as a lone surrogate, which UTF-8 cannot
+    # encode, while the key tree hashes a label's UTF-8 bytes.
+    cfg = json.loads(json.dumps(MINIMAL_SIM))
+    cfg["urn"]["label"] = "\ud800"
+    return ("simulate", json.dumps({**cfg, "outputs": {"dir": str(out)}}).encode(),
+            "urn.label: must be UTF-8 encodable (no lone surrogate), got '\\ud800'")
+
+
+def _surrogate_system_label(out):
+    cfg = _mtest_config()
+    cfg["urns"][1]["label"] = "B\udfff"
+    cfg["reference"] = ["B\udfff"]
+    return ("mtest", json.dumps({**cfg, "outputs": {"dir": str(out)}}).encode(),
+            "urns[1].label: must be UTF-8 encodable (no lone surrogate), got 'B\\udfff'")
+
+
+@pytest.mark.parametrize("make", [_deep_nesting, _not_utf8, _surrogate_label,
+                                  _surrogate_system_label])
+def test_exit_code_2_on_undecodable_or_unencodable_input(tmp_path, capsys, make):
+    # Nesting past json's recursion limit, a file that is not UTF-8 and
+    # a label the key tree cannot hash are configuration errors, found
+    # before any output is made.
+    kind, data, problem = make(tmp_path / "out")
+    (tmp_path / "c.json").write_bytes(data)
+    assert main([kind, "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert any(line.startswith(f"  - {problem}") for line in err[1:]), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_3_on_missing_file():
     rc = main(["clt", "--config", "/no/such/file.json"])
     assert rc == 3

@@ -170,38 +170,45 @@ def test_snapshots_alias_nothing():
         assert not any(np.shares_memory(f, g) for g in fields[i + 1:])
 
 
-def _traced_peak(config, lanes, horizons):
+def _traced_peak(config, lanes, horizons, labels):
     tracemalloc.start()
     try:
-        run_chunk(config, 1, 0, lanes, horizons)
+        run_chunk(config, 1, 0, lanes, horizons, labels=labels)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("config, lanes", [
-    (UrnConfig(a=10, b=10, draw=IidUniform(4), reinforce=UniformReinforcement(1, 3)), 1024),
-    (UrnSystem(urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
-                     UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=2)),
-               factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3)), 1024),
+SYSTEM2 = UrnSystem(urns=(UrnSpec(label="A", a=10, b=10, draw_base=2, reinforce_base=1),
+                           UrnSpec(label="B", a=8, b=12, draw_base=1, reinforce_base=2)),
+                     factors=CommonFactors(draw=UNIFORM3, reinforce=UNIFORM3))
+
+
+@pytest.mark.parametrize("config, lanes, labels", [
+    (UrnConfig(a=10, b=10, draw=IidUniform(4), reinforce=UniformReinforcement(1, 3)), 1024, None),
+    (SYSTEM2, 1024, None),
     (UrnConfig(a=10, b=10, draw=AbsorbingRandomWalk(start=3, high=6),
-               reinforce=ConstantReinforcement(2)), 1024),
+               reinforce=ConstantReinforcement(2)), 1024, None),
     (UrnConfig(a=1000, b=1000, draw=DiscreteDraw((1, 1000), (0.99, 0.01)),
-               reinforce=UniformReinforcement(1, 3)), 32),
-    (REINFORCE_ONLY, 1024),
-    (_distinct_draw_bases(FACTORS["no-factors"]), 1024),
-], ids=["reference", "system", "walk", "stride-1000", "mtest", "distinct-draw-bases"])
-def test_lane_bytes_matches_the_traced_peak(config, lanes):
+               reinforce=UniformReinforcement(1, 3)), 32, None),
+    (REINFORCE_ONLY, 1024, None),
+    (_distinct_draw_bases(FACTORS["no-factors"]), 1024, None),
+    (SYSTEM2, 1024, ("B",)),
+    (_distinct_draw_bases(FACTORS["reinforce-factor"]), 1024, ("A", "C")),
+], ids=["reference", "system", "walk", "stride-1000", "mtest", "distinct-draw-bases",
+        "system-urn-B", "distinct-draw-bases-urns-A-C"])
+def test_lane_bytes_matches_the_traced_peak(config, lanes, labels):
     # lane_bytes sizes chunks against the memory budget, so it must
     # cover what run_chunk holds per lane at its peak, snapshots
     # included: one more float64 row would break the upper bound.
     # numpy reports its buffers to tracemalloc; the difference of two
-    # lane counts drops the chunk's fixed overhead.
+    # lane counts drops the chunk's fixed overhead.  A subset run is
+    # held to the layout of the urns it simulates.
     horizons = (3, 30)
-    run_chunk(config, 1, 0, 8, horizons)
-    per_lane = (_traced_peak(config, 2 * lanes, horizons)
-                - _traced_peak(config, lanes, horizons)) / lanes
-    layout = _Layout(config)
+    run_chunk(config, 1, 0, 8, horizons, labels=labels)
+    per_lane = (_traced_peak(config, 2 * lanes, horizons, labels)
+                - _traced_peak(config, lanes, horizons, labels)) / lanes
+    layout = _Layout(config, labels)
     estimate = layout.lane_bytes(len(horizons))
     emission_rows = 8 * (len(layout.draws) + len(layout.reinfs))
     assert 0.99 * estimate - emission_rows <= per_lane <= estimate + 4

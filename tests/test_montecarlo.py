@@ -500,6 +500,10 @@ def test_mtest_reads_the_target_urn_alone():
     with pytest.raises(ParameterError, match="target: the plan does not simulate urn 'B'; "
                                              "it simulates \\('A',\\)"):
         mc.mtest_rejection(alone_plan, "B", ("A",), 0.05, alone)
+    # B is an urn of the system, which the plan leaves out
+    with pytest.raises(ParameterError, match="coeffs: the plan does not simulate urn 'B'; "
+                                             "it simulates \\('A',\\)"):
+        mc.linear_combination_coverage(alone_plan, {"B": 1.0}, "Z", 0.9, alone)
 
 
 def test_rep_records_single_requires_one_urn():
