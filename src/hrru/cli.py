@@ -425,17 +425,17 @@ def _repeated_keys(col: _Collector, raw) -> None:
 
 
 def parse_config(text: str | bytes, kind: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config, given as text or as
-    UTF-8 bytes.
+    """Parse and validate a JSON experiment config, text or UTF-8 bytes.
 
     Collects every validation problem before failing, a key an object
-    repeats among them; syntax errors carry line and column.  ``kind``
-    (from the subcommand) fills in or cross-checks the config's own
-    "kind" field.
+    repeats among them; syntax errors carry line and column, bytes' line
+    ends read as ``Path.read_text`` reads them.  ``kind`` (from the
+    subcommand) fills in or cross-checks the config's own "kind" field.
     """
     try:
-        raw = json.loads(text if isinstance(text, str) else text.decode("utf-8"),
-                         object_pairs_hook=_object)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text, object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
         raise ConfigError([f"encoding: not UTF-8: byte {exc.object[exc.start]:#04x} "
                            f"at offset {exc.start} ({exc.reason})"]) from exc

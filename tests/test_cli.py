@@ -443,7 +443,9 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
 
 
 def _deep_nesting(out):
-    return ("simulate", ("[" * 995 + "]" * 995).encode(),
+    # Far past any interpreter's JSON depth, and inside an object, so
+    # that the top-level check cannot stand in for the syntax problem.
+    return ("simulate", ('{"urn": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
             "syntax: arrays and objects nested too deeply")
 
 
@@ -483,6 +485,16 @@ def test_exit_code_2_on_undecodable_or_unencodable_input(tmp_path, capsys, make)
     assert err[0] == "configuration errors:"
     assert any(line.startswith(f"  - {problem}") for line in err[1:]), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_syntax_error_position_counts_every_line_end(tmp_path, capsys, newline):
+    # The file's bytes are read with universal newlines, as read_text
+    # reads them, so each line end starts a line.
+    (tmp_path / "c.json").write_bytes(newline.join(['{', '"urn": {},', '"plan": }']).encode())
+    assert main(["clt", "--config", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration errors:", "  - syntax: Expecting value at line 3, column 9"]
 
 
 def test_exit_code_3_on_missing_file():
