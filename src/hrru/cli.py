@@ -334,6 +334,17 @@ def _level_rule(level):
     return [] if level is None else _lib("multi_urn").level_problems(level)
 
 
+def _dir_rule(path):
+    # The output directory is made only once the run has computed, so a
+    # name that no path can hold is refused here, before the run.
+    try:
+        ok = b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        ok = False
+    return [] if ok else [
+        f"dir: must be a path the file system can encode (no lone surrogate or NUL), got {path!r}"]
+
+
 # The rules on each section's fields, each stated once, in the library:
 # given the config so far and every field's value (None where it failed,
 # its default where left out), the problems as "key: message".  A rule
@@ -350,6 +361,7 @@ _RULES = {
     MTest: lambda cfg, level, target, reference: _level_rule(level) + (
         [] if cfg.system is None or None in (target, reference)
         else _lib("multi_urn").mtest_problems(target, reference, cfg.system.labels)),
+    Outputs: lambda cfg, dir, **_: [] if dir is None else _dir_rule(dir),
 }
 
 
@@ -763,6 +775,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_path(path: Path) -> None:
+    """``path`` on stdout as the file system names it: a name from argv
+    may hold undecodable bytes (as surrogateescape), which a stdout that
+    encodes strictly refuses."""
+    try:
+        print(path)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(os.fsencode(path) + b"\n")
+        sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -795,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(report_path)
+    _print_path(report_path)
     return 0
 
 

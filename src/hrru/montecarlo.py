@@ -11,8 +11,9 @@ whatever the chunking, worker count, execution order or the other urns
 simulated.  ``replicate`` picks the chunks: one equal share of
 the reps per worker (fewer for a plan too small to pay for a worker),
 split further only where a share's arrays would exceed the engine's
-budget (``engine.lane_cap``).  Chunk outputs are reassembled in index
-order.
+budget (``engine.lane_cap``).  The calling process runs one share and
+a forked child (on Linux) each other, which returns its chunks through
+a pipe.  Chunk outputs are reassembled in index order.
 
 The mean-reinforcement test reads the target urn's records alone: every
 urn of a system reinforces by its own base plus the common factor, so a
@@ -39,7 +40,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import statistics
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -244,8 +247,12 @@ class RepRecords:
 
 # A plan gets no more equal shares than it has this many lane-steps.
 # Measured on 2 cores (reference urn, 10 alternating pairs per size,
-# fresh processes): one process beat a pool of two up to 0.75 * 2**20
-# lane-steps, tied near 2**20 and lost from 1.5 * 2**20 on.
+# fresh processes): one process beat a process pool of two up to
+# 0.75 * 2**20 lane-steps, tied near 2**20 and lost from 1.5 * 2**20 on.
+# Against one process and a forked child, it won up to 4 * 2**20 and
+# lost at 6 * 2**20 (6 of 10 pairs); but in that sitting the pool lost
+# at every size up to 6 * 2**20 too, and one-process runs of one size
+# varied by 40%, so that crossover reflects the machine's load.
 _SHARE_LANE_STEPS = 1 << 19
 
 
@@ -264,9 +271,76 @@ def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
     return [(plan.reps * i // chunks, plan.reps * (i + 1) // chunks) for i in range(chunks)]
 
 
-def _run_one_chunk(args):
-    config, master_seed, lo, hi, horizons, labels = args
-    return engine.run_chunk(config, master_seed, lo, hi, horizons, labels=labels)
+def _run_share(plan: ReplicationPlan, bounds) -> list:
+    return [engine.run_chunk(plan.config, plan.master_seed, lo, hi, plan.horizons,
+                             labels=plan.labels) for lo, hi in bounds]
+
+
+def _fork_share(plan: ReplicationPlan, bounds):
+    """A forked child that runs the chunks ``bounds`` and writes ``(True, chunk
+    results)``, or ``(False, the exception)``, pickled to a pipe: its pid
+    and the pipe's read end.  The child leaves through ``os._exit``, so
+    it runs no exit handler and flushes none of the parent's buffers."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                payload = (True, _run_share(plan, bounds))
+            except Exception as exc:
+                payload = (False, exc)
+            with open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _run_forked(plan: ReplicationPlan, bounds, nworkers: int) -> list:
+    """The results of the chunks ``bounds``, cut into ``nworkers``
+    contiguous shares: share 0 runs here, each other in a forked child.
+
+    Each child's pipe is read to its end before the child is reaped, as
+    a result may exceed the pipe's buffer.  A child's exception is
+    raised here; a child that ends without a result is a RuntimeError.
+    Whatever ends this call, no child outlives it: those not yet reaped
+    are killed and reaped."""
+    shares = [bounds[len(bounds) * i // nworkers:len(bounds) * (i + 1) // nworkers]
+              for i in range(nworkers)]
+    children = []  # (pid, pipe) of each child not yet reaped, in share order
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(plan, share))
+        results = _run_share(plan, shares[0])
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(
+                    f"worker process {pid} ended without a result ({how})") from None
+            if not ok:
+                raise value
+            results += value
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 # The cgroup file system: v2 keeps the CPU quota in cpu.max, v1 in
@@ -311,31 +385,26 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     takes the records it returns, one block per urn of ``plan.labels``
     and horizon of ``plan.horizons``.  The chunks (``_chunk_bounds``, the only
     chunking) run on ``min(workers, chunks, usable CPUs)`` processes, with
-    ``workers`` defaulting to the usable CPUs.  A plan gets no more
+    ``workers`` defaulting to the usable CPUs: this one runs the first
+    contiguous share of the chunks and a forked child each other share
+    (``_run_forked``).  Children are forked on Linux only; elsewhere
+    every chunk runs in this process.  A plan gets no more
     shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one
     runs in this process whatever ``workers`` says.  The per-rep values
     are identical in every case because each rep's streams depend only
     on (master_seed, rep index).
     """
-    usable = _usable_cpus()
+    # workers are forked children, on Linux only
+    usable = _usable_cpus() if sys.platform.startswith("linux") else 1
     if workers is None:
         workers = usable
     elif not _is_integer(workers) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     nworkers = int(workers)
     bounds = _chunk_bounds(plan, min(nworkers, usable))
-    tasks = [(plan.config, plan.master_seed, lo, hi, plan.horizons, plan.labels)
-             for lo, hi in bounds]
-    nworkers = min(nworkers, len(tasks), usable)
-    if nworkers == 1:
-        chunk_results = [_run_one_chunk(t) for t in tasks]
-    else:
-        # imported here: the pool module costs about 20 ms to import, and
-        # `simulate` and one-worker runs never start a pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            chunk_results = list(pool.map(_run_one_chunk, tasks))
+    nworkers = min(nworkers, len(bounds), usable)
+    chunk_results = (_run_share(plan, bounds) if nworkers == 1
+                     else _run_forked(plan, bounds, nworkers))
     urns = {
         label: UrnRecords({
             h: HorizonBlock(horizon=h, **{

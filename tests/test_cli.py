@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -485,6 +486,31 @@ def test_exit_code_2_on_undecodable_or_unencodable_input(tmp_path, capsys, make)
     assert err[0] == "configuration errors:"
     assert any(line.startswith(f"  - {problem}") for line in err[1:]), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["o\ud800", "o\0"], ids=["surrogate", "nul"])
+def test_an_unencodable_output_directory_exits_2_before_any_run(tmp_path, capsys, name):
+    # A lone surrogate or a NUL names no path the file system can hold:
+    # it is a configuration error at outputs.dir, not a runtime error at
+    # mkdir after the run.  A name from argv always encodes (undecodable
+    # bytes arrive as surrogateescape), so --out-dir still names any
+    # directory, and the report's path reaches even a strict stdout as
+    # those bytes.
+    cfg_path, bad = tmp_path / "c.json", str(tmp_path / name)
+    cfg_path.write_text(json.dumps(dict(MINIMAL_SIM, outputs={"dir": bad})))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration errors:",
+        "  - outputs.dir: must be a path the file system can encode (no lone surrogate or NUL), "
+        f"got {bad!r}"]
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    cfg_path.write_text(json.dumps(MINIMAL_SIM))
+    out_dir = os.fsencode(tmp_path) + b"/o\xff"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrru.cli", "simulate", "--config", cfg_path, "--out-dir", out_dir],
+        capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out_dir + b"/report.json\n", b"")
+    assert os.path.isfile(out_dir + b"/report.json")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

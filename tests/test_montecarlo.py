@@ -1,12 +1,14 @@
 """Replication harness: determinism, reductions, and statistics."""
 
-import concurrent.futures
 import json
 import math
+import os
+import re
 import statistics
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -140,28 +142,37 @@ def test_worker_count_does_not_change_results(cap_lanes):
         )
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The children each ``mc.replicate`` call forks, in call order:
+    the real ``os.fork``, wrapped to count its calls."""
+    counts, forked = [], []
+    real_fork, real_replicate = os.fork, mc.replicate
 
-    sizes: list = []
+    def fork():
+        forked.append(1)
+        return real_fork()
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def replicate(*args, **kwargs):
+        before = len(forked)
+        try:
+            return real_replicate(*args, **kwargs)
+        finally:
+            counts.append(len(forked) - before)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(mc, "replicate", replicate)
+    return counts
 
 
-def test_pool_size_is_clamped(monkeypatch, cap_lanes):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def _no_child_left():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_children_are_clamped(monkeypatch, cap_lanes, forks):
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
-    _RecordingPool.sizes = []
     plan = _plan()
     cap_lanes(plan, 8)
     assert len(mc._chunk_bounds(plan, 3)) == 4
@@ -169,12 +180,81 @@ def test_pool_size_is_clamped(monkeypatch, cap_lanes):
     for workers in (10**6, 4, 2):
         assert mc.replicate(plan, workers=workers).single.at_n.z.tolist() == \
             base.single.at_n.z.tolist()
-    # one chunk, or one usable worker, never starts a pool
+    # one chunk, or one usable worker, forks no child
     assert len(mc._chunk_bounds(_plan(reps=8), 3)) == 1
     mc.replicate(_plan(reps=8), workers=8)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
     mc.replicate(plan, workers=8)
-    assert _RecordingPool.sizes == [3, 3, 2]
+    # this process runs one share: 3 workers fork 2 children
+    assert forks == [0, 2, 2, 1, 0, 0]
+    _no_child_left()
+
+
+def _two_shares(monkeypatch, chunk):
+    # a plan of two equal shares, with ``chunk`` standing in for the
+    # engine's run_chunk in this process and its children
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
+    monkeypatch.setattr(mc.engine, "run_chunk", chunk)
+    plan = _plan()
+    assert mc._chunk_bounds(plan, 2) == [(0, 15), (15, 30)]
+    return plan
+
+
+def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
+    run_chunk = mc.engine.run_chunk
+
+    def chunk(config, master_seed, rep_lo, *args, **kwargs):
+        if rep_lo == 15:
+            raise ParameterError(f"no chunk from rep {rep_lo} in process {os.getpid()}")
+        return run_chunk(config, master_seed, rep_lo, *args, **kwargs)
+
+    plan = _two_shares(monkeypatch, chunk)
+    with pytest.raises(ParameterError, match="no chunk from rep 15 in process") as ei:
+        mc.replicate(plan, workers=2)
+    assert str(os.getpid()) not in str(ei.value)
+    _no_child_left()
+
+
+def test_a_child_that_ends_without_a_result_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    from hrru.cli import main
+
+    run_chunk = mc.engine.run_chunk
+
+    def chunk(config, master_seed, rep_lo, *args, **kwargs):
+        if rep_lo == 15:
+            os._exit(1)
+        return run_chunk(config, master_seed, rep_lo, *args, **kwargs)
+
+    plan = _two_shares(monkeypatch, chunk)
+    with pytest.raises(RuntimeError,
+                       match=r"^worker process \d+ ended without a result \(exit status 1\)$"):
+        mc.replicate(plan, workers=2)
+    _no_child_left()
+    cfg = {"urn": {"a": 10, "b": 10, "draw": {"policy": "iid-uniform", "high": 4},
+                   "reinforce": {"policy": "uniform-range", "low": 1, "high": 3}},
+           "plan": {"reps": 30, "n": 20, "n_proxy": 200, "seed": 1},
+           "outputs": {"dir": str(tmp_path / "out")}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert main(["clt", "--config", str(tmp_path / "c.json"), "--workers", "2"]) == 3
+    assert re.fullmatch(r"runtime error: RuntimeError: worker process \d+ ended without a "
+                        r"result \(exit status 1\)\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    _no_child_left()
+
+
+def test_the_parents_exception_kills_and_reaps_the_children(monkeypatch):
+    def chunk(config, master_seed, rep_lo, *args, **kwargs):
+        if rep_lo == 0:
+            raise ValueError("no share here")
+        time.sleep(600)  # a child that would outlive replicate unless killed
+
+    plan = _two_shares(monkeypatch, chunk)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="^no share here$"):
+        mc.replicate(plan, workers=2)
+    assert time.monotonic() - started < 60
+    _no_child_left()
 
 
 def test_replicate_takes_only_integer_workers():
@@ -188,11 +268,41 @@ def test_replicate_takes_only_integer_workers():
 
 
 def test_cli_import_leaves_the_pool_module_out():
-    # the process pool is imported only when replicate starts one
+    # no module of the package imports a process pool
     code = "import sys, hrru.cli; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_forked_workers_load_no_pool_module():
+    # Two workers fork one child and load neither multiprocessing nor
+    # concurrent.futures; signal is loaded only to kill a child left
+    # running.  The child leaves without flushing this process's buffers,
+    # so what was printed before the fork is printed once.
+    code = """
+        import json, os, sys
+        from hrru import montecarlo as mc
+        from hrru.urn_core import IidUniform, UniformReinforcement, UrnConfig
+        mc._usable_cpus = lambda: 2
+        mc._SHARE_LANE_STEPS = 1
+        real_fork, forked = os.fork, []
+        def fork():
+            forked.append(1)
+            return real_fork()
+        os.fork = fork
+        cfg = UrnConfig(10, 10, IidUniform(4), UniformReinforcement(1, 3))
+        plan = mc.ReplicationPlan(config=cfg, reps=30, n=20, n_proxy=200)
+        print("before the fork")
+        one, two = mc.replicate(plan, workers=1), mc.replicate(plan, workers=2)
+        print(json.dumps([len(forked), one.single.at_n.z.tolist() == two.single.at_n.z.tolist(),
+                          [m for m in ("multiprocessing", "concurrent.futures", "signal")
+                           if m in sys.modules]]))
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a buffered stdout
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines() == ["before the fork", json.dumps([1, True, []])]
 
 
 def _fresh(code: str, *args: str):
@@ -273,16 +383,14 @@ def test_package_exports_resolve_on_first_use():
     }
 
 
-def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
+def test_default_workers_use_the_cpus(monkeypatch, tmp_path, forks):
     # replicate(plan), and the CLI with neither --workers nor
     # $HRRU_WORKERS, run one chunk per CPU.
     from hrru.cli import main
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
     monkeypatch.delenv("HRRU_WORKERS", raising=False)
     monkeypatch.setattr(mc, "_SHARE_LANE_STEPS", 1)
-    _RecordingPool.sizes = []
     plan = _plan()
     assert [hi - lo for lo, hi in mc._chunk_bounds(plan, 3)] == [10, 10, 10]
     assert mc.replicate(plan).single.at_n.z.tolist() == \
@@ -293,7 +401,9 @@ def test_default_workers_use_the_cpus(monkeypatch, tmp_path):
            "outputs": {"dir": str(tmp_path)}}
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     assert main(["clt", "--config", str(tmp_path / "c.json")]) == 0
-    assert _RecordingPool.sizes == [3, 3]
+    # three shares: this process runs one and forks two children
+    assert forks == [2, 0, 2]
+    _no_child_left()
 
 
 def test_usable_cpus_follow_the_affinity_set(monkeypatch, tmp_path):
