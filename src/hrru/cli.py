@@ -48,7 +48,7 @@ from .urn_core import (
 # montecarlo and multi_urn are imported where a kind needs them, so
 # ``hrru simulate`` loads neither (nor the engine they import).
 if TYPE_CHECKING:
-    from .montecarlo import CltDiagnostics, ReplicationPlan
+    from .montecarlo import CltDiagnostics, ReplicationPlan, RepRecords
     from .multi_urn import UrnSystem
 
 WORKERS_ENV = "HRRU_WORKERS"
@@ -612,11 +612,12 @@ def _diag_to_dict(d: CltDiagnostics) -> dict:
     return out
 
 
-# Each runner computes and returns its ``results`` object and its tables,
-# {name: (header, columns)}; ``run`` writes them.
+# Each runner turns the config and the records ``run`` replicated (None
+# for a plan that is no ``Plan``) into its ``results`` object and its
+# tables, {name: (header, columns)}; ``run`` writes them.
 
 
-def _run_simulate(cfg: ExperimentConfig, workers: int | None):
+def _run_simulate(cfg: ExperimentConfig, records: None):
     from .urn_core import run_trajectory
 
     traj = run_trajectory(cfg.urn, cfg.plan.n, cfg.plan.seed)
@@ -632,12 +633,9 @@ def _run_simulate(cfg: ExperimentConfig, workers: int | None):
     )}
 
 
-def _run_clt(cfg: ExperimentConfig, workers: int | None):
-    from . import montecarlo as mc
-
-    plan = _plan_for(cfg)
-    records = mc.replicate(plan, workers)
-    mn = mc.clt_check_mn(plan, records)
+def _run_clt(cfg: ExperimentConfig, records: RepRecords):
+    plan = records.plan
+    mn = _lib("montecarlo").clt_check_mn(plan, records)
     stats = mn.stats
     u = records.single
     results = {
@@ -654,11 +652,8 @@ def _run_clt(cfg: ExperimentConfig, workers: int | None):
     )}
 
 
-def _run_coverage(cfg: ExperimentConfig, workers: int | None):
-    from . import montecarlo as mc
-
-    plan, opt = _plan_for(cfg), cfg.options
-    records = mc.replicate(plan, workers)
+def _run_coverage(cfg: ExperimentConfig, records: RepRecords):
+    mc, plan, opt = _lib("montecarlo"), records.plan, cfg.options
     if cfg.urn is not None:
         cov = mc.coverage_experiment(plan, opt.level, records)
         return {
@@ -673,31 +668,22 @@ def _run_coverage(cfg: ExperimentConfig, workers: int | None):
             "basis": opt.basis, "coeffs": opt.coeffs, "combination": dataclasses.asdict(res)}, {}
 
 
-def _run_limit_law(cfg: ExperimentConfig, workers: int | None):
-    from . import montecarlo as mc
-
-    plan = _plan_for(cfg)
-    records = mc.replicate(plan, workers)
-    rep = mc.limit_law_suite(plan, records)
+def _run_limit_law(cfg: ExperimentConfig, records: RepRecords):
+    rep = _lib("montecarlo").limit_law_suite(records.plan, records)
     blk = records.single.at_proxy
     return dataclasses.asdict(rep), {"proxy": (
-        ["rep", "z_proxy", "s_over_n"], [np.arange(plan.reps), blk.z, blk.s_over_n],
+        ["rep", "z_proxy", "s_over_n"], [np.arange(records.plan.reps), blk.z, blk.s_over_n],
     )}
 
 
-def _run_mtest(cfg: ExperimentConfig, workers: int | None):
-    from . import montecarlo as mc
-
-    plan = _plan_for(cfg)
-    records = mc.replicate(plan, workers)
-    res = mc.mtest_rejection(plan, cfg.target, cfg.reference, cfg.level, records)
+def _run_mtest(cfg: ExperimentConfig, records: RepRecords):
+    res = _lib("montecarlo").mtest_rejection(records.plan, cfg.target, cfg.reference,
+                                             cfg.level, records)
     return {**dataclasses.asdict(res), "frequency": res.frequency}, {}
 
 
-def _run_hitting(cfg: ExperimentConfig, workers: int | None):
-    from . import montecarlo as mc
-
-    w = cfg.plan
+def _run_hitting(cfg: ExperimentConfig, records: None):
+    mc, w = _lib("montecarlo"), cfg.plan
     est = mc.hitting_probability_check(w.start, w.high, w.reps, master_seed=w.seed)
     expected = mc.walk_absorption_probability(w.start, w.high)
     return {**dataclasses.asdict(est), "expected": expected,
@@ -717,14 +703,17 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
     """Execute a validated config; returns the report path.
 
-    ``workers`` goes to ``montecarlo.replicate``; None means its default.
+    A ``Plan`` is replicated here, once, on ``workers`` (None:
+    ``replicate``'s default); the kind's runner reads the records.
 
     The output directory is made once the run has computed, so a failed
     computation leaves no directory behind.  Every file is replaced
     whole, and ``report.json`` last, so a run that fails part-way
     leaves the previous report in place.
     """
-    results, tables = _RUNNERS[cfg.kind](cfg, workers)
+    records = (_lib("montecarlo").replicate(_plan_for(cfg), workers)
+               if isinstance(cfg.plan, Plan) else None)
+    results, tables = _RUNNERS[cfg.kind](cfg, records)
     fmt = cfg.outputs.table_format
     out_dir = Path(cfg.outputs.dir)
     try:
@@ -810,7 +799,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report_path = run(cfg, workers=workers)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

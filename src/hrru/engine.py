@@ -67,13 +67,17 @@ refuses a larger chunk, and ``montecarlo`` never plans one.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import rng
-from .multi_urn import UrnSystem
 from .urn_core import (
     _EXACT_LIMIT, ParameterError, Trajectory, UrnConfig, _is_integer, check_horizons,
 )
+
+if TYPE_CHECKING:  # multi_urn loads the estimators and statistics
+    from .multi_urn import UrnSystem
 
 SNAPSHOT_FIELDS = (
     "z",              # A-proportion H/S at the horizon

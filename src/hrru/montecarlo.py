@@ -388,9 +388,9 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     ``workers`` defaulting to the usable CPUs: this one runs the first
     contiguous share of the chunks and a forked child each other share
     (``_run_forked``).  Children are forked on Linux only; elsewhere
-    every chunk runs in this process.  A plan gets no more
-    shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one
-    runs in this process whatever ``workers`` says.  The per-rep values
+    every chunk runs in this process.  A plan gets no more shares than
+    it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one runs here
+    unless the lane cap cuts it into chunks.  The per-rep values
     are identical in every case because each rep's streams depend only
     on (master_seed, rep index).
     """

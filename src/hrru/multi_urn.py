@@ -285,9 +285,12 @@ def conditional_independence_stat(
 
 
 def level_problems(level: float) -> list[str]:
-    """The ``"key: message"`` problems of an interval's or a test's level,
-    which must lie in (0, 1)."""
-    return [] if 0.0 < level < 1.0 else [f"level: must lie in (0, 1), got {level!r}"]
+    """The ``"key: message"`` problems of an interval's or a test's level:
+    what the statistics compute from it (1 - level, the quantile arguments
+    1 - (1 - level)/2 and 1 - level/2) must lie in (0, 1) in float64."""
+    args = (level, 1.0 - level, 1.0 - (1.0 - level) / 2.0, 1.0 - level / 2.0)
+    return [] if all(0.0 < p < 1.0 for p in args) else [
+        f"level: must lie in (0, 1), more than 2**-53 from either end, got {level!r}"]
 
 
 def combination_problems(

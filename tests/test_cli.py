@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrru import engine
+from hrru import cli, engine
 from hrru import montecarlo as mc
 from hrru.cli import (
     _TABLE_BLOCK,
@@ -340,6 +340,19 @@ def _recorded_chunks(monkeypatch) -> list:
     return calls
 
 
+def _recorded_replicates(monkeypatch) -> list:
+    # (plan, workers, the records returned) of every montecarlo.replicate call
+    calls = []
+    replicate = mc.replicate
+
+    def recording(plan, workers=None):
+        calls.append((plan, workers, replicate(plan, workers)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(mc, "replicate", recording)
+    return calls
+
+
 def _limit_law_config(out_dir):
     cfg = _clt_config(out_dir)
     cfg["urn"].update(draw={"policy": "constant-one"},
@@ -366,6 +379,38 @@ def test_each_kind_simulates_the_horizons_it_reads(tmp_path, monkeypatch, kind, 
     cfg_path.write_text(json.dumps(make(tmp_path / "out")))
     assert main([kind, "--config", str(cfg_path), "--workers", "1"]) == 0
     assert calls and {(h, labs) for _, _, h, labs in calls} == {(horizons, labels)}
+
+
+@pytest.mark.parametrize("kind,make", [
+    ("clt", _clt_config),
+    ("coverage", lambda d: _clt_config(d, level=0.9)),
+    ("coverage", lambda d: _system_coverage_config(d, {"A": 1.0, "B": -1.0})),
+    ("limit-law", _limit_law_config),
+    ("mtest", lambda d: dict(_mtest_config(), outputs={"dir": str(d)})),
+    ("simulate", lambda d: dict(MINIMAL_SIM, outputs={"dir": str(d)})),
+    ("hitting", lambda d: {"walk": {"start": 2, "high": 4, "reps": 50},
+                           "outputs": {"dir": str(d)}}),
+], ids=["clt", "coverage-urn", "coverage-system", "limit-law", "mtest", "simulate", "hitting"])
+def test_run_replicates_a_plan_of_reps_once_and_the_runner_reads_its_records(
+        tmp_path, monkeypatch, kind, make):
+    # A kind whose plan holds reps is replicated once, on the --workers
+    # given, and its runner gets those records; simulate and hitting
+    # replicate nothing and get None.
+    calls = _recorded_replicates(monkeypatch)
+    got = []
+    for name, runner in cli._RUNNERS.items():
+        monkeypatch.setitem(cli._RUNNERS, name,
+                            lambda cfg, records, runner=runner: got.append(records)
+                            or runner(cfg, records))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(make(tmp_path / "out")))
+    assert main([kind, "--config", str(cfg_path), "--workers", "3"]) == 0
+    if kind in ("simulate", "hitting"):
+        assert calls == [] and got == [None]
+    else:
+        plan = _plan_for(parse_config(cfg_path.read_text(), kind=kind))
+        assert [call[:2] for call in calls] == [(plan, 3)]
+        assert len(got) == 1 and got[0] is calls[0][2]
 
 
 def test_mtest_results_do_not_depend_on_n_proxy(tmp_path):
@@ -791,6 +836,23 @@ def test_exit_code_2_on_integers_past_the_float_range(tmp_path, capsys, make):
     assert err[0] == "configuration errors:"
     assert f"  - {path}: integer is too large for a float" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,make", [
+    ("coverage", lambda out: _clt_config(out, reps=64, level=0.9999999999999999)),
+    ("mtest", lambda out: dict(_mtest_config(), level=1e-17, outputs={"dir": str(out)})),
+], ids=["coverage-near-1", "mtest-near-0"])
+def test_exit_code_2_on_a_level_whose_quantile_rounds_to_1(tmp_path, capsys, monkeypatch, kind,
+                                                           make):
+    # 1 - (1 - level)/2 and 1 - level/2 round to 1.0, whose normal
+    # quantile does not exist: refused at "level" before any rep runs.
+    calls = _recorded_replicates(monkeypatch)
+    (tmp_path / "c.json").write_text(json.dumps(make(tmp_path / "out")))
+    assert main([kind, "--config", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "configuration errors:"
+    assert any(line.startswith("  - level: must lie in (0, 1)") for line in err)
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_exit_code_2_on_integer_past_the_digit_limit(tmp_path, capsys):

@@ -332,6 +332,18 @@ def test_simulate_loads_neither_the_engine_nor_montecarlo(tmp_path):
     assert _fresh(code, str(tmp_path / "sim.json")) == [[], []]
 
 
+def test_the_engine_loads_only_what_it_runs():
+    # The engine names UrnSystem in annotations alone, so importing it
+    # loads neither multi_urn nor the estimators and statistics behind it.
+    code = """
+        import json, sys
+        import hrru.engine
+        print(json.dumps([sorted(m for m in sys.modules if m.startswith("hrru")),
+                          "statistics" in sys.modules]))
+    """
+    assert _fresh(code) == [["hrru", "hrru.engine", "hrru.rng", "hrru.urn_core"], False]
+
+
 def test_clt_leaves_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma on its first call; the median of the
     # clt report is taken without it.

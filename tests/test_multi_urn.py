@@ -218,6 +218,23 @@ def test_linear_combination_validation():
         linear_combination_ci(straj, {"A": float("nan"), "B": 1.0}, "Z", 20, 0.95)
 
 
+@pytest.mark.parametrize("edge,inward", [(2.0**-53, np.inf), (1.0 - 2.0**-53, 0.0)],
+                         ids=["low", "high"])
+def test_a_level_whose_quantile_rounds_to_1_is_refused(edge, inward):
+    # 1 - level/2 (the test) and 1 - (1 - level)/2 (the intervals) round
+    # to 1.0 in float64 at a level 2**-53 from either end; the next
+    # level inward has finite quantiles.
+    straj = run_system(_system(factors=CommonFactors(reinforce=_dist())), 60, 2)
+    for level in (edge, 0.0, 1.0):
+        for stat in (lambda: linear_combination_ci(straj, {"A": 1.0}, "Z", 60, level),
+                     lambda: mean_reinforcement_test(straj, "A", ("B",), 60, level)):
+            with pytest.raises(ParameterError, match=r"^level: must lie in \(0, 1\)"):
+                stat()
+    level = float(np.nextafter(edge, inward))
+    assert np.isfinite(linear_combination_ci(straj, {"A": 1.0}, "Z", 60, level).half_width)
+    assert mean_reinforcement_test(straj, "A", ("B",), 60, level).statistic is not None
+
+
 def test_mean_reinforcement_test_basics():
     sys3 = UrnSystem(
         urns=(
