@@ -590,11 +590,12 @@ def _plan_for(cfg: ExperimentConfig) -> ReplicationPlan:
     # echoed, never simulated, and the references enter through their
     # mean reinforcement.  A combination simulates the urns it weighs.
     # Options that failed validation are None: every urn, for the 2**53 rule.
+    # Every kind reads the plug-ins at n alone, so their sums stop there.
     labels = ((opt.target,) if isinstance(opt, MTest)
               else tuple(opt.coeffs) if isinstance(opt, Combination) else None)
     return _lib("montecarlo").ReplicationPlan(
         cfg.urn if cfg.urn is not None else cfg.system, p.reps, p.n, p.n_proxy, p.seed,
-        (p.n,) if cfg.kind == "mtest" else None, labels)
+        (p.n,) if cfg.kind == "mtest" else None, labels, p.n)
 
 
 def _diag_to_dict(d: CltDiagnostics) -> dict:

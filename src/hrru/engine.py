@@ -46,6 +46,13 @@ scalar trajectory at the same horizon tuple, in one pass, by
 ``_kahan_step`` too, so it reproduces a lane bit for bit: the tests use
 it as their reference.
 
+The plug-in sums, X/N and 1/N (Kahan) and R^2, feed only M_n and the
+plug-in variances.  A chunk may stop them after an earlier horizon,
+``plugins_to``: later steps keep the ball counts and the sums of N and
+R alone, and a later snapshot holds ``z``, ``s_over_n``, ``reinf_mean``
+and ``draw_mean``, never a stale plug-in.  Every kept field has the
+bits it has without the cut.
+
 Ball counts, draw sizes, reinforcements and the integer sums are
 float64 holding exact integers: a policy's ``emit_vec`` returns float64
 for an array of uniforms, an emission every urn reads is used as it
@@ -88,6 +95,11 @@ SNAPSHOT_FIELDS = (
     "draw_mean",      # mean N
     "draw_recipmean", # mean 1/N
 )
+# The fields that only the plug-in sums give: M_n and the means of R^2
+# and 1/N, which V_n, W_n and U_n read.  A snapshot past a chunk's
+# ``plugins_to`` holds the others alone.
+PLUGIN_FIELDS = ("m_emp", "reinf_sqmean", "draw_recipmean")
+KEPT_FIELDS = tuple(f for f in SNAPSHOT_FIELDS if f not in PLUGIN_FIELDS)
 
 
 def worst_case_total(config: UrnConfig | UrnSystem, steps: int) -> int:
@@ -135,6 +147,19 @@ def check_labels(config: UrnConfig | UrnSystem, labels=None) -> tuple[str, ...]:
     if problems:
         raise ParameterError(problems)
     return tuple(lab for lab in every if lab in labs)
+
+
+def check_plugins_to(horizons: tuple[int, ...], plugins_to=None) -> int:
+    """The horizon after which a run stops its plug-in sums: ``plugins_to``,
+    one of ``horizons`` (an integer, numpy's too, but no bool), or the
+    last horizon when None; otherwise a ``ParameterError`` keyed
+    ``plugins_to``."""
+    if plugins_to is None:
+        return horizons[-1]
+    if not (_is_integer(plugins_to) and plugins_to in horizons):
+        raise ParameterError(f"plugins_to: must be one of the horizons {horizons}, "
+                             f"got {plugins_to!r}")
+    return int(plugins_to)
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray,
@@ -351,21 +376,26 @@ def run_chunk(
     horizons: tuple[int, ...],
     *,
     labels: tuple[str, ...] | None = None,
+    plugins_to: int | None = None,
 ) -> dict[str, list[dict[str, np.ndarray]]]:
     """Simulate lanes rep_lo..rep_hi-1 and snapshot at each horizon.
 
     Returns {label: [snapshot dict per horizon]} for the urns ``labels``
     names (``check_labels``; every urn by default); horizons pass
-    ``check_horizons``.  The range holds the replication indices the
-    key tree reads as 64-bit words: integers, numpy's included but no
-    bool, with 0 <= rep_lo < rep_hi <= 2**64, and at most ``lane_cap``
-    of them.  The 2**53 bound covers every urn of the config.
+    ``check_horizons``.  The plug-in sums stop after step ``plugins_to``
+    (``check_plugins_to``: one of the horizons, the last by default), so
+    a later snapshot lacks ``PLUGIN_FIELDS``.  The range holds the
+    replication indices the key tree reads as 64-bit words: integers,
+    numpy's included but no bool, with 0 <= rep_lo < rep_hi <= 2**64,
+    and at most ``lane_cap`` of them.  The 2**53 bound covers every urn
+    of the config.
     """
     if not (_is_integer(rep_lo) and _is_integer(rep_hi) and 0 <= rep_lo < rep_hi <= 1 << 64):
         raise ParameterError(f"replication range must be integers with "
                              f"0 <= rep_lo < rep_hi <= 2**64, got [{rep_lo!r}, {rep_hi!r})")
     rep_lo, rep_hi = int(rep_lo), int(rep_hi)
     horizons = check_horizons(horizons)
+    cut = check_plugins_to(horizons, plugins_to)
     labels = check_labels(config, labels)
     check_int64_range(config, horizons[-1])
     lanes, cap = rep_hi - rep_lo, lane_cap(config, len(horizons), labels)
@@ -422,31 +452,38 @@ def run_chunk(
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)
         S += np.multiply(r, n, out=grow)
-        np.divide(x, n, out=x_terms)
-        for i, n_sum, term in draw_rows:
+        for i, n_sum, _ in draw_rows:
             n_sum += n_now[i]
-            np.divide(1.0, n_now[i], out=term)
-        _kahan_add(sums, comps, terms, spare)
-        for i, r_sum, r_sqsum in reinf_rows:
+        for i, r_sum, _ in reinf_rows:
             r_sum += r_now[i]
-            r_sqsum += np.multiply(r_now[i], r_now[i], out=sq)
         for i in int_draws:
             n_tot[i] += n_now[i]
-            recip_tot[i], recip_comp[i] = _kahan_step(recip_tot[i], recip_comp[i],
-                                                      1.0 / n_now[i])
         for i in int_reinfs:
             r_tot[i] += r_now[i]
-            r_sqtot[i] += r_now[i] * r_now[i]
+        if t < cut:  # the plug-in sums: X/N and 1/N (Kahan), and R^2
+            np.divide(x, n, out=x_terms)
+            for i, _, term in draw_rows:
+                np.divide(1.0, n_now[i], out=term)
+            _kahan_add(sums, comps, terms, spare)
+            for i, _, r_sqsum in reinf_rows:
+                r_sqsum += np.multiply(r_now[i], r_now[i], out=sq)
+            for i in int_draws:
+                recip_tot[i], recip_comp[i] = _kahan_step(recip_tot[i], recip_comp[i],
+                                                          1.0 / n_now[i])
+            for i in int_reinfs:
+                r_sqtot[i] += r_now[i] * r_now[i]
 
         h = t + 1
         if h in horizons:
             z, m_emp, s_over_n = H / S, sums[:nu] / h, S / h
+            fields = SNAPSHOT_FIELDS if h <= cut else KEPT_FIELDS
             for u, (c, d, e) in enumerate(zip(urns, layout.draw_of, layout.reinf_of)):
-                out[c.label].append(dict(zip(SNAPSHOT_FIELDS, (
+                snap = dict(zip(SNAPSHOT_FIELDS, (
                     z[u], m_emp[u], s_over_n[u],
                     _mean(r_tot[e], h, lanes), _mean(r_sqtot[e], h, lanes),
                     _mean(n_tot[d], h, lanes), _mean(recip_tot[d], h, lanes),
-                ))))
+                )))
+                out[c.label].append({f: snap[f] for f in fields})
     return out
 
 

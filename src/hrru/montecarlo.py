@@ -4,7 +4,10 @@ A ReplicationPlan names a configuration, a replication count, an
 evaluation horizon ``n``, a long proxy horizon ``n_proxy``, a master
 seed, the horizons it simulates and records, ``(n, proxy)`` unless
 named, and the urns it simulates and records, every urn unless named.
-Replication ``r`` is a pure function of
+A plan may stop the plug-in sums (M_n and the sums behind V_n, W_n and
+U_n) at ``plugins_to``, one of its horizons, which the record kinds set
+to n: the steps past it then skip them, and a later block holds None
+for ``engine.PLUGIN_FIELDS``.  Replication ``r`` is a pure function of
 (master_seed, r): the engine derives every stream from that pair, and
 each urn reads its own extraction stream, so results are bit-identical
 whatever the chunking, worker count, execution order or the other urns
@@ -91,7 +94,9 @@ class ReplicationPlan:
     ``(n, proxy_horizon)``) are where every rep is recorded; the engine
     runs to the last, where the 2**53 bound is checked for every urn.
     ``labels`` (``engine.check_labels``, in the config's urn order; by
-    default every urn) are the urns simulated and recorded."""
+    default every urn) are the urns simulated and recorded.
+    ``plugins_to`` (``engine.check_plugins_to``; by default the last
+    horizon) is the last horizon whose blocks hold the plug-in fields."""
 
     config: UrnConfig | UrnSystem
     reps: int
@@ -100,6 +105,7 @@ class ReplicationPlan:
     master_seed: int = 0
     horizons: tuple[int, ...] | None = None
     labels: tuple[str, ...] | None = None
+    plugins_to: int | None = None
 
     def __post_init__(self):
         _raise_problems(plan_problems(self.reps, self.n, self.n_proxy))
@@ -109,6 +115,7 @@ class ReplicationPlan:
         if self.n not in horizons:
             raise ParameterError(f"horizons must hold n = {self.n}, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "plugins_to", engine.check_plugins_to(horizons, self.plugins_to))
         object.__setattr__(self, "labels", engine.check_labels(self.config, self.labels))
         engine.check_int64_range(self.config, horizons[-1])
 
@@ -123,26 +130,29 @@ class HorizonBlock:
 
     Each statistic below is written once, on these arrays: the record
     diagnostics read every rep, and a trajectory's statistics read the
-    one-rep block of ``trajectory_block``.
+    one-rep block of ``trajectory_block``.  Past a plan's ``plugins_to``
+    the ``engine.PLUGIN_FIELDS`` are None, and ``variances`` refuses.
     """
 
     horizon: int
     z: np.ndarray
-    m_emp: np.ndarray
+    m_emp: np.ndarray | None
     s_over_n: np.ndarray
     reinf_mean: np.ndarray
-    reinf_sqmean: np.ndarray
+    reinf_sqmean: np.ndarray | None
     draw_mean: np.ndarray
-    draw_recipmean: np.ndarray
+    draw_recipmean: np.ndarray | None
 
     def take(self, m: int) -> "HorizonBlock":
-        return HorizonBlock(
-            horizon=self.horizon,
-            **{f: getattr(self, f)[:m] for f in engine.SNAPSHOT_FIELDS},
-        )
+        return replace(self, **{f: a[:m] for f in engine.SNAPSHOT_FIELDS
+                                if (a := getattr(self, f)) is not None})
 
     def variances(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V, W, U) plug-in arrays, one entry per rep."""
+        """(V, W, U) plug-in arrays, one entry per rep; a ``ParameterError``
+        naming the horizon for a block without the plug-in fields."""
+        if self.m_emp is None:
+            raise ParameterError(f"the block at horizon {self.horizon} holds no plug-in "
+                                 f"sums: its plan stops them at an earlier horizon")
         return variance_terms(
             self.z, self.m_emp,
             self.reinf_mean, self.reinf_sqmean,
@@ -166,9 +176,9 @@ def combination(coeffs: dict[str, float], blocks: dict[str, HorizonBlock], basis
     order of ``coeffs``."""
     center = variance = 0.0
     for lab, c in coeffs.items():
-        blk = blocks[lab]
-        center = center + c * (blk.z if basis == "Z" else blk.m_emp)
+        blk = blocks[lab]  # variances first: it refuses a block past the cut
         variance = variance + (c * c) * blk.variances()[0 if basis == "Z" else 1]
+        center = center + c * (blk.z if basis == "Z" else blk.m_emp)
     return center, variance
 
 
@@ -273,7 +283,8 @@ def _chunk_bounds(plan: ReplicationPlan, workers: int) -> list[tuple[int, int]]:
 
 def _run_share(plan: ReplicationPlan, bounds) -> list:
     return [engine.run_chunk(plan.config, plan.master_seed, lo, hi, plan.horizons,
-                             labels=plan.labels) for lo, hi in bounds]
+                             labels=plan.labels, plugins_to=plan.plugins_to)
+            for lo, hi in bounds]
 
 
 def _fork_share(plan: ReplicationPlan, bounds):
@@ -408,7 +419,8 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
     urns = {
         label: UrnRecords({
             h: HorizonBlock(horizon=h, **{
-                f: np.concatenate([cr[label][hidx][f] for cr in chunk_results])
+                f: (np.concatenate([cr[label][hidx][f] for cr in chunk_results])
+                    if h <= plan.plugins_to or f not in engine.PLUGIN_FIELDS else None)
                 for f in engine.SNAPSHOT_FIELDS
             })
             for hidx, h in enumerate(plan.horizons)

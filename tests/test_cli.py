@@ -327,14 +327,17 @@ def test_chunking_and_workers_leave_the_echo_and_bytes(tmp_path, cap_lanes):
 
 
 def _recorded_chunks(monkeypatch) -> list:
-    # (rep_lo, rep_hi, horizons, labels) of every engine.run_chunk call
-    # made in this process, as --workers 1 runs every chunk.
+    # (rep_lo, rep_hi, horizons, labels, plugins_to) of every
+    # engine.run_chunk call made in this process, as --workers 1 runs
+    # every chunk.
     calls = []
     run_chunk = engine.run_chunk
 
-    def recording(config, master_seed, rep_lo, rep_hi, horizons, *, labels=None):
-        calls.append((rep_lo, rep_hi, tuple(horizons), labels))
-        return run_chunk(config, master_seed, rep_lo, rep_hi, horizons, labels=labels)
+    def recording(config, master_seed, rep_lo, rep_hi, horizons, *, labels=None,
+                  plugins_to=None):
+        calls.append((rep_lo, rep_hi, tuple(horizons), labels, plugins_to))
+        return run_chunk(config, master_seed, rep_lo, rep_hi, horizons, labels=labels,
+                         plugins_to=plugins_to)
 
     monkeypatch.setattr(engine, "run_chunk", recording)
     return calls
@@ -378,7 +381,28 @@ def test_each_kind_simulates_the_horizons_it_reads(tmp_path, monkeypatch, kind, 
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(make(tmp_path / "out")))
     assert main([kind, "--config", str(cfg_path), "--workers", "1"]) == 0
-    assert calls and {(h, labs) for _, _, h, labs in calls} == {(horizons, labels)}
+    assert calls and {(h, labs) for _, _, h, labs, _ in calls} == {(horizons, labels)}
+
+
+@pytest.mark.parametrize("kind,make,n", [
+    ("clt", _clt_config, 30),
+    ("coverage", lambda d: _clt_config(d, level=0.9), 30),
+    ("coverage", lambda d: _system_coverage_config(d, {"A": 1.0, "B": -1.0}), 10),
+    ("limit-law", _limit_law_config, 30),
+    ("mtest", lambda d: dict(_mtest_config(), outputs={"dir": str(d)}), 10),
+], ids=["clt", "coverage-urn", "coverage-system", "limit-law", "mtest"])
+def test_each_kind_stops_the_plugin_sums_at_n(tmp_path, monkeypatch, kind, make, n):
+    # Every kind reads M_n and the plug-in variances at n alone, so its
+    # chunks stop those sums there; mtest's last horizon is n, so its
+    # cut is the engine's default.
+    calls = _recorded_chunks(monkeypatch)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(make(tmp_path / "out")))
+    assert main([kind, "--config", str(cfg_path), "--workers", "1"]) == 0
+    assert calls and {cut for *_, cut in calls} == {n}
+    assert _plan_for(parse_config(cfg_path.read_text(), kind=kind)).plugins_to == n
+    if kind == "mtest":
+        assert {h for _, _, h, _, _ in calls} == {(n,)}
 
 
 @pytest.mark.parametrize("kind,make", [
@@ -456,7 +480,7 @@ def test_mtest_bytes_hold_across_workers_and_chunks(tmp_path, monkeypatch, cap_l
     assert len(reports) == 1
     assert [len(c) for c in chunks] == [1, 7]
     assert plan.horizons == (plan.n,)
-    assert chunks[1][0] == (0, 2, (plan.n,), ("A",))
+    assert chunks[1][0] == (0, 2, (plan.n,), ("A",), plan.n)
     assert len(mc._chunk_bounds(plan, 2)) == 8
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import contract_oracle as oracle
+from hrru import engine
 from hrru.engine import (
     SNAPSHOT_FIELDS,
     _Layout,
@@ -42,6 +43,7 @@ from hrru.urn_core import (
     UrnConfig,
     run_trajectory,
 )
+from test_golden import chunk_configs
 
 UNIFORM3 = IntegerDistribution((0, 1, 2), (1 / 3, 1 / 3, 1 / 3))
 
@@ -388,6 +390,36 @@ def test_chunk_boundaries_do_not_matter():
     for f in SNAPSHOT_FIELDS:
         merged = np.concatenate([left["u0"][0][f], right["u0"][0][f]])
         assert np.array_equal(whole["u0"][0][f], merged), f
+
+
+@pytest.mark.parametrize("name", sorted(chunk_configs()))
+def test_the_plugin_cut_keeps_every_other_field_on_the_golden_grid(name, monkeypatch):
+    # With the plug-in sums stopped after each horizon in turn, every
+    # field kept has the default call's bits and no plug-in field
+    # outlives the cut, and the Kahan block is added on the first
+    # ``cut`` steps alone; a cut off the horizons is refused.
+    config, horizons = chunk_configs()[name], (2, 5, 9)
+    plugins = ("m_emp", "reinf_sqmean", "draw_recipmean")
+    full = run_chunk(config, 11, 3, 12, horizons)
+    kahan_adds = []
+    kahan_add = engine._kahan_add
+    monkeypatch.setattr(engine, "_kahan_add", lambda *a: kahan_adds.append(kahan_add(*a)))
+    for cut in (*horizons, np.int64(5)):
+        kahan_adds.clear()
+        got = run_chunk(config, 11, 3, 12, horizons, plugins_to=cut)
+        assert len(kahan_adds) == cut
+        assert list(got) == list(full)
+        for label in full:
+            for h, snap, want in zip(horizons, got[label], full[label], strict=True):
+                kept = [f for f in SNAPSHOT_FIELDS if h <= cut or f not in plugins]
+                assert list(snap) == kept
+                assert {f: snap[f].tobytes() for f in kept} == {
+                    f: want[f].tobytes() for f in kept}, (label, h, cut)
+    for bad in (1, 4, 10, 5.0, "5"):
+        with pytest.raises(ParameterError, match="plugins_to: must be one of the horizons"):
+            run_chunk(config, 11, 3, 12, horizons, plugins_to=bad)
+    with pytest.raises(ParameterError, match="plugins_to"):
+        run_chunk(config, 11, 3, 5, (1, 3), plugins_to=True)
 
 
 def test_snapshot_fields_are_consistent():

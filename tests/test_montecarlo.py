@@ -1,5 +1,6 @@
 """Replication harness: determinism, reductions, and statistics."""
 
+import dataclasses
 import json
 import math
 import os
@@ -37,9 +38,11 @@ def _cfg():
                      reinforce=UniformReinforcement(1, 3))
 
 
-def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None, horizons=None, labels=None):
+def _plan(reps=30, n=50, n_proxy=500, seed=0, config=None, horizons=None, labels=None,
+          plugins_to=None):
     return mc.ReplicationPlan(config=config or _cfg(), reps=reps, n=n, n_proxy=n_proxy,
-                              master_seed=seed, horizons=horizons, labels=labels)
+                              master_seed=seed, horizons=horizons, labels=labels,
+                              plugins_to=plugins_to)
 
 
 def test_plan_validation():
@@ -573,6 +576,54 @@ def test_records_at_a_horizon_do_not_depend_on_the_others(config):
                 assert snap == mc.engine.trajectory_snapshot(traj, (h,))[0]
                 assert snap == {f: getattr(triple.urns[lab].at(h), f)[r]
                                 for f in mc.engine.SNAPSHOT_FIELDS}
+
+
+@pytest.mark.parametrize("config", [_cfg(), SYSTEM3], ids=["urn", "system"])
+def test_a_plan_that_stops_the_plugins_at_n_keeps_every_other_bit(config, monkeypatch,
+                                                                    cap_lanes):
+    # Past the cut a block holds None for the plug-in fields and every
+    # other field at the default plan's bits, on one worker or two and
+    # in one chunk or many; take keeps the cut.
+    horizons, plugins = (7, 20, 200), mc.engine.PLUGIN_FIELDS
+    full = mc.replicate(_plan(reps=24, n=20, n_proxy=200, config=config, horizons=horizons),
+                        workers=1)
+    plan = _plan(reps=24, n=20, n_proxy=200, config=config, horizons=horizons, plugins_to=20)
+    assert (full.plan.plugins_to, plan.plugins_to) == (200, 20)
+    runs = [mc.replicate(plan, workers=w) for w in (1, 2)]
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    cap_lanes(plan, 5)
+    assert len(mc._chunk_bounds(plan, 2)) == 5
+    runs += [mc.replicate(plan, workers=w) for w in (1, 2)]
+    runs += [runs[0].take(9)]
+    for got in runs:
+        assert got.plan.plugins_to == 20
+        for lab, want in full.take(len(got)).urns.items():
+            for h in horizons:
+                blk, fields = got.urns[lab].at(h), mc.engine.SNAPSHOT_FIELDS
+                kept = [f for f in fields if h <= 20 or f not in plugins]
+                assert [f for f in fields if getattr(blk, f) is not None] == kept
+                assert {f: getattr(blk, f).tobytes() for f in kept} == {
+                    f: getattr(want.at(h), f).tobytes() for f in kept}
+
+
+def test_a_plugin_read_past_the_cut_names_the_horizon():
+    plan = _plan(reps=6, n=20, n_proxy=200, plugins_to=20)
+    rec = mc.replicate(plan)
+    assert len(rec.single.at_n.variances()[0]) == 6
+    for blk in (rec.single.at_proxy, rec.take(3).single.at_proxy):
+        with pytest.raises(ParameterError, match="the block at horizon 200 holds no plug-in"):
+            blk.variances()
+        with pytest.raises(ParameterError, match="horizon 200"):
+            mc.combination({"u0": 1.0}, {"u0": blk}, "M")
+    # every diagnostic reads the plug-ins at n, so the cut changes none
+    full = _plan(reps=6, n=20, n_proxy=200)
+    want = mc.clt_check_mn(full, mc.replicate(full)).stats
+    got = mc.clt_check_mn(plan, rec).stats
+    for f in dataclasses.fields(got):
+        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+    with pytest.raises(ParameterError, match="plugins_to: must be one of the horizons "
+                                             "\\(20, 200\\), got 30"):
+        _plan(n=20, n_proxy=200, plugins_to=30)
 
 
 # mtest's shape: the target A's reinforcement base (2) lies between
