@@ -31,8 +31,9 @@ ball ``j`` of every urn is one ``(urns, lanes)`` view.  The sums of N
 and 1/N, and of R and R^2, are kept once per distinct emission, at its
 own shape: a ``(lanes,)`` row for one read from a stream, a Python
 float for one that is the same int on every lane (a constant or a
-schedule).  A snapshot hands each urn the sums of the emissions it
-reads.  A chunk allocates its workspace (``_workspace``: states,
+schedule).  One ``+=`` adds each emission to its sum, in place on a
+row.  A snapshot hands each urn the sums of the emissions it reads.
+A chunk allocates its workspace (``_workspace``: states,
 uniforms, chain, sums and Kahan buffers) once, and the step's array
 operations write into it; snapshots are fresh arrays, never views of
 it or of another urn's snapshot.
@@ -69,7 +70,8 @@ uniform matrix.  Their bytes per lane are read off a one-lane
 ``_workspace``, plus the rows it does not hold: the key matrix, the
 emissions read from a stream and the snapshots.  ``lane_cap`` is the
 lane count whose arrays fit ``WORKSPACE_BUDGET``.  ``run_chunk``
-refuses a larger chunk, and ``montecarlo`` never plans one.
+reads it off the layout it steps in and refuses a larger chunk, and
+``montecarlo`` never plans one.
 """
 
 from __future__ import annotations
@@ -273,6 +275,11 @@ class _Layout:
                 + len(SNAPSHOT_FIELDS) * horizons * len(self.urns))
         return sum(a.nbytes for a in held) + 8 * rows
 
+    def lane_cap(self, horizons: int) -> int:
+        """The most lanes (at least 1) whose arrays, at ``lane_bytes``
+        each, fit ``WORKSPACE_BUDGET``."""
+        return max(1, WORKSPACE_BUDGET // self.lane_bytes(horizons))
+
 
 def _workspace(layout: _Layout, lanes: int) -> tuple:
     """Every lane array a ``run_chunk`` of ``lanes`` lanes steps in; urns
@@ -304,7 +311,7 @@ def lane_cap(config: UrnConfig | UrnSystem, horizons: int,
     ``horizons`` snapshots of the urns ``labels`` names (all when None),
     fit ``WORKSPACE_BUDGET``: ``_Layout.lane_bytes``, read off
     ``_workspace``, per lane.  Wide draw strides get fewer lanes."""
-    return max(1, WORKSPACE_BUDGET // _Layout(config, labels).lane_bytes(horizons))
+    return _Layout(config, labels).lane_cap(horizons)
 
 
 def _per_urn(values: list, index: list[int], rows: np.ndarray | None):
@@ -398,12 +405,12 @@ def run_chunk(
     cut = check_plugins_to(horizons, plugins_to)
     labels = check_labels(config, labels)
     check_int64_range(config, horizons[-1])
-    lanes, cap = rep_hi - rep_lo, lane_cap(config, len(horizons), labels)
+    layout = _Layout(config, labels)
+    lanes, cap = rep_hi - rep_lo, layout.lane_cap(len(horizons))
     if lanes > cap:
         raise ParameterError(f"a chunk of {lanes} lanes exceeds lane_cap = {cap} "
                              f"for horizons {horizons}")
 
-    layout = _Layout(config, labels)
     urns, rows, draws, reinfs = layout.urns, layout.rows, layout.draws, layout.reinfs
     key_matrix = _row_keys(master_seed, rep_lo, rep_hi, rows)
     slope = np.array([(m * rng.GOLDEN) & rng.MASK64 for _, _, m in rows], dtype=np.uint64)
@@ -429,11 +436,8 @@ def run_chunk(
         n_tot[i], recip_tot[i] = n_sums[j], sums[nu + j]
     for j, i in enumerate(lane_reinfs):
         r_tot[i], r_sqtot[i] = r_sums[:, j]
-    draw_rows = [(i, n_tot[i], terms[nu + j]) for j, i in enumerate(lane_draws)]
-    reinf_rows = [(i, r_tot[i], r_sqtot[i]) for i in lane_reinfs]
     int_draws = [i for i in range(len(draws)) if i not in lane_draws]
-    int_reinfs = [i for i in range(len(reinfs)) if i not in lane_reinfs]
-    x_terms, sq = terms[:nu], grow[0]
+    x_terms, recip_terms, sq = terms[:nu], terms[nu:], grow[0]
 
     out: dict[str, list[dict[str, np.ndarray]]] = {c.label: [] for c in urns}
     n_now: list = [None] * len(draws)
@@ -452,26 +456,20 @@ def run_chunk(
         x = chain.draw(balls, H, S, n)
         H += np.multiply(r, x, out=grow)
         S += np.multiply(r, n, out=grow)
-        for i, n_sum, _ in draw_rows:
-            n_sum += n_now[i]
-        for i, r_sum, _ in reinf_rows:
-            r_sum += r_now[i]
-        for i in int_draws:
-            n_tot[i] += n_now[i]
-        for i in int_reinfs:
-            r_tot[i] += r_now[i]
+        for i, v in enumerate(n_now):
+            n_tot[i] += v
+        for i, v in enumerate(r_now):
+            r_tot[i] += v
         if t < cut:  # the plug-in sums: X/N and 1/N (Kahan), and R^2
             np.divide(x, n, out=x_terms)
-            for i, _, term in draw_rows:
+            for i, term in zip(lane_draws, recip_terms):
                 np.divide(1.0, n_now[i], out=term)
             _kahan_add(sums, comps, terms, spare)
-            for i, _, r_sqsum in reinf_rows:
-                r_sqsum += np.multiply(r_now[i], r_now[i], out=sq)
             for i in int_draws:
                 recip_tot[i], recip_comp[i] = _kahan_step(recip_tot[i], recip_comp[i],
                                                           1.0 / n_now[i])
-            for i in int_reinfs:
-                r_sqtot[i] += r_now[i] * r_now[i]
+            for i, v in enumerate(r_now):
+                r_sqtot[i] += np.multiply(v, v, out=sq) if i in lane_reinfs else v * v
 
         h = t + 1
         if h in horizons:

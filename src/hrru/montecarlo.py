@@ -255,14 +255,9 @@ class RepRecords:
                           urns={lab: u.take(m) for lab, u in self.urns.items()})
 
 
-# A plan gets no more equal shares than it has this many lane-steps.
-# Measured on 2 cores (reference urn, 10 alternating pairs per size,
-# fresh processes): one process beat a process pool of two up to
-# 0.75 * 2**20 lane-steps, tied near 2**20 and lost from 1.5 * 2**20 on.
-# Against one process and a forked child, it won up to 4 * 2**20 and
-# lost at 6 * 2**20 (6 of 10 pairs); but in that sitting the pool lost
-# at every size up to 6 * 2**20 too, and one-process runs of one size
-# varied by 40%, so that crossover reflects the machine's load.
+# A plan gets no more equal shares than it has this many lane-steps of
+# its urns to its last horizon, so a small plan runs in one process.
+# ROADMAP item 9 holds its measurements, which disagree across sittings.
 _SHARE_LANE_STEPS = 1 << 19
 
 
@@ -311,17 +306,19 @@ def _fork_share(plan: ReplicationPlan, bounds):
     return pid, open(r, "rb")
 
 
-def _run_forked(plan: ReplicationPlan, bounds, nworkers: int) -> list:
-    """The results of the chunks ``bounds``, cut into ``nworkers``
-    contiguous shares: share 0 runs here, each other in a forked child.
+def _run_forked(plan: ReplicationPlan, bounds, workers: int) -> list:
+    """The results of the chunks ``bounds``, cut into ``min(workers,
+    chunks)`` contiguous shares: share 0 runs here, each other in a
+    forked child, so one share forks nothing.
 
     Each child's pipe is read to its end before the child is reaped, as
     a result may exceed the pipe's buffer.  A child's exception is
     raised here; a child that ends without a result is a RuntimeError.
     Whatever ends this call, no child outlives it: those not yet reaped
     are killed and reaped."""
-    shares = [bounds[len(bounds) * i // nworkers:len(bounds) * (i + 1) // nworkers]
-              for i in range(nworkers)]
+    nshares = min(workers, len(bounds))
+    shares = [bounds[len(bounds) * i // nshares:len(bounds) * (i + 1) // nshares]
+              for i in range(nshares)]
     children = []  # (pid, pipe) of each child not yet reaped, in share order
     try:
         for share in shares[1:]:
@@ -394,16 +391,17 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
 
     This is the one place a plan is simulated: every diagnostic below
     takes the records it returns, one block per urn of ``plan.labels``
-    and horizon of ``plan.horizons``.  The chunks (``_chunk_bounds``, the only
-    chunking) run on ``min(workers, chunks, usable CPUs)`` processes, with
-    ``workers`` defaulting to the usable CPUs: this one runs the first
-    contiguous share of the chunks and a forked child each other share
-    (``_run_forked``).  Children are forked on Linux only; elsewhere
-    every chunk runs in this process.  A plan gets no more shares than
-    it has ``_SHARE_LANE_STEPS`` lane-steps, so a small one runs here
-    unless the lane cap cuts it into chunks.  The per-rep values
-    are identical in every case because each rep's streams depend only
-    on (master_seed, rep index).
+    and horizon of ``plan.horizons``, holding the fields its chunks
+    returned and None for the others (the plug-in fields past
+    ``plugins_to``).  A plan runs on ``min(workers, chunks, usable
+    CPUs)`` processes, ``workers`` defaulting to the usable CPUs, and on
+    one off Linux: ``_run_forked`` runs the first contiguous share of
+    the chunks (``_chunk_bounds``, the only chunking) here and each
+    other in a forked child, so one share forks nothing.  A plan gets no
+    more shares than it has ``_SHARE_LANE_STEPS`` lane-steps, so a small
+    one runs here unless the lane cap cuts it into chunks.  The per-rep
+    values are identical in every case because each rep's streams
+    depend only on (master_seed, rep index).
     """
     # workers are forked children, on Linux only
     usable = _usable_cpus() if sys.platform.startswith("linux") else 1
@@ -411,16 +409,13 @@ def replicate(plan: ReplicationPlan, workers: int | None = None) -> RepRecords:
         workers = usable
     elif not _is_integer(workers) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
-    nworkers = int(workers)
-    bounds = _chunk_bounds(plan, min(nworkers, usable))
-    nworkers = min(nworkers, len(bounds), usable)
-    chunk_results = (_run_share(plan, bounds) if nworkers == 1
-                     else _run_forked(plan, bounds, nworkers))
+    workers = min(int(workers), usable)
+    chunk_results = _run_forked(plan, _chunk_bounds(plan, workers), workers)
     urns = {
         label: UrnRecords({
             h: HorizonBlock(horizon=h, **{
                 f: (np.concatenate([cr[label][hidx][f] for cr in chunk_results])
-                    if h <= plan.plugins_to or f not in engine.PLUGIN_FIELDS else None)
+                    if f in chunk_results[0][label][hidx] else None)
                 for f in engine.SNAPSHOT_FIELDS
             })
             for hidx, h in enumerate(plan.horizons)

@@ -7,7 +7,7 @@ together, so these tests compare against digests recorded once:
   every table it writes (the config echo is left out: it is not
   experiment identity);
 - the sha256 of every ``SNAPSHOT_FIELDS`` array of a tiny ``run_chunk``
-  for each JSON draw x reinforcement policy pair and three system shapes;
+  for each JSON draw x reinforcement policy pair and four system shapes;
 - ``derive_key`` values along the README's key tree.
 
 Each urn of those systems, and of a three-urn system with distinct
@@ -136,6 +136,13 @@ SYSTEMS = {
         urns=(UrnSpec(label="only", a=5, b=5, draw_base=3, reinforce_base=2),),
         factors=CommonFactors(),
     ),
+    # Each urn reads its own int draw and reinforcement, copied into
+    # rows, with a float sum per emission.
+    "two-bases-no-factors": UrnSystem(
+        urns=(UrnSpec(label="A", a=6, b=7, draw_base=2, reinforce_base=1),
+              UrnSpec(label="B", a=9, b=5, draw_base=1, reinforce_base=3)),
+        factors=CommonFactors(),
+    ),
 }
 
 # Every base differs, so urn B runs alone at the system's stride (5),
@@ -165,7 +172,9 @@ CHUNK_PINS = {
     "absorbing-walk/discrete": "70fbc1e8c3d37dcac3b5ecd995a965181d9fe9a33a0db2c9b00bc41013196af6",
     "system/full-factors": "c236213263cbe41b56950e352dbeb5a6c4c8f799e6fcd46dbe93e174a93ade33",
     "system/reinforce-only-factor": "e109b8107bf40294bf54cb964ae0ca38f72f33355815f92d7bc43a9b6ed9fc60",
-    "system/no-factors": "dd25d45704a60a201c5d08f38e1ef58c707ad3fc8902fd0647dd22c9ac28ccda"
+    "system/no-factors": "dd25d45704a60a201c5d08f38e1ef58c707ad3fc8902fd0647dd22c9ac28ccda",
+    "system/two-bases-no-factors":
+        "96cf69244c33622d75a584463632c28a2a980235250b58b0cfba614c1ee60dfd"
 }
 
 # (key path under master seed 7, replication 3) -> key
